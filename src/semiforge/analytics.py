@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import closedsets, tree
-from .semigroup import Semigroup
+from .semigroup import Semigroup, _ordinarize_bitmap
 
 
 @dataclass(frozen=True)
@@ -194,16 +194,13 @@ def verify_parity_lemma(g_max: int) -> VerificationReport:
         raise ValueError("g_max must be non-negative")
     bad = _Counterexamples()
     odd_positions = int("10" * (g_max + 1), 2) if g_max else 0
-
-    def visit(bitmap: int, g: int, frob: int, r: int) -> None:
+    for bitmap, g, _frob, r in tree._nodes(g_max):
         if not _high_depth(g, r):
-            return
+            continue
         culprits = bitmap & odd_positions & ((1 << (g + 1)) - 2)
         if culprits:
             x = (culprits & -culprits).bit_length() - 1
             bad.add(g, Semigroup._from_bitmap(bitmap, g).gaps(), f"odd member {x} <= g={g}")
-
-    tree._walk(g_max, visit)
     return _report("parity", f"genus <= {g_max}, depth 3r >= g+2", bad)
 
 
@@ -215,8 +212,7 @@ def verify_interval_theorem(g_max: int) -> VerificationReport:
     if g_max < 0:
         raise ValueError("g_max must be non-negative")
     bad = _Counterexamples()
-
-    def visit(bitmap: int, g: int, frob: int, r: int) -> None:
+    for bitmap, g, _frob, r in tree._nodes(g_max):
         gapbits = ~bitmap & ((1 << (2 * g + 2)) - 1)
         n = (gapbits & ~(gapbits >> 1)).bit_count()
         gaps = None
@@ -229,8 +225,6 @@ def verify_interval_theorem(g_max: int) -> VerificationReport:
         if 3 * (n // 2) >= g + 2 and ((g - n) & 1 or r != n // 2):
             gaps = gaps or Semigroup._from_bitmap(bitmap, g).gaps()
             bad.add(g, gaps, f"n={n} high but r={r}, genus parity {g & 1}")
-
-    tree._walk(g_max, visit)
     return _report("intervals", f"genus <= {g_max}", bad)
 
 
@@ -279,12 +273,9 @@ def verify_bijection(g_max: int) -> VerificationReport:
         raise ValueError("g_max must be >= 2")
     matrix = tree.count_matrix(g_max)
     deep: dict[tuple[int, int], set[int]] = {}
-
-    def visit(bitmap: int, g: int, frob: int, r: int) -> None:
+    for bitmap, g, _frob, r in tree._nodes(g_max):
         if _high_depth(g, r):
             deep.setdefault((g, r), set()).add(bitmap)
-
-    tree._walk(g_max, visit)
     pair_pool: dict[int, list[tuple[Semigroup, closedsets.ClosedSet]]] = {}
     worst: Optional[str] = None
 
@@ -328,16 +319,6 @@ def verify_bijection(g_max: int) -> VerificationReport:
 # ----------------------------------------------------------------------
 # relations between the two trees
 
-def _raw_ordinarize(bitmap: int, g: int) -> int:
-    mask = (1 << (2 * g + 2)) - 1
-    frob = (~bitmap & mask).bit_length() - 1
-    nonzero = bitmap & -2
-    mult = (nonzero & -nonzero).bit_length() - 1
-    if mult > g:
-        return bitmap
-    return (bitmap ^ (1 << mult)) | (1 << frob)
-
-
 def _raw_adjoin_frobenius(bitmap: int, g: int) -> int:
     """Parent in the generator-removal tree: genus drops to g - 1."""
     mask = (1 << (2 * g + 2)) - 1
@@ -353,7 +334,8 @@ def verify_tree_relations(g_max: int) -> VerificationReport:
       enumeration grouped by ordinarization number, on the same node set,
       and each edge child ordinarizes to its parent;
     - transforms of a parent/child pair in the generator-removal tree
-      stay ancestor/descendant there (checked by walking ancestors);
+      stay parent/child there (adjoining the Frobenius number of the
+      child's transform gives the parent's transform);
     - non-ordinary children of one node all share the same transform.
     """
     if g_max < 0:
@@ -361,58 +343,39 @@ def verify_tree_relations(g_max: int) -> VerificationReport:
     bad = _Counterexamples()
 
     for g in range(g_max + 1):
+        # genus g is reached as the children of each genus g-1 node, so the
+        # lemmas below see every edge into genus g, siblings together
+        expected_nodes = {tree._ROOT[0]} if g == 0 else set()
+        for bitmap, pg, frob, _r in tree._nodes(g - 1):
+            if pg != g - 1:
+                continue
+            parent_t = _ordinarize_bitmap(bitmap, pg)
+            transforms = []
+            for child, *_ in tree._children(bitmap, pg, frob, 0):
+                expected_nodes.add(child)
+                child_t = _ordinarize_bitmap(child, g)
+                if _raw_adjoin_frobenius(child_t, g) != parent_t:
+                    bad.add(g, Semigroup._from_bitmap(child, g).gaps(), "transform left the ancestor line")
+                cm = ((child & -2) & -(child & -2)).bit_length() - 1
+                if cm <= g:  # non-ordinary child
+                    transforms.append((child_t, child))
+            for (t, c) in transforms[1:]:
+                if t != transforms[0][0]:
+                    bad.add(g, Semigroup._from_bitmap(c, g).gaps(), "siblings transform to different parents")
         expected_row = [0] * (g // 2 + 1)
-        expected_nodes = set()
-        for bm in tree._genus_bitmaps(g):
-            expected_nodes.add(bm)
+        for bm in expected_nodes:
             expected_row[(bm & ((1 << (g + 1)) - 2)).bit_count()] += 1
-        seen = set()
-        row = []
-        frontier = [Semigroup.ordinary(g).bitmap]
-        while frontier:
-            row.append(len(frontier))
-            seen.update(frontier)
-            nxt = []
-            for bm in frontier:
-                for child, _a, _b in tree._tg_children_raw(bm, g):
-                    if _raw_ordinarize(child, g) != bm:
-                        bad.add(g, Semigroup._from_bitmap(child, g).gaps(), "edge child does not transform to parent")
-                    nxt.append(child)
-            frontier = nxt
+        seen = {Semigroup.ordinary(g).bitmap}
+        row = [1]
+        for parents, children in tree._tg_levels(g):
+            row.append(len(children))
+            seen.update(children)
+            for parent, child in zip(parents, children):
+                if _ordinarize_bitmap(child, g) != parent:
+                    bad.add(g, Semigroup._from_bitmap(child, g).gaps(), "edge child does not transform to parent")
         row += [0] * (len(expected_row) - len(row))
         if row != expected_row:
             bad.add(g, (), f"depth profile {row} != enumeration {expected_row}")
         if seen != expected_nodes:
             bad.add(g, (), "fixed-genus tree misses or repeats semigroups")
-
-    # descend the generator-removal tree, checking both lemmas per edge
-    stack = [(0b11, 0, -1)]
-    while stack:
-        bitmap, g, frob = stack.pop()
-        if g == g_max:
-            continue
-        g1 = g + 1
-        eff = tree._effective_generators(bitmap, g, frob)
-        extended = bitmap | (3 << (2 * g + 2))
-        parent_t = _raw_ordinarize(bitmap, g)
-        transforms = []
-        while eff:
-            low = eff & -eff
-            a = low.bit_length() - 1
-            child = extended ^ low
-            child_t = _raw_ordinarize(child, g1)
-            walk, wg = child_t, g1
-            while wg > g:
-                walk = _raw_adjoin_frobenius(walk, wg)
-                wg -= 1
-            if walk != parent_t:
-                bad.add(g1, Semigroup._from_bitmap(child, g1).gaps(), "transform left the ancestor line")
-            cm = ((child & -2) & -(child & -2)).bit_length() - 1
-            if cm <= g1:  # non-ordinary child
-                transforms.append((child_t, child))
-            stack.append((child, g1, a))
-            eff ^= low
-        for (t, c) in transforms[1:]:
-            if t != transforms[0][0]:
-                bad.add(g1, Semigroup._from_bitmap(c, g1).gaps(), "siblings transform to different parents")
     return _report("trees", f"genus <= {g_max}", bad)

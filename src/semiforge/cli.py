@@ -37,18 +37,23 @@ _VERIFY_CHECKS = {
 }
 
 
-def _workers_from(args: argparse.Namespace) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get(WORKERS_ENV)
-    return int(env) if env else 0
+# smallest --gmax each check accepts; below it the check is undefined
+_VERIFY_GMAX_FLOOR = {"conjecture": 1, "bijection": 2}
+
+
+def _non_negative(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
+    # argparse runs a string default through ``type`` too, so a bad
+    # $SEMIFORGE_WORKERS is rejected like a bad flag
     parser.add_argument(
         "--workers",
-        type=int,
-        default=None,
+        type=_non_negative,
+        default=os.environ.get(WORKERS_ENV) or "0",
         metavar="N",
         help=f"worker processes, 0 = one per CPU (default; ${WORKERS_ENV} overrides)",
     )
@@ -62,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="counts by genus and ordinarization number")
-    p.add_argument("--gmax", type=int, required=True)
+    p.add_argument("--gmax", type=_non_negative, required=True)
     p.add_argument("--format", choices=("csv", "json", "plain"), default="csv")
     _add_workers_flag(p)
 
@@ -70,25 +75,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("gaps", help='comma-separated gap list, e.g. "1,2,3,6,7,11"')
 
     p = sub.add_parser("fseq", help="closed-set counting sequence")
-    p.add_argument("--omega-max", type=int, required=True)
+    p.add_argument("--omega-max", type=_non_negative, required=True)
     _add_workers_flag(p)
 
     p = sub.add_parser("verify", help="run one verification harness")
     p.add_argument("--check", choices=sorted(_VERIFY_CHECKS), required=True)
-    p.add_argument("--gmax", type=int, required=True)
+    p.add_argument("--gmax", type=_non_negative, required=True)
     _add_workers_flag(p)
 
     p = sub.add_parser("tree", help="DOT export of the fixed-genus tree")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_non_negative, required=True)
     p.add_argument("--dot", required=True, metavar="PATH")
     p.add_argument("--node-cap", type=int, default=100_000)
     return parser
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    workers = _workers_from(args)
     started = time.monotonic()
-    matrix = tree.count_matrix(args.gmax, workers=workers)
+    matrix = tree.count_matrix(args.gmax, workers=args.workers)
     print(f"counted genus <= {args.gmax} in {time.monotonic() - started:.1f}s", file=sys.stderr)
     if args.format == "csv":
         sys.stdout.write(matrix.to_csv())
@@ -118,18 +122,18 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_fseq(args: argparse.Namespace) -> int:
-    if args.omega_max < 0:
-        print("--omega-max must be non-negative", file=sys.stderr)
-        return 2
-    workers = _workers_from(args)
     print("omega,f")
     for w in range(args.omega_max + 1):
-        print(f"{w},{closedsets.f_value(w, workers=workers)}")
+        print(f"{w},{closedsets.f_value(w, workers=args.workers)}")
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = _VERIFY_CHECKS[args.check](args.gmax, _workers_from(args))
+    floor = _VERIFY_GMAX_FLOOR.get(args.check, 0)
+    if args.gmax < floor:
+        print(f"--check {args.check} needs --gmax >= {floor}", file=sys.stderr)
+        return 2
+    report = _VERIFY_CHECKS[args.check](args.gmax, args.workers)
     print(json.dumps(report.as_json_dict()))
     return 0 if report.passed else 1
 
@@ -160,7 +164,11 @@ _HANDLERS = {
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command; returns the exit code, 2 for rejected flags."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has already printed the message
+        return exc.code
     return _HANDLERS[args.command](args)
 
 

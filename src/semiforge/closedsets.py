@@ -22,12 +22,11 @@ sequence summed here by ``f_value``.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .semigroup import Semigroup
-from .tree import _genus_bitmaps, _resolve_workers
+from .tree import _fork_map, _nodes, _resolve_workers
 
 
 class PreconditionViolated(ValueError):
@@ -185,15 +184,11 @@ def f_value(omega_genus: int, *, workers: int = 1) -> int:
     3r >= g + 2 and w = floor(g/2) - r."""
     if omega_genus < 0:
         raise ValueError("genus must be non-negative")
-    bitmaps = list(_genus_bitmaps(omega_genus))
+    bitmaps = [bm for bm, g, _frob, _r in _nodes(omega_genus) if g == omega_genus]
     workers = _resolve_workers(workers)
     if workers <= 1 or len(bitmaps) < 4 * workers:
         return _f_worker((bitmaps, omega_genus))
-    chunk = max(1, len(bitmaps) // (workers * 4))
-    payloads = [(bitmaps[i : i + chunk], omega_genus) for i in range(0, len(bitmaps), chunk)]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers) as pool:
-        return sum(pool.imap_unordered(_f_worker, payloads))
+    return sum(_fork_map(_f_worker, bitmaps, omega_genus, workers))
 
 
 # ----------------------------------------------------------------------

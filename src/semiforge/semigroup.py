@@ -21,7 +21,7 @@ integers).  Parsing and formatting round-trip byte-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 
 class NotClosed(ValueError):
@@ -61,6 +61,24 @@ def _sum_bitmap(bitmap: int, genus: int) -> int:
     return sums
 
 
+def _ordinarize_bitmap(bitmap: int, genus: int) -> int:
+    """The transform on a raw bitmap: swap the multiplicity for the Frobenius
+    number; identity on the ordinary semigroup."""
+    nonzero = bitmap & -2
+    mult = (nonzero & -nonzero).bit_length() - 1
+    if mult > genus:
+        return bitmap
+    frob = (~bitmap & ((1 << (2 * genus + 2)) - 1)).bit_length() - 1
+    return (bitmap ^ (1 << mult)) | (1 << frob)
+
+
+def _sum_witness(x: int, member: Callable[[int], object]) -> NotClosed:
+    """NotClosed for the gap x, with the smallest a such that a and x - a
+    are both members."""
+    a = next(a for a in range(1, x // 2 + 1) if member(a) and member(x - a))
+    return NotClosed(a, x - a)
+
+
 class Semigroup(NamedTuple):
     """One numerical semigroup; construct via ``from_gaps`` / ``ordinary``."""
 
@@ -87,11 +105,7 @@ class Semigroup(NamedTuple):
                 raise ValueError(f"bitmap has {width - bitmap.bit_count()} gaps, expected {genus}")
             bad = _sum_bitmap(bitmap, genus) & gapbits
             if bad:
-                x = (bad & -bad).bit_length() - 1
-                for a in range(1, x // 2 + 1):
-                    if (bitmap >> a) & 1 and (bitmap >> (x - a)) & 1:
-                        raise NotClosed(a, x - a)
-                raise AssertionError("sum bitmap inconsistent with membership")
+                raise _sum_witness((bad & -bad).bit_length() - 1, lambda y: (bitmap >> y) & 1)
         return cls(bitmap, genus, frobenius, multiplicity)
 
     @classmethod
@@ -107,23 +121,20 @@ class Semigroup(NamedTuple):
         if any(b <= a for a, b in zip(gap_list, gap_list[1:])):
             raise ValueError("gaps must be strictly increasing")
         genus = len(gap_list)
-        if genus == 0:
-            return cls(0b11, 0, -1, 1)
-        top = gap_list[-1]
-        members = (1 << (top + 1)) - 1
-        for x in gap_list:
-            members ^= 1 << x
-        # Sums above the largest gap are automatically members, so checking
-        # pairs with a + b <= max(gaps) is the minimal sufficient closure test.
-        for x in gap_list:
-            for a in range(1, x // 2 + 1):
-                if (members >> a) & 1 and (members >> (x - a)) & 1:
-                    raise NotClosed(a, x - a)
         width = 2 * genus + 2
         bitmap = (1 << width) - 1
         for x in gap_list:
-            bitmap ^= 1 << x
-        return cls._from_bitmap(bitmap, genus)
+            if x < width:
+                bitmap ^= 1 << x
+        if not gap_list or gap_list[-1] < width:
+            return cls._from_bitmap(bitmap, genus, validate=True)
+        # A gap x > 2g+1 is a sum: the other g-1 gaps block at most 2g-2 of
+        # the x-1 splits a + (x-a).  The witness is the smallest gap that is
+        # a sum, so gaps inside the window are tried first.
+        bad = _sum_bitmap(bitmap, genus) & ~bitmap & ((1 << width) - 1)
+        x = (bad & -bad).bit_length() - 1 if bad else next(y for y in gap_list if y >= width)
+        gap_set = set(gap_list)
+        raise _sum_witness(x, lambda y: y not in gap_set)
 
     @classmethod
     def ordinary(cls, genus: int) -> "Semigroup":
@@ -210,8 +221,7 @@ class Semigroup(NamedTuple):
         """Swap the multiplicity for the Frobenius number; identity on ordinary."""
         if self.is_ordinary:
             return self
-        bitmap = (self.bitmap ^ (1 << self.multiplicity)) | (1 << self.frobenius)
-        return Semigroup._from_bitmap(bitmap, self.genus)
+        return Semigroup._from_bitmap(_ordinarize_bitmap(self.bitmap, self.genus), self.genus)
 
     def ordinarization_number(self) -> int:
         """Count of non-zero members <= g; equals the number of transform

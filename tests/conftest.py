@@ -1,6 +1,15 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from semiforge import Semigroup, enumerate_genus
+
+# pyproject's ``pythonpath`` puts src/ on this process's path; the CLI
+# subprocesses of the acceptance suite need it too when the package is
+# run from a checkout without being installed
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ from semiforge import (
     verify_sumset_bound,
     verify_tree_relations,
 )
+from semiforge import tree
 from reference_tables import COUNTS_BY_GENUS
 
 
@@ -170,6 +171,33 @@ def test_bijection_report():
 def test_tree_relations_report():
     report = verify_tree_relations(8)
     assert report.passed, report
+
+
+def _doctor_tg_children(monkeypatch, edit):
+    """Make the fixed-genus expansion of the genus-6 ordinary semigroup
+    return ``edit(children)`` instead of its true children."""
+    original = tree._tg_children_raw
+    root = Semigroup.ordinary(6).bitmap
+
+    def doctored(bitmap, genus):
+        kids = original(bitmap, genus)
+        return edit(kids) if bitmap == root else kids
+
+    monkeypatch.setattr(tree, "_tg_children_raw", doctored)
+
+
+def test_tree_relations_catch_a_dropped_child(monkeypatch):
+    _doctor_tg_children(monkeypatch, lambda kids: kids[:-1])
+    report = verify_tree_relations(6)
+    assert report.passed is False
+    assert "depth profile" in report.counterexample
+
+
+def test_tree_relations_catch_a_repeated_child(monkeypatch):
+    _doctor_tg_children(monkeypatch, lambda kids: kids + kids[-1:])
+    report = verify_tree_relations(6)
+    assert report.passed is False
+    assert "depth profile" in report.counterexample
 
 
 def test_report_json_shape():

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from semiforge.cli import run
 from reference_tables import COUNTS_BY_GENUS
 
@@ -53,16 +51,29 @@ def test_workers_env_override(capsys, monkeypatch):
     assert env_out == capsys.readouterr().out
 
 
-def test_invalid_flags_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        run(["table", "--gmax"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run(["table"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run(["verify", "--check", "unknown", "--gmax", "5"])
-    assert exc.value.code == 2
+_INVALID_CALLS = (
+    (["table", "--gmax"], {}),
+    (["table"], {}),
+    (["verify", "--check", "unknown", "--gmax", "5"], {}),
+    (["table", "--gmax", "-1"], {}),
+    (["verify", "--check", "conjecture", "--gmax", "0"], {}),
+    (["verify", "--check", "bijection", "--gmax", "1"], {}),
+    (["table", "--gmax", "5", "--workers", "-1"], {}),
+    (["tree", "--genus", "-1", "--dot", "unused.dot"], {}),
+    (["table", "--gmax", "5"], {"SEMIFORGE_WORKERS": "abc"}),
+    (["fseq", "--omega-max", "two"], {}),
+)
+
+
+def test_invalid_flags_exit_2(capsys, monkeypatch):
+    for argv, env in _INVALID_CALLS:
+        with monkeypatch.context() as m:
+            for key, value in env.items():
+                m.setenv(key, value)
+            assert run(argv) == 2, (argv, env)
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.strip(), argv
 
 
 def test_transform_worked_example(capsys):
@@ -91,6 +102,8 @@ def test_transform_not_closed_exits_3(capsys):
     assert run(["transform", "1,4"]) == 3
     err = capsys.readouterr().err
     assert "2 + 2 = 4" in err
+    assert run(["transform", "1,1000000000000"]) == 3
+    assert "2 + 999999999998 = 1000000000000" in capsys.readouterr().err
 
 
 def test_transform_unparsable_exits_2(capsys):

@@ -61,6 +61,17 @@ def test_from_gaps_rejects_non_closed_complement():
         Semigroup.from_gaps([1, 2, 6])
     assert exc.value.witness == (3, 3)
 
+    # a gap far beyond 2g+1 is a sum; the witness comes without building
+    # a bitmap that wide
+    with pytest.raises(NotClosed) as exc:
+        Semigroup.from_gaps([1, 10**12])
+    assert exc.value.witness == (2, 10**12 - 2)
+
+    # the smallest gap that is a sum wins, even with a gap past the window
+    with pytest.raises(NotClosed) as exc:
+        Semigroup.from_gaps([1, 4, 100])
+    assert exc.value.witness == (2, 2)
+
 
 def test_from_gaps_accepts_every_genus_3_gap_set():
     # the four semigroups of genus 3

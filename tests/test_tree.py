@@ -8,7 +8,6 @@ from semiforge import (
     TooLarge,
     children_in_T,
     children_in_Tg,
-    count_by_ordinarization,
     count_matrix,
     enumerate_genus,
     export_tree_dot,
@@ -87,18 +86,17 @@ def test_children_in_Tg_order_and_parenthood(semigroups_by_genus):
             assert keys == sorted(keys)
 
 
-def test_count_by_ordinarization_examples():
-    assert count_by_ordinarization(0) == [1]
-    assert count_by_ordinarization(6) == [1, 12, 9, 1]
-    assert count_by_ordinarization(11) == [1, 45, 196, 97, 3, 1]
-
-
 def test_dual_method_agreement_small():
+    # the enumeration grouped by depth and the breadth-first walk of the
+    # fixed-genus tree are independent routes to the same row
+    matrix = count_matrix(12)
     for g in range(13):
-        row = count_by_ordinarization(g, check_agreement=True)
+        row = list(matrix.row(g))
         assert row == COUNTS_BY_GENUS[g]
         bfs = tg_bfs_row(g)
-        assert row[: len(bfs)] == bfs
+        assert bfs + [0] * (len(row) - len(bfs)) == row
+    assert matrix.row(6) == (1, 12, 9, 1)
+    assert matrix.row(11) == (1, 45, 196, 97, 3, 1)
 
 
 def test_count_matrix_matches_reference_to_16():
