@@ -48,12 +48,10 @@ def _non_negative(text: str) -> int:
 
 
 def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
-    # argparse runs a string default through ``type`` too, so a bad
-    # $SEMIFORGE_WORKERS is rejected like a bad flag
+    # left None when absent; ``run`` then reads $SEMIFORGE_WORKERS
     parser.add_argument(
         "--workers",
         type=_non_negative,
-        default=os.environ.get(WORKERS_ENV) or "0",
         metavar="N",
         help=f"worker processes, 0 = one per CPU (default; ${WORKERS_ENV} overrides)",
     )
@@ -165,8 +163,14 @@ _HANDLERS = {
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; returns the exit code, 2 for rejected flags."""
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if vars(args).get("workers", 0) is None:
+            try:
+                args.workers = _non_negative(os.environ.get(WORKERS_ENV) or "0")
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"${WORKERS_ENV}: {exc}")
     except SystemExit as exc:  # argparse has already printed the message
         return exc.code
     return _HANDLERS[args.command](args)

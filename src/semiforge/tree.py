@@ -17,10 +17,12 @@ additively closed, which a single shift test decides because removing a
 minimal generator cannot break any old pair.
 
 Counting is streaming: traversals never materialize a whole genus
-except in the capped DOT export.  Worker processes count disjoint
-subtrees rooted at a fixed split depth and the per-(genus, depth)
-tallies merge by addition, so results do not depend on the worker
-count.
+except in the capped DOT export.  Most of the generator-removal tree
+hangs below the ordinary semigroups, so the parallel count splits along
+that ordinary spine: the parent process tallies the spine itself, every
+non-ordinary child of a spine node is one task for the workers, and the
+per-(genus, depth) tallies merge by addition, so results do not depend
+on the worker count.
 """
 
 from __future__ import annotations
@@ -33,6 +35,13 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from .semigroup import Semigroup, _sum_bitmap
 
 _ROOT = (0b11, 0, -1, 0)  # bitmap, genus, frobenius, ordinarization number
+
+# Forking a pool costs more than the work it shares below these sizes
+# (2 CPUs, Python 3.11; median ms, serial vs 2-worker pool, interleaved):
+# count_matrix(18) 39 vs 69, count_matrix(19) 70 vs 60, count_matrix(20)
+# 132 vs 92; f_value(9) (118 semigroups) 54 vs 76, f_value(10) (204) 158 vs 111.
+_POOL_MIN_GMAX = 20  # count_matrix forks from this g_max on
+_POOL_MIN_SEMIGROUPS = 160  # f_value forks from this many genus-w semigroups on
 
 
 class TooLarge(RuntimeError):
@@ -256,11 +265,15 @@ def _resolve_workers(workers: int) -> int:
 
 
 def _fork_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
-    """fn((chunk, arg)) over about four chunks of ``tasks`` per worker, in a
-    pool of forked processes; results come back in completion order."""
-    chunk = max(1, len(tasks) // (workers * 4))
-    payloads = [(tasks[i : i + chunk], arg) for i in range(0, len(tasks), chunk)]
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
+    """fn((chunk, arg)) over four chunks of ``tasks`` per worker, in a pool
+    of forked processes; results come back in completion order.
+
+    Chunks are strided (``tasks[i::n]``), so neighbouring tasks, which
+    tend to be alike in size, land in different chunks.
+    """
+    n = min(4 * workers, len(tasks))
+    payloads = [(tasks[i::n], arg) for i in range(n)]
+    with multiprocessing.get_context("fork").Pool(min(workers, n)) as pool:
         return list(pool.imap_unordered(fn, payloads))
 
 
@@ -293,29 +306,33 @@ def enumerate_genus(g: int, visitor: Optional[Callable[[Semigroup], None]] = Non
     return count
 
 
-def count_matrix(g_max: int, *, workers: int = 1, split_depth: int = 8) -> CountMatrix:
+def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
     """Exact table of counts by genus and ordinarization number, g <= g_max.
 
-    With several workers, subtrees rooted at ``split_depth`` are counted
-    in separate processes and merged by addition.
+    With several workers and g_max >= 20, the parent walks the ordinary
+    spine (the ordinary semigroups, genus 0 to g_max) and tallies it;
+    the subtree under each non-ordinary child of a spine node is one
+    task, counted in a forked process, and the tallies merge by addition.
     """
     if g_max < 0:
         raise ValueError("g_max must be non-negative")
     workers = _resolve_workers(workers)
     rows = _empty_rows(g_max)
-    if workers <= 1 or g_max <= split_depth:
+    if workers <= 1 or g_max < _POOL_MIN_GMAX:
         _count_into(rows, _ROOT, g_max)
     else:
         tasks = []
-        for node in _nodes(split_depth):
-            if node[1] == split_depth:
-                tasks.append(node)
-            else:
-                rows[node[1]][node[3]] += 1
+        spine = _ROOT
+        for _ in range(g_max):
+            # children come by removed generator, and the ordinary child
+            # removes the smallest, a = g + 1
+            spine, *off_spine = _children(*spine)
+            tasks.extend(off_spine)
+        for row in rows:
+            row[0] += 1  # the spine: one ordinary semigroup per genus, at depth 0
         for part in _fork_map(_count_worker, tasks, g_max, workers):
-            for g in range(split_depth, g_max + 1):
-                row = rows[g]
-                for r, c in enumerate(part[g]):
+            for row, counts in zip(rows, part):
+                for r, c in enumerate(counts):
                     row[r] += c
     return CountMatrix(tuple(tuple(row) for row in rows))
 

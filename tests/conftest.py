@@ -3,13 +3,28 @@ from pathlib import Path
 
 import pytest
 
-from semiforge import Semigroup, enumerate_genus
+from semiforge import Semigroup, closedsets, enumerate_genus, tree
 
 # pyproject's ``pythonpath`` puts src/ on this process's path; the CLI
 # subprocesses of the acceptance suite need it too when the package is
 # run from a checkout without being installed
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+@pytest.fixture
+def fork_calls(monkeypatch) -> list[tuple[int, int]]:
+    """(number of tasks, workers) of every fork-pool run; the pool still runs."""
+    calls: list[tuple[int, int]] = []
+    fork_map = tree._fork_map
+
+    def spy(fn, tasks, arg, workers):
+        calls.append((len(tasks), workers))
+        return fork_map(fn, tasks, arg, workers)
+
+    monkeypatch.setattr(tree, "_fork_map", spy)
+    monkeypatch.setattr(closedsets, "_fork_map", spy)
+    return calls
 
 
 @pytest.fixture(scope="session")

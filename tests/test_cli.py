@@ -49,6 +49,12 @@ def test_workers_env_override(capsys, monkeypatch):
     monkeypatch.delenv("SEMIFORGE_WORKERS")
     assert run(["table", "--gmax", "10"]) == 0
     assert env_out == capsys.readouterr().out
+    monkeypatch.setenv("SEMIFORGE_WORKERS", "abc")
+    assert run(["table", "--gmax", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "SEMIFORGE_WORKERS" in captured.err
+    assert run(["table", "--gmax", "10", "--workers", "1"]) == 0  # the flag wins
+    assert env_out == capsys.readouterr().out
 
 
 _INVALID_CALLS = (

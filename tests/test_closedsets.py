@@ -117,8 +117,11 @@ def test_f_sequence_prefix():
     assert [f_value(w) for w in range(9)] == F_SEQUENCE[:9]
 
 
-def test_f_value_workers_deterministic():
-    assert f_value(6, workers=2) == F_SEQUENCE[6]
+def test_f_value_workers_deterministic(fork_calls):
+    assert f_value(10, workers=2) == F_SEQUENCE[10]
+    assert fork_calls == [(204, 2)]  # the genus-10 semigroups
+    assert f_value(9, workers=2) == F_SEQUENCE[9]
+    assert len(fork_calls) == 1  # the 118 semigroups of genus 9 stay serial
 
 
 # ----------------------------------------------------------------------

@@ -35,9 +35,10 @@ def test_export_tree_dot_golden():
         assert _sha256(export_tree_dot(g)) == want, f"genus {g}"
 
 
-def test_count_matrix_csv_golden():
+def test_count_matrix_csv_golden(fork_calls):
     assert _sha256(count_matrix(20, workers=1).to_csv()) == TABLE_20_SHA256
-    assert _sha256(count_matrix(20, workers=2, split_depth=5).to_csv()) == TABLE_20_SHA256
+    assert _sha256(count_matrix(20, workers=2).to_csv()) == TABLE_20_SHA256
+    assert len(fork_calls) == 1  # the two-worker table came from the pool
 
 
 def test_enumerate_genus_order_golden():

@@ -14,6 +14,7 @@ from semiforge import (
     iter_tg_edges,
     max_ordinarization_attainer,
     tg_bfs_row,
+    tree,
 )
 from reference_tables import COUNTS_BY_GENUS, FIG6_EDGES, FIG6_NODES_BY_DEPTH
 
@@ -105,11 +106,30 @@ def test_count_matrix_matches_reference_to_16():
         assert list(matrix.row(g)) == COUNTS_BY_GENUS[g], f"genus {g}"
 
 
-def test_count_matrix_workers_deterministic():
-    single = count_matrix(12, workers=1)
-    forked = count_matrix(12, workers=2, split_depth=4)
-    assert single == forked
-    assert count_matrix(12, workers=3, split_depth=20) == single  # no split possible
+def test_count_matrix_workers_deterministic(fork_calls):
+    assert count_matrix(21, workers=2) == count_matrix(21, workers=1)
+    # one task per non-ordinary child of the ordinary semigroups of genus 0..20
+    assert fork_calls == [(sum(range(21)), 2)]
+    below = tree._POOL_MIN_GMAX - 1
+    assert count_matrix(below, workers=3) == count_matrix(below, workers=1)
+    assert len(fork_calls) == 1  # below the crossover genus the count stays serial
+
+
+def test_count_matrix_workers_match_serial_across_crossover(fork_calls):
+    want = count_matrix(22, workers=1).rows
+    for workers in (2, 3):
+        for g in range(23):
+            assert count_matrix(g, workers=workers).rows == want[: g + 1], (g, workers)
+    assert len(fork_calls) == 2 * (23 - tree._POOL_MIN_GMAX)
+
+
+def test_fork_map_more_workers_than_chunks():
+    tasks = [node for node in tree._nodes(2) if node[1] == 2]  # the two genus-2 semigroups
+    parts = tree._fork_map(tree._count_worker, tasks, 12, workers=5)
+    assert len(parts) == 2
+    table = count_matrix(12)
+    for g in range(2, 13):
+        assert sum(sum(part[g]) for part in parts) == table.genus_total(g)
 
 
 def test_count_matrix_csv_json_round_trip():
