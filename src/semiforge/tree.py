@@ -13,8 +13,8 @@ ordinary semigroup, and the depth of a node is its ordinarization
 number.  Children are produced by removing an effective generator `a`
 (a minimal generator above the Frobenius number) and inserting a new
 member `b` below the multiplicity; a candidate survives iff it is still
-additively closed, which a single shift test decides because removing a
-minimal generator cannot break any old pair.
+additively closed, which one shift test per added member `b` decides
+because removing a minimal generator cannot break any old pair.
 
 Counting is streaming: traversals never materialize a whole genus
 except in the capped DOT export.  Most of the generator-removal tree
@@ -27,6 +27,7 @@ on the worker count.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -37,10 +38,11 @@ from .semigroup import Semigroup, _sum_bitmap
 _ROOT = (0b11, 0, -1, 0)  # bitmap, genus, frobenius, ordinarization number
 
 # Forking a pool costs more than the work it shares below these sizes
-# (2 CPUs, Python 3.11; median ms, serial vs 2-worker pool, interleaved):
-# count_matrix(18) 39 vs 69, count_matrix(19) 70 vs 60, count_matrix(20)
-# 132 vs 92; f_value(9) (118 semigroups) 54 vs 76, f_value(10) (204) 158 vs 111.
-_POOL_MIN_GMAX = 20  # count_matrix forks from this g_max on
+# (2 CPUs, Python 3.11; median ms, serial vs 2-worker pool, 21 interleaved
+# pairs): count_matrix(20) 53 vs 83 (pool faster in 4), count_matrix(21)
+# 77 vs 62 (16), count_matrix(22) 126 vs 106 (19); f_value(9) (118
+# semigroups) 54 vs 76, f_value(10) (204) 158 vs 111.
+_POOL_MIN_GMAX = 21  # count_matrix forks from this g_max on
 _POOL_MIN_SEMIGROUPS = 160  # f_value forks from this many genus-w semigroups on
 
 
@@ -156,45 +158,75 @@ def _nodes(g_max: int) -> Iterator[Node]:
 def _count_into(rows: list[list[int]], root: Node, g_max: int) -> None:
     """Tally (genus, ordinarization number) for every node of the subtree.
 
-    This is ``_children`` written out inline, plus a shortcut that tallies
-    the last genus without pushing it.  The counting kernel carries the
-    table's time: tallying over ``_nodes`` instead took 1.55x as long for
-    g <= 23 (Python 3.11, one core).
+    This is ``_children`` written out inline, except that no node below
+    ``root`` rebuilds its sum set: each stack entry carries its effective
+    generators ``eff``, its multiplicity ``m`` and ``rev``, its non-zero
+    members x in [1, W] as bits W - x (W = 2*g_max + 3), and a child's
+    ``eff`` follows from its parent's (Fromentin and Hivert, "Exploring
+    the tree of numerical semigroups", Math. Comp. 2016).
+
+    Inheritance rule.  Let S have multiplicity m < a, where a is the
+    effective generator removed to give the child S' = S minus a, whose
+    Frobenius number is a.  Every generator of S above a stays one of
+    S', and the only new one can be a + m: a new generator x must have
+    been a sum a + z in S, and if z != m then x - m > a is in S', so x =
+    m + (x - m) is a sum without a.  So the child's ``eff`` is the
+    parent's above a, plus a + m exactly when a + m <= 2g + 3 (the
+    child's window) and no pair of non-zero members of S' sums to it;
+    one AND against ``rev`` shifted by W - (a + m) decides that.  The
+    ordinary parent (m == g + 1) also has the child that removes m, the
+    next ordinary semigroup, whose state is set directly.  The last
+    genus is tallied by a popcount of each parent's ``eff``, and a child
+    without effective generators is tallied instead of pushed.
     """
-    stack = [root]
+    W = 2 * g_max + 3
+    bitmap, g, frob, r = root
+    nonzero = bitmap & -2
+    members = (bitmap | -(1 << (g + g + 2))) & ((2 << W) - 2)
+    stack = [(
+        bitmap, g, r,
+        _effective_generators(bitmap, g, frob),
+        (nonzero & -nonzero).bit_length() - 1,
+        int(format(members >> 1, f"0{W}b")[::-1], 2),
+    )]
     push = stack.append
     pop = stack.pop
     while stack:
-        bitmap, g, frob, r = pop()
+        bitmap, g, r, eff, m, rev = pop()
         rows[g][r] += 1
-        if g == g_max:
+        if g == g_max or not eff:
             continue
         g1 = g + 1
-        head = g + g + 2
-        nonzero = bitmap & -2
-        sums = 0
-        e = bitmap & ((1 << g1) - 2)
-        while e:
-            low = e & -e
-            sums |= nonzero << (low.bit_length() - 1)
-            e ^= low
-        eff = nonzero & ~sums & ((1 << head) - (1 << (frob + 1)))
-        if not eff:
-            continue
         rbase = r + ((bitmap >> g1) & 1)
         if g1 == g_max:
             row = rows[g1]
-            while eff:
-                low = eff & -eff
-                row[rbase - (low.bit_length() - 1 == g1)] += 1
-                eff ^= low
-        else:
-            extended = bitmap | (3 << head)
-            while eff:
-                low = eff & -eff
-                a = low.bit_length() - 1
-                push((extended ^ low, g1, a, rbase - (a == g1)))
-                eff ^= low
+            if m == g1:
+                # the ordinary child removes a = g + 1, one column lower
+                row[rbase - 1] += 1
+                eff &= eff - 1
+            if eff:
+                row[rbase] += eff.bit_count()
+            continue
+        head = g + g + 2
+        extended = bitmap | (3 << head)
+        if m == g1:
+            low = eff & -eff
+            eff ^= low
+            push((extended ^ low, g1, rbase - 1, eff | (3 << head), g1 + 1, rev ^ (1 << (W - g1))))
+        nonzero = extended & -2
+        a_max = head + 1 - m  # a + m must fit the child's window [0, 2g + 3]
+        shift = W - m
+        while eff:
+            low = eff & -eff
+            eff ^= low
+            a = low.bit_length() - 1
+            child_rev = rev ^ (1 << (W - a))
+            if a <= a_max and not (nonzero ^ low) & (child_rev >> (shift - a)):
+                push((extended ^ low, g1, rbase, eff | (low << m), m, child_rev))
+            elif eff:
+                push((extended ^ low, g1, rbase, eff, m, child_rev))
+            else:
+                rows[g1][rbase] += 1
 
 
 def _empty_rows(g_max: int) -> list[list[int]]:
@@ -214,33 +246,39 @@ def _tg_children_raw(bitmap: int, genus: int) -> list[int]:
 
     A candidate is kept iff still additively closed.  Old member pairs
     cannot sum to the removed minimal generator, so closure reduces to
-    checking the sums that involve the new member b.
+    the sums x + b with x a non-zero member of S + b.  Those that land on
+    an old gap other than b do not depend on a (a + b > a > F), so one
+    test per b settles them; the rest only ask that a is not such a sum.
     """
     mask = (1 << (2 * genus + 2)) - 1
     frob = (~bitmap & mask).bit_length() - 1
     nonzero = bitmap & -2
     mult = (nonzero & -nonzero).bit_length() - 1
     eff = _effective_generators(bitmap, genus, frob)
-    gens = []
-    while eff:
-        low = eff & -eff
-        gens.append(low)
-        eff ^= low
     out = []
     for b in range(1, mult):
         added = 1 << b
-        for low in gens:
-            child = (bitmap ^ low) | added
-            if not ((child & -2) << b) & mask & ~child:
-                out.append(child)
+        sums = (nonzero | added) << b
+        if sums & mask & ~(bitmap | added):
+            continue
+        kept = eff & ~sums
+        while kept:
+            low = kept & -kept
+            out.append((bitmap ^ low) | added)
+            kept ^= low
     return out
 
 
-def _tg_levels(g: int) -> Iterator[tuple[list[int], list[int]]]:
+def _tg_levels(g: int, node_cap: float = math.inf) -> Iterator[tuple[list[int], list[int]]]:
     """Breadth-first levels of the fixed-genus tree below the ordinary
     semigroup: per depth d >= 1, the parallel lists (parent, child) of its
-    edges, in the order the parents were reached."""
+    edges, in the order the parents were reached.
+
+    A level stops growing once the nodes reached, the root included,
+    exceed ``node_cap``; the caller sees the total over the cap.
+    """
     frontier = [Semigroup.ordinary(g).bitmap]
+    room = node_cap - 1
     while True:
         parents: list[int] = []
         children: list[int] = []
@@ -248,9 +286,12 @@ def _tg_levels(g: int) -> Iterator[tuple[list[int], list[int]]]:
             kids = _tg_children_raw(bm, g)
             parents.extend([bm] * len(kids))
             children.extend(kids)
+            if len(children) > room:
+                break
         if not children:
             return
         yield parents, children
+        room -= len(children)
         frontier = children
 
 
@@ -309,7 +350,7 @@ def enumerate_genus(g: int, visitor: Optional[Callable[[Semigroup], None]] = Non
 def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
     """Exact table of counts by genus and ordinarization number, g <= g_max.
 
-    With several workers and g_max >= 20, the parent walks the ordinary
+    With several workers and g_max >= 21, the parent walks the ordinary
     spine (the ordinary semigroups, genus 0 to g_max) and tallies it;
     the subtree under each non-ordinary child of a spine node is one
     task, counted in a forked process, and the tallies merge by addition.
@@ -361,13 +402,20 @@ def export_tree_dot(g: int, *, node_cap: int = 100_000) -> str:
     too_large = TooLarge(f"fixed-genus tree for g={g} exceeds {node_cap} nodes")
     if node_cap < 1:
         raise too_large
+    # walk first and label afterwards, so an oversized tree is refused
+    # before any label is formatted
+    levels = []
+    reached = 1
+    for level in _tg_levels(g, node_cap):
+        reached += len(level[1])
+        if reached > node_cap:
+            raise too_large
+        levels.append(level)
     root = Semigroup.ordinary(g)
     labels = {root.bitmap: root.gap_string()}
     nodes = [(labels[root.bitmap], 0)]
     edges: list[tuple[str, str]] = []
-    for depth, (parents, children) in enumerate(_tg_levels(g), 1):
-        if len(nodes) + len(children) > node_cap:
-            raise too_large
+    for depth, (parents, children) in enumerate(levels, 1):
         child_labels = [_make(bm, g).gap_string() for bm in children]
         nodes.extend((label, depth) for label in child_labels)
         edges.extend(zip(map(labels.__getitem__, parents), child_labels))

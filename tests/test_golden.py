@@ -8,7 +8,7 @@ here even where the membership-level tests still pass.
 
 import hashlib
 
-from semiforge import count_matrix, enumerate_genus, export_tree_dot
+from semiforge import CountMatrix, count_matrix, enumerate_genus, export_tree_dot, tree
 
 DOT_SHA256 = [
     "491ea2deae80590093fa214d1f82f8f91f39f6f7b7de85625985212a9eea4d2e",
@@ -38,7 +38,9 @@ def test_export_tree_dot_golden():
 def test_count_matrix_csv_golden(fork_calls):
     assert _sha256(count_matrix(20, workers=1).to_csv()) == TABLE_20_SHA256
     assert _sha256(count_matrix(20, workers=2).to_csv()) == TABLE_20_SHA256
-    assert len(fork_calls) == 1  # the two-worker table came from the pool
+    pooled = count_matrix(tree._POOL_MIN_GMAX, workers=2)
+    assert _sha256(CountMatrix(pooled.rows[:21]).to_csv()) == TABLE_20_SHA256
+    assert len(fork_calls) == 1  # the table at the pool cutoff came from the pool
 
 
 def test_enumerate_genus_order_golden():

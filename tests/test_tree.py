@@ -16,6 +16,7 @@ from semiforge import (
     tg_bfs_row,
     tree,
 )
+from semiforge.semigroup import _sum_bitmap
 from reference_tables import COUNTS_BY_GENUS, FIG6_EDGES, FIG6_NODES_BY_DEPTH
 
 
@@ -107,9 +108,10 @@ def test_count_matrix_matches_reference_to_16():
 
 
 def test_count_matrix_workers_deterministic(fork_calls):
-    assert count_matrix(21, workers=2) == count_matrix(21, workers=1)
-    # one task per non-ordinary child of the ordinary semigroups of genus 0..20
-    assert fork_calls == [(sum(range(21)), 2)]
+    g = tree._POOL_MIN_GMAX
+    assert count_matrix(g, workers=2) == count_matrix(g, workers=1)
+    # one task per non-ordinary child of the ordinary semigroups of genus 0..g-1
+    assert fork_calls == [(sum(range(g)), 2)]
     below = tree._POOL_MIN_GMAX - 1
     assert count_matrix(below, workers=3) == count_matrix(below, workers=1)
     assert len(fork_calls) == 1  # below the crossover genus the count stays serial
@@ -176,6 +178,26 @@ def test_export_dot_trivial_and_small():
 def test_export_dot_node_cap():
     with pytest.raises(TooLarge):
         export_tree_dot(6, node_cap=5)
+    with pytest.raises(TooLarge):
+        export_tree_dot(6, node_cap=22)
+    assert export_tree_dot(6, node_cap=23) == export_tree_dot(6)  # 23 nodes
+
+
+def test_export_dot_refused_before_oversized_level(monkeypatch):
+    # genus 36 has 38 217 nodes at depth <= 2 and 899 285 at depth 3; the
+    # walk must stop expanding depth-2 nodes once the cap is crossed
+    made: list[int] = []
+    raw = tree._tg_children_raw
+
+    def spy(bitmap, genus):
+        kids = raw(bitmap, genus)
+        made.append(len(kids))
+        return kids
+
+    monkeypatch.setattr(tree, "_tg_children_raw", spy)
+    with pytest.raises(TooLarge, match="g=36 exceeds 100000 nodes"):
+        export_tree_dot(36)
+    assert 1 + sum(made[:-1]) <= 100_000 < 1 + sum(made)
 
 
 # ----------------------------------------------------------------------
@@ -213,13 +235,40 @@ def test_enumeration_matches_brute_force():
 
 
 def test_tg_children_complete_by_definition():
-    # c is a child of s exactly when c != s and c ordinarizes to s
-    for g in range(8):
+    # c is a child of s exactly when c != s and c ordinarizes to s; the
+    # children come ordered by (added member, removed generator), that is
+    # by the child's (multiplicity, Frobenius number)
+    for g in range(15):
         group: list[Semigroup] = []
         enumerate_genus(g, group.append)
+        expected: dict[Semigroup, list[Semigroup]] = {s: [] for s in group}
+        for c in group:
+            if c.ordinarize() != c:
+                expected[c.ordinarize()].append(c)
         for s in group:
-            expected = {c for c in group if c != s and c.ordinarize() == s}
-            assert set(children_in_Tg(s)) == expected
+            want = sorted(expected[s], key=lambda c: (c.multiplicity, c.frobenius))
+            assert children_in_Tg(s) == want
+
+
+def test_effective_generators_inherited_down_T():
+    # the rule the counting kernel relies on: removing the effective
+    # generator a from a non-ordinary S (multiplicity m) keeps S's effective
+    # generators above a and adds a + m exactly when a + m is no sum of two
+    # non-zero members of the child (within its window [0, 2g + 1])
+    edges = 0
+    for bitmap, g, frob, _r in tree._nodes(15):
+        nonzero = bitmap & -2
+        m = (nonzero & -nonzero).bit_length() - 1
+        if m == g + 1:
+            continue  # the ordinary semigroup
+        eff = tree._effective_generators(bitmap, g, frob)
+        for child, g1, a, _r1 in tree._children(bitmap, g, frob, 0):
+            s = a + m
+            new = s <= 2 * g1 + 1 and not (_sum_bitmap(child, g1) >> s) & 1
+            assert tree._effective_generators(child, g1, a) == (eff & -(2 << a)) | (new << s)
+            edges += 1
+    # every edge into genus 1..16 except the g children of each ordinary parent
+    assert edges == sum(sum(COUNTS_BY_GENUS[g]) - g for g in range(1, 17))
 
 
 def test_T_children_complete_by_definition():
