@@ -4,9 +4,12 @@ Everything here is exact integer arithmetic.  The depth threshold
 "r at least (g+2)/3" is always evaluated as 3r >= g + 2, never through
 floating point.
 
-The ``verify_*`` harnesses stream over the generator-removal tree and
-return a ``VerificationReport``; a failed report carries the
-lexicographically smallest counterexample (by genus, then gap list).
+Each harness returns a ``VerificationReport`` that names one failure:
+the tree walks (``verify_parity_lemma``, ``verify_interval_theorem``,
+``verify_tree_relations``) the smallest by (genus, gap list),
+``verify_sumset_bound`` the smallest set by (size, elements), and the
+table-cell checks (``check_conjecture``, ``high_depth_cross_check``,
+``verify_bijection``) the first failing (g, r) cell, by g, then r.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ _VERIFY_GMAX_FLOOR = {"conjecture": 1, "bijection": 2}
 
 
 def _non_negative(text: str) -> int:
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 

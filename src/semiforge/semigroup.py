@@ -147,9 +147,11 @@ class Semigroup(NamedTuple):
     @classmethod
     def from_gap_string(cls, text: str) -> "Semigroup":
         """Parse the canonical comma-separated gap list ("" is allowed)."""
-        if text == "":
-            return cls.from_gaps([])
-        return cls.from_gaps([int(tok) for tok in text.split(",")])
+        tokens = text.split(",") if text else []
+        # int() alone would also take signs, spaces, "_" and non-ASCII digits
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise ValueError(f"expected comma-separated ASCII digits, got {text!r}")
+        return cls.from_gaps(list(map(int, tokens)))
 
     # ------------------------------------------------------------------
     # views

@@ -18,11 +18,11 @@ because removing a minimal generator cannot break any old pair.
 
 Counting is streaming: traversals never materialize a whole genus
 except in the capped DOT export.  Most of the generator-removal tree
-hangs below the ordinary semigroups, so the parallel count splits along
-that ordinary spine: the parent process tallies the spine itself, every
-non-ordinary child of a spine node is one task for the workers, and the
-per-(genus, depth) tallies merge by addition, so results do not depend
-on the worker count.
+hangs below the ordinary semigroups, so every count splits along that
+ordinary spine: the spine is tallied directly, every non-ordinary child
+of a spine node is one task, counted in process or by forked workers,
+and the per-(genus, depth) tallies merge by addition, so results do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -156,14 +156,17 @@ def _nodes(g_max: int) -> Iterator[Node]:
 
 
 def _count_into(rows: list[list[int]], root: Node, g_max: int) -> None:
-    """Tally (genus, ordinarization number) for every node of the subtree.
+    """Tally (genus, ordinarization number) for every node of the subtree
+    under ``root``, which must be non-ordinary: its multiplicity m <= g
+    is then below every removed generator a > F >= g + 1, so m is the
+    whole subtree's and a child's depth is its parent's plus bit g + 1.
 
     This is ``_children`` written out inline, except that no node below
     ``root`` rebuilds its sum set: each stack entry carries its effective
-    generators ``eff``, its multiplicity ``m`` and ``rev``, its non-zero
-    members x in [1, W] as bits W - x (W = 2*g_max + 3), and a child's
-    ``eff`` follows from its parent's (Fromentin and Hivert, "Exploring
-    the tree of numerical semigroups", Math. Comp. 2016).
+    generators ``eff`` and ``rev``, its non-zero members x in [1, W] as
+    bits W - x (W = 2*g_max + 3), and a child's ``eff`` follows from its
+    parent's (Fromentin and Hivert, "Exploring the tree of numerical
+    semigroups", Math. Comp. 2016).
 
     Inheritance rule.  Let S have multiplicity m < a, where a is the
     effective generator removed to give the child S' = S minus a, whose
@@ -174,57 +177,47 @@ def _count_into(rows: list[list[int]], root: Node, g_max: int) -> None:
     parent's above a, plus a + m exactly when a + m <= 2g + 3 (the
     child's window) and no pair of non-zero members of S' sums to it;
     one AND against ``rev`` shifted by W - (a + m) decides that.  The
-    ordinary parent (m == g + 1) also has the child that removes m, the
-    next ordinary semigroup, whose state is set directly.  The last
-    genus is tallied by a popcount of each parent's ``eff``, and a child
-    without effective generators is tallied instead of pushed.
+    last genus is tallied by a popcount of each parent's ``eff``, and a
+    child without effective generators is tallied instead of pushed.
     """
     W = 2 * g_max + 3
     bitmap, g, frob, r = root
     nonzero = bitmap & -2
+    m = (nonzero & -nonzero).bit_length() - 1
+    if m > g:
+        raise ValueError(f"the ordinary semigroup of genus {g} is not a count task")
+    shift = W - m
     members = (bitmap | -(1 << (g + g + 2))) & ((2 << W) - 2)
     stack = [(
         bitmap, g, r,
         _effective_generators(bitmap, g, frob),
-        (nonzero & -nonzero).bit_length() - 1,
         int(format(members >> 1, f"0{W}b")[::-1], 2),
     )]
     push = stack.append
     pop = stack.pop
     while stack:
-        bitmap, g, r, eff, m, rev = pop()
+        bitmap, g, r, eff, rev = pop()
         rows[g][r] += 1
         if g == g_max or not eff:
             continue
         g1 = g + 1
         rbase = r + ((bitmap >> g1) & 1)
         if g1 == g_max:
-            row = rows[g1]
-            if m == g1:
-                # the ordinary child removes a = g + 1, one column lower
-                row[rbase - 1] += 1
-                eff &= eff - 1
-            if eff:
-                row[rbase] += eff.bit_count()
+            rows[g1][rbase] += eff.bit_count()
             continue
         head = g + g + 2
         extended = bitmap | (3 << head)
-        if m == g1:
-            low = eff & -eff
-            eff ^= low
-            push((extended ^ low, g1, rbase - 1, eff | (3 << head), g1 + 1, rev ^ (1 << (W - g1))))
         nonzero = extended & -2
         a_max = head + 1 - m  # a + m must fit the child's window [0, 2g + 3]
-        shift = W - m
         while eff:
             low = eff & -eff
             eff ^= low
             a = low.bit_length() - 1
             child_rev = rev ^ (1 << (W - a))
             if a <= a_max and not (nonzero ^ low) & (child_rev >> (shift - a)):
-                push((extended ^ low, g1, rbase, eff | (low << m), m, child_rev))
+                push((extended ^ low, g1, rbase, eff | (low << m), child_rev))
             elif eff:
-                push((extended ^ low, g1, rbase, eff, m, child_rev))
+                push((extended ^ low, g1, rbase, eff, child_rev))
             else:
                 rows[g1][rbase] += 1
 
@@ -350,31 +343,32 @@ def enumerate_genus(g: int, visitor: Optional[Callable[[Semigroup], None]] = Non
 def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
     """Exact table of counts by genus and ordinarization number, g <= g_max.
 
-    With several workers and g_max >= 21, the parent walks the ordinary
-    spine (the ordinary semigroups, genus 0 to g_max) and tallies it;
-    the subtree under each non-ordinary child of a spine node is one
-    task, counted in a forked process, and the tallies merge by addition.
+    The ordinary spine (the ordinary semigroups, genus 0 to g_max) is
+    tallied directly; the subtree under each non-ordinary child of a
+    spine node is one task, counted in this process, or by forked
+    workers if there are several and g_max >= 21.  Tallies merge by addition.
     """
     if g_max < 0:
         raise ValueError("g_max must be non-negative")
     workers = _resolve_workers(workers)
     rows = _empty_rows(g_max)
+    for row in rows:
+        row[0] += 1  # the spine: one ordinary semigroup per genus, at depth 0
+    tasks = []
+    spine = _ROOT
+    for _ in range(g_max):
+        # children come by removed generator, and the ordinary child
+        # removes the smallest, a = g + 1
+        spine, *off_spine = _children(*spine)
+        tasks.extend(off_spine)
     if workers <= 1 or g_max < _POOL_MIN_GMAX:
-        _count_into(rows, _ROOT, g_max)
+        parts = [_count_worker((tasks, g_max))]
     else:
-        tasks = []
-        spine = _ROOT
-        for _ in range(g_max):
-            # children come by removed generator, and the ordinary child
-            # removes the smallest, a = g + 1
-            spine, *off_spine = _children(*spine)
-            tasks.extend(off_spine)
-        for row in rows:
-            row[0] += 1  # the spine: one ordinary semigroup per genus, at depth 0
-        for part in _fork_map(_count_worker, tasks, g_max, workers):
-            for row, counts in zip(rows, part):
-                for r, c in enumerate(counts):
-                    row[r] += c
+        parts = _fork_map(_count_worker, tasks, g_max, workers)
+    for part in parts:
+        for row, counts in zip(rows, part):
+            for r, c in enumerate(counts):
+                row[r] += c
     return CountMatrix(tuple(tuple(row) for row in rows))
 
 

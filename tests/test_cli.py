@@ -68,6 +68,8 @@ _INVALID_CALLS = (
     (["tree", "--genus", "-1", "--dot", "unused.dot"], {}),
     (["table", "--gmax", "5"], {"SEMIFORGE_WORKERS": "abc"}),
     (["fseq", "--omega-max", "two"], {}),
+    (["table", "--gmax", "\u0661\u0662"], {}),  # Arabic-Indic 12
+    (["table", "--gmax", "5"], {"SEMIFORGE_WORKERS": "\u0662"}),
 )
 
 
@@ -115,6 +117,10 @@ def test_transform_not_closed_exits_3(capsys):
 def test_transform_unparsable_exits_2(capsys):
     assert run(["transform", "1,x,3"]) == 2
     assert run(["transform", "3,2,1"]) == 2
+    # int() alone would read these as 11, 1,2, 1 and 1,2
+    for text in ("1,2,3,6,7,1_1", " 1, 2", "+1", "\u0661,2"):
+        assert run(["transform", text]) == 2, text
+    assert capsys.readouterr().out == ""
 
 
 def test_fseq(capsys):

@@ -126,12 +126,22 @@ def test_count_matrix_workers_match_serial_across_crossover(fork_calls):
 
 
 def test_fork_map_more_workers_than_chunks():
-    tasks = [node for node in tree._nodes(2) if node[1] == 2]  # the two genus-2 semigroups
+    # the two non-ordinary children of {0, 3, 4, 5, ...}: remove 4 or 5
+    ordinary = Semigroup.ordinary(2)
+    _spine, *tasks = tree._children(ordinary.bitmap, 2, 2, 0)
+    assert [Semigroup._from_bitmap(bm, 3).gaps() for bm, *_ in tasks] == [(1, 2, 4), (1, 2, 5)]
     parts = tree._fork_map(tree._count_worker, tasks, 12, workers=5)
     assert len(parts) == 2
-    table = count_matrix(12)
-    for g in range(2, 13):
-        assert sum(sum(part[g]) for part in parts) == table.genus_total(g)
+    merged = [[sum(cells) for cells in zip(*rows)] for rows in zip(*parts)]
+    assert merged == tree._count_worker((tasks, 12))
+
+
+def test_count_into_refuses_ordinary_roots():
+    # an ordinary root also has the ordinary child, which the kernel never makes
+    ordinary = Semigroup.ordinary(2)
+    for root in (tree._ROOT, (ordinary.bitmap, 2, 2, 0)):
+        with pytest.raises(ValueError, match="ordinary"):
+            tree._count_into(tree._empty_rows(5), root, 5)
 
 
 def test_count_matrix_csv_json_round_trip():
