@@ -2,78 +2,45 @@
 count tables."""
 
 from .analytics import (
-    SumsetProfile,
-    VerificationReport,
     check_conjecture,
-    freiman_progression_bound,
     max_ordinarization_attainer,
     n_g1_formula,
-    sumset_profile,
-    high_depth_cross_check,
     verify_bijection,
     verify_interval_theorem,
     verify_parity_lemma,
     verify_sumset_bound,
     verify_tree_relations,
 )
-from .closedsets import (
-    ClosedSet,
-    PairDecomposition,
-    PreconditionViolated,
-    build_from_pair,
-    closed_sets,
-    count_closed_sets,
-    decompose,
-    f_value,
-    is_closed_set,
-)
-from .semigroup import GapIntervalProfile, NotClosed, Semigroup
+from .closedsets import PreconditionViolated, decompose, f_value
+from .semigroup import NotClosed, Semigroup
 from .tree import (
     CountMatrix,
     TooLarge,
-    TreeEdge,
-    children_in_T,
     children_in_Tg,
     count_matrix,
     enumerate_genus,
     export_tree_dot,
-    iter_tg_edges,
     tg_bfs_row,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClosedSet",
     "CountMatrix",
-    "GapIntervalProfile",
     "NotClosed",
-    "PairDecomposition",
     "PreconditionViolated",
     "Semigroup",
-    "SumsetProfile",
     "TooLarge",
-    "TreeEdge",
-    "VerificationReport",
-    "build_from_pair",
     "check_conjecture",
-    "children_in_T",
     "children_in_Tg",
-    "closed_sets",
-    "count_closed_sets",
     "count_matrix",
     "decompose",
     "enumerate_genus",
     "export_tree_dot",
     "f_value",
-    "freiman_progression_bound",
-    "is_closed_set",
-    "iter_tg_edges",
     "max_ordinarization_attainer",
     "n_g1_formula",
-    "sumset_profile",
     "tg_bfs_row",
-    "high_depth_cross_check",
     "verify_bijection",
     "verify_interval_theorem",
     "verify_parity_lemma",

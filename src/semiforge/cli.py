@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="DOT export of the fixed-genus tree")
     p.add_argument("--genus", type=_non_negative, required=True)
     p.add_argument("--dot", required=True, metavar="PATH")
-    p.add_argument("--node-cap", type=int, default=100_000)
+    p.add_argument("--node-cap", type=_non_negative, default=100_000)
     return parser
 
 

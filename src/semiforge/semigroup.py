@@ -79,13 +79,31 @@ def _sum_witness(x: int, member: Callable[[int], object]) -> NotClosed:
     return NotClosed(a, x - a)
 
 
-class Semigroup(NamedTuple):
-    """One numerical semigroup; construct via ``from_gaps`` / ``ordinary``."""
-
+class _Fields(NamedTuple):
     bitmap: int        # bit i set iff i is a member, 0 <= i <= 2*genus + 1
     genus: int
     frobenius: int     # largest gap, -1 when there are none
     multiplicity: int  # smallest non-zero member
+
+
+class Semigroup(_Fields):
+    """One numerical semigroup; construct via ``from_gaps`` / ``ordinary``.
+
+    Calling ``Semigroup(bitmap, genus, frobenius, multiplicity)`` checks
+    all four fields (an unpickled value passes through the same check);
+    the internal constructors build unchecked values.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, bitmap: int, genus: int, frobenius: int, multiplicity: int) -> "Semigroup":
+        s = cls._from_bitmap(bitmap, genus, validate=True)
+        if (frobenius, multiplicity) != (s.frobenius, s.multiplicity):
+            raise ValueError(
+                f"frobenius {frobenius} and multiplicity {multiplicity} do not match the"
+                f" bitmap's {s.frobenius} and {s.multiplicity}"
+            )
+        return s
 
     # ------------------------------------------------------------------
     # constructors
@@ -106,7 +124,7 @@ class Semigroup(NamedTuple):
             bad = _sum_bitmap(bitmap, genus) & gapbits
             if bad:
                 raise _sum_witness((bad & -bad).bit_length() - 1, lambda y: (bitmap >> y) & 1)
-        return cls(bitmap, genus, frobenius, multiplicity)
+        return tuple.__new__(cls, (bitmap, genus, frobenius, multiplicity))
 
     @classmethod
     def from_gaps(cls, gaps: Iterable[int]) -> "Semigroup":
@@ -142,7 +160,7 @@ class Semigroup(NamedTuple):
         if genus < 0:
             raise ValueError("genus must be non-negative")
         bitmap = ((1 << (2 * genus + 2)) - 1) ^ ((1 << (genus + 1)) - 2)
-        return cls(bitmap, genus, genus if genus else -1, genus + 1)
+        return tuple.__new__(cls, (bitmap, genus, genus if genus else -1, genus + 1))
 
     @classmethod
     def from_gap_string(cls, text: str) -> "Semigroup":

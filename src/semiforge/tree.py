@@ -31,7 +31,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, Optional
 
 from .semigroup import Semigroup, _sum_bitmap
 
@@ -48,12 +48,6 @@ _POOL_MIN_SEMIGROUPS = 160  # f_value forks from this many genus-w semigroups on
 
 class TooLarge(RuntimeError):
     """Tree export would materialize more nodes than the configured cap."""
-
-
-class TreeEdge(NamedTuple):
-    parent: Semigroup
-    child: Semigroup
-    depth_of_child: int
 
 
 @dataclass(frozen=True)
@@ -267,8 +261,8 @@ def _tg_levels(g: int, node_cap: float = math.inf) -> Iterator[tuple[list[int], 
     semigroup: per depth d >= 1, the parallel lists (parent, child) of its
     edges, in the order the parents were reached.
 
-    A level stops growing once the nodes reached, the root included,
-    exceed ``node_cap``; the caller sees the total over the cap.
+    Raises TooLarge as soon as the nodes reached, the root included,
+    exceed ``node_cap``, so an oversized level is never completed.
     """
     frontier = [Semigroup.ordinary(g).bitmap]
     room = node_cap - 1
@@ -280,7 +274,7 @@ def _tg_levels(g: int, node_cap: float = math.inf) -> Iterator[tuple[list[int], 
             parents.extend([bm] * len(kids))
             children.extend(kids)
             if len(children) > room:
-                break
+                raise TooLarge(f"fixed-genus tree for g={g} exceeds {node_cap} nodes")
         if not children:
             return
         yield parents, children
@@ -378,33 +372,15 @@ def tg_bfs_row(g: int) -> list[int]:
     return [1] + [len(children) for _parents, children in _tg_levels(g)]
 
 
-def iter_tg_edges(g: int) -> Iterator[TreeEdge]:
-    """Edges of the fixed-genus tree in breadth-first order."""
-    for depth, (parents, children) in enumerate(_tg_levels(g), 1):
-        for parent, child in zip(parents, children):
-            yield TreeEdge(_make(parent, g), _make(child, g), depth)
-
-
 def export_tree_dot(g: int, *, node_cap: int = 100_000) -> str:
     """DOT text for the fixed-genus tree.
 
     Node ids are canonical gap strings; each node carries its depth.
     Raises TooLarge once more than ``node_cap`` nodes materialize.
     """
-    if g < 0:
-        raise ValueError("genus must be non-negative")
-    too_large = TooLarge(f"fixed-genus tree for g={g} exceeds {node_cap} nodes")
-    if node_cap < 1:
-        raise too_large
     # walk first and label afterwards, so an oversized tree is refused
     # before any label is formatted
-    levels = []
-    reached = 1
-    for level in _tg_levels(g, node_cap):
-        reached += len(level[1])
-        if reached > node_cap:
-            raise too_large
-        levels.append(level)
+    levels = list(_tg_levels(g, node_cap))
     root = Semigroup.ordinary(g)
     labels = {root.bitmap: root.gap_string()}
     nodes = [(labels[root.bitmap], 0)]

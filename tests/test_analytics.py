@@ -9,11 +9,8 @@ from semiforge import (
     Semigroup,
     check_conjecture,
     enumerate_genus,
-    freiman_progression_bound,
     max_ordinarization_attainer,
     n_g1_formula,
-    sumset_profile,
-    high_depth_cross_check,
     verify_bijection,
     verify_interval_theorem,
     verify_parity_lemma,
@@ -21,6 +18,12 @@ from semiforge import (
     verify_tree_relations,
 )
 from semiforge import tree
+from semiforge.analytics import (
+    VerificationReport,
+    freiman_progression_bound,
+    high_depth_cross_check,
+    sumset_profile,
+)
 from reference_tables import COUNTS_BY_GENUS
 
 
@@ -211,7 +214,5 @@ def test_counterexample_reporting():
     # a deliberately false "check" through the same plumbing: feed the
     # interval harness a range where it must pass, then check the failure
     # path via the conjecture comparator on a doctored matrix
-    from semiforge.analytics import VerificationReport
-
     report = VerificationReport("demo", "nowhere", False, "gaps=1,3 detail")
     assert not report.passed and "1,3" in report.counterexample

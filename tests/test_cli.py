@@ -70,6 +70,9 @@ _INVALID_CALLS = (
     (["fseq", "--omega-max", "two"], {}),
     (["table", "--gmax", "\u0661\u0662"], {}),  # Arabic-Indic 12
     (["table", "--gmax", "5"], {"SEMIFORGE_WORKERS": "\u0662"}),
+    (["tree", "--genus", "4", "--dot", "unused.dot", "--node-cap", "-5"], {}),
+    (["tree", "--genus", "4", "--dot", "unused.dot", "--node-cap", "\u0661\u0660\u0660"], {}),  # Arabic-Indic 100
+    (["tree", "--genus", "4", "--dot", "unused.dot", "--node-cap", " 1_00"], {}),
 )
 
 

@@ -7,18 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiforge import (
-    ClosedSet,
-    PairDecomposition,
     PreconditionViolated,
     Semigroup,
-    build_from_pair,
-    closed_sets,
-    count_closed_sets,
     decompose,
     enumerate_genus,
     f_value,
-    is_closed_set,
     max_ordinarization_attainer,
+)
+from semiforge.closedsets import (
+    ClosedSet,
+    PairDecomposition,
+    build_from_pair,
+    closed_sets,
+    count_closed_sets,
+    is_closed_set,
 )
 from reference_tables import F_SEQUENCE
 

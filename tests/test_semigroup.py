@@ -5,6 +5,8 @@ the definitions, without bit tricks, and the tests compare the
 production code against them.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,6 +90,25 @@ def test_from_gaps_rejects_malformed_lists():
         Semigroup.from_gaps([1, 1])
     with pytest.raises(ValueError):
         Semigroup.from_gaps([-2])
+
+
+def test_direct_constructor_checks_fields(small_semigroups):
+    with pytest.raises(ValueError):
+        Semigroup(5, 2, 3, 1)  # {0, 2} cannot be a genus-2 window
+    worked = Semigroup.from_gaps([1, 2, 3, 6, 7, 11])
+    with pytest.raises(ValueError):
+        Semigroup(worked.bitmap, worked.genus, worked.frobenius, 5)
+    with pytest.raises(NotClosed):
+        Semigroup(0b11111, 3, 7, 1)  # gaps 5, 6 and 7, but 1 + 4 = 5
+    for s in small_semigroups:
+        assert Semigroup(*s) == s
+        assert type(Semigroup(*s)) is Semigroup
+
+
+def test_pickle_round_trip(small_semigroups):
+    for s in small_semigroups:
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and type(back) is Semigroup
 
 
 def test_ordinary_examples():
@@ -245,7 +266,7 @@ def test_gap_intervals_examples():
 def semigroups(draw):
     """Random semigroup of genus <= 9, drawn by a random walk down the
     generator-removal tree (some nodes are leaves; the walk stops there)."""
-    from semiforge import children_in_T
+    from semiforge.tree import children_in_T
 
     s = Semigroup.from_gaps([])
     depth = draw(st.integers(min_value=0, max_value=9))

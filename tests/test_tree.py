@@ -6,17 +6,16 @@ from semiforge import (
     CountMatrix,
     Semigroup,
     TooLarge,
-    children_in_T,
     children_in_Tg,
     count_matrix,
     enumerate_genus,
     export_tree_dot,
-    iter_tg_edges,
     max_ordinarization_attainer,
     tg_bfs_row,
     tree,
 )
-from semiforge.semigroup import _sum_bitmap
+from semiforge.semigroup import _ordinarize_bitmap, _sum_bitmap
+from semiforge.tree import children_in_T
 from reference_tables import COUNTS_BY_GENUS, FIG6_EDGES, FIG6_NODES_BY_DEPTH
 
 
@@ -155,10 +154,11 @@ def test_count_matrix_csv_json_round_trip():
 
 def test_tg_edges_depths():
     depths = {}
-    for edge in iter_tg_edges(6):
-        assert edge.child.ordinarize() == edge.parent
-        assert edge.depth_of_child == edge.child.ordinarization_number()
-        depths[edge.child] = edge.depth_of_child
+    for depth, (parents, children) in enumerate(tree._tg_levels(6), 1):
+        for parent, child in zip(parents, children):
+            assert _ordinarize_bitmap(child, 6) == parent
+            assert depth == (child & ((1 << 7) - 2)).bit_count()  # members in [1, g]
+            depths[child] = depth
     assert len(depths) == 22  # every non-root node has exactly one parent
 
 
