@@ -245,12 +245,12 @@ def check_conjecture(g_max: int, *, workers: int = 1) -> VerificationReport:
     return VerificationReport("conjecture", f"genus <= {g_max}", worst is None, worst)
 
 
-def high_depth_cross_check(g_max: int, *, workers: int = 1) -> VerificationReport:
+def high_depth_cross_check(g_max: int) -> VerificationReport:
     """Every high-depth cell of the count table must equal the closed-set
     sum for w = floor(g/2) - r."""
     if g_max < 2:
         raise ValueError("g_max must be >= 2")
-    matrix = tree.count_matrix(g_max, workers=workers)
+    matrix = tree.count_matrix(g_max)
     f_cache: dict[int, int] = {}
     worst: Optional[str] = None
     for g in range(2, g_max + 1):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .semigroup import Semigroup
-from .tree import _POOL_MIN_SEMIGROUPS, _fork_map, _nodes, _resolve_workers
+from .tree import _nodes, _run_tasks
 
 
 class PreconditionViolated(ValueError):
@@ -185,10 +185,7 @@ def f_value(omega_genus: int, *, workers: int = 1) -> int:
     if omega_genus < 0:
         raise ValueError("genus must be non-negative")
     bitmaps = [bm for bm, g, _frob, _r in _nodes(omega_genus) if g == omega_genus]
-    workers = _resolve_workers(workers)
-    if workers <= 1 or len(bitmaps) < _POOL_MIN_SEMIGROUPS:
-        return _f_worker((bitmaps, omega_genus))
-    return sum(_fork_map(_f_worker, bitmaps, omega_genus, workers))
+    return sum(_run_tasks(_f_worker, bitmaps, omega_genus, workers))
 
 
 # ----------------------------------------------------------------------

@@ -90,8 +90,8 @@ class Semigroup(_Fields):
     """One numerical semigroup; construct via ``from_gaps`` / ``ordinary``.
 
     Calling ``Semigroup(bitmap, genus, frobenius, multiplicity)`` checks
-    all four fields (an unpickled value passes through the same check);
-    the internal constructors build unchecked values.
+    all four fields (``_make``, ``_replace`` and unpickling go through the
+    same check); the internal constructors build unchecked values.
     """
 
     __slots__ = ()
@@ -104,6 +104,10 @@ class Semigroup(_Fields):
                 f" bitmap's {s.frobenius} and {s.multiplicity}"
             )
         return s
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "Semigroup":
+        return cls(*iterable)  # NamedTuple's skips the check; ``_replace`` calls this
 
     # ------------------------------------------------------------------
     # constructors

@@ -28,7 +28,6 @@ depend on the worker count.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -37,13 +36,12 @@ from .semigroup import Semigroup, _sum_bitmap
 
 _ROOT = (0b11, 0, -1, 0)  # bitmap, genus, frobenius, ordinarization number
 
-# Forking a pool costs more than the work it shares below these sizes
-# (2 CPUs, Python 3.11; median ms, serial vs 2-worker pool, 21 interleaved
-# pairs): count_matrix(20) 53 vs 83 (pool faster in 4), count_matrix(21)
-# 77 vs 62 (16), count_matrix(22) 126 vs 106 (19); f_value(9) (118
-# semigroups) 54 vs 76, f_value(10) (204) 158 vs 111.
-_POOL_MIN_GMAX = 21  # count_matrix forks from this g_max on
-_POOL_MIN_SEMIGROUPS = 160  # f_value forks from this many genus-w semigroups on
+# Forking a pool costs more than the work it shares below this many
+# tasks (2 CPUs, Python 3.11; median ms, serial vs 2-worker pool, 21
+# interleaved pairs): count_matrix(20) (190 tasks) 53 vs 83 (pool faster
+# in 4), count_matrix(21) (210) 77 vs 62 (16), count_matrix(22) (231) 126
+# vs 106 (19); f_value(9) (118) 54 vs 76, f_value(10) (204) 158 vs 111.
+_POOL_MIN_TASKS = 200
 
 
 class TooLarge(RuntimeError):
@@ -282,14 +280,16 @@ def _tg_levels(g: int, node_cap: float = math.inf) -> Iterator[tuple[list[int], 
         frontier = children
 
 
-def _make(bitmap: int, genus: int) -> Semigroup:
-    return Semigroup._from_bitmap(bitmap, genus)
-
-
-def _resolve_workers(workers: int) -> int:
+def _run_tasks(fn: Callable, tasks: list, arg: object, workers: int) -> list:
+    """fn((chunk, arg)) over ``tasks``: one call in this process when there
+    is one worker or too few tasks to pay for a pool, else ``_fork_map``.
+    ``workers`` = 0 means one per CPU."""
     if workers < 0:
         raise ValueError("workers must be >= 0")
-    return workers if workers else (os.cpu_count() or 1)
+    workers = workers or os.cpu_count() or 1
+    if workers == 1 or len(tasks) < _POOL_MIN_TASKS:
+        return [fn((tasks, arg))]
+    return _fork_map(fn, tasks, arg, workers)
 
 
 def _fork_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
@@ -299,6 +299,8 @@ def _fork_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
     Chunks are strided (``tasks[i::n]``), so neighbouring tasks, which
     tend to be alike in size, land in different chunks.
     """
+    import multiprocessing  # loaded only by runs that fork
+
     n = min(4 * workers, len(tasks))
     payloads = [(tasks[i::n], arg) for i in range(n)]
     with multiprocessing.get_context("fork").Pool(min(workers, n)) as pool:
@@ -311,13 +313,13 @@ def _fork_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
 def children_in_T(s: Semigroup) -> list[Semigroup]:
     """Genus g+1 children: remove one minimal generator above the Frobenius
     number.  Sorted by the removed generator."""
-    return [_make(bm, s.genus + 1) for bm, *_ in _children(s.bitmap, s.genus, s.frobenius, 0)]
+    return [Semigroup._from_bitmap(bm, s.genus + 1) for bm, *_ in _children(s.bitmap, s.genus, s.frobenius, 0)]
 
 
 def children_in_Tg(s: Semigroup) -> list[Semigroup]:
     """Same-genus children: every semigroup whose ordinarization transform
     is s.  Ordered by (added member, removed generator)."""
-    return [_make(child, s.genus) for child in _tg_children_raw(s.bitmap, s.genus)]
+    return [Semigroup._from_bitmap(child, s.genus) for child in _tg_children_raw(s.bitmap, s.genus)]
 
 
 def enumerate_genus(g: int, visitor: Optional[Callable[[Semigroup], None]] = None) -> int:
@@ -330,7 +332,7 @@ def enumerate_genus(g: int, visitor: Optional[Callable[[Semigroup], None]] = Non
         if genus == g:
             count += 1
             if visitor is not None:
-                visitor(_make(bitmap, g))
+                visitor(Semigroup._from_bitmap(bitmap, g))
     return count
 
 
@@ -339,12 +341,12 @@ def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
 
     The ordinary spine (the ordinary semigroups, genus 0 to g_max) is
     tallied directly; the subtree under each non-ordinary child of a
-    spine node is one task, counted in this process, or by forked
-    workers if there are several and g_max >= 21.  Tallies merge by addition.
+    spine node is one task, g_max*(g_max - 1)/2 in all, counted in this
+    process or by forked workers (see ``_run_tasks``).  Tallies merge by
+    addition.
     """
     if g_max < 0:
         raise ValueError("g_max must be non-negative")
-    workers = _resolve_workers(workers)
     rows = _empty_rows(g_max)
     for row in rows:
         row[0] += 1  # the spine: one ordinary semigroup per genus, at depth 0
@@ -355,11 +357,7 @@ def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
         # removes the smallest, a = g + 1
         spine, *off_spine = _children(*spine)
         tasks.extend(off_spine)
-    if workers <= 1 or g_max < _POOL_MIN_GMAX:
-        parts = [_count_worker((tasks, g_max))]
-    else:
-        parts = _fork_map(_count_worker, tasks, g_max, workers)
-    for part in parts:
+    for part in _run_tasks(_count_worker, tasks, g_max, workers):
         for row, counts in zip(rows, part):
             for r, c in enumerate(counts):
                 row[r] += c
@@ -386,7 +384,7 @@ def export_tree_dot(g: int, *, node_cap: int = 100_000) -> str:
     nodes = [(labels[root.bitmap], 0)]
     edges: list[tuple[str, str]] = []
     for depth, (parents, children) in enumerate(levels, 1):
-        child_labels = [_make(bm, g).gap_string() for bm in children]
+        child_labels = [Semigroup._from_bitmap(bm, g).gap_string() for bm in children]
         nodes.extend((label, depth) for label in child_labels)
         edges.extend(zip(map(labels.__getitem__, parents), child_labels))
         labels = dict(zip(children, child_labels))

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from semiforge import Semigroup, closedsets, enumerate_genus, tree
+from semiforge import Semigroup, enumerate_genus, tree
 
 # pyproject's ``pythonpath`` puts src/ on this process's path; the CLI
 # subprocesses of the acceptance suite need it too when the package is
@@ -23,7 +23,6 @@ def fork_calls(monkeypatch) -> list[tuple[int, int]]:
         return fork_map(fn, tasks, arg, workers)
 
     monkeypatch.setattr(tree, "_fork_map", spy)
-    monkeypatch.setattr(closedsets, "_fork_map", spy)
     return calls
 
 

@@ -1,6 +1,7 @@
 """Closed formulas, sumset structure, and the verification harnesses."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,8 +19,8 @@ from semiforge import (
     verify_tree_relations,
 )
 from semiforge import tree
+from semiforge.cli import run
 from semiforge.analytics import (
-    VerificationReport,
     freiman_progression_bound,
     high_depth_cross_check,
     sumset_profile,
@@ -210,9 +211,25 @@ def test_report_json_shape():
     assert obj["passed"] is True and obj["counterexample"] is None
 
 
-def test_counterexample_reporting():
-    # a deliberately false "check" through the same plumbing: feed the
-    # interval harness a range where it must pass, then check the failure
-    # path via the conjecture comparator on a doctored matrix
-    report = VerificationReport("demo", "nowhere", False, "gaps=1,3 detail")
-    assert not report.passed and "1,3" in report.counterexample
+def test_counterexample_reporting(monkeypatch, capsys):
+    # the table-cell checks and `verify` on a doctored table whose count
+    # drops at two cells: (6, 3), a high-depth cell, and (10, 1)
+    rows = [list(row) for row in tree.count_matrix(12).rows]
+    rows[6][3] = 3  # n(7, 3) = 1 and f(0) = 1
+    rows[10][1] = 50  # n(11, 1) = 45
+    doctored = tree.CountMatrix(tuple(map(tuple, rows)))
+
+    def fake_count_matrix(g_max, *, workers=1):
+        assert g_max == 12
+        return doctored
+
+    monkeypatch.setattr(tree, "count_matrix", fake_count_matrix)
+    want = "n(6,3)=3 > n(7,3)=1"
+    report = check_conjecture(12)
+    assert not report.passed and report.counterexample == want
+    report = high_depth_cross_check(12)
+    assert not report.passed and report.counterexample == "n(6,3)=3 != f(0)=1"
+    assert run(["verify", "--check", "conjecture", "--gmax", "12"]) == 1
+    out = capsys.readouterr().out
+    assert '"passed": false' in out
+    assert json.loads(out)["counterexample"] == want

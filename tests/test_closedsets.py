@@ -13,6 +13,7 @@ from semiforge import (
     enumerate_genus,
     f_value,
     max_ordinarization_attainer,
+    tree,
 )
 from semiforge.closedsets import (
     ClosedSet,
@@ -22,7 +23,7 @@ from semiforge.closedsets import (
     count_closed_sets,
     is_closed_set,
 )
-from reference_tables import F_SEQUENCE
+from reference_tables import COUNTS_BY_GENUS, F_SEQUENCE
 
 N0 = Semigroup.from_gaps([])
 G1 = Semigroup.ordinary(1)  # {0, 2, 3, ...}
@@ -120,6 +121,8 @@ def test_f_sequence_prefix():
 
 
 def test_f_value_workers_deterministic(fork_calls):
+    # one task per semigroup of genus w
+    assert sum(COUNTS_BY_GENUS[9]) < tree._POOL_MIN_TASKS <= sum(COUNTS_BY_GENUS[10])
     assert f_value(10, workers=2) == F_SEQUENCE[10]
     assert fork_calls == [(204, 2)]  # the genus-10 semigroups
     assert f_value(9, workers=2) == F_SEQUENCE[9]

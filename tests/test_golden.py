@@ -38,7 +38,7 @@ def test_export_tree_dot_golden():
 def test_count_matrix_csv_golden(fork_calls):
     assert _sha256(count_matrix(20, workers=1).to_csv()) == TABLE_20_SHA256
     assert _sha256(count_matrix(20, workers=2).to_csv()) == TABLE_20_SHA256
-    pooled = count_matrix(tree._POOL_MIN_GMAX, workers=2)
+    pooled = count_matrix(21, workers=2)
     assert _sha256(CountMatrix(pooled.rows[:21]).to_csv()) == TABLE_20_SHA256
     assert len(fork_calls) == 1  # the table at the pool cutoff came from the pool
 

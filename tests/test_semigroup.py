@@ -100,9 +100,15 @@ def test_direct_constructor_checks_fields(small_semigroups):
         Semigroup(worked.bitmap, worked.genus, worked.frobenius, 5)
     with pytest.raises(NotClosed):
         Semigroup(0b11111, 3, 7, 1)  # gaps 5, 6 and 7, but 1 + 4 = 5
+    # NamedTuple's own builders go through the same check
+    with pytest.raises(ValueError):
+        Semigroup._make((5, 2, 3, 1))
+    with pytest.raises(ValueError):
+        Semigroup.ordinary(3)._replace(genus=1)
     for s in small_semigroups:
         assert Semigroup(*s) == s
         assert type(Semigroup(*s)) is Semigroup
+        assert s._replace() == s
 
 
 def test_pickle_round_trip(small_semigroups):

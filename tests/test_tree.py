@@ -1,5 +1,8 @@
 """Both trees: child generation, exact counts, and the DOT export."""
 
+import subprocess
+import sys
+
 import pytest
 
 from semiforge import (
@@ -10,6 +13,7 @@ from semiforge import (
     count_matrix,
     enumerate_genus,
     export_tree_dot,
+    f_value,
     max_ordinarization_attainer,
     tg_bfs_row,
     tree,
@@ -107,12 +111,12 @@ def test_count_matrix_matches_reference_to_16():
 
 
 def test_count_matrix_workers_deterministic(fork_calls):
-    g = tree._POOL_MIN_GMAX
-    assert count_matrix(g, workers=2) == count_matrix(g, workers=1)
-    # one task per non-ordinary child of the ordinary semigroups of genus 0..g-1
-    assert fork_calls == [(sum(range(g)), 2)]
-    below = tree._POOL_MIN_GMAX - 1
-    assert count_matrix(below, workers=3) == count_matrix(below, workers=1)
+    # one task per non-ordinary child of the ordinary semigroups of genus
+    # 0..g-1, so g = 21 is the first table with enough tasks for a pool
+    assert sum(range(20)) < tree._POOL_MIN_TASKS <= sum(range(21))
+    assert count_matrix(21, workers=2) == count_matrix(21, workers=1)
+    assert fork_calls == [(sum(range(21)), 2)]
+    assert count_matrix(20, workers=3) == count_matrix(20, workers=1)
     assert len(fork_calls) == 1  # below the crossover genus the count stays serial
 
 
@@ -121,7 +125,28 @@ def test_count_matrix_workers_match_serial_across_crossover(fork_calls):
     for workers in (2, 3):
         for g in range(23):
             assert count_matrix(g, workers=workers).rows == want[: g + 1], (g, workers)
-    assert len(fork_calls) == 2 * (23 - tree._POOL_MIN_GMAX)
+    assert fork_calls == [(sum(range(g)), workers) for workers in (2, 3) for g in (21, 22)]
+
+
+def test_negative_workers_rejected():
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        count_matrix(5, workers=-1)
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        f_value(3, workers=-1)
+
+
+def test_serial_runs_never_import_multiprocessing():
+    # runs below the pool cutoff stay in process, so the module that forks
+    # is never loaded; a fresh interpreter, since pytest may load it itself
+    code = (
+        "import sys, semiforge\n"
+        "from semiforge import cli\n"
+        "semiforge.count_matrix(20, workers=2)\n"
+        "semiforge.f_value(9, workers=2)\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_fork_map_more_workers_than_chunks():
