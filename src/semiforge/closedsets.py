@@ -17,7 +17,9 @@ fills in everything from 2g on:
 
 Both directions are implemented and are exact inverses; the number of
 genus-g semigroups at depth r therefore depends only on w, giving the
-sequence summed here by ``f_value``.
+sequence summed here by ``f_value``.  Listing and counting share one
+pruned descent over membership bitmaps, but counting never lists: it
+tallies the last choice in place and builds no set.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ class PairDecomposition:
     g: int
 
     def __post_init__(self):
+        if self.b.base != self.omega:
+            raise ValueError("closed set must be closed over omega")
         if len(self.b.elements) != self.omega.genus + 1:
             raise ValueError("closed set must have size genus(omega) + 1")
 
@@ -101,72 +105,72 @@ def _extended_members(omega: Semigroup, upto: int) -> int:
     return bits & ((1 << (upto + 1)) - 1)
 
 
-def _closed_element_sets(omega: Semigroup, size: int) -> list[tuple[int, ...]]:
-    """All closed sets of the given size containing 0, unsorted.
+def _descend(reqs: list[int], bits: list[int], idx: int, chosen: int, left: int,
+             found: list[int] | None) -> int:
+    """Count the ways to add ``left`` more of the candidates from ``idx``
+    on to ``chosen``, appending each completed bitmap to ``found`` unless
+    it is None.  Candidate j is admissible when its required mask is
+    already chosen; the last choice is tallied in this loop, never
+    recursed into."""
+    nc = ~chosen
+    total = 0
+    for j in range(idx, len(reqs) - left + 1):
+        if not reqs[j] & nc:
+            if left > 1:
+                total += _descend(reqs, bits, j + 1, chosen | bits[j], left - 1, found)
+            else:
+                total += 1
+                if found is not None:
+                    found.append(chosen | bits[j])
+    return total
 
-    Grouped by maximum M.  Members of omega below M are forced in by
-    closure at 0, which both prunes the search and bounds M: past the
+
+def _closed_masks(omega: Semigroup, size: int, found: list[int] | None) -> int:
+    """Count the closed sets of the given size containing 0, appending each
+    one's membership bitmap to ``found`` unless it is None.
+
+    Grouped by maximum top.  Members of omega below top are forced in by
+    closure at 0, which both prunes the search and bounds top: past the
     (size-1)-th member of omega the forced part alone overflows the
-    size, so M never exceeds 2 * genus for size = genus + 1.
+    size, so top never exceeds 2 * genus for size = genus + 1.  The free
+    candidates are the gaps below top, decided largest first; including x
+    requires x + m for every nonzero member m that lands below top, and
+    those positions all exceed x, so they are decided before x is.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    if size == 1:
-        return [(0,)]
-    out: list[tuple[int, ...]] = []
+    total = 0
     for top in range(size - 1, omega.nth_member(size - 1) + 1):
         members = _extended_members(omega, top)
-        below = members & ((1 << top) - 1)
-        forced = below.bit_count() + 1
-        need = size - forced
-        if need < 0:
-            continue
-        free = []
-        gapbits = ~below & ((1 << top) - 2)
-        while gapbits:
-            low = gapbits & -gapbits
-            free.append(low.bit_length() - 1)
-            gapbits ^= low
-        if need > len(free):
-            continue
-        free.reverse()  # decide larger candidates first
-        nonzero = members & -2
         top_mask = (1 << top) - 1
-        base_bits = below | (1 << top)
-        found: list[int] = []
-
-        def descend(idx: int, chosen: int, have: int) -> None:
-            if have == size:
-                found.append(chosen)
-                return
-            if len(free) - idx < size - have:
-                return
-            x = free[idx]
-            # including x forces x + member positions below top, all of
-            # which are already decided because they exceed x
-            if not ((nonzero << x) & top_mask) & ~(members | chosen):
-                descend(idx + 1, chosen | (1 << x), have + 1)
-            descend(idx + 1, chosen, have)
-
-        descend(0, base_bits, forced)
-        for bits in found:
-            els = []
-            while bits:
-                low = bits & -bits
-                els.append(low.bit_length() - 1)
-                bits ^= low
-            out.append(tuple(els))
-    return out
+        below = members & top_mask
+        base = below | (1 << top)
+        need = size - base.bit_count()
+        if need == 0:
+            total += 1
+            if found is not None:
+                found.append(base)
+        elif need > 0:
+            free = [x for x in range(top - 1, 0, -1) if not below >> x & 1]
+            nonzero = members & -2
+            reqs = [(nonzero << x) & top_mask & ~members for x in free]
+            total += _descend(reqs, [1 << x for x in free], 0, base, need, found)
+    return total
 
 
 def closed_sets(omega: Semigroup, size: int) -> list[ClosedSet]:
     """Every closed set over omega of the given size containing 0, in
     lexicographic order."""
-    return [ClosedSet(omega, els) for els in sorted(_closed_element_sets(omega, size))]
+    found: list[int] = []
+    _closed_masks(omega, size, found)
+    tuples = (tuple(x for x in range(bits.bit_length()) if bits >> x & 1) for bits in found)
+    return [ClosedSet(omega, els) for els in sorted(tuples)]
 
 
 def count_closed_sets(omega: Semigroup, size: int) -> int:
-    return len(_closed_element_sets(omega, size))
+    """The number of closed sets ``closed_sets`` would list, counted
+    without building any of them."""
+    return _closed_masks(omega, size, None)
 
 
 def _f_worker(payload: tuple[list[int], int]) -> int:

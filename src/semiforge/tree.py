@@ -40,7 +40,9 @@ _ROOT = (0b11, 0, -1, 0)  # bitmap, genus, frobenius, ordinarization number
 # tasks (2 CPUs, Python 3.11; median ms, serial vs 2-worker pool, 21
 # interleaved pairs): count_matrix(20) (190 tasks) 53 vs 83 (pool faster
 # in 4), count_matrix(21) (210) 77 vs 62 (16), count_matrix(22) (231) 126
-# vs 106 (19); f_value(9) (118) 54 vs 76, f_value(10) (204) 158 vs 111.
+# vs 106 (19).  f_value(10) (204) sits on the crossover: three runs of 15
+# to 21 pairs gave 56-63 vs 42-85, the pool faster in 1/15, 18/21, 2/21;
+# f_value(11) (343) gave 122-169 vs 80-101, faster in 15/15, 20/21, 21/21.
 _POOL_MIN_TASKS = 200
 
 

@@ -93,6 +93,15 @@ def test_closed_sets_match_brute_force():
                 assert count_closed_sets(om, size) == len(expect)
 
 
+def test_count_matches_listing_through_genus_8():
+    for w in range(9):
+        for om in all_of_genus(w):
+            for size in range(1, w + 3):
+                assert count_closed_sets(om, size) == len(closed_sets(om, size)), (om, size)
+    with pytest.raises(ValueError):
+        count_closed_sets(G1, 0)
+
+
 def test_widened_window_finds_nothing_new():
     # brute search over [0, 3w] at the size the pairing uses
     for w in (5, 6):
@@ -129,6 +138,11 @@ def test_f_value_workers_deterministic(fork_calls):
     assert len(fork_calls) == 1  # the 118 semigroups of genus 9 stay serial
 
 
+@pytest.mark.parametrize("w", [12, 13])
+def test_f_value_pooled_at_12_and_13(w):
+    assert f_value(w, workers=2) == F_SEQUENCE[w]
+
+
 # ----------------------------------------------------------------------
 # the pairing
 
@@ -159,6 +173,10 @@ def test_build_from_pair_threshold():
 def test_pair_type_validates_size():
     with pytest.raises(ValueError):
         PairDecomposition(G1, ClosedSet(G1, (0,)), 20)
+    # (0, 1, 3) is closed over {0, 3, 4, ...} but not over {0, 2, 4, 5, ...}
+    o1, o2 = Semigroup.from_gaps([1, 2]), Semigroup.from_gaps([1, 3])
+    with pytest.raises(ValueError):
+        PairDecomposition(o2, ClosedSet(o1, (0, 1, 3)), 20)
 
 
 def test_decompose_examples():
