@@ -280,43 +280,31 @@ def verify_bijection(g_max: int) -> VerificationReport:
         if _high_depth(g, r):
             deep.setdefault((g, r), set()).add(bitmap)
     pair_pool: dict[int, list[tuple[Semigroup, closedsets.ClosedSet]]] = {}
-    worst: Optional[str] = None
-
-    def note(text: str) -> None:
-        nonlocal worst
-        if worst is None:
-            worst = text
-
+    failures: list[str] = []
     for g in range(2, g_max + 1):
         for r in range(_min_high_r(g), g // 2 + 1):
             w = g // 2 - r
             if w not in pair_pool:
-                pool: list[tuple[Semigroup, closedsets.ClosedSet]] = []
-
-                def collect(om: Semigroup, pool: list = pool) -> None:
-                    pool.extend((om, b) for b in closedsets.closed_sets(om, om.genus + 1))
-
-                tree.enumerate_genus(w, collect)
-                pair_pool[w] = pool
+                omegas: list[Semigroup] = []
+                tree.enumerate_genus(w, omegas.append)
+                pair_pool[w] = [(om, b) for om in omegas for b in closedsets.closed_sets(om, w + 1)]
             pairs = [closedsets.PairDecomposition(om, b, g) for om, b in pair_pool[w]]
             built = [closedsets.build_from_pair(p) for p in pairs]
             image = {s.bitmap for s in built}
             want = deep.get((g, r), set())
             if len(image) != len(built):
-                note(f"g={g} r={r}: pairing not injective")
-                continue
-            if image != want or len(built) != matrix.cell(g, r):
-                note(f"g={g} r={r}: image size {len(built)} vs table {matrix.cell(g, r)}")
-                continue
-            for p, s in zip(pairs, built):
-                back = closedsets.decompose(s)
-                if back.omega != p.omega or back.b.elements != p.b.elements:
-                    note(f"g={g} r={r}: decompose does not invert build on {s.gap_string()}")
-                elif closedsets.build_from_pair(back) != s:
-                    note(f"g={g} r={r}: build does not invert decompose on {s.gap_string()}")
-    return VerificationReport(
-        "bijection", f"genus <= {g_max}, depth 3r >= g+2", worst is None, worst
-    )
+                failures.append(f"g={g} r={r}: pairing not injective")
+            elif image != want or len(built) != matrix.cell(g, r):
+                failures.append(f"g={g} r={r}: image size {len(built)} vs table {matrix.cell(g, r)}")
+            else:
+                for p, s in zip(pairs, built):
+                    back = closedsets.decompose(s)
+                    if back.omega != p.omega or back.b.elements != p.b.elements:
+                        failures.append(f"g={g} r={r}: decompose does not invert build on {s.gap_string()}")
+                    elif closedsets.build_from_pair(back) != s:
+                        failures.append(f"g={g} r={r}: build does not invert decompose on {s.gap_string()}")
+    first = failures[0] if failures else None
+    return VerificationReport("bijection", f"genus <= {g_max}, depth 3r >= g+2", not failures, first)
 
 
 # ----------------------------------------------------------------------
@@ -340,45 +328,49 @@ def verify_tree_relations(g_max: int) -> VerificationReport:
       stay parent/child there (adjoining the Frobenius number of the
       child's transform gives the parent's transform);
     - non-ordinary children of one node all share the same transform.
+
+    Each genus is the set of children of the one before, so every
+    semigroup of genus < g_max is expanded exactly once.
     """
     if g_max < 0:
         raise ValueError("g_max must be non-negative")
     bad = _Counterexamples()
-
+    level = {tree._ROOT[0]}  # the bitmaps of genus g
     for g in range(g_max + 1):
-        # genus g is reached as the children of each genus g-1 node, so the
-        # lemmas below see every edge into genus g, siblings together
-        expected_nodes = {tree._ROOT[0]} if g == 0 else set()
-        for bitmap, pg, frob, _r in tree._nodes(g - 1):
-            if pg != g - 1:
-                continue
-            parent_t = _ordinarize_bitmap(bitmap, pg)
+        # expand genus g into genus g + 1 first: the walk below empties
+        # ``level``, and each node's children are checked as siblings
+        nxt: set[int] = set()
+        for bitmap in level if g < g_max else ():
+            parent_t = _ordinarize_bitmap(bitmap, g)
+            frob = (~bitmap & ((1 << (2 * g + 2)) - 1)).bit_length() - 1
             transforms = []
-            for child, *_ in tree._children(bitmap, pg, frob, 0):
-                expected_nodes.add(child)
-                child_t = _ordinarize_bitmap(child, g)
-                if _raw_adjoin_frobenius(child_t, g) != parent_t:
-                    bad.add(g, Semigroup._from_bitmap(child, g).gaps(), "transform left the ancestor line")
+            for child, g1, *_ in tree._children(bitmap, g, frob, 0):
+                nxt.add(child)
+                child_t = _ordinarize_bitmap(child, g1)
+                if _raw_adjoin_frobenius(child_t, g1) != parent_t:
+                    bad.add(g1, Semigroup._from_bitmap(child, g1).gaps(), "transform left the ancestor line")
                 cm = ((child & -2) & -(child & -2)).bit_length() - 1
-                if cm <= g:  # non-ordinary child
+                if cm <= g1:  # non-ordinary child
                     transforms.append((child_t, child))
             for (t, c) in transforms[1:]:
                 if t != transforms[0][0]:
-                    bad.add(g, Semigroup._from_bitmap(c, g).gaps(), "siblings transform to different parents")
+                    bad.add(g + 1, Semigroup._from_bitmap(c, g + 1).gaps(), "siblings transform to different parents")
         expected_row = [0] * (g // 2 + 1)
-        for bm in expected_nodes:
+        for bm in level:
             expected_row[(bm & ((1 << (g + 1)) - 2)).bit_count()] += 1
-        seen = {Semigroup.ordinary(g).bitmap}
+        # the fixed-genus tree must reach each member of ``level`` once
+        level.discard(Semigroup.ordinary(g).bitmap)
         row = [1]
         for parents, children in tree._tg_levels(g):
             row.append(len(children))
-            seen.update(children)
+            level.difference_update(children)
             for parent, child in zip(parents, children):
                 if _ordinarize_bitmap(child, g) != parent:
                     bad.add(g, Semigroup._from_bitmap(child, g).gaps(), "edge child does not transform to parent")
         row += [0] * (len(expected_row) - len(row))
         if row != expected_row:
             bad.add(g, (), f"depth profile {row} != enumeration {expected_row}")
-        if seen != expected_nodes:
+        if level or sum(row) != sum(expected_row):
             bad.add(g, (), "fixed-genus tree misses or repeats semigroups")
+        level = nxt
     return _report("trees", f"genus <= {g_max}", bad)

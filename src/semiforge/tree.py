@@ -87,12 +87,17 @@ class CountMatrix:
             raise ValueError("missing 'g,r,count' header")
         rows: list[list[int]] = []
         for line in lines[1:]:
-            g, r, count = map(int, line.split(","))
+            fields = line.split(",")
+            if len(fields) != 3 or not all(f.isascii() and f.isdigit() for f in fields):
+                raise ValueError(f"expected three non-negative integers, got {line!r}")
+            g, r, count = map(int, fields)
             if g == len(rows):
                 rows.append([])
-            if g != len(rows) - 1 or r != len(rows[g]):
-                raise ValueError(f"out-of-order row {line!r}")
+            if g != len(rows) - 1 or r != len(rows[g]) or r > g // 2:
+                raise ValueError(f"cell {line!r} is out of order or past r = g // 2")
             rows[g].append(count)
+        if any(len(row) != g // 2 + 1 for g, row in enumerate(rows)):
+            raise ValueError("every row g needs its floor(g/2) + 1 cells")
         return cls(tuple(tuple(row) for row in rows))
 
     def to_json_obj(self) -> dict:

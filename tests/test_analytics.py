@@ -2,6 +2,8 @@
 
 import itertools
 import json
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +20,7 @@ from semiforge import (
     verify_sumset_bound,
     verify_tree_relations,
 )
-from semiforge import tree
+from semiforge import analytics, closedsets, tree
 from semiforge.cli import run
 from semiforge.analytics import (
     freiman_progression_bound,
@@ -177,6 +179,20 @@ def test_tree_relations_report():
     assert report.passed, report
 
 
+@pytest.fixture
+def reported(monkeypatch) -> list[str]:
+    """Every failure detail a harness adds, not only the smallest it keeps."""
+    details: list[str] = []
+    add = analytics._Counterexamples.add
+
+    def spy(self, genus, gaps, detail):
+        details.append(detail)
+        add(self, genus, gaps, detail)
+
+    monkeypatch.setattr(analytics._Counterexamples, "add", spy)
+    return details
+
+
 def _doctor_tg_children(monkeypatch, edit):
     """Make the fixed-genus expansion of the genus-6 ordinary semigroup
     return ``edit(children)`` instead of its true children."""
@@ -190,11 +206,12 @@ def _doctor_tg_children(monkeypatch, edit):
     monkeypatch.setattr(tree, "_tg_children_raw", doctored)
 
 
-def test_tree_relations_catch_a_dropped_child(monkeypatch):
+def test_tree_relations_catch_a_dropped_child(monkeypatch, reported):
     _doctor_tg_children(monkeypatch, lambda kids: kids[:-1])
     report = verify_tree_relations(6)
     assert report.passed is False
     assert "depth profile" in report.counterexample
+    assert "fixed-genus tree misses or repeats semigroups" in reported
 
 
 def test_tree_relations_catch_a_repeated_child(monkeypatch):
@@ -202,6 +219,121 @@ def test_tree_relations_catch_a_repeated_child(monkeypatch):
     report = verify_tree_relations(6)
     assert report.passed is False
     assert "depth profile" in report.counterexample
+
+
+def test_tree_relations_catch_a_misplaced_child(monkeypatch, reported):
+    # the root's last child is swapped for a grandchild: same level sizes
+    # at depth 1, but that edge is wrong and the last child is never reached
+    expand = tree._tg_children_raw
+
+    def edit(kids):
+        grandchild = next(gc for kid in kids for gc in expand(kid, 6))
+        return kids[:-1] + [grandchild]
+
+    _doctor_tg_children(monkeypatch, edit)
+    assert verify_tree_relations(6).passed is False
+    assert "edge child does not transform to parent" in reported
+    assert "fixed-genus tree misses or repeats semigroups" in reported
+
+
+def test_tree_relations_catch_a_broken_transform(monkeypatch, reported):
+    # the transform does nothing at even genus: a genus-(2k+1) parent's
+    # transform no longer adjoins back from its children's, and siblings
+    # keep their own bitmaps
+    transform = analytics._ordinarize_bitmap
+    monkeypatch.setattr(
+        analytics, "_ordinarize_bitmap", lambda bm, g: transform(bm, g) if g & 1 else bm
+    )
+    assert verify_tree_relations(6).passed is False
+    assert "transform left the ancestor line" in reported
+    assert "siblings transform to different parents" in reported
+
+
+def test_tree_relations_expand_each_node_once(monkeypatch):
+    expanded = []
+    children = tree._children
+
+    def spy(bitmap, g, frob, r):
+        expanded.append((bitmap, g))
+        return children(bitmap, g, frob, r)
+
+    def restart(g_max):
+        raise AssertionError("the harness restarted a walk from the root")
+
+    monkeypatch.setattr(tree, "_children", spy)
+    monkeypatch.setattr(tree, "_nodes", restart)
+    assert verify_tree_relations(12).passed
+    # one call per semigroup of genus <= 11: 821 in all
+    assert len(set(expanded)) == len(expanded)
+    assert Counter(g for _, g in expanded) == {g: sum(COUNTS_BY_GENUS[g]) for g in range(12)}
+
+
+def _doctor_depths(monkeypatch, depth):
+    """Make ``tree._nodes`` report ``depth(g, r)`` as every node's
+    ordinarization number."""
+    nodes = tree._nodes
+    monkeypatch.setattr(
+        tree, "_nodes", lambda g_max: ((bm, g, f, depth(g, r)) for bm, g, f, r in nodes(g_max))
+    )
+
+
+def test_parity_catches_a_wrong_depth(monkeypatch):
+    _doctor_depths(monkeypatch, lambda g, r: g // 2)
+    report = verify_parity_lemma(8)
+    assert report.passed is False
+    assert " odd member " in report.counterexample
+
+
+@pytest.mark.parametrize("depth, label", [
+    (lambda g, r: 0, "< floor(n/2) with n="),
+    (lambda g, r: 0, " high but r="),
+    (lambda g, r: g // 2, "high depth r="),
+])
+def test_intervals_catch_a_wrong_depth(monkeypatch, reported, depth, label):
+    _doctor_depths(monkeypatch, depth)
+    assert verify_interval_theorem(8).passed is False
+    assert any(label in d for d in reported)
+
+
+def _decompose_into(monkeypatch, edit):
+    decompose = closedsets.decompose
+    monkeypatch.setattr(closedsets, "decompose", lambda s: edit(decompose(s)))
+
+
+def test_bijection_catches_a_collapsed_pairing(monkeypatch):
+    # every pair of one genus builds the same semigroup; the first pool
+    # with two pairs is w = 1, reached at g = 10, r = 4
+    build = closedsets.build_from_pair
+    first: dict[int, Semigroup] = {}
+    monkeypatch.setattr(closedsets, "build_from_pair", lambda p: first.setdefault(p.g, build(p)))
+    report = verify_bijection(10)
+    assert (report.passed, report.counterexample) == (False, "g=10 r=4: pairing not injective")
+
+
+def test_bijection_catches_a_table_mismatch(monkeypatch):
+    rows = [list(row) for row in tree.count_matrix(8).rows]
+    rows[4][2] += 1
+    doctored = tree.CountMatrix(tuple(map(tuple, rows)))
+    monkeypatch.setattr(tree, "count_matrix", lambda g_max, *, workers=1: doctored)
+    report = verify_bijection(8)
+    assert (report.passed, report.counterexample) == (False, "g=4 r=2: image size 1 vs table 2")
+
+
+def test_bijection_catches_a_wrong_decomposition(monkeypatch):
+    _decompose_into(monkeypatch, lambda back: SimpleNamespace(omega=None, b=back.b, g=back.g))
+    report = verify_bijection(8)
+    assert report.passed is False
+    assert report.counterexample == "g=4 r=2: decompose does not invert build on 1,3,5,7"
+
+
+def test_bijection_catches_a_build_that_does_not_invert(monkeypatch):
+    # same (omega, B), but read at genus g + 2
+    _decompose_into(
+        monkeypatch, lambda back: closedsets.PairDecomposition(back.omega, back.b, back.g + 2)
+    )
+    report = verify_bijection(8)
+    assert report.passed is False
+    assert report.counterexample == "g=4 r=2: build does not invert decompose on 1,3,5,7"
 
 
 def test_report_json_shape():

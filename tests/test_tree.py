@@ -177,6 +177,25 @@ def test_count_matrix_csv_json_round_trip():
     assert matrix.genus_total(9) == 118
 
 
+@pytest.mark.parametrize("body", [
+    "0,0,1\n0,1,5\n",               # row 0 has one cell
+    "0,0,1\n1,0,1\n2,0,1\n",       # row 2 lacks its r = 1 cell
+    "0,0,1\n1,0,1\n2,0,1\n3,0,1\n3,1,3\n",  # ... also when a later row follows
+    "0,0,1\n1,0,-1\n",              # negative count
+    "0,0,\u0661\n",                 # a non-ASCII digit
+    "0,0, 1\n",                      # a space
+    "0,0,1_0\n",                     # a digit separator
+    "0,0,+1\n",
+    "0,0\n",                         # two fields
+    "0,0,1,1\n",                     # four fields
+    "0,0,1\n2,0,1\n",               # row 1 missing
+    "0,0,1\n1,1,1\n",               # r out of order
+])
+def test_count_matrix_from_csv_rejects_malformed_tables(body):
+    with pytest.raises(ValueError):
+        CountMatrix.from_csv("g,r,count\n" + body)
+
+
 def test_tg_edges_depths():
     depths = {}
     for depth, (parents, children) in enumerate(tree._tg_levels(6), 1):
