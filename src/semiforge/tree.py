@@ -22,7 +22,9 @@ hangs below the ordinary semigroups, so every count splits along that
 ordinary spine: the spine is tallied directly, every non-ordinary child
 of a spine node is one task, counted in process or by forked workers,
 and the per-(genus, depth) tallies merge by addition, so results do not
-depend on the worker count.
+depend on the worker count.  A task is counted by a C kernel, built on
+first use by the system C compiler, or by its pure-Python original where
+that kernel cannot load.
 """
 
 from __future__ import annotations
@@ -44,6 +46,22 @@ _ROOT = (0b11, 0, -1, 0)  # bitmap, genus, frobenius, ordinarization number
 # to 21 pairs gave 56-63 vs 42-85, the pool faster in 1/15, 18/21, 2/21;
 # f_value(11) (343) gave 122-169 vs 80-101, faster in 15/15, 20/21, 21/21.
 _POOL_MIN_TASKS = 200
+
+# The same crossover for tables counted by the compiled kernel, which
+# makes each task about 40 times cheaper (same machine; median ms, serial
+# vs 2-worker pool, two runs of 21 interleaved pairs): count_matrix(27)
+# (351 tasks) 36-39 vs 46-57 (pool faster in 0 and 7), count_matrix(28)
+# (378) 60-62 vs 48-54 (17, 16), count_matrix(29) (406) 94-100 vs 69-72
+# (18, 19); count_matrix(30) 149 vs 93 (faster in 11 of 11 pairs).
+_COMPILED_POOL_MIN_TASKS = 28 * 27 // 2
+
+# The compiled kernel (``_kernel.c``) holds the window 2*g_max + 3 in one
+# 128-bit word.  ``_kernel`` is None until the first table looks for it,
+# then its count function, or False where it cannot load.
+_KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+_KERNEL_GMAX = 62
+_WORD = (1 << 64) - 1
+_kernel = None
 
 
 class TooLarge(RuntimeError):
@@ -96,9 +114,7 @@ class CountMatrix:
             if g != len(rows) - 1 or r != len(rows[g]) or r > g // 2:
                 raise ValueError(f"cell {line!r} is out of order or past r = g // 2")
             rows[g].append(count)
-        if any(len(row) != g // 2 + 1 for g, row in enumerate(rows)):
-            raise ValueError("every row g needs its floor(g/2) + 1 cells")
-        return cls(tuple(tuple(row) for row in rows))
+        return cls._checked(rows)
 
     def to_json_obj(self) -> dict:
         return {
@@ -108,8 +124,27 @@ class CountMatrix:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CountMatrix":
-        rows = [tuple(entry["counts"]) for entry in obj["rows"]]
-        return cls(tuple(rows))
+        rows = []
+        for g, entry in enumerate(obj["rows"]):
+            if type(entry["g"]) is not int or entry["g"] != g:
+                raise ValueError(f"row {g} is keyed g = {entry['g']!r}")
+            if not isinstance(entry["counts"], list):
+                raise ValueError(f"row {g} has no list of counts")
+            rows.append(entry["counts"])
+        return cls._checked(rows)
+
+    @classmethod
+    def _checked(cls, rows: list[list]) -> "CountMatrix":
+        """The table of ``rows``, refused unless it has a row and row g
+        holds floor(g/2) + 1 non-negative ints."""
+        if not rows:
+            raise ValueError("a table needs at least the row g = 0")
+        for g, row in enumerate(rows):
+            if len(row) != g // 2 + 1:
+                raise ValueError(f"row {g} needs floor(g/2) + 1 = {g // 2 + 1} cells, not {len(row)}")
+            if not all(type(count) is int and count >= 0 for count in row):
+                raise ValueError(f"row {g} holds a count that is no non-negative integer: {row!r:.100}")
+        return cls(tuple(tuple(row) for row in rows))
 
 
 # ----------------------------------------------------------------------
@@ -154,6 +189,21 @@ def _nodes(g_max: int) -> Iterator[Node]:
             stack.extend(_children(*node))
 
 
+def _task_start(root: Node, g_max: int) -> tuple[int, int, int, int, int, int]:
+    """The first stack entry of the count task under ``root`` (bitmap,
+    genus, depth, ``eff``, ``rev``; see ``_count_into``) and the task's
+    multiplicity m.  Refuses an ordinary root."""
+    W = 2 * g_max + 3
+    bitmap, g, frob, r = root
+    nonzero = bitmap & -2
+    m = (nonzero & -nonzero).bit_length() - 1
+    if m > g:
+        raise ValueError(f"the ordinary semigroup of genus {g} is not a count task")
+    members = (bitmap | -(1 << (g + g + 2))) & ((2 << W) - 2)
+    rev = int(format(members >> 1, f"0{W}b")[::-1], 2)
+    return bitmap, g, r, _effective_generators(bitmap, g, frob), rev, m
+
+
 def _count_into(rows: list[list[int]], root: Node, g_max: int) -> None:
     """Tally (genus, ordinarization number) for every node of the subtree
     under ``root``, which must be non-ordinary: its multiplicity m <= g
@@ -165,7 +215,8 @@ def _count_into(rows: list[list[int]], root: Node, g_max: int) -> None:
     generators ``eff`` and ``rev``, its non-zero members x in [1, W] as
     bits W - x (W = 2*g_max + 3), and a child's ``eff`` follows from its
     parent's (Fromentin and Hivert, "Exploring the tree of numerical
-    semigroups", Math. Comp. 2016).
+    semigroups", Math. Comp. 2016).  ``_kernel.c`` is this function in C,
+    and this one is its oracle.
 
     Inheritance rule.  Let S have multiplicity m < a, where a is the
     effective generator removed to give the child S' = S minus a, whose
@@ -180,18 +231,9 @@ def _count_into(rows: list[list[int]], root: Node, g_max: int) -> None:
     child without effective generators is tallied instead of pushed.
     """
     W = 2 * g_max + 3
-    bitmap, g, frob, r = root
-    nonzero = bitmap & -2
-    m = (nonzero & -nonzero).bit_length() - 1
-    if m > g:
-        raise ValueError(f"the ordinary semigroup of genus {g} is not a count task")
+    *start, m = _task_start(root, g_max)
     shift = W - m
-    members = (bitmap | -(1 << (g + g + 2))) & ((2 << W) - 2)
-    stack = [(
-        bitmap, g, r,
-        _effective_generators(bitmap, g, frob),
-        int(format(members >> 1, f"0{W}b")[::-1], 2),
-    )]
+    stack = [tuple(start)]
     push = stack.append
     pop = stack.pop
     while stack:
@@ -231,6 +273,90 @@ def _count_worker(payload: tuple[list[Node], int]) -> list[list[int]]:
     for task in tasks:
         _count_into(rows, task, g_max)
     return rows
+
+
+def _count_worker_compiled(payload: tuple[list[Node], int]) -> list[list[int]]:
+    """``_count_worker`` on the compiled kernel, which tallies into one
+    uint64 buffer of g_max // 2 + 1 cells per row."""
+    from ctypes import c_uint64
+
+    tasks, g_max = payload
+    if g_max > _KERNEL_GMAX:
+        raise ValueError(f"the compiled kernel counts to genus {_KERNEL_GMAX}, not {g_max}")
+    stride = g_max // 2 + 1
+    tally = (c_uint64 * ((g_max + 1) * stride))()
+    for task in tasks:
+        bitmap, g, r, eff, rev, m = _task_start(task, g_max)
+        words = (c_uint64 * 6)(*(x >> s & _WORD for x in (bitmap, eff, rev) for s in (0, 64)))
+        if _kernel(words, g, r, m, g_max, tally):
+            raise MemoryError("the compiled count kernel could not allocate its stack")
+    return [tally[g * stride : g * stride + g // 2 + 1] for g in range(g_max + 1)]
+
+
+def _compiled_kernel() -> Optional[Callable]:
+    """The compiled count function, looked for on the first call; None
+    where it cannot load."""
+    global _kernel
+    if _kernel is None:
+        _kernel = _load_kernel(_KERNEL_SOURCE) or False
+    return _kernel or None
+
+
+def _load_kernel(source: str) -> Optional[Callable]:
+    """``semiforge_count`` from the library built from ``source``, cached
+    in the __pycache__ beside it under a name keyed on the source and the
+    interpreter's platform tag, so that a stale or foreign build never
+    loads; None when there is no compiler, the build fails or the cache
+    cannot be written."""
+    import binascii  # a CRC keys the source; hashlib would load OpenSSL, 3.6 MB
+    import ctypes
+    from importlib.machinery import EXTENSION_SUFFIXES
+
+    try:
+        with open(source, "rb") as fh:
+            digest = f"{binascii.crc32(fh.read()):08x}"
+        library = os.path.join(os.path.dirname(source), "__pycache__", f"_kernel-{digest}{EXTENSION_SUFFIXES[0]}")
+        if not os.path.exists(library):
+            _build_kernel(source, library)
+        fn = ctypes.CDLL(library).semiforge_count
+    except OSError:
+        return None
+    words = ctypes.POINTER(ctypes.c_uint64)
+    fn.argtypes = [words, ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int, words]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _build_kernel(source: str, library: str) -> None:
+    """Compile ``source`` with the system C compiler into a temporary file
+    and move it to ``library``, so that processes building at once never
+    load a half-written library.  Raises OSError when the build fails."""
+    import subprocess
+    import tempfile
+
+    os.makedirs(os.path.dirname(library), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(library))
+    os.close(fd)
+    try:
+        done = subprocess.run(
+            ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, source],
+            stdin=subprocess.DEVNULL, capture_output=True,
+        )
+        if done.returncode:
+            raise OSError(f"cc exited {done.returncode}")
+        os.replace(tmp, library)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _count_plan(g_max: int) -> tuple[Callable, int]:
+    """The worker that counts a table to ``g_max``, and the fewest tasks
+    for which its pool pays: the compiled kernel where it loads and the
+    window 2*g_max + 3 fits its 128-bit word, else ``_count_worker``."""
+    if g_max <= _KERNEL_GMAX and _compiled_kernel():
+        return _count_worker_compiled, _COMPILED_POOL_MIN_TASKS
+    return _count_worker, _POOL_MIN_TASKS
 
 
 def _tg_children_raw(bitmap: int, genus: int) -> list[int]:
@@ -287,14 +413,14 @@ def _tg_levels(g: int, node_cap: float = math.inf) -> Iterator[tuple[list[int], 
         frontier = children
 
 
-def _run_tasks(fn: Callable, tasks: list, arg: object, workers: int) -> list:
+def _run_tasks(fn: Callable, tasks: list, arg: object, workers: int, min_tasks: int = _POOL_MIN_TASKS) -> list:
     """fn((chunk, arg)) over ``tasks``: one call in this process when there
-    is one worker or too few tasks to pay for a pool, else ``_fork_map``.
-    ``workers`` = 0 means one per CPU."""
+    is one worker or fewer than ``min_tasks`` tasks, too few to pay for a
+    pool, else ``_fork_map``.  ``workers`` = 0 means one per CPU."""
     if workers < 0:
         raise ValueError("workers must be >= 0")
     workers = workers or os.cpu_count() or 1
-    if workers == 1 or len(tasks) < _POOL_MIN_TASKS:
+    if workers == 1 or len(tasks) < min_tasks:
         return [fn((tasks, arg))]
     return _fork_map(fn, tasks, arg, workers)
 
@@ -343,20 +469,9 @@ def enumerate_genus(g: int, visitor: Optional[Callable[[Semigroup], None]] = Non
     return count
 
 
-def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
-    """Exact table of counts by genus and ordinarization number, g <= g_max.
-
-    The ordinary spine (the ordinary semigroups, genus 0 to g_max) is
-    tallied directly; the subtree under each non-ordinary child of a
-    spine node is one task, g_max*(g_max - 1)/2 in all, counted in this
-    process or by forked workers (see ``_run_tasks``).  Tallies merge by
-    addition.
-    """
-    if g_max < 0:
-        raise ValueError("g_max must be non-negative")
-    rows = _empty_rows(g_max)
-    for row in rows:
-        row[0] += 1  # the spine: one ordinary semigroup per genus, at depth 0
+def _spine_tasks(g_max: int) -> list[Node]:
+    """The count tasks of a table to ``g_max``: the non-ordinary children
+    of the ordinary semigroups of genus 0 to g_max - 1."""
     tasks = []
     spine = _ROOT
     for _ in range(g_max):
@@ -364,7 +479,26 @@ def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
         # removes the smallest, a = g + 1
         spine, *off_spine = _children(*spine)
         tasks.extend(off_spine)
-    for part in _run_tasks(_count_worker, tasks, g_max, workers):
+    return tasks
+
+
+def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
+    """Exact table of counts by genus and ordinarization number, g <= g_max.
+
+    The ordinary spine (the ordinary semigroups, genus 0 to g_max) is
+    tallied directly; the subtree under each non-ordinary child of a
+    spine node is one task, g_max*(g_max - 1)/2 in all, counted in this
+    process or by forked workers (see ``_run_tasks``), by the compiled
+    kernel where it loads and g_max <= 62, else by ``_count_into``
+    (see ``_count_plan``).  Tallies merge by addition.
+    """
+    if g_max < 0:
+        raise ValueError("g_max must be non-negative")
+    rows = _empty_rows(g_max)
+    for row in rows:
+        row[0] += 1  # the spine: one ordinary semigroup per genus, at depth 0
+    worker, min_tasks = _count_plan(g_max)
+    for part in _run_tasks(worker, _spine_tasks(g_max), g_max, workers, min_tasks):
         for row, counts in zip(rows, part):
             for r, c in enumerate(counts):
                 row[r] += c

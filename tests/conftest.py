@@ -26,6 +26,23 @@ def fork_calls(monkeypatch) -> list[tuple[int, int]]:
     return calls
 
 
+@pytest.fixture
+def python_kernel(monkeypatch) -> None:
+    """Count tables with the pure-Python kernel only."""
+    monkeypatch.setattr(tree, "_kernel", False)
+
+
+@pytest.fixture
+def compiled_kernel():
+    """The compiled count kernel; the test is skipped where it cannot load
+    (``test_kernel_loads_where_a_compiler_is_on_path`` fails instead when
+    a compiler is there)."""
+    kernel = tree._compiled_kernel()
+    if kernel is None:
+        pytest.skip("no compiled count kernel")
+    return kernel
+
+
 @pytest.fixture(scope="session")
 def semigroups_by_genus() -> dict[int, list[Semigroup]]:
     """All semigroups of genus <= 9, grouped by genus."""

@@ -35,12 +35,16 @@ def test_export_tree_dot_golden():
         assert _sha256(export_tree_dot(g)) == want, f"genus {g}"
 
 
-def test_count_matrix_csv_golden(fork_calls):
+def test_count_matrix_csv_golden(fork_calls, python_kernel):
     assert _sha256(count_matrix(20, workers=1).to_csv()) == TABLE_20_SHA256
     assert _sha256(count_matrix(20, workers=2).to_csv()) == TABLE_20_SHA256
     pooled = count_matrix(21, workers=2)
     assert _sha256(CountMatrix(pooled.rows[:21]).to_csv()) == TABLE_20_SHA256
     assert len(fork_calls) == 1  # the table at the pool cutoff came from the pool
+
+
+def test_compiled_count_matrix_csv_golden(compiled_kernel):
+    assert _sha256(count_matrix(20, workers=1).to_csv()) == TABLE_20_SHA256
 
 
 def test_enumerate_genus_order_golden():

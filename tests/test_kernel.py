@@ -1,0 +1,81 @@
+"""The compiled count kernel against its oracle, the pure-Python kernel,
+and the fallback to that kernel where the compiled one cannot load."""
+
+import shutil
+
+import pytest
+
+from semiforge import cli, count_matrix, tree
+from reference_tables import COUNTS_BY_GENUS
+
+
+def test_kernel_loads_where_a_compiler_is_on_path():
+    # without this, a broken build would pass every test on the slow path
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert tree._compiled_kernel() is not None
+
+
+def test_compiled_kernel_matches_python_per_task(compiled_kernel):
+    # task by task, so that errors in two tasks cannot cancel in the sum
+    for g_max in range(25):
+        for task in tree._spine_tasks(g_max):
+            payload = ([task], g_max)
+            assert tree._count_worker_compiled(payload) == tree._count_worker(payload), (g_max, task)
+
+
+def test_compiled_kernel_matches_python_in_the_top_word(compiled_kernel):
+    # the shallow tasks of a table to genus 62 fill both 64-bit halves of
+    # the window 2*62 + 3 = 127 without counting the table
+    tasks = [task for task in tree._spine_tasks(62) if task[1] >= 60]
+    assert len(tasks) == 59 + 60 + 61
+    for task in tasks:
+        payload = ([task], 62)
+        assert tree._count_worker_compiled(payload) == tree._count_worker(payload), task
+
+
+def test_compiled_kernel_counts_to_genus_62(compiled_kernel, monkeypatch):
+    assert tree._count_plan(62) == (tree._count_worker_compiled, tree._COMPILED_POOL_MIN_TASKS)
+    assert tree._count_plan(63) == (tree._count_worker, tree._POOL_MIN_TASKS)
+    with pytest.raises(ValueError, match="genus 62, not 63"):
+        tree._count_worker_compiled(([], 63))
+    monkeypatch.setattr(tree, "_kernel", False)
+    assert tree._count_plan(62) == (tree._count_worker, tree._POOL_MIN_TASKS)
+
+
+def test_compiled_tables_match_python_at_1_2_3_workers(compiled_kernel, fork_calls, monkeypatch):
+    want = count_matrix(29, workers=1).rows
+    assert [list(row) for row in want] == [COUNTS_BY_GENUS[g] for g in range(30)]
+    for workers in (2, 3):
+        for g in (21, 22, 27, 28, 29):
+            assert count_matrix(g, workers=workers).rows == want[: g + 1], (g, workers)
+    # compiled tasks are cheap enough that the pool pays only from genus
+    # 28, where the Python kernel's pays from 21
+    assert sum(range(27)) < tree._COMPILED_POOL_MIN_TASKS <= sum(range(28))
+    assert fork_calls == [(sum(range(g)), workers) for workers in (2, 3) for g in (28, 29)]
+    monkeypatch.setattr(tree, "_kernel", False)
+    for workers in (1, 2, 3):
+        assert count_matrix(22, workers=workers).rows == want[:23], workers
+
+
+@pytest.mark.parametrize("breakage", ["no compiler", "build fails", "cache unwritable"])
+def test_failed_build_falls_back_silently(breakage, tmp_path, monkeypatch, capfd):
+    assert cli.run(["table", "--gmax", "12"]) == 0
+    want = capfd.readouterr().out
+    source = tmp_path / "_kernel.c"
+    shutil.copy(tree._KERNEL_SOURCE, source)
+    if breakage == "no compiler":
+        monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    elif breakage == "build fails":
+        source.write_text("not C\n")
+    else:
+        (tmp_path / "__pycache__").write_text("")  # a file where the cache directory goes
+    monkeypatch.setattr(tree, "_KERNEL_SOURCE", str(source))
+    monkeypatch.setattr(tree, "_kernel", None)
+    assert [list(row) for row in count_matrix(20).rows] == [COUNTS_BY_GENUS[g] for g in range(21)]
+    assert tree._kernel is False
+    assert capfd.readouterr().out == ""
+    monkeypatch.setattr(tree, "_kernel", None)
+    assert cli.run(["table", "--gmax", "12"]) == 0
+    assert tree._kernel is False
+    assert capfd.readouterr().out == want

@@ -110,7 +110,7 @@ def test_count_matrix_matches_reference_to_16():
         assert list(matrix.row(g)) == COUNTS_BY_GENUS[g], f"genus {g}"
 
 
-def test_count_matrix_workers_deterministic(fork_calls):
+def test_count_matrix_workers_deterministic(fork_calls, python_kernel):
     # one task per non-ordinary child of the ordinary semigroups of genus
     # 0..g-1, so g = 21 is the first table with enough tasks for a pool
     assert sum(range(20)) < tree._POOL_MIN_TASKS <= sum(range(21))
@@ -120,7 +120,7 @@ def test_count_matrix_workers_deterministic(fork_calls):
     assert len(fork_calls) == 1  # below the crossover genus the count stays serial
 
 
-def test_count_matrix_workers_match_serial_across_crossover(fork_calls):
+def test_count_matrix_workers_match_serial_across_crossover(fork_calls, python_kernel):
     want = count_matrix(22, workers=1).rows
     for workers in (2, 3):
         for g in range(23):
@@ -161,11 +161,13 @@ def test_fork_map_more_workers_than_chunks():
 
 
 def test_count_into_refuses_ordinary_roots():
-    # an ordinary root also has the ordinary child, which the kernel never makes
+    # an ordinary root also has the ordinary child, which neither kernel makes
     ordinary = Semigroup.ordinary(2)
     for root in (tree._ROOT, (ordinary.bitmap, 2, 2, 0)):
         with pytest.raises(ValueError, match="ordinary"):
             tree._count_into(tree._empty_rows(5), root, 5)
+        with pytest.raises(ValueError, match="ordinary"):
+            tree._count_worker_compiled(([root], 5))
 
 
 def test_count_matrix_csv_json_round_trip():
@@ -194,6 +196,27 @@ def test_count_matrix_csv_json_round_trip():
 def test_count_matrix_from_csv_rejects_malformed_tables(body):
     with pytest.raises(ValueError):
         CountMatrix.from_csv("g,r,count\n" + body)
+
+
+def test_count_matrix_from_csv_rejects_a_table_without_rows():
+    with pytest.raises(ValueError, match="at least the row g = 0"):
+        CountMatrix.from_csv("g,r,count\n")
+
+
+@pytest.mark.parametrize("rows, match", [
+    ([{"g": 0, "counts": [1, 5]}, {"g": 3, "counts": [-2, "x"]}], "row 1 is keyed g = 3"),
+    ([{"g": 0, "counts": [1, 5]}, {"g": 1, "counts": [1]}], "row 0 needs floor"),
+    ([{"g": 0, "counts": [1]}, {"g": True, "counts": [1]}], "row 1 is keyed g = True"),
+    ([{"g": 0, "counts": [1]}, {"g": 1, "counts": [-1]}], "no non-negative integer"),
+    ([{"g": 0, "counts": [1]}, {"g": 1, "counts": ["1"]}], "no non-negative integer"),
+    ([{"g": 0, "counts": [True]}], "no non-negative integer"),
+    ([{"g": 0, "counts": [1.0]}], "no non-negative integer"),
+    ([{"g": 0, "counts": "1"}], "no list of counts"),
+    ([], "at least the row g = 0"),
+])
+def test_count_matrix_from_json_obj_rejects_malformed_tables(rows, match):
+    with pytest.raises(ValueError, match=match):
+        CountMatrix.from_json_obj({"rows": rows})
 
 
 def test_tg_edges_depths():
