@@ -1,6 +1,8 @@
-/* The count kernel of semiforge.tree._count_into, line for line, on
-   128-bit words: the window W = 2 g_max + 3 must fit one word, so
-   g_max <= 62.  See _count_into for the inheritance rule. */
+/* semiforge.tree._count_into on 128-bit words: the walk of _subtree,
+   tallied as it goes, with the last genus counted by a popcount and a
+   child without effective generators tallied instead of pushed.  The
+   window W = 2 g_max + 3 must fit one word, so g_max <= 62.  See
+   _subtree for the inheritance rule. */
 #include <stdint.h>
 #include <stdlib.h>
 

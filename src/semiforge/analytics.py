@@ -14,9 +14,8 @@ table-cell checks (``check_conjecture``, ``high_depth_cross_check``,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import closedsets, tree
 from .semigroup import Semigroup, _ordinarize_bitmap
@@ -36,20 +35,6 @@ class VerificationReport:
             "passed": self.passed,
             "counterexample": self.counterexample,
         }
-
-
-@dataclass(frozen=True)
-class SumsetProfile:
-    """|A+A| against the 2n-1 floor, with arithmetic-progression detection.
-
-    ``is_arithmetic`` is computed from consecutive differences, not from
-    the sumset, so the equality characterization stays a two-route check.
-    """
-
-    set_a: tuple[int, ...]
-    sumset_size: int
-    is_arithmetic: bool
-    common_difference: Optional[int]
 
 
 def _high_depth(g: int, r: int) -> bool:
@@ -120,48 +105,6 @@ def max_ordinarization_attainer(g: int) -> Semigroup:
 
 # ----------------------------------------------------------------------
 # sumsets
-
-def sumset_profile(a: Sequence[int]) -> SumsetProfile:
-    els = tuple(sorted(set(a)))
-    if not els:
-        raise ValueError("set must be non-empty")
-    if els[0] < 0:
-        raise ValueError("set must be non-negative")
-    bits = 0
-    for x in els:
-        bits |= 1 << x
-    acc = 0
-    for x in els:
-        acc |= bits << x
-    diffs = {b - a for a, b in zip(els, els[1:])}
-    arithmetic = len(diffs) <= 1
-    d = diffs.pop() if len(diffs) == 1 else None
-    return SumsetProfile(
-        set_a=els,
-        sumset_size=acc.bit_count(),
-        is_arithmetic=arithmetic,
-        common_difference=d,
-    )
-
-
-def freiman_progression_bound(a: Sequence[int]) -> Optional[int]:
-    """If |A+A| <= 3k - 4 (k = |A| >= 3), the bound |A+A| - k + 1 on the
-    length of an arithmetic progression containing A; None when the
-    hypothesis fails.  The containment is verified before returning."""
-    els = tuple(sorted(set(a)))
-    k = len(els)
-    if k < 3:
-        raise ValueError("need at least 3 elements")
-    size = sumset_profile(els).sumset_size
-    if size > 3 * k - 4:
-        return None
-    bound = size - k + 1
-    step = math.gcd(*(x - els[0] for x in els[1:]))
-    span = (els[-1] - els[0]) // step + 1
-    if span > bound:
-        raise AssertionError(f"{els} spans {span} > promised progression length {bound}")
-    return bound
-
 
 def verify_sumset_bound(max_value: int = 30, max_size: int = 6) -> VerificationReport:
     """Exhaustive |A+A| >= 2|A| - 1 over subsets of [0, max_value], with

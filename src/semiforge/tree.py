@@ -16,15 +16,17 @@ member `b` below the multiplicity; a candidate survives iff it is still
 additively closed, which one shift test per added member `b` decides
 because removing a minimal generator cannot break any old pair.
 
-Counting is streaming: traversals never materialize a whole genus
-except in the capped DOT export.  Most of the generator-removal tree
-hangs below the ordinary semigroups, so every count splits along that
-ordinary spine: the spine is tallied directly, every non-ordinary child
-of a spine node is one task, counted in process or by forked workers,
-and the per-(genus, depth) tallies merge by addition, so results do not
-depend on the worker count.  A task is counted by a C kernel, built on
-first use by the system C compiler, or by its pure-Python original where
-that kernel cannot load.
+Walks are streaming: they never materialize a whole genus except in
+the capped DOT export.  Most of the generator-removal tree hangs below
+the ordinary semigroups, so every walk splits along that ordinary
+spine: the spine is expanded by the definition, and the subtree under
+each non-ordinary child of a spine node, one task, by one walk
+(``_subtree``) in which every child inherits its effective generators
+from its parent.  A table tallies the spine directly and counts its
+tasks in process or by forked workers, by a C kernel, built on first
+use by the system C compiler, or by that walk where the kernel cannot
+load; the per-(genus, depth) tallies merge by addition, so results do
+not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -89,9 +91,6 @@ class CountMatrix:
         row = self.rows[g]
         return row[r] if 0 <= r < len(row) else 0
 
-    def genus_total(self, g: int) -> int:
-        return sum(self.rows[g])
-
     def to_csv(self) -> str:
         lines = ["g,r,count"]
         for g, row in enumerate(self.rows):
@@ -151,6 +150,7 @@ class CountMatrix:
 # raw engines (bitmap ints on the stack, no Semigroup objects)
 
 Node = tuple[int, int, int, int]  # bitmap, genus, frobenius, ordinarization number
+Entry = tuple[int, int, int, int, int, int]  # a Node's fields, then eff and rev (see _subtree)
 
 
 def _effective_generators(bitmap: int, genus: int, frobenius: int) -> int:
@@ -178,21 +178,32 @@ def _children(bitmap: int, g: int, frob: int, r: int) -> list[Node]:
     return out
 
 
+def _spine(g_max: int) -> Iterator[tuple[Node, list[Node]]]:
+    """The ordinary semigroups of genus 0 to g_max, each with its
+    non-ordinary children (none at g_max), the count tasks of a table."""
+    spine = _ROOT
+    for _ in range(g_max):
+        # children come by removed generator; the ordinary one removes g + 1
+        child, *tasks = _children(*spine)
+        yield spine, tasks
+        spine = child
+    yield spine, []
+
+
 def _nodes(g_max: int) -> Iterator[Node]:
-    """Every node with genus <= g_max, depth first from the root; the
-    order is deterministic and, within one genus, the enumeration order."""
-    stack = [_ROOT]
-    while stack:
-        node = stack.pop()
-        yield node
-        if node[1] < g_max:
-            stack.extend(_children(*node))
+    """Every node with genus <= g_max, depth first from the root, each
+    spine node followed by the subtrees under its non-ordinary children,
+    last first; within one genus, this is the enumeration order."""
+    for spine, tasks in _spine(g_max):
+        yield spine
+        for task in reversed(tasks):
+            for bitmap, g, frob, r, _eff, _rev in _subtree(task, g_max, g_max):
+                yield bitmap, g, frob, r
 
 
-def _task_start(root: Node, g_max: int) -> tuple[int, int, int, int, int, int]:
-    """The first stack entry of the count task under ``root`` (bitmap,
-    genus, depth, ``eff``, ``rev``; see ``_count_into``) and the task's
-    multiplicity m.  Refuses an ordinary root."""
+def _task_start(root: Node, g_max: int) -> tuple[Entry, int]:
+    """The first entry of ``_subtree(root, g_max, ...)``, built from
+    scratch, and the multiplicity m of the walk.  Refuses an ordinary root."""
     W = 2 * g_max + 3
     bitmap, g, frob, r = root
     nonzero = bitmap & -2
@@ -201,22 +212,21 @@ def _task_start(root: Node, g_max: int) -> tuple[int, int, int, int, int, int]:
         raise ValueError(f"the ordinary semigroup of genus {g} is not a count task")
     members = (bitmap | -(1 << (g + g + 2))) & ((2 << W) - 2)
     rev = int(format(members >> 1, f"0{W}b")[::-1], 2)
-    return bitmap, g, r, _effective_generators(bitmap, g, frob), rev, m
+    return (bitmap, g, frob, r, _effective_generators(bitmap, g, frob), rev), m
 
 
-def _count_into(rows: list[list[int]], root: Node, g_max: int) -> None:
-    """Tally (genus, ordinarization number) for every node of the subtree
-    under ``root``, which must be non-ordinary: its multiplicity m <= g
-    is then below every removed generator a > F >= g + 1, so m is the
-    whole subtree's and a child's depth is its parent's plus bit g + 1.
+def _subtree(task: Node, g_max: int, last: int) -> Iterator[Entry]:
+    """The non-ordinary ``task`` and every node below it down to genus
+    ``last`` <= ``g_max``, depth first in ``_nodes``' order, as (bitmap,
+    genus, Frobenius number, depth, ``eff``, ``rev``).
 
-    This is ``_children`` written out inline, except that no node below
-    ``root`` rebuilds its sum set: each stack entry carries its effective
-    generators ``eff`` and ``rev``, its non-zero members x in [1, W] as
-    bits W - x (W = 2*g_max + 3), and a child's ``eff`` follows from its
-    parent's (Fromentin and Hivert, "Exploring the tree of numerical
-    semigroups", Math. Comp. 2016).  ``_kernel.c`` is this function in C,
-    and this one is its oracle.
+    The multiplicity m <= g of ``task`` is below every removed generator
+    a > F >= g + 1, so m is the whole subtree's and a child's depth is its
+    parent's plus bit g + 1.  An entry carries ``rev``, its non-zero
+    members x in [1, W] as bits W - x (W = 2*g_max + 3), and a child's
+    ``eff`` follows from its parent's, so no node below ``task`` rebuilds
+    its sum set (Fromentin and Hivert, "Exploring the tree of numerical
+    semigroups", Math. Comp. 2016).  ``_kernel.c`` is this walk in C.
 
     Inheritance rule.  Let S have multiplicity m < a, where a is the
     effective generator removed to give the child S' = S minus a, whose
@@ -226,26 +236,22 @@ def _count_into(rows: list[list[int]], root: Node, g_max: int) -> None:
     m + (x - m) is a sum without a.  So the child's ``eff`` is the
     parent's above a, plus a + m exactly when a + m <= 2g + 3 (the
     child's window) and no pair of non-zero members of S' sums to it;
-    one AND against ``rev`` shifted by W - (a + m) decides that.  The
-    last genus is tallied by a popcount of each parent's ``eff``, and a
-    child without effective generators is tallied instead of pushed.
+    one AND against ``rev`` shifted by W - (a + m) decides that.
     """
     W = 2 * g_max + 3
-    *start, m = _task_start(root, g_max)
+    start, m = _task_start(task, g_max)
     shift = W - m
-    stack = [tuple(start)]
+    stack = [start]
     push = stack.append
     pop = stack.pop
     while stack:
-        bitmap, g, r, eff, rev = pop()
-        rows[g][r] += 1
-        if g == g_max or not eff:
+        entry = pop()
+        yield entry
+        bitmap, g, _frob, r, eff, rev = entry
+        if g >= last or not eff:
             continue
         g1 = g + 1
         rbase = r + ((bitmap >> g1) & 1)
-        if g1 == g_max:
-            rows[g1][rbase] += eff.bit_count()
-            continue
         head = g + g + 2
         extended = bitmap | (3 << head)
         nonzero = extended & -2
@@ -255,12 +261,19 @@ def _count_into(rows: list[list[int]], root: Node, g_max: int) -> None:
             eff ^= low
             a = low.bit_length() - 1
             child_rev = rev ^ (1 << (W - a))
-            if a <= a_max and not (nonzero ^ low) & (child_rev >> (shift - a)):
-                push((extended ^ low, g1, rbase, eff | (low << m), child_rev))
-            elif eff:
-                push((extended ^ low, g1, rbase, eff, child_rev))
-            else:
-                rows[g1][rbase] += 1
+            new = low << m if a <= a_max and not (nonzero ^ low) & (child_rev >> (shift - a)) else 0
+            push((extended ^ low, g1, a, rbase, eff | new, child_rev))
+
+
+def _count_into(rows: list[list[int]], root: Node, g_max: int) -> None:
+    """Tally (genus, ordinarization number) for every node under the
+    non-ordinary ``root``: ``_subtree`` to genus g_max - 1, then a popcount
+    of each parent's ``eff``.  ``_kernel.c`` is this in C; this is its oracle."""
+    last = g_max - 1
+    for bitmap, g, _frob, r, eff, _rev in _subtree(root, g_max, last):
+        rows[g][r] += 1
+        if g == last and eff:
+            rows[g_max][r + ((bitmap >> g_max) & 1)] += eff.bit_count()
 
 
 def _empty_rows(g_max: int) -> list[list[int]]:
@@ -286,7 +299,7 @@ def _count_worker_compiled(payload: tuple[list[Node], int]) -> list[list[int]]:
     stride = g_max // 2 + 1
     tally = (c_uint64 * ((g_max + 1) * stride))()
     for task in tasks:
-        bitmap, g, r, eff, rev, m = _task_start(task, g_max)
+        (bitmap, g, _frob, r, eff, rev), m = _task_start(task, g_max)
         words = (c_uint64 * 6)(*(x >> s & _WORD for x in (bitmap, eff, rev) for s in (0, 64)))
         if _kernel(words, g, r, m, g_max, tally):
             raise MemoryError("the compiled count kernel could not allocate its stack")
@@ -393,10 +406,16 @@ def _tg_levels(g: int, node_cap: float = math.inf) -> Iterator[tuple[list[int], 
     edges, in the order the parents were reached.
 
     Raises TooLarge as soon as the nodes reached, the root included,
-    exceed ``node_cap``, so an oversized level is never completed.
+    exceed ``node_cap``, so an oversized level is never completed; the
+    root's n_g1(g) children, about 3g^2/8, are counted before even the
+    root is made.
     """
-    frontier = [Semigroup.ordinary(g).bitmap]
+    from .analytics import n_g1_formula  # analytics imports this module
+
     room = node_cap - 1
+    if n_g1_formula(g) > room:
+        raise TooLarge(f"fixed-genus tree for g={g} exceeds {node_cap} nodes")
+    frontier = [Semigroup.ordinary(g).bitmap]
     while True:
         parents: list[int] = []
         children: list[int] = []
@@ -443,12 +462,6 @@ def _fork_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
 # ----------------------------------------------------------------------
 # public operations
 
-def children_in_T(s: Semigroup) -> list[Semigroup]:
-    """Genus g+1 children: remove one minimal generator above the Frobenius
-    number.  Sorted by the removed generator."""
-    return [Semigroup._from_bitmap(bm, s.genus + 1) for bm, *_ in _children(s.bitmap, s.genus, s.frobenius, 0)]
-
-
 def children_in_Tg(s: Semigroup) -> list[Semigroup]:
     """Same-genus children: every semigroup whose ordinarization transform
     is s.  Ordered by (added member, removed generator)."""
@@ -472,14 +485,7 @@ def enumerate_genus(g: int, visitor: Optional[Callable[[Semigroup], None]] = Non
 def _spine_tasks(g_max: int) -> list[Node]:
     """The count tasks of a table to ``g_max``: the non-ordinary children
     of the ordinary semigroups of genus 0 to g_max - 1."""
-    tasks = []
-    spine = _ROOT
-    for _ in range(g_max):
-        # children come by removed generator, and the ordinary child
-        # removes the smallest, a = g + 1
-        spine, *off_spine = _children(*spine)
-        tasks.extend(off_spine)
-    return tasks
+    return [task for _spine_node, tasks in _spine(g_max) for task in tasks]
 
 
 def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:

@@ -6,7 +6,6 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
 
 from semiforge import (
     Semigroup,
@@ -22,11 +21,7 @@ from semiforge import (
 )
 from semiforge import analytics, closedsets, tree
 from semiforge.cli import run
-from semiforge.analytics import (
-    freiman_progression_bound,
-    high_depth_cross_check,
-    sumset_profile,
-)
+from semiforge.analytics import high_depth_cross_check
 from reference_tables import COUNTS_BY_GENUS
 
 
@@ -58,62 +53,19 @@ def test_n_g1_increments():
 # ----------------------------------------------------------------------
 # sumsets
 
-def test_sumset_profile_examples():
-    p = sumset_profile((0, 2, 4))
-    assert p.sumset_size == 5 and p.is_arithmetic and p.common_difference == 2
-
-    p = sumset_profile((0, 1, 3))
-    assert p.sumset_size == 6 and not p.is_arithmetic
-    assert brute_sumset((0, 1, 3)) == {0, 1, 2, 3, 4, 6}
-
-    p = sumset_profile((5,))
-    assert p.sumset_size == 1 and p.is_arithmetic and p.common_difference is None
-
-
 def test_sumset_bound_small_exhaustive():
+    # the statement verify_sumset_bound checks, by brute force on its range
     for n in range(1, 5):
         for els in itertools.combinations(range(13), n):
             size = len(brute_sumset(els))
-            p = sumset_profile(els)
-            assert p.sumset_size == size
             assert size >= 2 * n - 1
-            assert (size == 2 * n - 1) == p.is_arithmetic
+            assert (size == 2 * n - 1) == (len({b - a for a, b in zip(els, els[1:])}) <= 1)
+    assert verify_sumset_bound(max_value=12, max_size=4).passed
 
 
 def test_verify_sumset_bound_report():
     report = verify_sumset_bound(max_value=14, max_size=4)
     assert report.passed and report.counterexample is None
-
-
-@given(st.sets(st.integers(min_value=0, max_value=60), min_size=1, max_size=8))
-def test_sumset_profile_matches_brute(els):
-    p = sumset_profile(tuple(els))
-    assert p.sumset_size == len(brute_sumset(els))
-
-
-def test_freiman_progression_bound_examples():
-    assert freiman_progression_bound((0, 2, 4, 6)) == 4
-    assert freiman_progression_bound((0, 1, 2, 9)) is None
-    with pytest.raises(ValueError):
-        freiman_progression_bound((0, 1))
-
-
-def test_freiman_bound_on_deep_semigroups():
-    # members up to g of a deep semigroup sit inside a progression of
-    # difference 2 (they are exactly the even members up to g)
-    import math
-
-    for g in range(6, 17):
-        def check(s, g=g):
-            r = s.ordinarization_number()
-            if 3 * r < g + 2 or r < 2:
-                return
-            members = tuple(s.members_upto(g))
-            bound = freiman_progression_bound(members)
-            assert bound is not None
-            assert math.gcd(*(x for x in members[1:])) == 2
-
-        enumerate_genus(g, check)
 
 
 # ----------------------------------------------------------------------

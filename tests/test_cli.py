@@ -1,6 +1,7 @@
 """CLI surface: formats, exit codes, and worker-count independence."""
 
 import json
+import time
 
 from semiforge.cli import run
 from reference_tables import COUNTS_BY_GENUS
@@ -167,6 +168,15 @@ def test_tree_export(tmp_path, capsys):
 
 def test_tree_node_cap_exits_4(tmp_path, capsys):
     assert run(["tree", "--genus", "6", "--dot", str(tmp_path / "x.dot"), "--node-cap", "5"]) == 4
+    assert not (tmp_path / "x.dot").exists()
+
+
+def test_tree_node_cap_refuses_a_huge_genus_at_once(tmp_path, capsys):
+    # the ordinary semigroup of genus 100 000 has about 3.75e9 children
+    started = time.perf_counter()
+    assert run(["tree", "--genus", "100000", "--dot", str(tmp_path / "x.dot"), "--node-cap", "1"]) == 4
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().err == "fixed-genus tree for g=100000 exceeds 1 nodes\n"
     assert not (tmp_path / "x.dot").exists()
 
 

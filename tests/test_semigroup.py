@@ -10,7 +10,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from semiforge import NotClosed, Semigroup, enumerate_genus, max_ordinarization_attainer
+from semiforge import NotClosed, Semigroup, enumerate_genus, max_ordinarization_attainer, tree
 
 
 def brute_minimal_generators(s: Semigroup) -> list[int]:
@@ -272,15 +272,14 @@ def test_gap_intervals_examples():
 def semigroups(draw):
     """Random semigroup of genus <= 9, drawn by a random walk down the
     generator-removal tree (some nodes are leaves; the walk stops there)."""
-    from semiforge.tree import children_in_T
-
     s = Semigroup.from_gaps([])
     depth = draw(st.integers(min_value=0, max_value=9))
     for _ in range(depth):
-        kids = children_in_T(s)
+        kids = tree._children(s.bitmap, s.genus, s.frobenius, 0)
         if not kids:
             break
-        s = kids[draw(st.integers(min_value=0, max_value=len(kids) - 1))]
+        bitmap, genus, *_ = kids[draw(st.integers(min_value=0, max_value=len(kids) - 1))]
+        s = Semigroup._from_bitmap(bitmap, genus)
     return s
 
 

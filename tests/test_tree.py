@@ -15,12 +15,17 @@ from semiforge import (
     export_tree_dot,
     f_value,
     max_ordinarization_attainer,
+    n_g1_formula,
     tg_bfs_row,
     tree,
 )
 from semiforge.semigroup import _ordinarize_bitmap, _sum_bitmap
-from semiforge.tree import children_in_T
 from reference_tables import COUNTS_BY_GENUS, FIG6_EDGES, FIG6_NODES_BY_DEPTH
+
+
+def children_in_T(s):
+    """The genus g + 1 children of ``s`` in the generator-removal tree."""
+    return [Semigroup._from_bitmap(bm, g1) for bm, g1, *_ in tree._children(s.bitmap, s.genus, s.frobenius, 0)]
 
 
 def test_children_in_T_of_root():
@@ -176,7 +181,7 @@ def test_count_matrix_csv_json_round_trip():
     assert CountMatrix.from_json_obj(matrix.to_json_obj()) == matrix
     assert matrix.to_csv().startswith("g,r,count\n0,0,1\n")
     assert matrix.cell(9, 4) == 1 and matrix.cell(9, 5) == 0
-    assert matrix.genus_total(9) == 118
+    assert sum(matrix.row(9)) == 118
 
 
 @pytest.mark.parametrize("body", [
@@ -260,6 +265,20 @@ def test_export_dot_node_cap():
     assert export_tree_dot(6, node_cap=23) == export_tree_dot(6)  # 23 nodes
 
 
+def test_export_dot_refuses_exactly_the_trees_over_the_cap():
+    # the ordinary root's n_g1(g) children are counted before any is made,
+    # and the refusals stay those of counting every node as it is made
+    for g in range(9):
+        size = sum(tg_bfs_row(g))
+        assert len(tree._tg_children_raw(Semigroup.ordinary(g).bitmap, g)) == n_g1_formula(g)
+        for cap in range(size + 2):
+            if cap < size:
+                with pytest.raises(TooLarge, match=f"^fixed-genus tree for g={g} exceeds {cap} nodes$"):
+                    export_tree_dot(g, node_cap=cap)
+            else:
+                assert export_tree_dot(g, node_cap=cap) == export_tree_dot(g), (g, cap)
+
+
 def test_export_dot_refused_before_oversized_level(monkeypatch):
     # genus 36 has 38 217 nodes at depth <= 2 and 899 285 at depth 3; the
     # walk must stop expanding depth-2 nodes once the cap is crossed
@@ -328,24 +347,41 @@ def test_tg_children_complete_by_definition():
 
 
 def test_effective_generators_inherited_down_T():
-    # the rule the counting kernel relies on: removing the effective
-    # generator a from a non-ordinary S (multiplicity m) keeps S's effective
-    # generators above a and adds a + m exactly when a + m is no sum of two
-    # non-zero members of the child (within its window [0, 2g + 1])
+    # the rule the walk under each count task relies on: removing the
+    # effective generator a from a non-ordinary S (multiplicity m) keeps S's
+    # effective generators above a and adds a + m exactly when a + m is no
+    # sum of two non-zero members of the child (within its window
+    # [0, 2g + 1]); and the state ``_subtree`` carries to every node of
+    # genus <= 16 equals the state built from scratch
     edges = 0
-    for bitmap, g, frob, _r in tree._nodes(15):
-        nonzero = bitmap & -2
-        m = (nonzero & -nonzero).bit_length() - 1
-        if m == g + 1:
-            continue  # the ordinary semigroup
-        eff = tree._effective_generators(bitmap, g, frob)
-        for child, g1, a, _r1 in tree._children(bitmap, g, frob, 0):
-            s = a + m
-            new = s <= 2 * g1 + 1 and not (_sum_bitmap(child, g1) >> s) & 1
-            assert tree._effective_generators(child, g1, a) == (eff & -(2 << a)) | (new << s)
-            edges += 1
+    for task in tree._spine_tasks(16):
+        for entry in tree._subtree(task, 16, 16):
+            assert entry == tree._task_start(entry[:4], 16)[0]
+            bitmap, g, frob, _r, eff, _rev = entry
+            nonzero = bitmap & -2
+            m = (nonzero & -nonzero).bit_length() - 1
+            for child, g1, a, _r1 in tree._children(bitmap, g, frob, 0) if g < 16 else ():
+                s = a + m
+                new = s <= 2 * g1 + 1 and not (_sum_bitmap(child, g1) >> s) & 1
+                assert tree._effective_generators(child, g1, a) == (eff & -(2 << a)) | (new << s)
+                edges += 1
     # every edge into genus 1..16 except the g children of each ordinary parent
     assert edges == sum(sum(COUNTS_BY_GENUS[g]) - g for g in range(1, 17))
+
+
+def test_nodes_match_a_walk_by_definition():
+    # a plain depth-first walk that expands every node by ``_children``;
+    # cutting it at genus g_max keeps the order of what is left
+    want = []
+    stack = [tree._ROOT]
+    while stack:
+        node = stack.pop()
+        want.append(node)
+        if node[1] < 18:
+            stack.extend(tree._children(*node))
+    assert len(want) == sum(sum(COUNTS_BY_GENUS[g]) for g in range(19))
+    for g_max in range(-1, 19):
+        assert list(tree._nodes(g_max)) == [node for node in want if node[1] <= max(g_max, 0)], g_max
 
 
 def test_T_children_complete_by_definition():
