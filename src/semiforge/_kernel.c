@@ -1,8 +1,17 @@
-/* semiforge.tree._count_into on 128-bit words: the walk of _subtree,
-   tallied as it goes, with the last genus counted by a popcount and a
-   child without effective generators tallied instead of pushed.  The
-   window W = 2 g_max + 3 must fit one word, so g_max <= 62.  See
-   _subtree for the inheritance rule. */
+/* Two counts on machine words, each the compiled twin of a Python
+   oracle that stays as the fallback.
+
+   semiforge_count is semiforge.tree._count_into on 128-bit words: the
+   walk of _subtree, tallied as it goes, with the last genus counted by a
+   popcount and a child without effective generators tallied instead of
+   pushed.  The window W = 2 g_max + 3 must fit one word, so g_max <= 62.
+   See _subtree for the inheritance rule.
+
+   semiforge_closed is the counting branch of
+   semiforge.closedsets._closed_masks and _descend on 64-bit words: the
+   closed sets of size genus + 1 over each semigroup of a chunk.  Every
+   maximum is at most 2 genus and the window [0, 2 genus + 1] must fit one
+   word, so genus <= 31. */
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -52,4 +61,45 @@ int semiforge_count(const uint64_t *root, int g, int r, int m, int g_max, uint64
     }
     free(stack);
     return 0;
+}
+
+/* Ways to add `left` more of the candidates j >= idx to `chosen`;
+   candidate j, the gap gap[j], is admissible once its required mask
+   reqs[j] is chosen.  The last choice is counted, never recursed into. */
+static uint64_t descend(const uint64_t *reqs, const int *gap, int n, int idx, uint64_t chosen, int left) {
+    uint64_t total = 0, unchosen = ~chosen;
+    for (int j = idx; j <= n - left; j++)
+        if (!(reqs[j] & unchosen))
+            total += left > 1 ? descend(reqs, gap, n, j + 1, chosen | (uint64_t)1 << gap[j], left - 1) : 1;
+    return total;
+}
+
+/* bitmaps: n membership windows [0, 2 genus + 1] of semigroups of genus
+   `genus`.  Returns the sum over them of the closed sets of size
+   genus + 1 that contain 0, grouped by their maximum top as in
+   _closed_masks: the members below top are forced, and the free gaps
+   below it are decided largest first. */
+uint64_t semiforge_closed(const uint64_t *bitmaps, int n, int genus) {
+    uint64_t total = 0, reqs[64];
+    int gap[64];
+    for (int i = 0; i < n; i++) {
+        uint64_t members = bitmaps[i], nonzero = members & ~(uint64_t)1, rest = members;
+        for (int k = 0; k < genus; k++) rest &= rest - 1;
+        int last = __builtin_ctzll(rest);  /* the genus-th member, at most 2 genus */
+        for (int top = genus; top <= last; top++) {
+            uint64_t top_mask = ((uint64_t)1 << top) - 1, below = members & top_mask;
+            int need = genus - __builtin_popcountll(below), nf = 0;  /* >= 0 as top <= last */
+            if (!need) {
+                total++;
+                continue;
+            }
+            for (int x = top - 1; x > 0; x--)
+                if (!(below >> x & 1)) {
+                    gap[nf] = x;
+                    reqs[nf++] = (nonzero << x) & top_mask & ~below;
+                }
+            total += descend(reqs, gap, nf, 0, below | (uint64_t)1 << top, need);
+        }
+    }
+    return total;
 }

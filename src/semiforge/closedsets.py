@@ -19,16 +19,35 @@ Both directions are implemented and are exact inverses; the number of
 genus-g semigroups at depth r therefore depends only on w, giving the
 sequence summed here by ``f_value``.  Listing and counting share one
 pruned descent over membership bitmaps, but counting never lists: it
-tallies the last choice in place and builds no set.
+tallies the last choice in place and builds no set.  ``f_value`` runs
+that count in the compiled kernel (``semiforge_closed`` in
+``_kernel.c``) for w <= 31 where the kernel loads, and in this descent,
+its oracle, everywhere else, with the same result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 from .semigroup import Semigroup
-from .tree import _nodes, _run_tasks
+from .tree import _compiled_kernel, _nodes, _run_tasks
+
+# f_value has one task per semigroup of genus w, and forks only from
+# this many (2 CPUs, Python 3.11; median ms, serial vs 2-worker pool,
+# interleaved pairs).  In Python: w = 9 (118 tasks) 12 vs 27 (pool faster
+# in 0/21); w = 10 (204) sits on the crossover, 40-64 vs 42-47 over runs
+# of 11, 21 and 21 pairs, faster in 10/11, 9/21, 18/21, against 1/15,
+# 18/21 and 2/21 earlier; w = 11 (343) 132-159 vs 82-87 (11/11, 21/21).
+_F_POOL_MIN_TASKS = 343
+# Compiled, where each task is about 50 times cheaper: w = 13 (1001) 20
+# vs 43 (0/11); w = 14 (1661) 46-51 vs 52-69 (0/11, 4/21, 6/11); w = 15
+# (2857) 115-135 vs 95-105 (11/11, 20/21, 10/11); w = 16 (4806) 299-359
+# vs 225-254 (11/11, 10/11).
+_COMPILED_F_POOL_MIN_TASKS = 2857
+
+# The compiled count holds the window [0, 2w + 1] in one 64-bit word.
+_KERNEL_OMEGA_MAX = 31
 
 
 class PreconditionViolated(ValueError):
@@ -182,6 +201,25 @@ def _f_worker(payload: tuple[list[int], int]) -> int:
     return total
 
 
+def _f_worker_compiled(payload: tuple[list[int], int]) -> int:
+    """``_f_worker`` on the compiled kernel, one call per chunk."""
+    from ctypes import c_uint64
+
+    bitmaps, genus = payload
+    if genus > _KERNEL_OMEGA_MAX:
+        raise ValueError(f"the compiled kernel counts closed sets to genus {_KERNEL_OMEGA_MAX}, not {genus}")
+    return _compiled_kernel().semiforge_closed((c_uint64 * len(bitmaps))(*bitmaps), len(bitmaps), genus)
+
+
+def _f_plan(genus: int) -> tuple[Callable, int]:
+    """The worker that sums the closed-set counts over genus ``genus``,
+    and the fewest tasks for which its pool pays: the compiled kernel
+    where it loads and the window fits its 64-bit word, else ``_f_worker``."""
+    if genus <= _KERNEL_OMEGA_MAX and _compiled_kernel():
+        return _f_worker_compiled, _COMPILED_F_POOL_MIN_TASKS
+    return _f_worker, _F_POOL_MIN_TASKS
+
+
 def f_value(omega_genus: int, *, workers: int = 1) -> int:
     """Sum of the closed-set counts of size w+1 over every semigroup of
     genus w.  Equals the number of genus-g semigroups at depth r whenever
@@ -189,7 +227,8 @@ def f_value(omega_genus: int, *, workers: int = 1) -> int:
     if omega_genus < 0:
         raise ValueError("genus must be non-negative")
     bitmaps = [bm for bm, g, _frob, _r in _nodes(omega_genus) if g == omega_genus]
-    return sum(_run_tasks(_f_worker, bitmaps, omega_genus, workers))
+    worker, min_tasks = _f_plan(omega_genus)
+    return sum(_run_tasks(worker, bitmaps, omega_genus, workers, min_tasks))
 
 
 # ----------------------------------------------------------------------

@@ -34,9 +34,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from .semigroup import Semigroup, _sum_bitmap
+
+if TYPE_CHECKING:
+    import ctypes
 
 _ROOT = (0b11, 0, -1, 0)  # bitmap, genus, frobenius, ordinarization number
 
@@ -44,9 +47,7 @@ _ROOT = (0b11, 0, -1, 0)  # bitmap, genus, frobenius, ordinarization number
 # tasks (2 CPUs, Python 3.11; median ms, serial vs 2-worker pool, 21
 # interleaved pairs): count_matrix(20) (190 tasks) 53 vs 83 (pool faster
 # in 4), count_matrix(21) (210) 77 vs 62 (16), count_matrix(22) (231) 126
-# vs 106 (19).  f_value(10) (204) sits on the crossover: three runs of 15
-# to 21 pairs gave 56-63 vs 42-85, the pool faster in 1/15, 18/21, 2/21;
-# f_value(11) (343) gave 122-169 vs 80-101, faster in 15/15, 20/21, 21/21.
+# vs 106 (19).  ``closedsets`` measures its own cutoffs.
 _POOL_MIN_TASKS = 200
 
 # The same crossover for tables counted by the compiled kernel, which
@@ -58,8 +59,8 @@ _POOL_MIN_TASKS = 200
 _COMPILED_POOL_MIN_TASKS = 28 * 27 // 2
 
 # The compiled kernel (``_kernel.c``) holds the window 2*g_max + 3 in one
-# 128-bit word.  ``_kernel`` is None until the first table looks for it,
-# then its count function, or False where it cannot load.
+# 128-bit word.  ``_kernel`` is None until the first table or f-value
+# looks for it, then the loaded library, or False where it cannot load.
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _KERNEL_GMAX = 62
 _WORD = (1 << 64) - 1
@@ -301,13 +302,13 @@ def _count_worker_compiled(payload: tuple[list[Node], int]) -> list[list[int]]:
     for task in tasks:
         (bitmap, g, _frob, r, eff, rev), m = _task_start(task, g_max)
         words = (c_uint64 * 6)(*(x >> s & _WORD for x in (bitmap, eff, rev) for s in (0, 64)))
-        if _kernel(words, g, r, m, g_max, tally):
+        if _kernel.semiforge_count(words, g, r, m, g_max, tally):
             raise MemoryError("the compiled count kernel could not allocate its stack")
     return [tally[g * stride : g * stride + g // 2 + 1] for g in range(g_max + 1)]
 
 
-def _compiled_kernel() -> Optional[Callable]:
-    """The compiled count function, looked for on the first call; None
+def _compiled_kernel() -> Optional[ctypes.CDLL]:
+    """The compiled kernel library, looked for on the first call; None
     where it cannot load."""
     global _kernel
     if _kernel is None:
@@ -315,8 +316,9 @@ def _compiled_kernel() -> Optional[Callable]:
     return _kernel or None
 
 
-def _load_kernel(source: str) -> Optional[Callable]:
-    """``semiforge_count`` from the library built from ``source``, cached
+def _load_kernel(source: str) -> Optional[ctypes.CDLL]:
+    """The library built from ``source``, with the signatures of
+    ``semiforge_count`` and ``semiforge_closed`` declared, cached
     in the __pycache__ beside it under a name keyed on the source and the
     interpreter's platform tag, so that a stale or foreign build never
     loads; None when there is no compiler, the build fails or the cache
@@ -331,13 +333,15 @@ def _load_kernel(source: str) -> Optional[Callable]:
         library = os.path.join(os.path.dirname(source), "__pycache__", f"_kernel-{digest}{EXTENSION_SUFFIXES[0]}")
         if not os.path.exists(library):
             _build_kernel(source, library)
-        fn = ctypes.CDLL(library).semiforge_count
+        lib = ctypes.CDLL(library)
     except OSError:
         return None
-    words = ctypes.POINTER(ctypes.c_uint64)
-    fn.argtypes = [words, ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int, words]
-    fn.restype = ctypes.c_int
-    return fn
+    words, c_int = ctypes.POINTER(ctypes.c_uint64), ctypes.c_int
+    lib.semiforge_count.argtypes = [words, c_int, c_int, c_int, c_int, words]
+    lib.semiforge_count.restype = c_int
+    lib.semiforge_closed.argtypes = [words, c_int, c_int]
+    lib.semiforge_closed.restype = ctypes.c_uint64
+    return lib
 
 
 def _build_kernel(source: str, library: str) -> None:
@@ -432,7 +436,7 @@ def _tg_levels(g: int, node_cap: float = math.inf) -> Iterator[tuple[list[int], 
         frontier = children
 
 
-def _run_tasks(fn: Callable, tasks: list, arg: object, workers: int, min_tasks: int = _POOL_MIN_TASKS) -> list:
+def _run_tasks(fn: Callable, tasks: list, arg: object, workers: int, min_tasks: int) -> list:
     """fn((chunk, arg)) over ``tasks``: one call in this process when there
     is one worker or fewer than ``min_tasks`` tasks, too few to pay for a
     pool, else ``_fork_map``.  ``workers`` = 0 means one per CPU."""

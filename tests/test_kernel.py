@@ -1,12 +1,14 @@
-"""The compiled count kernel against its oracle, the pure-Python kernel,
-and the fallback to that kernel where the compiled one cannot load."""
+"""The compiled kernel's two counts against their oracles, the
+pure-Python tree kernel and closed-set descent, and the fallback to
+those where the compiled kernel cannot load."""
 
 import shutil
 
 import pytest
 
-from semiforge import cli, count_matrix, tree
-from reference_tables import COUNTS_BY_GENUS
+from semiforge import Semigroup, cli, closedsets, count_matrix, f_value, max_ordinarization_attainer, tree
+from semiforge.closedsets import count_closed_sets
+from reference_tables import COUNTS_BY_GENUS, F_SEQUENCE
 
 
 def test_kernel_loads_where_a_compiler_is_on_path():
@@ -58,10 +60,56 @@ def test_compiled_tables_match_python_at_1_2_3_workers(compiled_kernel, fork_cal
         assert count_matrix(22, workers=workers).rows == want[:23], workers
 
 
+def _compiled_closed_count(omega: Semigroup) -> int:
+    return closedsets._f_worker_compiled(([omega.bitmap], omega.genus))
+
+
+def test_compiled_closed_count_matches_python_per_semigroup(compiled_kernel):
+    # one bitmap per call, so that errors in two semigroups cannot cancel
+    checked = 0
+    for bitmap, g, _frob, _r in tree._nodes(12):
+        omega = Semigroup._from_bitmap(bitmap, g)
+        assert _compiled_closed_count(omega) == count_closed_sets(omega, g + 1), omega
+        checked += 1
+    assert checked == sum(sum(COUNTS_BY_GENUS[g]) for g in range(13))
+
+
+@pytest.mark.parametrize("w", [29, 30, 31])
+def test_compiled_closed_count_matches_python_in_the_top_bits(compiled_kernel, w):
+    # the deepest semigroup's window [0, 2w + 1] reaches bit 63 at w = 31
+    omega = max_ordinarization_attainer(w)
+    assert _compiled_closed_count(omega) == count_closed_sets(omega, w + 1) == w + 1
+
+
+def test_compiled_f_value_matches_the_published_sequence(compiled_kernel):
+    assert [f_value(w) for w in range(len(F_SEQUENCE))] == F_SEQUENCE
+
+
+def test_compiled_kernel_counts_closed_sets_to_genus_31(compiled_kernel, monkeypatch):
+    compiled = (closedsets._f_worker_compiled, closedsets._COMPILED_F_POOL_MIN_TASKS)
+    python = (closedsets._f_worker, closedsets._F_POOL_MIN_TASKS)
+    assert closedsets._f_plan(31) == compiled
+    assert closedsets._f_plan(32) == python
+    with pytest.raises(ValueError, match="genus 31, not 32"):
+        closedsets._f_worker_compiled(([], 32))
+    monkeypatch.setattr(tree, "_kernel", False)
+    assert closedsets._f_plan(31) == python
+
+
+def test_compiled_f_value_forks_only_from_genus_15(compiled_kernel, fork_calls):
+    # a compiled genus-14 count takes about 50 ms, less than the pool costs
+    assert sum(COUNTS_BY_GENUS[14]) < closedsets._COMPILED_F_POOL_MIN_TASKS <= sum(COUNTS_BY_GENUS[15])
+    assert [f_value(w, workers=2) for w in range(14)] == F_SEQUENCE[:14]
+    assert fork_calls == []
+    assert f_value(15, workers=2) == f_value(15, workers=1)
+    assert fork_calls == [(sum(COUNTS_BY_GENUS[15]), 2)]
+
+
 @pytest.mark.parametrize("breakage", ["no compiler", "build fails", "cache unwritable"])
 def test_failed_build_falls_back_silently(breakage, tmp_path, monkeypatch, capfd):
-    assert cli.run(["table", "--gmax", "12"]) == 0
-    want = capfd.readouterr().out
+    argvs = (["table", "--gmax", "12"], ["fseq", "--omega-max", "9"])
+    assert [cli.run(argv) for argv in argvs] == [0, 0]
+    want = capfd.readouterr()
     source = tmp_path / "_kernel.c"
     shutil.copy(tree._KERNEL_SOURCE, source)
     if breakage == "no compiler":
@@ -75,7 +123,8 @@ def test_failed_build_falls_back_silently(breakage, tmp_path, monkeypatch, capfd
     assert [list(row) for row in count_matrix(20).rows] == [COUNTS_BY_GENUS[g] for g in range(21)]
     assert tree._kernel is False
     assert capfd.readouterr().out == ""
-    monkeypatch.setattr(tree, "_kernel", None)
-    assert cli.run(["table", "--gmax", "12"]) == 0
-    assert tree._kernel is False
-    assert capfd.readouterr().out == want
+    for argv in argvs:
+        monkeypatch.setattr(tree, "_kernel", None)
+        assert cli.run(argv) == 0
+        assert tree._kernel is False
+    assert capfd.readouterr() == want

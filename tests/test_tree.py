@@ -133,11 +133,13 @@ def test_count_matrix_workers_match_serial_across_crossover(fork_calls, python_k
     assert fork_calls == [(sum(range(g)), workers) for workers in (2, 3) for g in (21, 22)]
 
 
-def test_negative_workers_rejected():
-    with pytest.raises(ValueError, match="workers must be >= 0"):
-        count_matrix(5, workers=-1)
-    with pytest.raises(ValueError, match="workers must be >= 0"):
-        f_value(3, workers=-1)
+def test_negative_workers_rejected(monkeypatch):
+    for kernel in (None, False):  # the compiled kernel where it loads, then Python
+        monkeypatch.setattr(tree, "_kernel", kernel)
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            count_matrix(5, workers=-1)
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            f_value(3, workers=-1)
 
 
 def test_serial_runs_never_import_multiprocessing():
