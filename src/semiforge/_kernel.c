@@ -1,4 +1,4 @@
-/* Two counts on machine words, each the compiled twin of a Python
+/* Three walks on machine words, each the compiled twin of a Python
    oracle that stays as the fallback.
 
    semiforge_count is semiforge.tree._count_into on 128-bit words: the
@@ -11,7 +11,13 @@
    semiforge.closedsets._closed_masks and _descend on 64-bit words: the
    closed sets of size genus + 1 over each semigroup of a chunk.  Every
    maximum is at most 2 genus and the window [0, 2 genus + 1] must fit one
-   word, so genus <= 31. */
+   word, so genus <= 31.
+
+   semiforge_tg_level is semiforge.tree._tg_level on 64-bit words: one
+   level of the breadth-first walk of the fixed-genus tree, each child
+   with its effective generators.  The window [0, 2 genus + 1] must fit
+   one word, so genus <= 31; at 31 it is the whole word, and no shift may
+   reach 64. */
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -102,4 +108,54 @@ uint64_t semiforge_closed(const uint64_t *bitmaps, int n, int genus) {
         }
     }
     return total;
+}
+
+/* Effective generators of the genus-g semigroup `bitmap` (window `mask`):
+   its minimal generators above its Frobenius number, the same as
+   semiforge.tree._effective_generators.  Every sum of two non-zero
+   members inside the window has a summand in [1, g]. */
+static uint64_t effective(uint64_t bitmap, int g, uint64_t mask) {
+    uint64_t nonzero = bitmap & ~(uint64_t)1, sums = 0, small = bitmap & (((uint64_t)2 << g) - 2);
+    while (small) {
+        sums |= nonzero << __builtin_ctzll(small);
+        small &= small - 1;
+    }
+    int frob = 63 - __builtin_clzll(~bitmap & mask);  /* genus >= 1: a gap exists */
+    return nonzero & ~sums & mask & ~(((uint64_t)2 << frob) - 1);
+}
+
+/* bitmaps, effs: the n semigroups of one level of the genus-`genus` tree
+   and their effective generators.  Returns the number of children, -1 as
+   soon as there are more than `cap`, and writes each child, ordered by
+   parent and then by (added b, removed a), with its own effective
+   generators and its parent's index, unless `children` is NULL.  S + b
+   is closed only if b + m is in S (m the multiplicity), so the other
+   b < m are skipped before the shift test. */
+int semiforge_tg_level(const uint64_t *bitmaps, const uint64_t *effs, int n, int genus,
+                       uint64_t *children, uint64_t *child_effs, int *parents, int cap) {
+    uint64_t mask = genus >= 31 ? ~(uint64_t)0 : ((uint64_t)1 << (2 * genus + 2)) - 1;
+    int count = 0;
+    for (int i = 0; i < n; i++) {
+        uint64_t bitmap = bitmaps[i], nonzero = bitmap & ~(uint64_t)1;
+        int m = __builtin_ctzll(nonzero);
+        for (int b = 1; b < m; b++) {
+            if (!(bitmap >> (b + m) & 1))
+                continue;
+            uint64_t added = (uint64_t)1 << b, sums = (nonzero | added) << b;
+            if (sums & mask & ~(bitmap | added))
+                continue;
+            for (uint64_t kept = effs[i] & ~sums; kept; kept &= kept - 1) {
+                if (count == cap)
+                    return -1;
+                if (children) {
+                    uint64_t child = (bitmap ^ (kept & -kept)) | added;
+                    children[count] = child;
+                    child_effs[count] = effective(child, genus, mask);
+                    parents[count] = i;
+                }
+                count++;
+            }
+        }
+    }
+    return count;
 }

@@ -15,7 +15,7 @@ table-cell checks (``check_conjecture``, ``high_depth_cross_check``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import closedsets, tree
 from .semigroup import Semigroup, _ordinarize_bitmap
@@ -260,6 +260,31 @@ def _raw_adjoin_frobenius(bitmap: int, g: int) -> int:
     return (bitmap | (1 << frob)) & ((1 << (2 * g)) - 1)
 
 
+def _expand_checked(bitmap: int, g: int, eff: int, transform: int, nxt: set[int], bad: _Counterexamples) -> None:
+    """Add the children of ``bitmap`` in the generator-removal tree, one
+    per effective generator in ``eff``, to ``nxt``, and check that their
+    transforms adjoin back to the parent's ``transform`` and that the
+    non-ordinary ones share one transform."""
+    g1 = g + 1
+    extended = bitmap | (3 << (2 * g + 2))
+    first = None
+    while eff:
+        low = eff & -eff
+        eff ^= low
+        child = extended ^ low
+        nxt.add(child)
+        child_t = _ordinarize_bitmap(child, g1)
+        if _raw_adjoin_frobenius(child_t, g1) != transform:
+            bad.add(g1, Semigroup._from_bitmap(child, g1).gaps(), "transform left the ancestor line")
+        cm = ((child & -2) & -(child & -2)).bit_length() - 1
+        if cm > g1:  # the ordinary child
+            continue
+        if first is None:
+            first = child_t
+        elif child_t != first:
+            bad.add(g1, Semigroup._from_bitmap(child, g1).gaps(), "siblings transform to different parents")
+
+
 def verify_tree_relations(g_max: int) -> VerificationReport:
     """Cross-checks between the generator-removal tree and the fixed-genus
     trees, for every genus <= g_max:
@@ -272,48 +297,49 @@ def verify_tree_relations(g_max: int) -> VerificationReport:
       child's transform gives the parent's transform);
     - non-ordinary children of one node all share the same transform.
 
-    Each genus is the set of children of the one before, so every
-    semigroup of genus < g_max is expanded exactly once.
+    Each genus is the set of children of the one before.  Every
+    semigroup of genus < g_max is expanded into the next genus exactly
+    once, when the fixed-genus walk first reaches it, with the effective
+    generators that walk made and the transform its edge check took;
+    those the walk misses are expanded after it.
     """
     if g_max < 0:
         raise ValueError("g_max must be non-negative")
     bad = _Counterexamples()
     level = {tree._ROOT[0]}  # the bitmaps of genus g
     for g in range(g_max + 1):
-        # expand genus g into genus g + 1 first: the walk below empties
-        # ``level``, and each node's children are checked as siblings
-        nxt: set[int] = set()
-        for bitmap in level if g < g_max else ():
-            parent_t = _ordinarize_bitmap(bitmap, g)
-            frob = (~bitmap & ((1 << (2 * g + 2)) - 1)).bit_length() - 1
-            transforms = []
-            for child, g1, *_ in tree._children(bitmap, g, frob, 0):
-                nxt.add(child)
-                child_t = _ordinarize_bitmap(child, g1)
-                if _raw_adjoin_frobenius(child_t, g1) != parent_t:
-                    bad.add(g1, Semigroup._from_bitmap(child, g1).gaps(), "transform left the ancestor line")
-                cm = ((child & -2) & -(child & -2)).bit_length() - 1
-                if cm <= g1:  # non-ordinary child
-                    transforms.append((child_t, child))
-            for (t, c) in transforms[1:]:
-                if t != transforms[0][0]:
-                    bad.add(g + 1, Semigroup._from_bitmap(c, g + 1).gaps(), "siblings transform to different parents")
         expected_row = [0] * (g // 2 + 1)
         for bm in level:
             expected_row[(bm & ((1 << (g + 1)) - 2)).bit_count()] += 1
-        # the fixed-genus tree must reach each member of ``level`` once
-        level.discard(Semigroup.ordinary(g).bitmap)
+        nxt: set[int] = set()
+
+        def reached(bitmap: int, eff: int, transform: int) -> None:
+            # the fixed-genus tree must reach each member of ``level`` once
+            if bitmap in level:
+                level.remove(bitmap)
+                if g < g_max:
+                    _expand_checked(bitmap, g, eff, transform, nxt, bad)
+
+        root = Semigroup.ordinary(g)
+        reached(root.bitmap, tree._effective_generators(root.bitmap, g, root.frobenius), _ordinarize_bitmap(root.bitmap, g))
         row = [1]
-        for parents, children in tree._tg_levels(g):
+        prev: Sequence[int] = [root.bitmap]
+        for parents, children, effs in tree._tg_levels(g):
             row.append(len(children))
-            level.difference_update(children)
-            for parent, child in zip(parents, children):
-                if _ordinarize_bitmap(child, g) != parent:
+            for parent, child, eff in zip(parents, children, effs):
+                transform = _ordinarize_bitmap(child, g)
+                if transform != prev[parent]:
                     bad.add(g, Semigroup._from_bitmap(child, g).gaps(), "edge child does not transform to parent")
+                reached(child, eff, transform)
+            prev = children
+        missed = list(level)
+        for bm in missed:
+            frob = (~bm & ((1 << (2 * g + 2)) - 1)).bit_length() - 1
+            reached(bm, tree._effective_generators(bm, g, frob), _ordinarize_bitmap(bm, g))
         row += [0] * (len(expected_row) - len(row))
         if row != expected_row:
             bad.add(g, (), f"depth profile {row} != enumeration {expected_row}")
-        if level or sum(row) != sum(expected_row):
+        if missed or sum(row) != sum(expected_row):
             bad.add(g, (), "fixed-genus tree misses or repeats semigroups")
         level = nxt
     return _report("trees", f"genus <= {g_max}", bad)

@@ -27,6 +27,12 @@ tasks in process or by forked workers, by a C kernel, built on first
 use by the system C compiler, or by that walk where the kernel cannot
 load; the per-(genus, depth) tallies merge by addition, so results do
 not depend on the worker count.
+
+The fixed-genus tree is walked breadth first (``_tg_levels``), one level
+at a time, each node's effective generators made once and handed to its
+children's level.  From genus 13 to 31 a level is one call into the same
+C kernel, whose output buffers the next level reads in place; elsewhere,
+or where the kernel cannot load, ``_tg_level`` walks it in Python.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .semigroup import Semigroup, _sum_bitmap
 
@@ -59,10 +65,21 @@ _POOL_MIN_TASKS = 200
 _COMPILED_POOL_MIN_TASKS = 28 * 27 // 2
 
 # The compiled kernel (``_kernel.c``) holds the window 2*g_max + 3 in one
-# 128-bit word.  ``_kernel`` is None until the first table or f-value
+# 128-bit word, and a fixed-genus window [0, 2g + 1] in one 64-bit word.
+# ``_kernel`` is None until the first table, f-value or fixed-genus walk
 # looks for it, then the loaded library, or False where it cannot load.
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _KERNEL_GMAX = 62
+_TG_KERNEL_GMAX = 31
+_INT_MAX = 2**31 - 1
+
+# Below this genus the fixed-genus tree is walked in Python: loading the
+# kernel costs more than the walk it would speed (fresh interpreters, 2
+# CPUs, Python 3.11; median ms of the kernel load plus compiled walk vs
+# the Python walk, 15 interleaved pairs): tg_bfs_row(12) 3.8 vs 3.4
+# (compiled faster in 2), tg_bfs_row(13) 3.6 vs 5.1 (14), tg_bfs_row(14)
+# 3.9 vs 9.0 (15).
+_COMPILED_TG_MIN_GENUS = 13
 _WORD = (1 << 64) - 1
 _kernel = None
 
@@ -152,6 +169,7 @@ class CountMatrix:
 
 Node = tuple[int, int, int, int]  # bitmap, genus, frobenius, ordinarization number
 Entry = tuple[int, int, int, int, int, int]  # a Node's fields, then eff and rev (see _subtree)
+TgLevel = tuple[Sequence[int], Sequence[int], Sequence[int]]  # parent indices, children, their eff
 
 
 def _effective_generators(bitmap: int, genus: int, frobenius: int) -> int:
@@ -318,7 +336,7 @@ def _compiled_kernel() -> Optional[ctypes.CDLL]:
 
 def _load_kernel(source: str) -> Optional[ctypes.CDLL]:
     """The library built from ``source``, with the signatures of
-    ``semiforge_count`` and ``semiforge_closed`` declared, cached
+    ``semiforge_count``, ``semiforge_closed`` and ``semiforge_tg_level`` declared, cached
     in the __pycache__ beside it under a name keyed on the source and the
     interpreter's platform tag, so that a stale or foreign build never
     loads; None when there is no compiler, the build fails or the cache
@@ -341,6 +359,8 @@ def _load_kernel(source: str) -> Optional[ctypes.CDLL]:
     lib.semiforge_count.restype = c_int
     lib.semiforge_closed.argtypes = [words, c_int, c_int]
     lib.semiforge_closed.restype = ctypes.c_uint64
+    lib.semiforge_tg_level.argtypes = [words, words, c_int, c_int, words, words, ctypes.POINTER(c_int), c_int]
+    lib.semiforge_tg_level.restype = c_int
     return lib
 
 
@@ -376,22 +396,25 @@ def _count_plan(g_max: int) -> tuple[Callable, int]:
     return _count_worker, _POOL_MIN_TASKS
 
 
-def _tg_children_raw(bitmap: int, genus: int) -> list[int]:
-    """Child bitmaps in the fixed-genus tree, ordered by (added b, removed a).
+def _tg_children_raw(bitmap: int, genus: int, eff: int) -> list[int]:
+    """Child bitmaps in the fixed-genus tree, ordered by (added b, removed a),
+    of the semigroup ``bitmap`` with effective generators ``eff``.
 
     A candidate is kept iff still additively closed.  Old member pairs
     cannot sum to the removed minimal generator, so closure reduces to
     the sums x + b with x a non-zero member of S + b.  Those that land on
     an old gap other than b do not depend on a (a + b > a > F), so one
     test per b settles them; the rest only ask that a is not such a sum.
+    The sum b + m (m the multiplicity) is one of them, so a b with b + m
+    not in S is skipped before the test.
     """
     mask = (1 << (2 * genus + 2)) - 1
-    frob = (~bitmap & mask).bit_length() - 1
     nonzero = bitmap & -2
     mult = (nonzero & -nonzero).bit_length() - 1
-    eff = _effective_generators(bitmap, genus, frob)
     out = []
     for b in range(1, mult):
+        if not (bitmap >> (b + mult)) & 1:
+            continue
         added = 1 << b
         sums = (nonzero | added) << b
         if sums & mask & ~(bitmap | added):
@@ -404,10 +427,59 @@ def _tg_children_raw(bitmap: int, genus: int) -> list[int]:
     return out
 
 
-def _tg_levels(g: int, node_cap: float = math.inf) -> Iterator[tuple[list[int], list[int]]]:
+def _tg_level(bitmaps: Sequence[int], effs: Sequence[int], g: int, room: float) -> Optional[TgLevel]:
+    """The next level of ``_tg_levels`` below the semigroups ``bitmaps`` of
+    genus g with effective generators ``effs``, as lists; None once it
+    holds more than ``room`` children.  ``semiforge_tg_level`` is this in C."""
+    mask = (1 << (2 * g + 2)) - 1
+    parents: list[int] = []
+    children: list[int] = []
+    for i, (bitmap, eff) in enumerate(zip(bitmaps, effs)):
+        kids = _tg_children_raw(bitmap, g, eff)
+        parents += [i] * len(kids)
+        children += kids
+        if len(children) > room:
+            return None
+    return parents, children, [_effective_generators(c, g, (~c & mask).bit_length() - 1) for c in children]
+
+
+def _tg_level_compiled(bitmaps: Sequence[int], effs: Sequence[int], g: int, room: float) -> Optional[TgLevel]:
+    """``_tg_level`` by the compiled kernel, as memoryviews over its output
+    buffers, which the next level reads in place.  A first call only
+    counts the children, so the buffers are allocated to the exact size
+    and an oversized level is refused before any is."""
+    from ctypes import c_int, c_uint64
+
+    if g > _TG_KERNEL_GMAX:
+        raise ValueError(f"the compiled kernel walks the fixed-genus tree to genus {_TG_KERNEL_GMAX}, not {g}")
+    n = len(bitmaps)
+    words = [(c_uint64 * n).from_buffer(x) if isinstance(x, memoryview) else (c_uint64 * n)(*x) for x in (bitmaps, effs)]
+    count = _kernel.semiforge_tg_level(*words, n, g, None, None, None, int(min(room, _INT_MAX)))
+    if count < 0:
+        return None
+    parents, children, child_effs = (c_int * count)(), (c_uint64 * count)(), (c_uint64 * count)()
+    _kernel.semiforge_tg_level(*words, n, g, children, child_effs, parents, count)
+    return tuple(
+        memoryview(buffer).cast("B").cast(code)
+        for buffer, code in ((parents, "i"), (children, "Q"), (child_effs, "Q"))
+    )
+
+
+def _tg_plan(g: int) -> Callable:
+    """The level function of ``_tg_levels`` at genus g: the compiled kernel
+    where it loads and _COMPILED_TG_MIN_GENUS <= g <= 31, else ``_tg_level``."""
+    if _COMPILED_TG_MIN_GENUS <= g <= _TG_KERNEL_GMAX and _compiled_kernel():
+        return _tg_level_compiled
+    return _tg_level
+
+
+def _tg_levels(g: int, node_cap: float = math.inf) -> Iterator[TgLevel]:
     """Breadth-first levels of the fixed-genus tree below the ordinary
-    semigroup: per depth d >= 1, the parallel lists (parent, child) of its
-    edges, in the order the parents were reached.
+    semigroup: per depth d >= 1, the parallel sequences (parent, child,
+    child's effective generators), where parent indexes the level before
+    (the root's level is [root]), in the order the parents were reached.
+    A child's effective generators feed the next level, so no node
+    rebuilds its sum set twice.
 
     Raises TooLarge as soon as the nodes reached, the root included,
     exceed ``node_cap``, so an oversized level is never completed; the
@@ -419,21 +491,18 @@ def _tg_levels(g: int, node_cap: float = math.inf) -> Iterator[tuple[list[int], 
     room = node_cap - 1
     if n_g1_formula(g) > room:
         raise TooLarge(f"fixed-genus tree for g={g} exceeds {node_cap} nodes")
-    frontier = [Semigroup.ordinary(g).bitmap]
+    root = Semigroup.ordinary(g)
+    level = _tg_plan(g)
+    bitmaps, effs = [root.bitmap], [_effective_generators(root.bitmap, g, root.frobenius)]
     while True:
-        parents: list[int] = []
-        children: list[int] = []
-        for bm in frontier:
-            kids = _tg_children_raw(bm, g)
-            parents.extend([bm] * len(kids))
-            children.extend(kids)
-            if len(children) > room:
-                raise TooLarge(f"fixed-genus tree for g={g} exceeds {node_cap} nodes")
-        if not children:
+        out = level(bitmaps, effs, g, room)
+        if out is None:
+            raise TooLarge(f"fixed-genus tree for g={g} exceeds {node_cap} nodes")
+        _parents, bitmaps, effs = out
+        if not bitmaps:
             return
-        yield parents, children
-        room -= len(children)
-        frontier = children
+        yield out
+        room -= len(bitmaps)
 
 
 def _run_tasks(fn: Callable, tasks: list, arg: object, workers: int, min_tasks: int) -> list:
@@ -469,7 +538,8 @@ def _fork_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
 def children_in_Tg(s: Semigroup) -> list[Semigroup]:
     """Same-genus children: every semigroup whose ordinarization transform
     is s.  Ordered by (added member, removed generator)."""
-    return [Semigroup._from_bitmap(child, s.genus) for child in _tg_children_raw(s.bitmap, s.genus)]
+    eff = _effective_generators(s.bitmap, s.genus, s.frobenius)
+    return [Semigroup._from_bitmap(child, s.genus) for child in _tg_children_raw(s.bitmap, s.genus, eff)]
 
 
 def enumerate_genus(g: int, visitor: Optional[Callable[[Semigroup], None]] = None) -> int:
@@ -518,7 +588,7 @@ def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
 def tg_bfs_row(g: int) -> list[int]:
     """Counts per depth of the fixed-genus tree, by breadth-first walk from
     the ordinary semigroup."""
-    return [1] + [len(children) for _parents, children in _tg_levels(g)]
+    return [1] + [len(children) for _parents, children, _effs in _tg_levels(g)]
 
 
 def export_tree_dot(g: int, *, node_cap: int = 100_000) -> str:
@@ -530,15 +600,14 @@ def export_tree_dot(g: int, *, node_cap: int = 100_000) -> str:
     # walk first and label afterwards, so an oversized tree is refused
     # before any label is formatted
     levels = list(_tg_levels(g, node_cap))
-    root = Semigroup.ordinary(g)
-    labels = {root.bitmap: root.gap_string()}
-    nodes = [(labels[root.bitmap], 0)]
+    labels = [Semigroup.ordinary(g).gap_string()]
+    nodes = [(labels[0], 0)]
     edges: list[tuple[str, str]] = []
-    for depth, (parents, children) in enumerate(levels, 1):
+    for depth, (parents, children, _effs) in enumerate(levels, 1):
         child_labels = [Semigroup._from_bitmap(bm, g).gap_string() for bm in children]
         nodes.extend((label, depth) for label in child_labels)
         edges.extend(zip(map(labels.__getitem__, parents), child_labels))
-        labels = dict(zip(children, child_labels))
+        labels = child_labels
     lines = [f'digraph "Tg_{g}" {{']
     lines.extend(f'  "{label}" [label="{label}", depth={d}];' for label, d in nodes)
     lines.extend(f'  "{a}" -> "{b}";' for a, b in edges)

@@ -145,79 +145,120 @@ def reported(monkeypatch) -> list[str]:
     return details
 
 
-def _doctor_tg_children(monkeypatch, edit):
-    """Make the fixed-genus expansion of the genus-6 ordinary semigroup
-    return ``edit(children)`` instead of its true children."""
-    original = tree._tg_children_raw
-    root = Semigroup.ordinary(6).bitmap
+def _eff(bitmap: int, g: int) -> int:
+    frob = (~bitmap & ((1 << (2 * g + 2)) - 1)).bit_length() - 1
+    return tree._effective_generators(bitmap, g, frob)
 
-    def doctored(bitmap, genus):
-        kids = original(bitmap, genus)
-        return edit(kids) if bitmap == root else kids
 
-    monkeypatch.setattr(tree, "_tg_children_raw", doctored)
+def _tg_walks(monkeypatch, reported: list[str]):
+    """Each kind of fixed-genus walk in turn, as (G, doctor): the
+    pure-Python level at genus 6, then, where the kernel loads, the
+    compiled level at the smallest genus it walks.  ``doctor(edit)`` makes
+    the walk of genus G find ``edit(kids)`` below the ordinary root
+    instead of its true children ``kids``.  Each kind runs in its own
+    monkeypatch context, with ``reported`` emptied."""
+    kinds = [("python", 6)]
+    if tree._compiled_kernel():
+        kinds.append(("compiled", tree._COMPILED_TG_MIN_GENUS))
+    raw, compiled = tree._tg_children_raw, tree._tg_level_compiled
+    for kind, g in kinds:
+        root = Semigroup.ordinary(g).bitmap
+        with monkeypatch.context() as patch:
+            if kind == "python":
+                patch.setattr(tree, "_kernel", False)
+
+            def doctor(edit):
+                def doctored_raw(bitmap, genus, eff):
+                    kids = raw(bitmap, genus, eff)
+                    return edit(kids) if (bitmap, genus) == (root, g) else kids
+
+                def doctored_compiled(bitmaps, effs, genus, room):
+                    out = compiled(bitmaps, effs, genus, room)
+                    if (list(bitmaps), genus) != ([root], g):
+                        return out
+                    kids = edit(list(out[1]))
+                    return [0] * len(kids), kids, [_eff(kid, g) for kid in kids]
+
+                if kind == "python":
+                    patch.setattr(tree, "_tg_children_raw", doctored_raw)
+                else:
+                    patch.setattr(tree, "_tg_level_compiled", doctored_compiled)
+
+            reported.clear()
+            yield g, doctor
 
 
 def test_tree_relations_catch_a_dropped_child(monkeypatch, reported):
-    _doctor_tg_children(monkeypatch, lambda kids: kids[:-1])
-    report = verify_tree_relations(6)
-    assert report.passed is False
-    assert "depth profile" in report.counterexample
-    assert "fixed-genus tree misses or repeats semigroups" in reported
+    for g, doctor in _tg_walks(monkeypatch, reported):
+        doctor(lambda kids: kids[:-1])
+        report = verify_tree_relations(g)
+        assert report.passed is False
+        assert "depth profile" in report.counterexample
+        assert "fixed-genus tree misses or repeats semigroups" in reported
 
 
-def test_tree_relations_catch_a_repeated_child(monkeypatch):
-    _doctor_tg_children(monkeypatch, lambda kids: kids + kids[-1:])
-    report = verify_tree_relations(6)
-    assert report.passed is False
-    assert "depth profile" in report.counterexample
+def test_tree_relations_catch_a_repeated_child(monkeypatch, reported):
+    for g, doctor in _tg_walks(monkeypatch, reported):
+        doctor(lambda kids: kids + kids[-1:])
+        report = verify_tree_relations(g)
+        assert report.passed is False
+        assert "depth profile" in report.counterexample
 
 
 def test_tree_relations_catch_a_misplaced_child(monkeypatch, reported):
     # the root's last child is swapped for a grandchild: same level sizes
     # at depth 1, but that edge is wrong and the last child is never reached
-    expand = tree._tg_children_raw
+    for g, doctor in _tg_walks(monkeypatch, reported):
 
-    def edit(kids):
-        grandchild = next(gc for kid in kids for gc in expand(kid, 6))
-        return kids[:-1] + [grandchild]
+        def edit(kids):
+            grandchild = next(gc for kid in kids for gc in tree._tg_children_raw(kid, g, _eff(kid, g)))
+            return kids[:-1] + [grandchild]
 
-    _doctor_tg_children(monkeypatch, edit)
-    assert verify_tree_relations(6).passed is False
-    assert "edge child does not transform to parent" in reported
-    assert "fixed-genus tree misses or repeats semigroups" in reported
+        doctor(edit)
+        assert verify_tree_relations(g).passed is False
+        assert "edge child does not transform to parent" in reported
+        assert "fixed-genus tree misses or repeats semigroups" in reported
 
 
 def test_tree_relations_catch_a_broken_transform(monkeypatch, reported):
-    # the transform does nothing at even genus: a genus-(2k+1) parent's
-    # transform no longer adjoins back from its children's, and siblings
-    # keep their own bitmaps
+    # the transform does nothing at even genus from G on: a genus-(2k+1)
+    # parent's transform no longer adjoins back from its children's, and
+    # siblings keep their own bitmaps
     transform = analytics._ordinarize_bitmap
-    monkeypatch.setattr(
-        analytics, "_ordinarize_bitmap", lambda bm, g: transform(bm, g) if g & 1 else bm
-    )
-    assert verify_tree_relations(6).passed is False
-    assert "transform left the ancestor line" in reported
-    assert "siblings transform to different parents" in reported
+    for g, _doctor in _tg_walks(monkeypatch, reported):
+        monkeypatch.setattr(
+            analytics, "_ordinarize_bitmap", lambda bm, genus: transform(bm, genus) if genus & 1 or genus < g else bm
+        )
+        assert verify_tree_relations(g + 2).passed is False
+        assert "transform left the ancestor line" in reported
+        assert "siblings transform to different parents" in reported
 
 
 def test_tree_relations_expand_each_node_once(monkeypatch):
-    expanded = []
-    children = tree._children
+    # on either walk, each semigroup of genus < g_max is expanded once,
+    # from the state the fixed-genus walk made, and the generator-removal
+    # tree is never walked
+    expand = analytics._expand_checked
 
-    def spy(bitmap, g, frob, r):
-        expanded.append((bitmap, g))
-        return children(bitmap, g, frob, r)
+    def restart(*args):
+        raise AssertionError("the harness walked the generator-removal tree")
 
-    def restart(g_max):
-        raise AssertionError("the harness restarted a walk from the root")
-
-    monkeypatch.setattr(tree, "_children", spy)
     monkeypatch.setattr(tree, "_nodes", restart)
-    assert verify_tree_relations(12).passed
-    # one call per semigroup of genus <= 11: 821 in all
-    assert len(set(expanded)) == len(expanded)
-    assert Counter(g for _, g in expanded) == {g: sum(COUNTS_BY_GENUS[g]) for g in range(12)}
+    monkeypatch.setattr(tree, "_children", restart)
+    g_max = tree._COMPILED_TG_MIN_GENUS + 1
+    for kernel in (False, tree._compiled_kernel()):
+        expanded = []
+
+        def spy(bitmap, g, *rest):
+            expanded.append((bitmap, g))
+            return expand(bitmap, g, *rest)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tree, "_kernel", kernel or False)
+            patch.setattr(analytics, "_expand_checked", spy)
+            assert verify_tree_relations(g_max).passed
+        assert len(set(expanded)) == len(expanded)
+        assert Counter(g for _, g in expanded) == {g: sum(COUNTS_BY_GENUS[g]) for g in range(g_max)}
 
 
 def _doctor_depths(monkeypatch, depth):

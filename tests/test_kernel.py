@@ -1,12 +1,24 @@
-"""The compiled kernel's two counts against their oracles, the
-pure-Python tree kernel and closed-set descent, and the fallback to
-those where the compiled kernel cannot load."""
+"""The compiled kernel's three walks against their oracles, the
+pure-Python tree kernel, closed-set descent and fixed-genus level, and
+the fallback to those where the compiled kernel cannot load."""
 
+import itertools
 import shutil
 
 import pytest
 
-from semiforge import Semigroup, cli, closedsets, count_matrix, f_value, max_ordinarization_attainer, tree
+from semiforge import (
+    Semigroup,
+    TooLarge,
+    cli,
+    closedsets,
+    count_matrix,
+    export_tree_dot,
+    f_value,
+    max_ordinarization_attainer,
+    tg_bfs_row,
+    tree,
+)
 from semiforge.closedsets import count_closed_sets
 from reference_tables import COUNTS_BY_GENUS, F_SEQUENCE
 
@@ -105,11 +117,79 @@ def test_compiled_f_value_forks_only_from_genus_15(compiled_kernel, fork_calls):
     assert fork_calls == [(sum(COUNTS_BY_GENUS[15]), 2)]
 
 
+def _levels(g: int, depth=None) -> list[tuple[list[int], list[int], list[int]]]:
+    return [tuple(map(list, level)) for level in itertools.islice(tree._tg_levels(g), depth)]
+
+
+def test_compiled_tg_levels_match_python(compiled_kernel, monkeypatch):
+    # every genus, the ones below the cutoff too: children in order, their
+    # effective generators and their parents' indices
+    monkeypatch.setattr(tree, "_COMPILED_TG_MIN_GENUS", 0)
+    compiled = {g: _levels(g) for g in range(17)}
+    assert tree._tg_plan(0) is tree._tg_level_compiled
+    monkeypatch.setattr(tree, "_kernel", False)
+    for g, levels in compiled.items():
+        assert levels == _levels(g), g
+
+
+def test_compiled_tg_bfs_rows_match_the_reference(compiled_kernel, monkeypatch):
+    monkeypatch.setattr(tree, "_COMPILED_TG_MIN_GENUS", 0)
+    for g in range(25):
+        assert tg_bfs_row(g) == [c for c in COUNTS_BY_GENUS[g] if c], g
+
+
+def test_compiled_tg_levels_match_python_in_the_top_bit(compiled_kernel, monkeypatch):
+    # at genus 31 the window [0, 63] is the whole word; the first two
+    # levels hold 360 and 20 569 nodes
+    compiled = _levels(31, 2)
+    assert [len(children) for _parents, children, _effs in compiled] == [360, 20569]
+    assert any(child >> 63 for _parents, children, _effs in compiled for child in children)
+    monkeypatch.setattr(tree, "_kernel", False)
+    assert compiled == _levels(31, 2)
+
+
+def test_compiled_tg_level_from_the_cutoff_to_genus_31(compiled_kernel, monkeypatch):
+    cutoff = tree._COMPILED_TG_MIN_GENUS
+    assert [tree._tg_plan(g) for g in (cutoff - 1, cutoff, 31, 32)] == [
+        tree._tg_level, tree._tg_level_compiled, tree._tg_level_compiled, tree._tg_level
+    ]
+    with pytest.raises(ValueError, match="genus 31, not 32"):
+        tree._tg_level_compiled([], [], 32, 1)
+    monkeypatch.setattr(tree, "_kernel", False)
+    assert tree._tg_plan(cutoff) is tree._tg_level
+
+
+def _dot_or_refusal(g: int, cap: int) -> str:
+    try:
+        return export_tree_dot(g, node_cap=cap)
+    except TooLarge as exc:
+        return f"TooLarge: {exc}"
+
+
+def test_compiled_tg_walk_refuses_at_the_python_caps(compiled_kernel, monkeypatch):
+    # the cap is crossed inside a level, at its last node and just after
+    g = tree._COMPILED_TG_MIN_GENUS
+    ends = list(itertools.accumulate(tg_bfs_row(g)))
+    caps = sorted({0, 1, 2} | {end + d for end in ends for d in (-1, 0, 1)})
+    compiled = [_dot_or_refusal(g, cap) for cap in caps]
+    assert compiled.count(compiled[-1]) == 2  # the whole tree fits the last two caps
+    monkeypatch.setattr(tree, "_kernel", False)
+    assert compiled == [_dot_or_refusal(g, cap) for cap in caps]
+
+
 @pytest.mark.parametrize("breakage", ["no compiler", "build fails", "cache unwritable"])
 def test_failed_build_falls_back_silently(breakage, tmp_path, monkeypatch, capfd):
-    argvs = (["table", "--gmax", "12"], ["fseq", "--omega-max", "9"])
-    assert [cli.run(argv) for argv in argvs] == [0, 0]
+    dot = tmp_path / "tg.dot"
+    argvs = (
+        ["table", "--gmax", "12"],
+        ["fseq", "--omega-max", "9"],
+        ["verify", "--check", "trees", "--gmax", "16"],
+        ["tree", "--genus", "14", "--dot", str(dot)],
+    )
+    assert [cli.run(argv) for argv in argvs] == [0, 0, 0, 0]
     want = capfd.readouterr()
+    want_dot = dot.read_bytes()
+    dot.unlink()
     source = tmp_path / "_kernel.c"
     shutil.copy(tree._KERNEL_SOURCE, source)
     if breakage == "no compiler":
@@ -128,3 +208,4 @@ def test_failed_build_falls_back_silently(breakage, tmp_path, monkeypatch, capfd
         assert cli.run(argv) == 0
         assert tree._kernel is False
     assert capfd.readouterr() == want
+    assert dot.read_bytes() == want_dot

@@ -228,11 +228,14 @@ def test_count_matrix_from_json_obj_rejects_malformed_tables(rows, match):
 
 def test_tg_edges_depths():
     depths = {}
-    for depth, (parents, children) in enumerate(tree._tg_levels(6), 1):
-        for parent, child in zip(parents, children):
-            assert _ordinarize_bitmap(child, 6) == parent
+    level = [Semigroup.ordinary(6).bitmap]
+    for depth, (parents, children, effs) in enumerate(tree._tg_levels(6), 1):
+        for parent, child, eff in zip(parents, children, effs):
+            assert _ordinarize_bitmap(child, 6) == level[parent]
             assert depth == (child & ((1 << 7) - 2)).bit_count()  # members in [1, g]
+            assert eff == tree._effective_generators(child, 6, Semigroup._from_bitmap(child, 6).frobenius)
             depths[child] = depth
+        level = children
     assert len(depths) == 22  # every non-root node has exactly one parent
 
 
@@ -272,7 +275,7 @@ def test_export_dot_refuses_exactly_the_trees_over_the_cap():
     # and the refusals stay those of counting every node as it is made
     for g in range(9):
         size = sum(tg_bfs_row(g))
-        assert len(tree._tg_children_raw(Semigroup.ordinary(g).bitmap, g)) == n_g1_formula(g)
+        assert len(children_in_Tg(Semigroup.ordinary(g))) == n_g1_formula(g)
         for cap in range(size + 2):
             if cap < size:
                 with pytest.raises(TooLarge, match=f"^fixed-genus tree for g={g} exceeds {cap} nodes$"):
@@ -287,8 +290,8 @@ def test_export_dot_refused_before_oversized_level(monkeypatch):
     made: list[int] = []
     raw = tree._tg_children_raw
 
-    def spy(bitmap, genus):
-        kids = raw(bitmap, genus)
+    def spy(bitmap, genus, eff):
+        kids = raw(bitmap, genus, eff)
         made.append(len(kids))
         return kids
 
@@ -346,6 +349,21 @@ def test_tg_children_complete_by_definition():
         for s in group:
             want = sorted(expected[s], key=lambda c: (c.multiplicity, c.frobenius))
             assert children_in_Tg(s) == want
+
+
+def test_tg_children_skip_only_b_that_give_no_child():
+    # the definition without the b + m prefilter: every b in [1, m), with
+    # closure of S + b minus a checked from scratch
+    for bitmap, g, frob, _r in tree._nodes(12):
+        s = Semigroup._from_bitmap(bitmap, g)
+        want = []
+        for b in range(1, s.multiplicity):
+            for a in (a for a in s.minimal_generators() if a > frob):
+                child = (bitmap ^ (1 << a)) | (1 << b)
+                gaps = ~child & ((1 << (2 * g + 2)) - 1)
+                if not _sum_bitmap(child, g) & gaps:
+                    want.append(child)
+        assert tree._tg_children_raw(bitmap, g, tree._effective_generators(bitmap, g, frob)) == want, s
 
 
 def test_effective_generators_inherited_down_T():
