@@ -19,14 +19,14 @@ because removing a minimal generator cannot break any old pair.
 Walks are streaming: they never materialize a whole genus except in
 the capped DOT export.  Most of the generator-removal tree hangs below
 the ordinary semigroups, so every walk splits along that ordinary
-spine: the spine is expanded by the definition, and the subtree under
-each non-ordinary child of a spine node, one task, by one walk
-(``_subtree``) in which every child inherits its effective generators
-from its parent.  A table tallies the spine directly and counts its
-tasks in process or by forked workers, by a C kernel, built on first
-use by the system C compiler, or by that walk where the kernel cannot
-load; the per-(genus, depth) tallies merge by addition, so results do
-not depend on the worker count.
+spine: the spine and its non-ordinary children are built by formula
+(``_spine_tasks``), and the subtree under each such child, one task,
+by one walk (``_subtree``) in which every child inherits its effective
+generators from its parent.  A table tallies the spine directly and
+counts its tasks in process or by forked workers, by a C kernel, built
+on first use by the system C compiler, or by that walk where the
+kernel cannot load; the per-(genus, depth) tallies merge by addition,
+so results do not depend on the worker count.
 
 The fixed-genus tree is walked breadth first (``_tg_levels``), one level
 at a time, each node's effective generators made once and handed to its
@@ -46,8 +46,6 @@ from .semigroup import Semigroup, _sum_bitmap
 
 if TYPE_CHECKING:
     import ctypes
-
-_ROOT = (0b11, 0, -1, 0)  # bitmap, genus, frobenius, ordinarization number
 
 # Forking a pool costs more than the work it shares below this many
 # tasks (2 CPUs, Python 3.11; median ms, serial vs 2-worker pool, 21
@@ -141,13 +139,20 @@ class CountMatrix:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CountMatrix":
+        entries = obj.get("rows") if isinstance(obj, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError("expected an object with a list of rows")
         rows = []
-        for g, entry in enumerate(obj["rows"]):
-            if type(entry["g"]) is not int or entry["g"] != g:
-                raise ValueError(f"row {g} is keyed g = {entry['g']!r}")
-            if not isinstance(entry["counts"], list):
+        for g, entry in enumerate(entries):
+            entry = entry if isinstance(entry, dict) else {}
+            if type(entry.get("g")) is not int or entry["g"] != g:
+                raise ValueError(f"row {g} is keyed g = {entry.get('g')!r}")
+            if not isinstance(entry.get("counts"), list):
                 raise ValueError(f"row {g} has no list of counts")
             rows.append(entry["counts"])
+        g_max = obj.get("g_max", len(rows) - 1)
+        if type(g_max) is not int or g_max != len(rows) - 1:
+            raise ValueError(f"g_max = {g_max!r:.20} does not match the {len(rows)} rows")
         return cls._checked(rows)
 
     @classmethod
@@ -178,46 +183,18 @@ def _effective_generators(bitmap: int, genus: int, frobenius: int) -> int:
     return bitmap & -2 & ~_sum_bitmap(bitmap, genus) & window
 
 
-def _children(bitmap: int, g: int, frob: int, r: int) -> list[Node]:
-    """Children in the generator-removal tree, by removed generator a.
-
-    Effective generators sit above the Frobenius number, hence above g, so
-    the count of members <= g+1 only shifts at a == g+1.
-    """
-    eff = _effective_generators(bitmap, g, frob)
-    g1 = g + 1
-    extended = bitmap | (3 << (g + g + 2))
-    rbase = r + ((bitmap >> g1) & 1)
-    out = []
-    while eff:
-        low = eff & -eff
-        a = low.bit_length() - 1
-        out.append((extended ^ low, g1, a, rbase - (a == g1)))
-        eff ^= low
-    return out
-
-
-def _spine(g_max: int) -> Iterator[tuple[Node, list[Node]]]:
-    """The ordinary semigroups of genus 0 to g_max, each with its
-    non-ordinary children (none at g_max), the count tasks of a table."""
-    spine = _ROOT
-    for _ in range(g_max):
-        # children come by removed generator; the ordinary one removes g + 1
-        child, *tasks = _children(*spine)
-        yield spine, tasks
-        spine = child
-    yield spine, []
-
-
 def _nodes(g_max: int) -> Iterator[Node]:
     """Every node with genus <= g_max, depth first from the root, each
-    spine node followed by the subtrees under its non-ordinary children,
-    last first; within one genus, this is the enumeration order."""
-    for spine, tasks in _spine(g_max):
-        yield spine
-        for task in reversed(tasks):
-            for bitmap, g, frob, r, _eff, _rev in _subtree(task, g_max, g_max):
-                yield bitmap, g, frob, r
+    ordinary semigroup followed by the subtrees under its non-ordinary
+    children, last first; within one genus, this is the enumeration order."""
+    tasks = _spine_tasks(g_max)
+    for g in range(max(g_max, 0) + 1):
+        ordinary = Semigroup.ordinary(g)
+        yield ordinary.bitmap, g, ordinary.frobenius, 0
+        # the g tasks of genus g follow the g(g - 1)/2 of the genera below
+        for task in reversed(tasks[g * (g - 1) // 2 : g * (g + 1) // 2]):
+            for bitmap, genus, frob, r, _eff, _rev in _subtree(task, g_max, g_max):
+                yield bitmap, genus, frob, r
 
 
 def _task_start(root: Node, g_max: int) -> tuple[Entry, int]:
@@ -505,13 +482,18 @@ def _tg_levels(g: int, node_cap: float = math.inf) -> Iterator[TgLevel]:
         room -= len(bitmaps)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _run_tasks(fn: Callable, tasks: list, arg: object, workers: int, min_tasks: int) -> list:
     """fn((chunk, arg)) over ``tasks``: one call in this process when there
     is one worker or fewer than ``min_tasks`` tasks, too few to pay for a
-    pool, else ``_fork_map``.  ``workers`` = 0 means one per CPU."""
+    pool, else ``_fork_map``.  ``workers`` = 0 means one per usable CPU."""
     if workers < 0:
         raise ValueError("workers must be >= 0")
-    workers = workers or os.cpu_count() or 1
+    workers = workers or _usable_cpus()
     if workers == 1 or len(tasks) < min_tasks:
         return [fn((tasks, arg))]
     return _fork_map(fn, tasks, arg, workers)
@@ -519,13 +501,15 @@ def _run_tasks(fn: Callable, tasks: list, arg: object, workers: int, min_tasks: 
 
 def _fork_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
     """fn((chunk, arg)) over four chunks of ``tasks`` per worker, in a pool
-    of forked processes; results come back in completion order.
+    of forked processes; results come back in completion order.  Workers
+    beyond the usable CPUs would only wait for one, so they are not started.
 
     Chunks are strided (``tasks[i::n]``), so neighbouring tasks, which
     tend to be alike in size, land in different chunks.
     """
     import multiprocessing  # loaded only by runs that fork
 
+    workers = min(workers, _usable_cpus())
     n = min(4 * workers, len(tasks))
     payloads = [(tasks[i::n], arg) for i in range(n)]
     with multiprocessing.get_context("fork").Pool(min(workers, n)) as pool:
@@ -558,8 +542,15 @@ def enumerate_genus(g: int, visitor: Optional[Callable[[Semigroup], None]] = Non
 
 def _spine_tasks(g_max: int) -> list[Node]:
     """The count tasks of a table to ``g_max``: the non-ordinary children
-    of the ordinary semigroups of genus 0 to g_max - 1."""
-    return [task for _spine_node, tasks in _spine(g_max) for task in tasks]
+    of the ordinary semigroups of genus g < g_max.  The ordinary semigroup
+    of genus g has the minimal generators g + 1, ..., 2g + 1, all above
+    its Frobenius number g; removing a >= g + 2 leaves a semigroup of
+    genus g + 1, Frobenius number a and depth 1."""
+    tasks = []
+    for g in range(g_max):
+        extended = Semigroup.ordinary(g + 1).bitmap | 1 << (g + 1)  # genus g on the next window
+        tasks += [(extended ^ 1 << a, g + 1, a, 1) for a in range(g + 2, 2 * g + 2)]
+    return tasks
 
 
 def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:

@@ -2,8 +2,13 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from semiforge import Semigroup, enumerate_genus, tree
+
+# ``pytest --hypothesis-profile=ci`` draws the same examples on every run,
+# so a generative failure in CI reproduces locally with the same flag
+settings.register_profile("ci", derandomize=True)
 
 # pyproject's ``pythonpath`` puts src/ on this process's path; the CLI
 # subprocesses of the acceptance suite need it too when the package is
@@ -57,3 +62,10 @@ def semigroups_by_genus() -> dict[int, list[Semigroup]]:
 @pytest.fixture(scope="session")
 def small_semigroups(semigroups_by_genus) -> list[Semigroup]:
     return [s for group in semigroups_by_genus.values() for s in group]
+
+
+def children_in_T(s: Semigroup) -> list[Semigroup]:
+    """The children of ``s`` in the generator-removal tree, by the
+    definition: remove each minimal generator above the Frobenius number,
+    in increasing order."""
+    return [Semigroup.from_gaps(s.gaps() + (a,)) for a in s.minimal_generators() if a > s.frobenius]

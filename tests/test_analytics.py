@@ -22,6 +22,7 @@ from semiforge import (
 from semiforge import analytics, closedsets, tree
 from semiforge.cli import run
 from semiforge.analytics import high_depth_cross_check
+from conftest import children_in_T
 from reference_tables import COUNTS_BY_GENUS
 
 
@@ -234,6 +235,34 @@ def test_tree_relations_catch_a_broken_transform(monkeypatch, reported):
         assert "siblings transform to different parents" in reported
 
 
+def test_tree_relations_miss_below_g_max_is_reported_at_its_genus(monkeypatch, reported):
+    # a semigroup the walk of genus G misses is reported there, under the
+    # smallest key of genus G, so a longer run names the same failure;
+    # and it is not expanded, since nothing below it could change that
+    expand = analytics._expand_checked
+    expanded: list[tuple[int, int]] = []
+
+    def spy(bitmap, g, *rest):
+        expanded.append((bitmap, g))
+        return expand(bitmap, g, *rest)
+
+    monkeypatch.setattr(analytics, "_expand_checked", spy)
+    for g, doctor in _tg_walks(monkeypatch, reported):
+        dropped: list[int] = []
+
+        def drop(kids):
+            dropped.append(kids[-1])
+            return kids[:-1]
+
+        doctor(drop)
+        at_g = verify_tree_relations(g)
+        expanded.clear()
+        report = verify_tree_relations(g + 2)
+        assert report.passed is False and report.counterexample == at_g.counterexample
+        assert "depth profile" in report.counterexample
+        assert (dropped[-1], g) not in expanded
+
+
 def test_tree_relations_expand_each_node_once(monkeypatch):
     # on either walk, each semigroup of genus < g_max is expanded once,
     # from the state the fixed-genus walk made, and the generator-removal
@@ -244,8 +273,14 @@ def test_tree_relations_expand_each_node_once(monkeypatch):
         raise AssertionError("the harness walked the generator-removal tree")
 
     monkeypatch.setattr(tree, "_nodes", restart)
-    monkeypatch.setattr(tree, "_children", restart)
+    monkeypatch.setattr(tree, "_subtree", restart)
     g_max = tree._COMPILED_TG_MIN_GENUS + 1
+    want, stack = set(), [Semigroup.ordinary(0)]  # genus < g_max, by the definition
+    while stack:
+        s = stack.pop()
+        want.add((s.bitmap, s.genus))
+        if s.genus < g_max - 1:
+            stack.extend(children_in_T(s))
     for kernel in (False, tree._compiled_kernel()):
         expanded = []
 
@@ -259,6 +294,7 @@ def test_tree_relations_expand_each_node_once(monkeypatch):
             assert verify_tree_relations(g_max).passed
         assert len(set(expanded)) == len(expanded)
         assert Counter(g for _, g in expanded) == {g: sum(COUNTS_BY_GENUS[g]) for g in range(g_max)}
+        assert set(expanded) == want
 
 
 def _doctor_depths(monkeypatch, depth):

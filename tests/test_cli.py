@@ -1,10 +1,20 @@
 """CLI surface: formats, exit codes, and worker-count independence."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
+from pathlib import Path
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from semiforge import CountMatrix, n_g1_formula, tree
 from semiforge.cli import run
-from reference_tables import COUNTS_BY_GENUS
+from reference_tables import COUNTS_BY_GENUS, F_SEQUENCE
 
 
 def test_table_csv(capsys):
@@ -182,3 +192,178 @@ def test_tree_node_cap_refuses_a_huge_genus_at_once(tmp_path, capsys):
 
 def test_tree_write_failure_exits_5(tmp_path, capsys):
     assert run(["tree", "--genus", "2", "--dot", str(tmp_path / "no" / "dir" / "x.dot")]) == 5
+
+
+# ----------------------------------------------------------------------
+# the contract on generated calls: argv and $SEMIFORGE_WORKERS drawn from
+# the grammar, each exit code the one the README gives for that input
+
+_BAD_COUNTS = ("-1", "-12", "", "\u0661", "\u0661\u0662", "1_0", " 3", "+2", "2.0", "x")
+
+
+def _mostly(good, bad):
+    """``good`` nine times in ten, else ``bad``."""
+    return st.integers(0, 9).flatmap(lambda k: good if k else bad)
+
+
+def _count(hi):
+    """A non-negative integer flag's value as (text, int), or a malformed
+    one as (text, None)."""
+    return _mostly(st.integers(0, hi).map(lambda n: (str(n), n)), st.sampled_from(_BAD_COUNTS).map(lambda t: (t, None)))
+
+
+def _choice(good, bad):
+    return _mostly(st.sampled_from(good).map(lambda t: (t, t)), st.sampled_from(bad).map(lambda t: (t, None)))
+
+
+# sizes stay small enough that nothing forks, whatever --workers asks for;
+# "{dir}" stands for a fresh directory
+_WORKERS = _count(10**6)
+_FLAGS = {
+    "table": {"--gmax": _count(14), "--format": _choice(("csv", "json", "plain"), ("xml", "CSV", "")), "--workers": _WORKERS},
+    "fseq": {"--omega-max": _count(8), "--workers": _WORKERS},
+    "verify": {
+        "--check": _choice(("conjecture", "bijection", "intervals", "parity", "trees"), ("unknown", "Parity", "")),
+        "--gmax": _count(3) | _count(12),  # often next to the checks' floors, 1 and 2
+        "--workers": _WORKERS,
+    },
+    "tree": {
+        "--genus": _count(9),
+        # argparse takes any path; the last three exit 5
+        "--dot": st.sampled_from(("{dir}/t.dot",) * 3 + ("{dir}", "{dir}/no/such/t.dot", "")).map(lambda t: (t, t)),
+        "--node-cap": _count(250),
+    },
+}
+_REQUIRED = {"--gmax", "--omega-max", "--check", "--genus", "--dot"}
+_GAP_LISTS = (
+    # closed: 1..m-1 and any gaps in (m, 2m), whose sums are all >= 2m
+    st.integers(2, 9).flatmap(
+        lambda m: st.sets(st.integers(m + 1, 2 * m - 1)).map(lambda extra: sorted({*range(1, m), *extra}))
+    ).map(lambda gaps: ",".join(map(str, gaps)))
+    # mostly not closed
+    | st.lists(st.integers(1, 20), max_size=7, unique=True).map(lambda gaps: ",".join(map(str, sorted(gaps))))
+    | st.sampled_from(("", "1,1000000000000", "1,2,3,1000000000000", "3,2,1", "1,1", "0", "1,x,3", "1,,2", "1,2,", ",", " 1", "+1", "1_1", "\u0661,2", "-1"))
+)
+
+
+def _transform_exit(text):
+    """0, 2 or 3 for the gap list ``text``, by the definition."""
+    tokens = text.split(",") if text else []
+    if not all(t.isascii() and t.isdigit() for t in tokens):
+        return 2
+    gaps = [int(t) for t in tokens]
+    if 0 in gaps or gaps != sorted(set(gaps)):
+        return 2
+    # a gap x is a sum a + (x - a) of members unless the other gaps block
+    # every split; they block at most 2(g - 1), so 2g + 1 splits decide
+    gapset = set(gaps)
+    closed = all(a in gapset or x - a in gapset for x in gaps for a in range(1, min(x // 2, 2 * len(gaps) + 1) + 1))
+    return 0 if closed else 3
+
+
+@st.composite
+def _cli_calls(draw, command):
+    """A call of ``command`` (None: no command) as (argv,
+    $SEMIFORGE_WORKERS or None, the parsed values, the exit code)."""
+    env = draw(st.none() | st.sampled_from(("", "0", "2", "999", "-1", "abc", "\u0662")))
+    values = {}
+    if command == "transform":
+        gaps = draw(_mostly(_GAP_LISTS, st.none()))  # None: left out
+        if gaps is not None:
+            values["gaps"] = (gaps, gaps)
+    for flag, strategy in _FLAGS.get(command, {}).items():
+        if draw(st.integers(0, 19)) < (19 if flag in _REQUIRED else 10):
+            values[flag] = draw(strategy)
+    if command == "tree" and draw(st.integers(0, 3)) == 0:
+        # any genus, under a cap its root's children already exceed
+        genus = draw(st.integers(10, 10**9))
+        cap = draw(st.integers(0, n_g1_formula(genus)))
+        values.update({"--genus": (str(genus), genus), "--node-cap": (str(cap), cap)})
+    extra = draw(_mostly(st.none(), st.sampled_from(("--bogus", "--gmax"))))  # an unknown or a dangling flag
+    order = draw(st.permutations(list(values)))
+    argv = [command] if command else []
+    for key in order:
+        argv += [values[key][0]] if key == "gaps" else [key, values[key][0]]
+    argv += [extra] if extra else []
+    parsed = {key: value for key, (_text, value) in values.items()}
+
+    if (
+        command not in (*_FLAGS, "transform")
+        or extra
+        or None in parsed.values()
+        or any(flag not in parsed for flag in _REQUIRED & set(_FLAGS.get(command, {})))
+        or command == "transform" and "gaps" not in parsed
+        or "--workers" in _FLAGS.get(command, {}) and "--workers" not in parsed and env and not (env.isascii() and env.isdigit())
+        or command == "verify" and parsed["--gmax"] < {"conjecture": 1, "bijection": 2}.get(parsed["--check"], 0)
+    ):
+        code = 2
+    elif command == "transform":
+        code = _transform_exit(parsed["gaps"])
+    elif command == "tree":
+        genus = parsed["--genus"]
+        size = sum(COUNTS_BY_GENUS[genus]) if genus <= 9 else None
+        if size is None or parsed.get("--node-cap", 100_000) < size:
+            code = 4
+        else:
+            code = 0 if parsed["--dot"] == "{dir}/t.dot" else 5
+    else:
+        code = 0
+    return argv, env, parsed, code
+
+
+@pytest.mark.parametrize("command", [*_FLAGS, "transform", "bogus", None])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_generated_calls_keep_the_cli_contract(command, data):
+    argv, env, parsed, code = data.draw(_cli_calls(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [arg.replace("{dir}", tmp) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        environ = {k: v for k, v in os.environ.items() if k != "SEMIFORGE_WORKERS"}
+        if env is not None:
+            environ["SEMIFORGE_WORKERS"] = env
+        started = time.perf_counter()
+        with (
+            mock.patch.dict(os.environ, environ, clear=True),
+            mock.patch.object(tree, "_fork_map", side_effect=AssertionError("forked")),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
+            got = run(argv)
+        elapsed = time.perf_counter() - started
+        dot = os.path.join(tmp, "t.dot")
+        text = Path(dot).read_text() if os.path.isfile(dot) else None
+    out, err = out.getvalue(), err.getvalue()
+    assert got == code, (argv, env, err)
+    assert "Traceback" not in err
+    if code == 4:
+        assert elapsed < 1  # refused before the tree is walked
+    if code:  # 2 to 5: nothing written, and the reason on stderr
+        assert out == "" and text is None and err.strip()
+    elif command == "tree":
+        assert out == ""
+        assert text.startswith(f'digraph "Tg_{parsed["--genus"]}" {{\n')
+        assert text.count("depth=") == sum(COUNTS_BY_GENUS[parsed["--genus"]])
+    elif command == "table":
+        want = tuple(tuple(row) for g, row in COUNTS_BY_GENUS.items() if g <= parsed["--gmax"])
+        fmt = parsed.get("--format", "csv")
+        if fmt == "csv":
+            assert CountMatrix.from_csv(out).rows == want
+        elif fmt == "json":
+            assert CountMatrix.from_json_obj(json.loads(out)).rows == want
+        else:
+            assert out.splitlines() == [f"g={g}: " + " ".join(map(str, row)) for g, row in enumerate(want)]
+    elif command == "fseq":
+        lines = out.splitlines()
+        assert lines[0] == "omega,f"
+        assert lines[1:] == [f"{w},{F_SEQUENCE[w]}" for w in range(parsed["--omega-max"] + 1)]
+    elif command == "verify":
+        assert out.count("\n") == 1
+        report = json.loads(out)
+        assert report == {"check": parsed["--check"], "range": report["range"], "passed": True, "counterexample": None}
+    else:
+        lines = out.splitlines()
+        gaps = [int(t) for t in parsed["gaps"].split(",")] if parsed["gaps"] else []
+        steps = sum(1 for x in range(1, len(gaps) + 1) if x not in gaps)  # non-zero members <= g
+        assert lines[0] == parsed["gaps"] and lines[-2] == ",".join(map(str, range(1, len(gaps) + 1)))
+        assert lines[-1] == f"r={steps}" == f"r={len(lines) - 2}"

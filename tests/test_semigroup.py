@@ -10,7 +10,8 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from semiforge import NotClosed, Semigroup, enumerate_genus, max_ordinarization_attainer, tree
+from semiforge import NotClosed, Semigroup, enumerate_genus, max_ordinarization_attainer
+from conftest import children_in_T
 
 
 def brute_minimal_generators(s: Semigroup) -> list[int]:
@@ -275,11 +276,10 @@ def semigroups(draw):
     s = Semigroup.from_gaps([])
     depth = draw(st.integers(min_value=0, max_value=9))
     for _ in range(depth):
-        kids = tree._children(s.bitmap, s.genus, s.frobenius, 0)
+        kids = children_in_T(s)
         if not kids:
             break
-        bitmap, genus, *_ = kids[draw(st.integers(min_value=0, max_value=len(kids) - 1))]
-        s = Semigroup._from_bitmap(bitmap, genus)
+        s = kids[draw(st.integers(min_value=0, max_value=len(kids) - 1))]
     return s
 
 

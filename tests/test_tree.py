@@ -1,7 +1,10 @@
 """Both trees: child generation, exact counts, and the DOT export."""
 
+import json
+import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,12 +23,13 @@ from semiforge import (
     tree,
 )
 from semiforge.semigroup import _ordinarize_bitmap, _sum_bitmap
-from reference_tables import COUNTS_BY_GENUS, FIG6_EDGES, FIG6_NODES_BY_DEPTH
+from conftest import children_in_T
+from reference_tables import COUNTS_BY_GENUS, F_SEQUENCE, FIG6_EDGES, FIG6_NODES_BY_DEPTH
 
 
-def children_in_T(s):
-    """The genus g + 1 children of ``s`` in the generator-removal tree."""
-    return [Semigroup._from_bitmap(bm, g1) for bm, g1, *_ in tree._children(s.bitmap, s.genus, s.frobenius, 0)]
+def node(s):
+    """``s`` as a walk's node: (bitmap, genus, Frobenius number, depth)."""
+    return s.bitmap, s.genus, s.frobenius, s.ordinarization_number()
 
 
 def test_children_in_T_of_root():
@@ -158,19 +162,50 @@ def test_serial_runs_never_import_multiprocessing():
 
 def test_fork_map_more_workers_than_chunks():
     # the two non-ordinary children of {0, 3, 4, 5, ...}: remove 4 or 5
-    ordinary = Semigroup.ordinary(2)
-    _spine, *tasks = tree._children(ordinary.bitmap, 2, 2, 0)
-    assert [Semigroup._from_bitmap(bm, 3).gaps() for bm, *_ in tasks] == [(1, 2, 4), (1, 2, 5)]
+    _ordinary, *kids = children_in_T(Semigroup.ordinary(2))
+    tasks = [node(kid) for kid in kids]
+    assert [kid.gaps() for kid in kids] == [(1, 2, 4), (1, 2, 5)]
     parts = tree._fork_map(tree._count_worker, tasks, 12, workers=5)
     assert len(parts) == 2
     merged = [[sum(cells) for cells in zip(*rows)] for rows in zip(*parts)]
     assert merged == tree._count_worker((tasks, 12))
 
 
+def test_pools_start_no_more_workers_than_usable_cpus(monkeypatch, fork_calls, python_kernel):
+    # a fake fork context records each pool's size and chunk count and maps
+    # in process, so that no worker is started whatever the request; both
+    # kernels share the pool, and the Python one forks the smallest tables
+    import multiprocessing
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pools: list[tuple[int, int]] = []
+
+    class Pool:
+        def __init__(self, size):
+            self.size = size
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, payloads):
+            pools.append((self.size, len(payloads)))
+            return map(fn, payloads)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+    want = tuple(tuple(COUNTS_BY_GENUS[g]) for g in range(22))
+    assert count_matrix(21, workers=1000).rows == count_matrix(21, workers=0).rows == want
+    assert f_value(11, workers=5000) == F_SEQUENCE[11]
+    assert pools and all(size <= cpus and chunks <= 4 * cpus for size, chunks in pools)
+    # workers = 0 asks for one per usable CPU, and one CPU counts serially
+    assert [workers for _tasks, workers in fork_calls] == [1000] + ([cpus] if cpus > 1 else []) + [5000]
+
+
 def test_count_into_refuses_ordinary_roots():
     # an ordinary root also has the ordinary child, which neither kernel makes
-    ordinary = Semigroup.ordinary(2)
-    for root in (tree._ROOT, (ordinary.bitmap, 2, 2, 0)):
+    for root in (node(Semigroup.ordinary(0)), node(Semigroup.ordinary(2))):
         with pytest.raises(ValueError, match="ordinary"):
             tree._count_into(tree._empty_rows(5), root, 5)
         with pytest.raises(ValueError, match="ordinary"):
@@ -220,10 +255,22 @@ def test_count_matrix_from_csv_rejects_a_table_without_rows():
     ([{"g": 0, "counts": [1.0]}], "no non-negative integer"),
     ([{"g": 0, "counts": "1"}], "no list of counts"),
     ([], "at least the row g = 0"),
+    ("{}", "an object with a list of rows"),
+    ("[]", "an object with a list of rows"),
+    ("null", "an object with a list of rows"),
+    ('{"rows": 5}', "an object with a list of rows"),
+    ('{"rows": [5]}', "row 0 is keyed g = None"),
+    ('{"rows": [{"g": 0}]}', "row 0 has no list of counts"),
+    ('{"g_max": 7, "rows": [{"g": 0, "counts": [1]}]}', "g_max = 7 does not match the 1 rows"),
+    ('{"g_max": true, "rows": [{"g": 0, "counts": [1]}, {"g": 1, "counts": [1]}]}', "g_max = True"),
+    ('{"g_max": 0.0, "rows": [{"g": 0, "counts": [1]}]}', "g_max = 0.0"),
+    ('{"g_max": "0", "rows": [{"g": 0, "counts": [1]}]}', "g_max = '0'"),
 ])
 def test_count_matrix_from_json_obj_rejects_malformed_tables(rows, match):
+    # a list is the rows of a table object, a string a whole JSON document
+    obj = {"rows": rows} if isinstance(rows, list) else json.loads(rows)
     with pytest.raises(ValueError, match=match):
-        CountMatrix.from_json_obj({"rows": rows})
+        CountMatrix.from_json_obj(obj)
 
 
 def test_tg_edges_depths():
@@ -377,31 +424,32 @@ def test_effective_generators_inherited_down_T():
     for task in tree._spine_tasks(16):
         for entry in tree._subtree(task, 16, 16):
             assert entry == tree._task_start(entry[:4], 16)[0]
-            bitmap, g, frob, _r, eff, _rev = entry
+            bitmap, g, _frob, _r, eff, _rev = entry
             nonzero = bitmap & -2
             m = (nonzero & -nonzero).bit_length() - 1
-            for child, g1, a, _r1 in tree._children(bitmap, g, frob, 0) if g < 16 else ():
+            for child in children_in_T(Semigroup._from_bitmap(bitmap, g)) if g < 16 else ():
+                a, g1 = child.frobenius, g + 1
                 s = a + m
-                new = s <= 2 * g1 + 1 and not (_sum_bitmap(child, g1) >> s) & 1
-                assert tree._effective_generators(child, g1, a) == (eff & -(2 << a)) | (new << s)
+                new = s <= 2 * g1 + 1 and not (_sum_bitmap(child.bitmap, g1) >> s) & 1
+                assert tree._effective_generators(child.bitmap, g1, a) == (eff & -(2 << a)) | (new << s)
                 edges += 1
     # every edge into genus 1..16 except the g children of each ordinary parent
     assert edges == sum(sum(COUNTS_BY_GENUS[g]) - g for g in range(1, 17))
 
 
 def test_nodes_match_a_walk_by_definition():
-    # a plain depth-first walk that expands every node by ``_children``;
+    # a plain depth-first walk that expands every node by the definition;
     # cutting it at genus g_max keeps the order of what is left
     want = []
-    stack = [tree._ROOT]
+    stack = [Semigroup.ordinary(0)]
     while stack:
-        node = stack.pop()
-        want.append(node)
-        if node[1] < 18:
-            stack.extend(tree._children(*node))
+        s = stack.pop()
+        want.append(node(s))
+        if s.genus < 18:
+            stack.extend(children_in_T(s))
     assert len(want) == sum(sum(COUNTS_BY_GENUS[g]) for g in range(19))
     for g_max in range(-1, 19):
-        assert list(tree._nodes(g_max)) == [node for node in want if node[1] <= max(g_max, 0)], g_max
+        assert list(tree._nodes(g_max)) == [entry for entry in want if entry[1] <= max(g_max, 0)], g_max
 
 
 def test_T_children_complete_by_definition():
