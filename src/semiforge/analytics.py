@@ -14,6 +14,7 @@ table-cell checks (``check_conjecture``, ``high_depth_cross_check``,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -179,13 +180,12 @@ def check_conjecture(g_max: int, *, workers: int = 1) -> VerificationReport:
     if g_max < 1:
         raise ValueError("g_max must be >= 1")
     matrix = tree.count_matrix(g_max, workers=workers)
-    worst: Optional[str] = None
     for g in range(g_max):
         for r, count in enumerate(matrix.row(g)):
-            nxt = matrix.cell(g + 1, r)
-            if count > nxt and worst is None:
-                worst = f"n({g},{r})={count} > n({g + 1},{r})={nxt}"
-    return VerificationReport("conjecture", f"genus <= {g_max}", worst is None, worst)
+            if count > matrix.cell(g + 1, r):
+                drop = f"n({g},{r})={count} > n({g + 1},{r})={matrix.cell(g + 1, r)}"
+                return VerificationReport("conjecture", f"genus <= {g_max}", False, drop)
+    return VerificationReport("conjecture", f"genus <= {g_max}", True)
 
 
 def high_depth_cross_check(g_max: int) -> VerificationReport:
@@ -194,17 +194,13 @@ def high_depth_cross_check(g_max: int) -> VerificationReport:
     if g_max < 2:
         raise ValueError("g_max must be >= 2")
     matrix = tree.count_matrix(g_max)
-    f_cache: dict[int, int] = {}
-    worst: Optional[str] = None
+    f = functools.cache(closedsets.f_value)
     for g in range(2, g_max + 1):
         for r in range(_min_high_r(g), g // 2 + 1):
-            w = g // 2 - r
-            if w not in f_cache:
-                f_cache[w] = closedsets.f_value(w)
-            got = matrix.cell(g, r)
-            if got != f_cache[w] and worst is None:
-                worst = f"n({g},{r})={got} != f({w})={f_cache[w]}"
-    return VerificationReport("high-depth-cross-check", f"genus <= {g_max}", worst is None, worst)
+            if matrix.cell(g, r) != f(g // 2 - r):
+                worst = f"n({g},{r})={matrix.cell(g, r)} != f({g // 2 - r})={f(g // 2 - r)}"
+                return VerificationReport("high-depth-cross-check", f"genus <= {g_max}", False, worst)
+    return VerificationReport("high-depth-cross-check", f"genus <= {g_max}", True)
 
 
 def verify_bijection(g_max: int) -> VerificationReport:
@@ -214,7 +210,8 @@ def verify_bijection(g_max: int) -> VerificationReport:
     (omega, B) pairs is injective, lands exactly on the enumerated
     semigroups of genus g and depth r, splitting is its two-sided
     inverse, and the image size matches both the count table and the
-    closed-set sum."""
+    closed-set sum.  The pairing's checks raise ValueError or AssertionError
+    exactly when a side condition fails: that is the cell's counterexample."""
     if g_max < 2:
         raise ValueError("g_max must be >= 2")
     matrix = tree.count_matrix(g_max)
@@ -227,25 +224,28 @@ def verify_bijection(g_max: int) -> VerificationReport:
     for g in range(2, g_max + 1):
         for r in range(_min_high_r(g), g // 2 + 1):
             w = g // 2 - r
-            if w not in pair_pool:
-                omegas: list[Semigroup] = []
-                tree.enumerate_genus(w, omegas.append)
-                pair_pool[w] = [(om, b) for om in omegas for b in closedsets.closed_sets(om, w + 1)]
-            pairs = [closedsets.PairDecomposition(om, b, g) for om, b in pair_pool[w]]
-            built = [closedsets.build_from_pair(p) for p in pairs]
-            image = {s.bitmap for s in built}
-            want = deep.get((g, r), set())
-            if len(image) != len(built):
-                failures.append(f"g={g} r={r}: pairing not injective")
-            elif image != want or len(built) != matrix.cell(g, r):
-                failures.append(f"g={g} r={r}: image size {len(built)} vs table {matrix.cell(g, r)}")
-            else:
-                for p, s in zip(pairs, built):
-                    back = closedsets.decompose(s)
-                    if back.omega != p.omega or back.b.elements != p.b.elements:
-                        failures.append(f"g={g} r={r}: decompose does not invert build on {s.gap_string()}")
-                    elif closedsets.build_from_pair(back) != s:
-                        failures.append(f"g={g} r={r}: build does not invert decompose on {s.gap_string()}")
+            try:
+                if w not in pair_pool:
+                    omegas: list[Semigroup] = []
+                    tree.enumerate_genus(w, omegas.append)
+                    pair_pool[w] = [(om, b) for om in omegas for b in closedsets.closed_sets(om, w + 1)]
+                pairs = [closedsets.PairDecomposition(om, b, g) for om, b in pair_pool[w]]
+                built = [closedsets.build_from_pair(p) for p in pairs]
+                image = {s.bitmap for s in built}
+                want = deep.get((g, r), set())
+                if len(image) != len(built):
+                    failures.append(f"g={g} r={r}: pairing not injective")
+                elif image != want or len(built) != matrix.cell(g, r):
+                    failures.append(f"g={g} r={r}: image size {len(built)} vs table {matrix.cell(g, r)}")
+                else:
+                    for p, s in zip(pairs, built):
+                        back = closedsets.decompose(s)
+                        if back.omega != p.omega or back.b.elements != p.b.elements:
+                            failures.append(f"g={g} r={r}: decompose does not invert build on {s.gap_string()}")
+                        elif closedsets.build_from_pair(back) != s:
+                            failures.append(f"g={g} r={r}: build does not invert decompose on {s.gap_string()}")
+            except (ValueError, AssertionError) as exc:
+                failures.append(f"g={g} r={r}: {type(exc).__name__}: {exc}")
     first = failures[0] if failures else None
     return VerificationReport("bijection", f"genus <= {g_max}, depth 3r >= g+2", not failures, first)
 

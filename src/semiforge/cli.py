@@ -5,13 +5,13 @@ or the transform chain); progress notes go to standard error.  Repeated
 runs with identical arguments produce byte-identical output regardless
 of the worker count.
 
-Exit codes:
+Exit codes, all decided by ``run`` (the handlers only compute and print):
     0  success / verification passed
     1  verification found a counterexample
-    2  bad flags or unparsable input
+    2  bad flags, unparsable input, or input too large for the memory
     3  gap list whose complement is not additively closed
     4  tree export exceeds the node cap
-    5  output file could not be written
+    5  an output (the DOT file or standard output) could not be written
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ _VERIFY_CHECKS = {
     "parity": lambda gmax, workers: analytics.verify_parity_lemma(gmax),
     "trees": lambda gmax, workers: analytics.verify_tree_relations(gmax),
 }
-
-
-# smallest --gmax each check accepts; below it the check is undefined
-_VERIFY_GMAX_FLOOR = {"conjecture": 1, "bijection": 2}
 
 
 def _non_negative(text: str) -> int:
@@ -68,23 +64,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gmax", type=_non_negative, required=True)
     p.add_argument("--format", choices=("csv", "json", "plain"), default="csv")
     _add_workers_flag(p)
+    p.set_defaults(run=_cmd_table)
 
     p = sub.add_parser("transform", help="print the ordinarization chain of a gap list")
     p.add_argument("gaps", help='comma-separated gap list, e.g. "1,2,3,6,7,11"')
+    p.set_defaults(run=_cmd_transform)
 
     p = sub.add_parser("fseq", help="closed-set counting sequence")
     p.add_argument("--omega-max", type=_non_negative, required=True)
     _add_workers_flag(p)
+    p.set_defaults(run=_cmd_fseq)
 
     p = sub.add_parser("verify", help="run one verification harness")
     p.add_argument("--check", choices=sorted(_VERIFY_CHECKS), required=True)
     p.add_argument("--gmax", type=_non_negative, required=True)
     _add_workers_flag(p)
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("tree", help="DOT export of the fixed-genus tree")
     p.add_argument("--genus", type=_non_negative, required=True)
     p.add_argument("--dot", required=True, metavar="PATH")
     p.add_argument("--node-cap", type=_non_negative, default=100_000)
+    p.set_defaults(run=_cmd_tree)
     return parser
 
 
@@ -103,16 +104,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    try:
-        s = Semigroup.from_gap_string(args.gaps)
-    except NotClosed as exc:
-        a, b = exc.witness
-        print(f"not a numerical semigroup: witness {a} + {b} = {a + b} is a gap", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"cannot parse gap list: {exc}", file=sys.stderr)
-        return 2
-    chain = s.ordinarization_chain()
+    chain = Semigroup.from_gap_string(args.gaps).ordinarization_chain()
     for step in chain:
         print(step.gap_string())
     print(f"r={len(chain) - 1}")
@@ -127,21 +119,13 @@ def _cmd_fseq(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    floor = _VERIFY_GMAX_FLOOR.get(args.check, 0)
-    if args.gmax < floor:
-        print(f"--check {args.check} needs --gmax >= {floor}", file=sys.stderr)
-        return 2
     report = _VERIFY_CHECKS[args.check](args.gmax, args.workers)
     print(json.dumps(report.as_json_dict()))
     return 0 if report.passed else 1
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    try:
-        text = tree.export_tree_dot(args.genus, node_cap=args.node_cap)
-    except tree.TooLarge as exc:
-        print(str(exc), file=sys.stderr)
-        return 4
+    text = tree.export_tree_dot(args.genus, node_cap=args.node_cap)
     try:
         with open(args.dot, "w") as fh:
             fh.write(text)
@@ -152,17 +136,8 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "table": _cmd_table,
-    "transform": _cmd_transform,
-    "fseq": _cmd_fseq,
-    "verify": _cmd_verify,
-    "tree": _cmd_tree,
-}
-
-
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command; returns the exit code, 2 for rejected flags."""
+    """Run one command and return its exit code (see the module docstring)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -173,11 +148,28 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 parser.error(f"${WORKERS_ENV}: {exc}")
     except SystemExit as exc:  # argparse has already printed the message
         return exc.code
-    return _HANDLERS[args.command](args)
+    try:
+        return args.run(args)
+    except NotClosed as exc:
+        a, b = exc.witness
+        print(f"not a numerical semigroup: witness {a} + {b} = {a + b} is a gap", file=sys.stderr)
+        return 3
+    except tree.TooLarge as exc:
+        print(exc, file=sys.stderr)
+        return 4
+    except (ValueError, MemoryError) as exc:
+        print(str(exc) or "not enough memory for this input", file=sys.stderr)
+        return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except BrokenPipeError:  # as the ``signal`` docs advise: the last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 5
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -37,6 +37,7 @@ or where the kernel cannot load, ``_tg_level`` walks it in Python.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -362,6 +363,13 @@ def _build_kernel(source: str, library: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    # this interpreter's builds of older sources are stale now; a build is
+    # named "_kernel-", an 8-digit key, then the interpreter's suffix
+    cache, name = os.path.split(library)
+    with contextlib.suppress(OSError):
+        for old in os.listdir(cache):
+            if old != name and old[:8] == "_kernel-" and old[16:] == name[16:]:
+                os.remove(os.path.join(cache, old))
 
 
 def _count_plan(g_max: int) -> tuple[Callable, int]:

@@ -1,5 +1,6 @@
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -29,6 +30,32 @@ def fork_calls(monkeypatch) -> list[tuple[int, int]]:
 
     monkeypatch.setattr(tree, "_fork_map", spy)
     return calls
+
+
+@pytest.fixture
+def fake_pool(monkeypatch) -> list[tuple[int, int]]:
+    """(size, number of chunks) of every fork pool; each pool is faked to
+    map in this process, so that no worker starts whatever the request."""
+    import multiprocessing
+
+    pools: list[tuple[int, int]] = []
+
+    class Pool:
+        def __init__(self, size):
+            self.size = size
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, payloads):
+            pools.append((self.size, len(payloads)))
+            return map(fn, payloads)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+    return pools
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -12,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiforge import CountMatrix, n_g1_formula, tree
+from semiforge import CountMatrix, closedsets, n_g1_formula, tree
 from semiforge.cli import run
 from reference_tables import COUNTS_BY_GENUS, F_SEQUENCE
 
@@ -192,6 +194,92 @@ def test_tree_node_cap_refuses_a_huge_genus_at_once(tmp_path, capsys):
 
 def test_tree_write_failure_exits_5(tmp_path, capsys):
     assert run(["tree", "--genus", "2", "--dot", str(tmp_path / "no" / "dir" / "x.dot")]) == 5
+
+
+@pytest.mark.parametrize("check, gmax, code", [("conjecture", 0, 2), ("conjecture", 1, 0), ("bijection", 1, 2), ("bijection", 2, 0)])
+def test_verify_gmax_floors(check, gmax, code, capsys):
+    # each harness refuses a --gmax below its range, which starts at 1 for
+    # conjecture and 2 for bijection
+    assert run(["verify", "--check", check, "--gmax", str(gmax)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and captured.err.strip()
+    else:
+        assert json.loads(captured.out)["passed"] is True
+
+
+@pytest.mark.parametrize("error", [ValueError, AssertionError])
+def test_a_raising_pairing_is_a_counterexample(error, monkeypatch, capsys):
+    # the pairing's checks raise exactly when a side condition fails, so
+    # verify reports the cell and exits 1 rather than taking it for bad input
+    decompose = closedsets.decompose
+
+    def doctored(s):
+        if s.genus == 6:
+            raise error("doctored")
+        return decompose(s)
+
+    monkeypatch.setattr(closedsets, "decompose", doctored)
+    assert run(["verify", "--check", "bijection", "--gmax", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1 and "Traceback" not in captured.err
+    assert json.loads(captured.out)["counterexample"] == f"g=6 r=3: {error.__name__}: doctored"
+
+
+def test_a_forking_table_keeps_the_contract(fake_pool, python_kernel, capsys):
+    assert run(["table", "--gmax", "22", "--workers", "3"]) == 0
+    want = tuple(tuple(COUNTS_BY_GENUS[g]) for g in range(23))
+    assert CountMatrix.from_csv(capsys.readouterr().out).rows == want
+    assert fake_pool  # the 231 tasks went through the pool
+
+
+def _semiforge(argv, **kwargs):
+    return subprocess.Popen([sys.executable, "-m", "semiforge", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_pipe_exits_5_silently(unbuffered):
+    # the chain of this genus-600 semigroup is about 700 kB, more than a
+    # pipe holds, so the writer is still writing when the reader goes away
+    gaps = ",".join(map(str, range(1, 1200, 2)))
+    proc = _semiforge(["transform", gaps], env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+    assert proc.stdout.readline() == f"{gaps}\n".encode()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 5
+    assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+_OVERSIZED_CALLS = (
+    ["table", "--gmax", "100000"],
+    ["verify", "--check", "parity", "--gmax", "2000000000"],
+    ["verify", "--check", "conjecture", "--gmax", "100000"],
+    ["tree", "--genus", "100000", "--dot", "x.dot", "--node-cap", "100000000000"],
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_oversized_inputs_exit_2_under_an_address_space_limit(tmp_path):
+    # each needs gigabytes; a 256 MB address space makes that a MemoryError
+    # at once, which must exit 2 like any input too large to handle.  The
+    # four run side by side, at most 1 GB in all
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+    started = time.perf_counter()
+    procs = [_semiforge(argv, cwd=tmp_path, preexec_fn=limit, text=True) for argv in _OVERSIZED_CALLS]
+    try:
+        for argv, proc in zip(_OVERSIZED_CALLS, procs):
+            out, err = proc.communicate(timeout=60)
+            assert (proc.returncode, out) == (2, ""), (argv, err)
+            assert err.strip() and "Traceback" not in err, argv
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert time.perf_counter() - started < 10
+    assert not (tmp_path / "x.dot").exists()
 
 
 # ----------------------------------------------------------------------

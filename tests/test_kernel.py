@@ -4,6 +4,7 @@ the fallback to those where the compiled kernel cannot load."""
 
 import itertools
 import shutil
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import pytest
 
@@ -175,6 +176,25 @@ def test_compiled_tg_walk_refuses_at_the_python_caps(compiled_kernel, monkeypatc
     assert compiled.count(compiled[-1]) == 2  # the whole tree fits the last two caps
     monkeypatch.setattr(tree, "_kernel", False)
     assert compiled == [_dot_or_refusal(g, cap) for cap in caps]
+
+
+def test_a_build_removes_older_builds_for_this_interpreter(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    suffix = EXTENSION_SUFFIXES[0]
+    source = tmp_path / "_kernel.c"
+    shutil.copy(tree._KERNEL_SOURCE, source)
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    stale = {f"_kernel-00000000{suffix}", f"_kernel-deadbeef{suffix}"}
+    foreign = "_kernel-00000000.cpython-39-x86_64-linux-gnu.so"  # no interpreter here is 3.9
+    for name in (*stale, foreign):
+        (cache / name).write_bytes(b"")
+    assert tree._load_kernel(str(source)) is not None
+    left = {path.name for path in cache.iterdir()}
+    built = left - {foreign}
+    assert foreign in left and len(built) == 1 and not built & stale
+    assert built.pop().endswith(suffix)
 
 
 @pytest.mark.parametrize("breakage", ["no compiler", "build fails", "cache unwritable"])

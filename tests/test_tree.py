@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import pytest
 
@@ -171,34 +170,14 @@ def test_fork_map_more_workers_than_chunks():
     assert merged == tree._count_worker((tasks, 12))
 
 
-def test_pools_start_no_more_workers_than_usable_cpus(monkeypatch, fork_calls, python_kernel):
-    # a fake fork context records each pool's size and chunk count and maps
-    # in process, so that no worker is started whatever the request; both
-    # kernels share the pool, and the Python one forks the smallest tables
-    import multiprocessing
-
+def test_pools_start_no_more_workers_than_usable_cpus(fake_pool, fork_calls, python_kernel):
+    # no worker is started whatever the request; both kernels share the
+    # pool, and the Python one forks the smallest tables
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    pools: list[tuple[int, int]] = []
-
-    class Pool:
-        def __init__(self, size):
-            self.size = size
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap_unordered(self, fn, payloads):
-            pools.append((self.size, len(payloads)))
-            return map(fn, payloads)
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
     want = tuple(tuple(COUNTS_BY_GENUS[g]) for g in range(22))
     assert count_matrix(21, workers=1000).rows == count_matrix(21, workers=0).rows == want
     assert f_value(11, workers=5000) == F_SEQUENCE[11]
-    assert pools and all(size <= cpus and chunks <= 4 * cpus for size, chunks in pools)
+    assert fake_pool and all(size <= cpus and chunks <= 4 * cpus for size, chunks in fake_pool)
     # workers = 0 asks for one per usable CPU, and one CPU counts serially
     assert [workers for _tasks, workers in fork_calls] == [1000] + ([cpus] if cpus > 1 else []) + [5000]
 
