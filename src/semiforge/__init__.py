@@ -4,7 +4,6 @@ count tables."""
 from .analytics import (
     check_conjecture,
     max_ordinarization_attainer,
-    n_g1_formula,
     verify_bijection,
     verify_interval_theorem,
     verify_parity_lemma,
@@ -20,6 +19,7 @@ from .tree import (
     count_matrix,
     enumerate_genus,
     export_tree_dot,
+    n_g1_formula,
     tg_bfs_row,
 )
 

@@ -71,26 +71,6 @@ def _report(name: str, rng: str, bad: _Counterexamples) -> VerificationReport:
 # ----------------------------------------------------------------------
 # closed formulas
 
-def n_g1_formula(g: int) -> int:
-    """Number of genus-g semigroups at depth 1.
-
-    Both printed forms of the closed formula are evaluated and compared,
-    guarding against transcription slips:
-    ceil((g-1)/2) * floor((g+1)/2) + floor((g-1)/2) * floor((g+1)/2) / 2,
-    and (3g^2 - 2g)/8 for even g, (3g^2 - 3)/8 for odd g.
-    """
-    if g < 0:
-        raise ValueError("genus must be non-negative")
-    half_up = -((1 - g) // 2)          # ceil((g-1)/2)
-    count = half_up * ((g + 1) // 2)
-    prod = ((g - 1) // 2) * ((g + 1) // 2)
-    assert prod % 2 == 0
-    count += prod // 2
-    piecewise = (3 * g * g - 2 * g) // 8 if g % 2 == 0 else (3 * g * g - 3) // 8
-    assert count == piecewise, (g, count, piecewise)
-    return count
-
-
 def max_ordinarization_attainer(g: int) -> Semigroup:
     """The alternating-evens semigroup (evens through 2g, then everything),
     which attains the maximal depth floor(g/2).  It is the only attainer
@@ -220,7 +200,10 @@ def verify_bijection(g_max: int) -> VerificationReport:
         if _high_depth(g, r):
             deep.setdefault((g, r), set()).add(bitmap)
     pair_pool: dict[int, list[tuple[Semigroup, closedsets.ClosedSet]]] = {}
-    failures: list[str] = []
+
+    def fail(why: str) -> VerificationReport:
+        return VerificationReport("bijection", f"genus <= {g_max}, depth 3r >= g+2", False, f"g={g} r={r}: {why}")
+
     for g in range(2, g_max + 1):
         for r in range(_min_high_r(g), g // 2 + 1):
             w = g // 2 - r
@@ -232,22 +215,19 @@ def verify_bijection(g_max: int) -> VerificationReport:
                 pairs = [closedsets.PairDecomposition(om, b, g) for om, b in pair_pool[w]]
                 built = [closedsets.build_from_pair(p) for p in pairs]
                 image = {s.bitmap for s in built}
-                want = deep.get((g, r), set())
                 if len(image) != len(built):
-                    failures.append(f"g={g} r={r}: pairing not injective")
-                elif image != want or len(built) != matrix.cell(g, r):
-                    failures.append(f"g={g} r={r}: image size {len(built)} vs table {matrix.cell(g, r)}")
-                else:
-                    for p, s in zip(pairs, built):
-                        back = closedsets.decompose(s)
-                        if back.omega != p.omega or back.b.elements != p.b.elements:
-                            failures.append(f"g={g} r={r}: decompose does not invert build on {s.gap_string()}")
-                        elif closedsets.build_from_pair(back) != s:
-                            failures.append(f"g={g} r={r}: build does not invert decompose on {s.gap_string()}")
+                    return fail("pairing not injective")
+                if image != deep.get((g, r), set()) or len(built) != matrix.cell(g, r):
+                    return fail(f"image size {len(built)} vs table {matrix.cell(g, r)}")
+                for p, s in zip(pairs, built):
+                    back = closedsets.decompose(s)
+                    if back.omega != p.omega or back.b.elements != p.b.elements:
+                        return fail(f"decompose does not invert build on {s.gap_string()}")
+                    if closedsets.build_from_pair(back) != s:
+                        return fail(f"build does not invert decompose on {s.gap_string()}")
             except (ValueError, AssertionError) as exc:
-                failures.append(f"g={g} r={r}: {type(exc).__name__}: {exc}")
-    first = failures[0] if failures else None
-    return VerificationReport("bijection", f"genus <= {g_max}, depth 3r >= g+2", not failures, first)
+                return fail(f"{type(exc).__name__}: {exc}")
+    return VerificationReport("bijection", f"genus <= {g_max}, depth 3r >= g+2", True)
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +271,7 @@ def verify_tree_relations(g_max: int) -> VerificationReport:
 
     - the breadth-first depth profile of the fixed-genus tree matches the
       enumeration grouped by ordinarization number, on the same node set,
-      and each edge child ordinarizes to its parent;
+      and each edge child ordinarizes to its parent, the root to itself;
     - transforms of a parent/child pair in the generator-removal tree
       stay parent/child there (adjoining the Frobenius number of the
       child's transform gives the parent's transform);
@@ -314,25 +294,20 @@ def verify_tree_relations(g_max: int) -> VerificationReport:
         for bm in level:
             expected_row[(bm & ((1 << (g + 1)) - 2)).bit_count()] += 1
         nxt: set[int] = set()
-
-        def reached(bitmap: int, eff: int, transform: int) -> None:
-            # the fixed-genus tree must reach each member of ``level`` once
-            if bitmap in level:
-                level.remove(bitmap)
-                if g < g_max:
-                    _expand_checked(bitmap, g, eff, transform, nxt, bad)
-
-        root = Semigroup.ordinary(g)
-        reached(root.bitmap, tree._effective_generators(root.bitmap, g, root.frobenius), _ordinarize_bitmap(root.bitmap, g))
-        row = [1]
-        prev: Sequence[int] = [root.bitmap]
+        row: list[int] = []
+        prev: Sequence[int] = ()
         for parents, children, effs in tree._tg_levels(g):
             row.append(len(children))
+            up = prev or children  # the root is its own parent
             for parent, child, eff in zip(parents, children, effs):
                 transform = _ordinarize_bitmap(child, g)
-                if transform != prev[parent]:
+                if transform != up[parent]:
                     bad.add(g, Semigroup._from_bitmap(child, g).gaps(), "edge child does not transform to parent")
-                reached(child, eff, transform)
+                # the fixed-genus tree must reach each member of ``level`` once
+                if child in level:
+                    level.remove(child)
+                    if g < g_max:
+                        _expand_checked(child, g, eff, transform, nxt, bad)
             prev = children
         row += [0] * (len(expected_row) - len(row))
         if row != expected_row:

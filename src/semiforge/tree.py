@@ -16,23 +16,26 @@ member `b` below the multiplicity; a candidate survives iff it is still
 additively closed, which one shift test per added member `b` decides
 because removing a minimal generator cannot break any old pair.
 
-Walks are streaming: they never materialize a whole genus except in
-the capped DOT export.  Most of the generator-removal tree hangs below
-the ordinary semigroups, so every walk splits along that ordinary
-spine: the spine and its non-ordinary children are built by formula
-(``_spine_tasks``), and the subtree under each such child, one task,
-by one walk (``_subtree``) in which every child inherits its effective
-generators from its parent.  A table tallies the spine directly and
-counts its tasks in process or by forked workers, by a C kernel, built
-on first use by the system C compiler, or by that walk where the
-kernel cannot load; the per-(genus, depth) tallies merge by addition,
-so results do not depend on the worker count.
+A walk of the generator-removal tree holds one depth-first stack, not a
+whole genus, though a caller may collect one: ``f_value(w)`` lists genus
+w, and ``verify_tree_relations`` holds genera g and g + 1 as sets.  Most
+of that tree hangs below the ordinary semigroups, so every walk splits
+along that ordinary spine: the spine and its non-ordinary children are
+built by formula (``_spine_tasks``), and the subtree under each such
+child, one task, by one walk (``_subtree``) in which every child
+inherits its effective generators from its parent.  A table tallies the
+spine directly and counts its tasks in process or by forked workers, by
+a C kernel, built on first use by the system C compiler, or by that walk
+where the kernel cannot load; the per-(genus, depth) tallies merge by
+addition, so results do not depend on the worker count.
 
-The fixed-genus tree is walked breadth first (``_tg_levels``), one level
-at a time, each node's effective generators made once and handed to its
-children's level.  From genus 13 to 31 a level is one call into the same
-C kernel, whose output buffers the next level reads in place; elsewhere,
-or where the kernel cannot load, ``_tg_level`` walks it in Python.
+The fixed-genus tree is walked breadth first (``_tg_levels``) from the
+root at depth 0, holding one whole level while it builds the next (the
+DOT export keeps them all, under its node cap); each node's effective
+generators are made once and handed to its children's level.  From
+genus 13 to 31 a level is one call into the same C kernel, whose output
+buffers the next level reads in place; elsewhere, or where the kernel
+cannot load, ``_tg_level`` walks it in Python.
 """
 
 from __future__ import annotations
@@ -459,35 +462,31 @@ def _tg_plan(g: int) -> Callable:
 
 
 def _tg_levels(g: int, node_cap: float = math.inf) -> Iterator[TgLevel]:
-    """Breadth-first levels of the fixed-genus tree below the ordinary
-    semigroup: per depth d >= 1, the parallel sequences (parent, child,
-    child's effective generators), where parent indexes the level before
-    (the root's level is [root]), in the order the parents were reached.
-    A child's effective generators feed the next level, so no node
-    rebuilds its sum set twice.
+    """Breadth-first levels of the fixed-genus tree: per depth d >= 0, the
+    parallel sequences (parent, child, child's effective generators), where
+    parent indexes the level before, in the order the parents were reached.
+    Depth 0 is ([0], [root], [its effective generators]): the transform
+    fixes the ordinary semigroup, so the root is its own parent.  A child's
+    effective generators feed the next level, so no node rebuilds its sum
+    set twice.
 
-    Raises TooLarge as soon as the nodes reached, the root included,
-    exceed ``node_cap``, so an oversized level is never completed; the
-    root's n_g1(g) children, about 3g^2/8, are counted before even the
-    root is made.
+    Raises TooLarge as soon as the nodes reached exceed ``node_cap``, so an
+    oversized level is never completed; the root's n_g1(g) children, about
+    3g^2/8, are counted before even the root is made.
     """
-    from .analytics import n_g1_formula  # analytics imports this module
-
-    room = node_cap - 1
-    if n_g1_formula(g) > room:
+    if n_g1_formula(g) > node_cap - 1:
         raise TooLarge(f"fixed-genus tree for g={g} exceeds {node_cap} nodes")
     root = Semigroup.ordinary(g)
     level = _tg_plan(g)
-    bitmaps, effs = [root.bitmap], [_effective_generators(root.bitmap, g, root.frobenius)]
-    while True:
+    room = node_cap
+    parents, bitmaps, effs = [0], [root.bitmap], [_effective_generators(root.bitmap, g, root.frobenius)]
+    while bitmaps:
+        yield parents, bitmaps, effs
+        room -= len(bitmaps)
         out = level(bitmaps, effs, g, room)
         if out is None:
             raise TooLarge(f"fixed-genus tree for g={g} exceeds {node_cap} nodes")
-        _parents, bitmaps, effs = out
-        if not bitmaps:
-            return
-        yield out
-        room -= len(bitmaps)
+        parents, bitmaps, effs = out
 
 
 def _usable_cpus() -> int:
@@ -532,6 +531,26 @@ def children_in_Tg(s: Semigroup) -> list[Semigroup]:
     is s.  Ordered by (added member, removed generator)."""
     eff = _effective_generators(s.bitmap, s.genus, s.frobenius)
     return [Semigroup._from_bitmap(child, s.genus) for child in _tg_children_raw(s.bitmap, s.genus, eff)]
+
+
+def n_g1_formula(g: int) -> int:
+    """Number of genus-g semigroups at depth 1.
+
+    Both printed forms of the closed formula are evaluated and compared,
+    guarding against transcription slips:
+    ceil((g-1)/2) * floor((g+1)/2) + floor((g-1)/2) * floor((g+1)/2) / 2,
+    and (3g^2 - 2g)/8 for even g, (3g^2 - 3)/8 for odd g.
+    """
+    if g < 0:
+        raise ValueError("genus must be non-negative")
+    half_up = -((1 - g) // 2)          # ceil((g-1)/2)
+    count = half_up * ((g + 1) // 2)
+    prod = ((g - 1) // 2) * ((g + 1) // 2)
+    assert prod % 2 == 0
+    count += prod // 2
+    piecewise = (3 * g * g - 2 * g) // 8 if g % 2 == 0 else (3 * g * g - 3) // 8
+    assert count == piecewise, (g, count, piecewise)
+    return count
 
 
 def enumerate_genus(g: int, visitor: Optional[Callable[[Semigroup], None]] = None) -> int:
@@ -587,7 +606,7 @@ def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
 def tg_bfs_row(g: int) -> list[int]:
     """Counts per depth of the fixed-genus tree, by breadth-first walk from
     the ordinary semigroup."""
-    return [1] + [len(children) for _parents, children, _effs in _tg_levels(g)]
+    return [len(children) for _parents, children, _effs in _tg_levels(g)]
 
 
 def export_tree_dot(g: int, *, node_cap: int = 100_000) -> str:
@@ -599,16 +618,11 @@ def export_tree_dot(g: int, *, node_cap: int = 100_000) -> str:
     # walk first and label afterwards, so an oversized tree is refused
     # before any label is formatted
     levels = list(_tg_levels(g, node_cap))
-    labels = [Semigroup.ordinary(g).gap_string()]
-    nodes = [(labels[0], 0)]
-    edges: list[tuple[str, str]] = []
-    for depth, (parents, children, _effs) in enumerate(levels, 1):
-        child_labels = [Semigroup._from_bitmap(bm, g).gap_string() for bm in children]
-        nodes.extend((label, depth) for label in child_labels)
-        edges.extend(zip(map(labels.__getitem__, parents), child_labels))
-        labels = child_labels
+    labels = [[Semigroup._from_bitmap(bm, g).gap_string() for bm in children] for _parents, children, _effs in levels]
     lines = [f'digraph "Tg_{g}" {{']
-    lines.extend(f'  "{label}" [label="{label}", depth={d}];' for label, d in nodes)
-    lines.extend(f'  "{a}" -> "{b}";' for a, b in edges)
+    lines.extend(f'  "{label}" [label="{label}", depth={d}];' for d, level in enumerate(labels) for label in level)
+    # an edge joins each level below the root to the one above it
+    for above, (parents, _children, _effs), level in zip(labels, levels[1:], labels[1:]):
+        lines.extend(f'  "{above[p]}" -> "{label}";' for p, label in zip(parents, level))
     lines.append("}")
     return "\n".join(lines) + "\n"

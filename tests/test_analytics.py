@@ -235,6 +235,20 @@ def test_tree_relations_catch_a_broken_transform(monkeypatch, reported):
         assert "siblings transform to different parents" in reported
 
 
+def test_tree_relations_check_the_root_edge(monkeypatch, reported):
+    # the root is its own parent: a transform that moves the ordinary
+    # semigroup of genus G, and nothing else, breaks that one edge
+    transform = analytics._ordinarize_bitmap
+    for g, _doctor in _tg_walks(monkeypatch, reported):
+        root = Semigroup.ordinary(g).bitmap
+        monkeypatch.setattr(
+            analytics, "_ordinarize_bitmap", lambda bm, genus: bm ^ 2 if (bm, genus) == (root, g) else transform(bm, genus)
+        )
+        report = verify_tree_relations(g)
+        gaps = ",".join(map(str, range(1, g + 1)))
+        assert (report.passed, report.counterexample) == (False, f"gaps={gaps} edge child does not transform to parent")
+
+
 def test_tree_relations_miss_below_g_max_is_reported_at_its_genus(monkeypatch, reported):
     # a semigroup the walk of genus G misses is reported there, under the
     # smallest key of genus G, so a longer run names the same failure;
@@ -346,6 +360,24 @@ def test_bijection_catches_a_table_mismatch(monkeypatch):
     monkeypatch.setattr(tree, "count_matrix", lambda g_max, *, workers=1: doctored)
     report = verify_bijection(8)
     assert (report.passed, report.counterexample) == (False, "g=4 r=2: image size 1 vs table 2")
+
+
+def test_bijection_stops_at_its_first_failing_cell(monkeypatch):
+    # the table is doctored at g = 4, r = 2; no later cell is built
+    rows = [list(row) for row in tree.count_matrix(8).rows]
+    rows[4][2] += 1
+    doctored = tree.CountMatrix(tuple(map(tuple, rows)))
+    monkeypatch.setattr(tree, "count_matrix", lambda g_max, *, workers=1: doctored)
+    build = closedsets.build_from_pair
+    cells: list[tuple[int, int]] = []
+
+    def spy(pair):
+        cells.append((pair.g, pair.g // 2 - pair.omega.genus))
+        return build(pair)
+
+    monkeypatch.setattr(closedsets, "build_from_pair", spy)
+    assert verify_bijection(8).counterexample == "g=4 r=2: image size 1 vs table 2"
+    assert max(cells) == (4, 2)
 
 
 def test_bijection_catches_a_wrong_decomposition(monkeypatch):

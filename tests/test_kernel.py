@@ -140,13 +140,13 @@ def test_compiled_tg_bfs_rows_match_the_reference(compiled_kernel, monkeypatch):
 
 
 def test_compiled_tg_levels_match_python_in_the_top_bit(compiled_kernel, monkeypatch):
-    # at genus 31 the window [0, 63] is the whole word; the first two
-    # levels hold 360 and 20 569 nodes
-    compiled = _levels(31, 2)
-    assert [len(children) for _parents, children, _effs in compiled] == [360, 20569]
+    # at genus 31 the window [0, 63] is the whole word; the first three
+    # levels hold 1, 360 and 20 569 nodes
+    compiled = _levels(31, 3)
+    assert [len(children) for _parents, children, _effs in compiled] == [1, 360, 20569]
     assert any(child >> 63 for _parents, children, _effs in compiled for child in children)
     monkeypatch.setattr(tree, "_kernel", False)
-    assert compiled == _levels(31, 2)
+    assert compiled == _levels(31, 3)
 
 
 def test_compiled_tg_level_from_the_cutoff_to_genus_31(compiled_kernel, monkeypatch):

@@ -253,16 +253,19 @@ def test_count_matrix_from_json_obj_rejects_malformed_tables(rows, match):
 
 
 def test_tg_edges_depths():
+    root = Semigroup.ordinary(6)
+    levels = list(tree._tg_levels(6))
+    assert tuple(map(list, levels[0])) == ([0], [root.bitmap], [tree._effective_generators(root.bitmap, 6, root.frobenius)])
     depths = {}
-    level = [Semigroup.ordinary(6).bitmap]
-    for depth, (parents, children, effs) in enumerate(tree._tg_levels(6), 1):
+    level = [root.bitmap]  # the root is its own parent
+    for depth, (parents, children, effs) in enumerate(levels):
         for parent, child, eff in zip(parents, children, effs):
             assert _ordinarize_bitmap(child, 6) == level[parent]
             assert depth == (child & ((1 << 7) - 2)).bit_count()  # members in [1, g]
             assert eff == tree._effective_generators(child, 6, Semigroup._from_bitmap(child, 6).frobenius)
             depths[child] = depth
         level = children
-    assert len(depths) == 22  # every non-root node has exactly one parent
+    assert len(depths) == 23  # every node has exactly one parent, the root itself
 
 
 def test_export_dot_fig_tree():
