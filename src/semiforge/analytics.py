@@ -121,7 +121,7 @@ def verify_parity_lemma(g_max: int) -> VerificationReport:
         raise ValueError("g_max must be non-negative")
     bad = _Counterexamples()
     odd_positions = int("10" * (g_max + 1), 2) if g_max else 0
-    for bitmap, g, _frob, r in tree._nodes(g_max):
+    for bitmap, g, r in tree._nodes(g_max):
         if not _high_depth(g, r):
             continue
         culprits = bitmap & odd_positions & ((1 << (g + 1)) - 2)
@@ -139,7 +139,7 @@ def verify_interval_theorem(g_max: int) -> VerificationReport:
     if g_max < 0:
         raise ValueError("g_max must be non-negative")
     bad = _Counterexamples()
-    for bitmap, g, _frob, r in tree._nodes(g_max):
+    for bitmap, g, r in tree._nodes(g_max):
         gapbits = ~bitmap & ((1 << (2 * g + 2)) - 1)
         n = (gapbits & ~(gapbits >> 1)).bit_count()
         gaps = None
@@ -196,7 +196,7 @@ def verify_bijection(g_max: int) -> VerificationReport:
         raise ValueError("g_max must be >= 2")
     matrix = tree.count_matrix(g_max)
     deep: dict[tuple[int, int], set[int]] = {}
-    for bitmap, g, _frob, r in tree._nodes(g_max):
+    for bitmap, g, r in tree._nodes(g_max):
         if _high_depth(g, r):
             deep.setdefault((g, r), set()).add(bitmap)
     pair_pool: dict[int, list[tuple[Semigroup, closedsets.ClosedSet]]] = {}
@@ -233,7 +233,7 @@ def verify_bijection(g_max: int) -> VerificationReport:
 # ----------------------------------------------------------------------
 # relations between the two trees
 
-def _raw_adjoin_frobenius(bitmap: int, g: int) -> int:
+def _raw_parent_in_T(bitmap: int, g: int) -> int:
     """Parent in the generator-removal tree: genus drops to g - 1."""
     mask = (1 << (2 * g + 2)) - 1
     frob = (~bitmap & mask).bit_length() - 1
@@ -254,7 +254,7 @@ def _expand_checked(bitmap: int, g: int, eff: int, transform: int, nxt: set[int]
         child = extended ^ low
         nxt.add(child)
         child_t = _ordinarize_bitmap(child, g1)
-        if _raw_adjoin_frobenius(child_t, g1) != transform:
+        if _raw_parent_in_T(child_t, g1) != transform:
             bad.add(g1, Semigroup._from_bitmap(child, g1).gaps(), "transform left the ancestor line")
         cm = ((child & -2) & -(child & -2)).bit_length() - 1
         if cm > g1:  # the ordinary child

@@ -226,7 +226,7 @@ def f_value(omega_genus: int, *, workers: int = 1) -> int:
     3r >= g + 2 and w = floor(g/2) - r."""
     if omega_genus < 0:
         raise ValueError("genus must be non-negative")
-    bitmaps = [bm for bm, g, _frob, _r in _nodes(omega_genus) if g == omega_genus]
+    bitmaps = [bm for bm, g, _r in _nodes(omega_genus) if g == omega_genus]
     worker, min_tasks = _f_plan(omega_genus)
     return sum(_run_tasks(worker, bitmaps, omega_genus, workers, min_tasks))
 

@@ -138,7 +138,7 @@ class Semigroup(_Fields):
         witness pair) when the complement is not additively closed.
         """
         gap_list = list(gaps)
-        if any(not isinstance(x, int) or x < 1 for x in gap_list):
+        if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in gap_list):
             raise ValueError("gaps must be positive integers")
         if any(b <= a for a, b in zip(gap_list, gap_list[1:])):
             raise ValueError("gaps must be strictly increasing")

@@ -94,7 +94,7 @@ class TooLarge(RuntimeError):
 class CountMatrix:
     """Exact counts by genus (row) and ordinarization number (column).
 
-    Row g has floor(g/2) + 1 entries; cells outside that range are zero.
+    Row g has floor(g/2) + 1 entries; cells outside the table are zero.
     Cells are Python ints, so counts are exact at any genus.
     """
 
@@ -105,11 +105,12 @@ class CountMatrix:
         return len(self.rows) - 1
 
     def row(self, g: int) -> tuple[int, ...]:
+        if not 0 <= g <= self.g_max:
+            raise IndexError(f"genus {g} is outside the table's 0..{self.g_max}")
         return self.rows[g]
 
     def cell(self, g: int, r: int) -> int:
-        row = self.rows[g]
-        return row[r] if 0 <= r < len(row) else 0
+        return self.rows[g][r] if 0 <= g <= self.g_max and 0 <= r < len(self.rows[g]) else 0
 
     def to_csv(self) -> str:
         lines = ["g,r,count"]
@@ -176,15 +177,16 @@ class CountMatrix:
 # ----------------------------------------------------------------------
 # raw engines (bitmap ints on the stack, no Semigroup objects)
 
-Node = tuple[int, int, int, int]  # bitmap, genus, frobenius, ordinarization number
-Entry = tuple[int, int, int, int, int, int]  # a Node's fields, then eff and rev (see _subtree)
+Node = tuple[int, int, int]  # bitmap, genus, ordinarization number
+Entry = tuple[int, int, int, int, int]  # a Node's fields, then eff and rev (see _subtree)
 TgLevel = tuple[Sequence[int], Sequence[int], Sequence[int]]  # parent indices, children, their eff
 
 
-def _effective_generators(bitmap: int, genus: int, frobenius: int) -> int:
-    """Bitmask of minimal generators in (frobenius, 2*genus + 1]."""
-    window = (1 << (2 * genus + 2)) - (1 << (frobenius + 1))
-    return bitmap & -2 & ~_sum_bitmap(bitmap, genus) & window
+def _effective_generators(bitmap: int, genus: int) -> int:
+    """Bitmask of minimal generators in (F, 2*genus + 1], F the Frobenius
+    number: the largest gap in the window [0, 2*genus + 1], -1 at genus 0."""
+    mask = (1 << (2 * genus + 2)) - 1
+    return bitmap & -2 & ~_sum_bitmap(bitmap, genus) & mask & -(1 << (~bitmap & mask).bit_length())
 
 
 def _nodes(g_max: int) -> Iterator[Node]:
@@ -193,32 +195,31 @@ def _nodes(g_max: int) -> Iterator[Node]:
     children, last first; within one genus, this is the enumeration order."""
     tasks = _spine_tasks(g_max)
     for g in range(max(g_max, 0) + 1):
-        ordinary = Semigroup.ordinary(g)
-        yield ordinary.bitmap, g, ordinary.frobenius, 0
+        yield Semigroup.ordinary(g).bitmap, g, 0
         # the g tasks of genus g follow the g(g - 1)/2 of the genera below
         for task in reversed(tasks[g * (g - 1) // 2 : g * (g + 1) // 2]):
-            for bitmap, genus, frob, r, _eff, _rev in _subtree(task, g_max, g_max):
-                yield bitmap, genus, frob, r
+            for bitmap, genus, r, _eff, _rev in _subtree(task, g_max, g_max):
+                yield bitmap, genus, r
 
 
 def _task_start(root: Node, g_max: int) -> tuple[Entry, int]:
     """The first entry of ``_subtree(root, g_max, ...)``, built from
     scratch, and the multiplicity m of the walk.  Refuses an ordinary root."""
     W = 2 * g_max + 3
-    bitmap, g, frob, r = root
+    bitmap, g, r = root
     nonzero = bitmap & -2
     m = (nonzero & -nonzero).bit_length() - 1
     if m > g:
         raise ValueError(f"the ordinary semigroup of genus {g} is not a count task")
     members = (bitmap | -(1 << (g + g + 2))) & ((2 << W) - 2)
     rev = int(format(members >> 1, f"0{W}b")[::-1], 2)
-    return (bitmap, g, frob, r, _effective_generators(bitmap, g, frob), rev), m
+    return (bitmap, g, r, _effective_generators(bitmap, g), rev), m
 
 
 def _subtree(task: Node, g_max: int, last: int) -> Iterator[Entry]:
     """The non-ordinary ``task`` and every node below it down to genus
     ``last`` <= ``g_max``, depth first in ``_nodes``' order, as (bitmap,
-    genus, Frobenius number, depth, ``eff``, ``rev``).
+    genus, depth, ``eff``, ``rev``).
 
     The multiplicity m <= g of ``task`` is below every removed generator
     a > F >= g + 1, so m is the whole subtree's and a child's depth is its
@@ -247,7 +248,7 @@ def _subtree(task: Node, g_max: int, last: int) -> Iterator[Entry]:
     while stack:
         entry = pop()
         yield entry
-        bitmap, g, _frob, r, eff, rev = entry
+        bitmap, g, r, eff, rev = entry
         if g >= last or not eff:
             continue
         g1 = g + 1
@@ -262,7 +263,7 @@ def _subtree(task: Node, g_max: int, last: int) -> Iterator[Entry]:
             a = low.bit_length() - 1
             child_rev = rev ^ (1 << (W - a))
             new = low << m if a <= a_max and not (nonzero ^ low) & (child_rev >> (shift - a)) else 0
-            push((extended ^ low, g1, a, rbase, eff | new, child_rev))
+            push((extended ^ low, g1, rbase, eff | new, child_rev))
 
 
 def _count_into(rows: list[list[int]], root: Node, g_max: int) -> None:
@@ -270,7 +271,7 @@ def _count_into(rows: list[list[int]], root: Node, g_max: int) -> None:
     non-ordinary ``root``: ``_subtree`` to genus g_max - 1, then a popcount
     of each parent's ``eff``.  ``_kernel.c`` is this in C; this is its oracle."""
     last = g_max - 1
-    for bitmap, g, _frob, r, eff, _rev in _subtree(root, g_max, last):
+    for bitmap, g, r, eff, _rev in _subtree(root, g_max, last):
         rows[g][r] += 1
         if g == last and eff:
             rows[g_max][r + ((bitmap >> g_max) & 1)] += eff.bit_count()
@@ -299,7 +300,7 @@ def _count_worker_compiled(payload: tuple[list[Node], int]) -> list[list[int]]:
     stride = g_max // 2 + 1
     tally = (c_uint64 * ((g_max + 1) * stride))()
     for task in tasks:
-        (bitmap, g, _frob, r, eff, rev), m = _task_start(task, g_max)
+        (bitmap, g, r, eff, rev), m = _task_start(task, g_max)
         words = (c_uint64 * 6)(*(x >> s & _WORD for x in (bitmap, eff, rev) for s in (0, 64)))
         if _kernel.semiforge_count(words, g, r, m, g_max, tally):
             raise MemoryError("the compiled count kernel could not allocate its stack")
@@ -419,7 +420,6 @@ def _tg_level(bitmaps: Sequence[int], effs: Sequence[int], g: int, room: float) 
     """The next level of ``_tg_levels`` below the semigroups ``bitmaps`` of
     genus g with effective generators ``effs``, as lists; None once it
     holds more than ``room`` children.  ``semiforge_tg_level`` is this in C."""
-    mask = (1 << (2 * g + 2)) - 1
     parents: list[int] = []
     children: list[int] = []
     for i, (bitmap, eff) in enumerate(zip(bitmaps, effs)):
@@ -428,7 +428,7 @@ def _tg_level(bitmaps: Sequence[int], effs: Sequence[int], g: int, room: float) 
         children += kids
         if len(children) > room:
             return None
-    return parents, children, [_effective_generators(c, g, (~c & mask).bit_length() - 1) for c in children]
+    return parents, children, [_effective_generators(c, g) for c in children]
 
 
 def _tg_level_compiled(bitmaps: Sequence[int], effs: Sequence[int], g: int, room: float) -> Optional[TgLevel]:
@@ -476,10 +476,10 @@ def _tg_levels(g: int, node_cap: float = math.inf) -> Iterator[TgLevel]:
     """
     if n_g1_formula(g) > node_cap - 1:
         raise TooLarge(f"fixed-genus tree for g={g} exceeds {node_cap} nodes")
-    root = Semigroup.ordinary(g)
+    root = Semigroup.ordinary(g).bitmap
     level = _tg_plan(g)
     room = node_cap
-    parents, bitmaps, effs = [0], [root.bitmap], [_effective_generators(root.bitmap, g, root.frobenius)]
+    parents, bitmaps, effs = [0], [root], [_effective_generators(root, g)]
     while bitmaps:
         yield parents, bitmaps, effs
         room -= len(bitmaps)
@@ -529,7 +529,7 @@ def _fork_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
 def children_in_Tg(s: Semigroup) -> list[Semigroup]:
     """Same-genus children: every semigroup whose ordinarization transform
     is s.  Ordered by (added member, removed generator)."""
-    eff = _effective_generators(s.bitmap, s.genus, s.frobenius)
+    eff = _effective_generators(s.bitmap, s.genus)
     return [Semigroup._from_bitmap(child, s.genus) for child in _tg_children_raw(s.bitmap, s.genus, eff)]
 
 
@@ -559,7 +559,7 @@ def enumerate_genus(g: int, visitor: Optional[Callable[[Semigroup], None]] = Non
     if g < 0:
         raise ValueError("genus must be non-negative")
     count = 0
-    for bitmap, genus, _frob, _r in _nodes(g):
+    for bitmap, genus, _r in _nodes(g):
         if genus == g:
             count += 1
             if visitor is not None:
@@ -572,11 +572,11 @@ def _spine_tasks(g_max: int) -> list[Node]:
     of the ordinary semigroups of genus g < g_max.  The ordinary semigroup
     of genus g has the minimal generators g + 1, ..., 2g + 1, all above
     its Frobenius number g; removing a >= g + 2 leaves a semigroup of
-    genus g + 1, Frobenius number a and depth 1."""
+    genus g + 1 and depth 1."""
     tasks = []
     for g in range(g_max):
         extended = Semigroup.ordinary(g + 1).bitmap | 1 << (g + 1)  # genus g on the next window
-        tasks += [(extended ^ 1 << a, g + 1, a, 1) for a in range(g + 2, 2 * g + 2)]
+        tasks += [(extended ^ 1 << a, g + 1, 1) for a in range(g + 2, 2 * g + 2)]
     return tasks
 
 

@@ -146,11 +146,6 @@ def reported(monkeypatch) -> list[str]:
     return details
 
 
-def _eff(bitmap: int, g: int) -> int:
-    frob = (~bitmap & ((1 << (2 * g + 2)) - 1)).bit_length() - 1
-    return tree._effective_generators(bitmap, g, frob)
-
-
 def _tg_walks(monkeypatch, reported: list[str]):
     """Each kind of fixed-genus walk in turn, as (G, doctor): the
     pure-Python level at genus 6, then, where the kernel loads, the
@@ -178,7 +173,7 @@ def _tg_walks(monkeypatch, reported: list[str]):
                     if (list(bitmaps), genus) != ([root], g):
                         return out
                     kids = edit(list(out[1]))
-                    return [0] * len(kids), kids, [_eff(kid, g) for kid in kids]
+                    return [0] * len(kids), kids, [tree._effective_generators(kid, g) for kid in kids]
 
                 if kind == "python":
                     patch.setattr(tree, "_tg_children_raw", doctored_raw)
@@ -212,7 +207,8 @@ def test_tree_relations_catch_a_misplaced_child(monkeypatch, reported):
     for g, doctor in _tg_walks(monkeypatch, reported):
 
         def edit(kids):
-            grandchild = next(gc for kid in kids for gc in tree._tg_children_raw(kid, g, _eff(kid, g)))
+            eff = tree._effective_generators
+            grandchild = next(gc for kid in kids for gc in tree._tg_children_raw(kid, g, eff(kid, g)))
             return kids[:-1] + [grandchild]
 
         doctor(edit)
@@ -316,7 +312,7 @@ def _doctor_depths(monkeypatch, depth):
     ordinarization number."""
     nodes = tree._nodes
     monkeypatch.setattr(
-        tree, "_nodes", lambda g_max: ((bm, g, f, depth(g, r)) for bm, g, f, r in nodes(g_max))
+        tree, "_nodes", lambda g_max: ((bm, g, depth(g, r)) for bm, g, r in nodes(g_max))
     )
 
 

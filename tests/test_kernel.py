@@ -80,7 +80,7 @@ def _compiled_closed_count(omega: Semigroup) -> int:
 def test_compiled_closed_count_matches_python_per_semigroup(compiled_kernel):
     # one bitmap per call, so that errors in two semigroups cannot cancel
     checked = 0
-    for bitmap, g, _frob, _r in tree._nodes(12):
+    for bitmap, g, _r in tree._nodes(12):
         omega = Semigroup._from_bitmap(bitmap, g)
         assert _compiled_closed_count(omega) == count_closed_sets(omega, g + 1), omega
         checked += 1

@@ -91,6 +91,10 @@ def test_from_gaps_rejects_malformed_lists():
         Semigroup.from_gaps([1, 1])
     with pytest.raises(ValueError):
         Semigroup.from_gaps([-2])
+    # a bool is an int to isinstance, but no gap
+    for gaps in ([True], [True, 2]):
+        with pytest.raises(ValueError, match="gaps must be positive integers"):
+            Semigroup.from_gaps(gaps)
 
 
 def test_direct_constructor_checks_fields(small_semigroups):

@@ -27,8 +27,8 @@ from reference_tables import COUNTS_BY_GENUS, F_SEQUENCE, FIG6_EDGES, FIG6_NODES
 
 
 def node(s):
-    """``s`` as a walk's node: (bitmap, genus, Frobenius number, depth)."""
-    return s.bitmap, s.genus, s.frobenius, s.ordinarization_number()
+    """``s`` as a walk's node: (bitmap, genus, depth)."""
+    return s.bitmap, s.genus, s.ordinarization_number()
 
 
 def test_children_in_T_of_root():
@@ -197,6 +197,12 @@ def test_count_matrix_csv_json_round_trip():
     assert CountMatrix.from_json_obj(matrix.to_json_obj()) == matrix
     assert matrix.to_csv().startswith("g,r,count\n0,0,1\n")
     assert matrix.cell(9, 4) == 1 and matrix.cell(9, 5) == 0
+    # outside the table a cell is zero and a row does not exist; a negative
+    # genus does not read from the end
+    assert matrix.cell(-1, 0) == matrix.cell(10, 0) == matrix.cell(9, -1) == 0
+    for g in (-1, 10):
+        with pytest.raises(IndexError):
+            matrix.row(g)
     assert sum(matrix.row(9)) == 118
 
 
@@ -255,14 +261,14 @@ def test_count_matrix_from_json_obj_rejects_malformed_tables(rows, match):
 def test_tg_edges_depths():
     root = Semigroup.ordinary(6)
     levels = list(tree._tg_levels(6))
-    assert tuple(map(list, levels[0])) == ([0], [root.bitmap], [tree._effective_generators(root.bitmap, 6, root.frobenius)])
+    assert tuple(map(list, levels[0])) == ([0], [root.bitmap], [tree._effective_generators(root.bitmap, 6)])
     depths = {}
     level = [root.bitmap]  # the root is its own parent
     for depth, (parents, children, effs) in enumerate(levels):
         for parent, child, eff in zip(parents, children, effs):
             assert _ordinarize_bitmap(child, 6) == level[parent]
             assert depth == (child & ((1 << 7) - 2)).bit_count()  # members in [1, g]
-            assert eff == tree._effective_generators(child, 6, Semigroup._from_bitmap(child, 6).frobenius)
+            assert eff == tree._effective_generators(child, 6)
             depths[child] = depth
         level = children
     assert len(depths) == 23  # every node has exactly one parent, the root itself
@@ -383,16 +389,28 @@ def test_tg_children_complete_by_definition():
 def test_tg_children_skip_only_b_that_give_no_child():
     # the definition without the b + m prefilter: every b in [1, m), with
     # closure of S + b minus a checked from scratch
-    for bitmap, g, frob, _r in tree._nodes(12):
+    for bitmap, g, _r in tree._nodes(12):
         s = Semigroup._from_bitmap(bitmap, g)
         want = []
         for b in range(1, s.multiplicity):
-            for a in (a for a in s.minimal_generators() if a > frob):
+            for a in (a for a in s.minimal_generators() if a > s.frobenius):
                 child = (bitmap ^ (1 << a)) | (1 << b)
                 gaps = ~child & ((1 << (2 * g + 2)) - 1)
                 if not _sum_bitmap(child, g) & gaps:
                     want.append(child)
-        assert tree._tg_children_raw(bitmap, g, tree._effective_generators(bitmap, g, frob)) == want, s
+        assert tree._tg_children_raw(bitmap, g, tree._effective_generators(bitmap, g)) == want, s
+
+
+def test_effective_generators_by_definition():
+    # the minimal generators above the Frobenius number, which the bitmap
+    # alone gives; it is -1 at genus 0, where 1 is the one generator
+    checked = 0
+    for bitmap, g, _r in tree._nodes(12):
+        s = Semigroup._from_bitmap(bitmap, g)
+        want = sum(1 << a for a in s.minimal_generators() if a > s.frobenius)
+        assert tree._effective_generators(s.bitmap, s.genus) == want, s
+        checked += 1
+    assert checked == sum(sum(COUNTS_BY_GENUS[g]) for g in range(13))
 
 
 def test_effective_generators_inherited_down_T():
@@ -405,15 +423,15 @@ def test_effective_generators_inherited_down_T():
     edges = 0
     for task in tree._spine_tasks(16):
         for entry in tree._subtree(task, 16, 16):
-            assert entry == tree._task_start(entry[:4], 16)[0]
-            bitmap, g, _frob, _r, eff, _rev = entry
+            assert entry == tree._task_start(entry[:3], 16)[0]
+            bitmap, g, _r, eff, _rev = entry
             nonzero = bitmap & -2
             m = (nonzero & -nonzero).bit_length() - 1
             for child in children_in_T(Semigroup._from_bitmap(bitmap, g)) if g < 16 else ():
                 a, g1 = child.frobenius, g + 1
                 s = a + m
                 new = s <= 2 * g1 + 1 and not (_sum_bitmap(child.bitmap, g1) >> s) & 1
-                assert tree._effective_generators(child.bitmap, g1, a) == (eff & -(2 << a)) | (new << s)
+                assert tree._effective_generators(child.bitmap, g1) == (eff & -(2 << a)) | (new << s)
                 edges += 1
     # every edge into genus 1..16 except the g children of each ordinary parent
     assert edges == sum(sum(COUNTS_BY_GENUS[g]) - g for g in range(1, 17))
