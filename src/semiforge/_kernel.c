@@ -15,9 +15,9 @@
 
    semiforge_tg_level is semiforge.tree._tg_level on 64-bit words: one
    level of the breadth-first walk of the fixed-genus tree, each child
-   with its effective generators.  The window [0, 2 genus + 1] must fit
-   one word, so genus <= 31; at 31 it is the whole word, and no shift may
-   reach 64. */
+   with the effective generators it inherits by the rule in
+   _tg_children_raw.  The window [0, 2 genus + 1] must fit one word, so
+   genus <= 31; at 31 it is the whole word, and no shift may reach 64. */
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -110,20 +110,6 @@ uint64_t semiforge_closed(const uint64_t *bitmaps, int n, int genus) {
     return total;
 }
 
-/* Effective generators of the genus-g semigroup `bitmap` (window `mask`):
-   its minimal generators above its Frobenius number, the same as
-   semiforge.tree._effective_generators.  Every sum of two non-zero
-   members inside the window has a summand in [1, g]. */
-static uint64_t effective(uint64_t bitmap, int g, uint64_t mask) {
-    uint64_t nonzero = bitmap & ~(uint64_t)1, sums = 0, small = bitmap & (((uint64_t)2 << g) - 2);
-    while (small) {
-        sums |= nonzero << __builtin_ctzll(small);
-        small &= small - 1;
-    }
-    int frob = 63 - __builtin_clzll(~bitmap & mask);  /* genus >= 1: a gap exists */
-    return nonzero & ~sums & mask & ~(((uint64_t)2 << frob) - 1);
-}
-
 /* bitmaps, effs: the n semigroups of one level of the genus-`genus` tree
    and their effective generators.  Returns the number of children, -1 as
    soon as there are more than `cap`, and writes each child, ordered by
@@ -148,9 +134,9 @@ int semiforge_tg_level(const uint64_t *bitmaps, const uint64_t *effs, int n, int
                 if (count == cap)
                     return -1;
                 if (children) {
-                    uint64_t child = (bitmap ^ (kept & -kept)) | added;
+                    uint64_t low = kept & -kept, child = (bitmap ^ low) | added;
                     children[count] = child;
-                    child_effs[count] = effective(child, genus, mask);
+                    child_effs[count] = effs[i] & ~(low | (low - 1)) & ~(child << b);
                     parents[count] = i;
                 }
                 count++;

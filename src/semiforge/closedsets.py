@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .semigroup import Semigroup
-from .tree import _compiled_kernel, _nodes, _run_tasks
+from .tree import _WORD_GMAX, _compiled_kernel, _nodes, _run_tasks
 
 # f_value has one task per semigroup of genus w, and forks only from
 # this many (2 CPUs, Python 3.11; median ms, serial vs 2-worker pool,
@@ -45,9 +45,6 @@ _F_POOL_MIN_TASKS = 343
 # (2857) 115-135 vs 95-105 (11/11, 20/21, 10/11); w = 16 (4806) 299-359
 # vs 225-254 (11/11, 10/11).
 _COMPILED_F_POOL_MIN_TASKS = 2857
-
-# The compiled count holds the window [0, 2w + 1] in one 64-bit word.
-_KERNEL_OMEGA_MAX = 31
 
 
 class PreconditionViolated(ValueError):
@@ -206,8 +203,8 @@ def _f_worker_compiled(payload: tuple[list[int], int]) -> int:
     from ctypes import c_uint64
 
     bitmaps, genus = payload
-    if genus > _KERNEL_OMEGA_MAX:
-        raise ValueError(f"the compiled kernel counts closed sets to genus {_KERNEL_OMEGA_MAX}, not {genus}")
+    if genus > _WORD_GMAX:
+        raise ValueError(f"the compiled kernel counts closed sets to genus {_WORD_GMAX}, not {genus}")
     return _compiled_kernel().semiforge_closed((c_uint64 * len(bitmaps))(*bitmaps), len(bitmaps), genus)
 
 
@@ -215,7 +212,7 @@ def _f_plan(genus: int) -> tuple[Callable, int]:
     """The worker that sums the closed-set counts over genus ``genus``,
     and the fewest tasks for which its pool pays: the compiled kernel
     where it loads and the window fits its 64-bit word, else ``_f_worker``."""
-    if genus <= _KERNEL_OMEGA_MAX and _compiled_kernel():
+    if genus <= _WORD_GMAX and _compiled_kernel():
         return _f_worker_compiled, _COMPILED_F_POOL_MIN_TASKS
     return _f_worker, _F_POOL_MIN_TASKS
 

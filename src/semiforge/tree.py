@@ -31,11 +31,12 @@ addition, so results do not depend on the worker count.
 
 The fixed-genus tree is walked breadth first (``_tg_levels``) from the
 root at depth 0, holding one whole level while it builds the next (the
-DOT export keeps them all, under its node cap); each node's effective
-generators are made once and handed to its children's level.  From
-genus 13 to 31 a level is one call into the same C kernel, whose output
-buffers the next level reads in place; elsewhere, or where the kernel
-cannot load, ``_tg_level`` walks it in Python.
+DOT export keeps them all, under its node cap); each child inherits its
+effective generators from its parent's.  From genus 13 to 31 a level is
+two calls into the same C kernel: one counts it, refusing it if too
+large, and one fills buffers of that size, which the next level reads
+in place; elsewhere, or where the kernel cannot load, ``_tg_level``
+walks it in Python.
 """
 
 from __future__ import annotations
@@ -66,21 +67,22 @@ _POOL_MIN_TASKS = 200
 # (18, 19); count_matrix(30) 149 vs 93 (faster in 11 of 11 pairs).
 _COMPILED_POOL_MIN_TASKS = 28 * 27 // 2
 
-# The compiled kernel (``_kernel.c``) holds the window 2*g_max + 3 in one
-# 128-bit word, and a fixed-genus window [0, 2g + 1] in one 64-bit word.
+# The compiled kernel (``_kernel.c``) holds the window 2*g_max + 3 of a
+# table in one 128-bit word, and the window [0, 2g + 1] of a fixed-genus
+# level or a closed-set count in one 64-bit word, so to genus _WORD_GMAX.
 # ``_kernel`` is None until the first table, f-value or fixed-genus walk
 # looks for it, then the loaded library, or False where it cannot load.
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _KERNEL_GMAX = 62
-_TG_KERNEL_GMAX = 31
+_WORD_GMAX = 31
 _INT_MAX = 2**31 - 1
 
 # Below this genus the fixed-genus tree is walked in Python: loading the
 # kernel costs more than the walk it would speed (fresh interpreters, 2
 # CPUs, Python 3.11; median ms of the kernel load plus compiled walk vs
-# the Python walk, 15 interleaved pairs): tg_bfs_row(12) 3.8 vs 3.4
-# (compiled faster in 2), tg_bfs_row(13) 3.6 vs 5.1 (14), tg_bfs_row(14)
-# 3.9 vs 9.0 (15).
+# the Python walk, two runs of 15 interleaved pairs): tg_bfs_row(12)
+# 3.4-3.5 vs 2.2 (compiled faster in 2, 0), tg_bfs_row(13) 3.7-3.9 vs 3.9
+# (11, 9), tg_bfs_row(14) 3.6-3.9 vs 6.3-6.8 (14, 15).
 _COMPILED_TG_MIN_GENUS = 13
 _WORD = (1 << 64) - 1
 _kernel = None
@@ -385,9 +387,10 @@ def _count_plan(g_max: int) -> tuple[Callable, int]:
     return _count_worker, _POOL_MIN_TASKS
 
 
-def _tg_children_raw(bitmap: int, genus: int, eff: int) -> list[int]:
-    """Child bitmaps in the fixed-genus tree, ordered by (added b, removed a),
-    of the semigroup ``bitmap`` with effective generators ``eff``.
+def _tg_children_raw(bitmap: int, genus: int, eff: int) -> list[tuple[int, int]]:
+    """Children in the fixed-genus tree, ordered by (added b, removed a), of
+    the semigroup ``bitmap`` with effective generators ``eff``, each as
+    (bitmap, its effective generators).
 
     A candidate is kept iff still additively closed.  Old member pairs
     cannot sum to the removed minimal generator, so closure reduces to
@@ -396,6 +399,16 @@ def _tg_children_raw(bitmap: int, genus: int, eff: int) -> list[int]:
     test per b settles them; the rest only ask that a is not such a sum.
     The sum b + m (m the multiplicity) is one of them, so a b with b + m
     not in S is skipped before the test.
+
+    Inheritance rule.  Let S have effective generators E, and let the
+    child S' = S minus a plus b, a in E and b < m, whose Frobenius number
+    is a.  Then S' has the effective generators x in E above a with x - b
+    not in S', so no child rebuilds its sum set.  Take a < x <= 2g + 1.
+    If x - b is in S', x = b + (x - b) is no generator of S'.  Otherwise
+    x - b <= a, as S' holds every integer above a.  A sum y + z = x in S
+    that used a would then need x - a <= b < m as a non-zero member, which
+    cannot exist; so x is a sum in S' without b exactly when x is not in
+    E, and x is a sum using b exactly when x - b is in S'.
     """
     mask = (1 << (2 * genus + 2)) - 1
     nonzero = bitmap & -2
@@ -411,8 +424,9 @@ def _tg_children_raw(bitmap: int, genus: int, eff: int) -> list[int]:
         kept = eff & ~sums
         while kept:
             low = kept & -kept
-            out.append((bitmap ^ low) | added)
             kept ^= low
+            child = (bitmap ^ low) | added
+            out.append((child, eff & -(low << 1) & ~(child << b)))
     return out
 
 
@@ -421,14 +435,14 @@ def _tg_level(bitmaps: Sequence[int], effs: Sequence[int], g: int, room: float) 
     genus g with effective generators ``effs``, as lists; None once it
     holds more than ``room`` children.  ``semiforge_tg_level`` is this in C."""
     parents: list[int] = []
-    children: list[int] = []
+    kids: list[tuple[int, int]] = []
     for i, (bitmap, eff) in enumerate(zip(bitmaps, effs)):
-        kids = _tg_children_raw(bitmap, g, eff)
-        parents += [i] * len(kids)
-        children += kids
-        if len(children) > room:
+        new = _tg_children_raw(bitmap, g, eff)
+        parents += [i] * len(new)
+        kids += new
+        if len(kids) > room:
             return None
-    return parents, children, [_effective_generators(c, g) for c in children]
+    return parents, [child for child, _eff in kids], [eff for _child, eff in kids]
 
 
 def _tg_level_compiled(bitmaps: Sequence[int], effs: Sequence[int], g: int, room: float) -> Optional[TgLevel]:
@@ -438,8 +452,8 @@ def _tg_level_compiled(bitmaps: Sequence[int], effs: Sequence[int], g: int, room
     and an oversized level is refused before any is."""
     from ctypes import c_int, c_uint64
 
-    if g > _TG_KERNEL_GMAX:
-        raise ValueError(f"the compiled kernel walks the fixed-genus tree to genus {_TG_KERNEL_GMAX}, not {g}")
+    if g > _WORD_GMAX:
+        raise ValueError(f"the compiled kernel walks the fixed-genus tree to genus {_WORD_GMAX}, not {g}")
     n = len(bitmaps)
     words = [(c_uint64 * n).from_buffer(x) if isinstance(x, memoryview) else (c_uint64 * n)(*x) for x in (bitmaps, effs)]
     count = _kernel.semiforge_tg_level(*words, n, g, None, None, None, int(min(room, _INT_MAX)))
@@ -456,7 +470,7 @@ def _tg_level_compiled(bitmaps: Sequence[int], effs: Sequence[int], g: int, room
 def _tg_plan(g: int) -> Callable:
     """The level function of ``_tg_levels`` at genus g: the compiled kernel
     where it loads and _COMPILED_TG_MIN_GENUS <= g <= 31, else ``_tg_level``."""
-    if _COMPILED_TG_MIN_GENUS <= g <= _TG_KERNEL_GMAX and _compiled_kernel():
+    if _COMPILED_TG_MIN_GENUS <= g <= _WORD_GMAX and _compiled_kernel():
         return _tg_level_compiled
     return _tg_level
 
@@ -466,9 +480,9 @@ def _tg_levels(g: int, node_cap: float = math.inf) -> Iterator[TgLevel]:
     parallel sequences (parent, child, child's effective generators), where
     parent indexes the level before, in the order the parents were reached.
     Depth 0 is ([0], [root], [its effective generators]): the transform
-    fixes the ordinary semigroup, so the root is its own parent.  A child's
-    effective generators feed the next level, so no node rebuilds its sum
-    set twice.
+    fixes the ordinary semigroup, so the root is its own parent.  Only the
+    root builds a sum set: each child inherits its effective generators
+    (see ``_tg_children_raw``).
 
     Raises TooLarge as soon as the nodes reached exceed ``node_cap``, so an
     oversized level is never completed; the root's n_g1(g) children, about
@@ -530,7 +544,7 @@ def children_in_Tg(s: Semigroup) -> list[Semigroup]:
     """Same-genus children: every semigroup whose ordinarization transform
     is s.  Ordered by (added member, removed generator)."""
     eff = _effective_generators(s.bitmap, s.genus)
-    return [Semigroup._from_bitmap(child, s.genus) for child in _tg_children_raw(s.bitmap, s.genus, eff)]
+    return [Semigroup._from_bitmap(child, s.genus) for child, _eff in _tg_children_raw(s.bitmap, s.genus, eff)]
 
 
 def n_g1_formula(g: int) -> int:

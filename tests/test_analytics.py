@@ -151,7 +151,8 @@ def _tg_walks(monkeypatch, reported: list[str]):
     pure-Python level at genus 6, then, where the kernel loads, the
     compiled level at the smallest genus it walks.  ``doctor(edit)`` makes
     the walk of genus G find ``edit(kids)`` below the ordinary root
-    instead of its true children ``kids``.  Each kind runs in its own
+    instead of its true children ``kids``, each a (bitmap, eff) pair as
+    ``tree._tg_children_raw`` makes them.  Each kind runs in its own
     monkeypatch context, with ``reported`` emptied."""
     kinds = [("python", 6)]
     if tree._compiled_kernel():
@@ -172,8 +173,8 @@ def _tg_walks(monkeypatch, reported: list[str]):
                     out = compiled(bitmaps, effs, genus, room)
                     if (list(bitmaps), genus) != ([root], g):
                         return out
-                    kids = edit(list(out[1]))
-                    return [0] * len(kids), kids, [tree._effective_generators(kid, g) for kid in kids]
+                    kids = edit(list(zip(out[1], out[2])))
+                    return [0] * len(kids), [kid for kid, _eff in kids], [eff for _kid, eff in kids]
 
                 if kind == "python":
                     patch.setattr(tree, "_tg_children_raw", doctored_raw)
@@ -207,14 +208,33 @@ def test_tree_relations_catch_a_misplaced_child(monkeypatch, reported):
     for g, doctor in _tg_walks(monkeypatch, reported):
 
         def edit(kids):
-            eff = tree._effective_generators
-            grandchild = next(gc for kid in kids for gc in tree._tg_children_raw(kid, g, eff(kid, g)))
+            grandchild = next(gc for kid, eff in kids for gc in tree._tg_children_raw(kid, g, eff))
             return kids[:-1] + [grandchild]
 
         doctor(edit)
         assert verify_tree_relations(g).passed is False
         assert "edge child does not transform to parent" in reported
         assert "fixed-genus tree misses or repeats semigroups" in reported
+
+
+def test_tree_relations_catch_a_wrong_inherited_eff(monkeypatch, reported):
+    # the generator-removal expansion takes each semigroup's effective
+    # generators from the fixed-genus walk, so one bit of a child's
+    # inherited eff cleared (a child in T lost) or set (a member that is
+    # no generator removed) reaches the report of the next genus
+    for g, doctor in _tg_walks(monkeypatch, reported):
+        for wrong in (lambda eff: eff & (eff - 1), lambda eff: eff | 1 << (2 * g + 1)):
+
+            def edit(kids):
+                i = next(i for i, (_kid, eff) in enumerate(kids) if wrong(eff) != eff)
+                return kids[:i] + [(kids[i][0], wrong(kids[i][1]))] + kids[i + 1 :]
+
+            doctor(edit)
+            reported.clear()
+            report = verify_tree_relations(g + 1)
+            assert report.passed is False
+            assert "depth profile" in report.counterexample
+            assert "fixed-genus tree misses or repeats semigroups" in reported
 
 
 def test_tree_relations_catch_a_broken_transform(monkeypatch, reported):

@@ -245,7 +245,8 @@ def test_a_closed_stdout_pipe_exits_5_silently(unbuffered):
     proc = _semiforge(["transform", gaps], env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
     assert proc.stdout.readline() == f"{gaps}\n".encode()
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=60) == 5
     assert b"Traceback" not in err and b"Exception ignored" not in err
 

@@ -149,6 +149,20 @@ def test_compiled_tg_levels_match_python_in_the_top_bit(compiled_kernel, monkeyp
     assert compiled == _levels(31, 3)
 
 
+def test_compiled_tg_levels_inherit_effective_generators(compiled_kernel):
+    # every child's eff, inherited from its parent's by one AND, is the one
+    # its sum set gives: every node from the cutoff to genus 22, and the
+    # first three levels at genus 30 and at 31, where bit 63 is in the window
+    cutoff = tree._COMPILED_TG_MIN_GENUS
+    checked = 0
+    for g, depth in [*((g, None) for g in range(cutoff, 23)), (30, 3), (31, 3)]:
+        assert tree._tg_plan(g) is tree._tg_level_compiled
+        for _parents, children, effs in itertools.islice(tree._tg_levels(g), depth):
+            assert list(effs) == [tree._effective_generators(child, g) for child in children], g
+            checked += len(children)
+    assert checked == sum(sum(COUNTS_BY_GENUS[g]) for g in range(cutoff, 23)) + 1 + 330 + 17_317 + 1 + 360 + 20_569
+
+
 def test_compiled_tg_level_from_the_cutoff_to_genus_31(compiled_kernel, monkeypatch):
     cutoff = tree._COMPILED_TG_MIN_GENUS
     assert [tree._tg_plan(g) for g in (cutoff - 1, cutoff, 31, 32)] == [

@@ -274,6 +274,18 @@ def test_tg_edges_depths():
     assert len(depths) == 23  # every node has exactly one parent, the root itself
 
 
+def test_tg_levels_inherit_effective_generators(monkeypatch):
+    # on the Python level every child's eff, inherited from its parent's by
+    # one AND, is the one its sum set gives, at every genus <= 16
+    monkeypatch.setattr(tree, "_kernel", False)
+    for g in range(17):
+        checked = 0
+        for _parents, children, effs in tree._tg_levels(g):
+            assert effs == [tree._effective_generators(child, g) for child in children], g
+            checked += len(children)
+        assert checked == sum(COUNTS_BY_GENUS[g])
+
+
 def test_export_dot_fig_tree():
     text = export_tree_dot(6)
     assert text.startswith('digraph "Tg_6" {\n')
@@ -398,7 +410,8 @@ def test_tg_children_skip_only_b_that_give_no_child():
                 gaps = ~child & ((1 << (2 * g + 2)) - 1)
                 if not _sum_bitmap(child, g) & gaps:
                     want.append(child)
-        assert tree._tg_children_raw(bitmap, g, tree._effective_generators(bitmap, g)) == want, s
+        kids = tree._tg_children_raw(bitmap, g, tree._effective_generators(bitmap, g))
+        assert [child for child, _eff in kids] == want, s
 
 
 def test_effective_generators_by_definition():
