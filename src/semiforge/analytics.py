@@ -121,13 +121,15 @@ def verify_parity_lemma(g_max: int) -> VerificationReport:
         raise ValueError("g_max must be non-negative")
     bad = _Counterexamples()
     odd_positions = int("10" * (g_max + 1), 2) if g_max else 0
-    for bitmap, g, r in tree._nodes(g_max):
+    for g, r, bitmaps in tree._runs(g_max):
         if not _high_depth(g, r):
             continue
-        culprits = bitmap & odd_positions & ((1 << (g + 1)) - 2)
-        if culprits:
-            x = (culprits & -culprits).bit_length() - 1
-            bad.add(g, Semigroup._from_bitmap(bitmap, g).gaps(), f"odd member {x} <= g={g}")
+        odd_low = odd_positions & ((1 << (g + 1)) - 2)
+        for bitmap in bitmaps:
+            culprits = bitmap & odd_low
+            if culprits:
+                x = (culprits & -culprits).bit_length() - 1
+                bad.add(g, Semigroup._from_bitmap(bitmap, g).gaps(), f"odd member {x} <= g={g}")
     return _report("parity", f"genus <= {g_max}, depth 3r >= g+2", bad)
 
 
@@ -139,19 +141,22 @@ def verify_interval_theorem(g_max: int) -> VerificationReport:
     if g_max < 0:
         raise ValueError("g_max must be non-negative")
     bad = _Counterexamples()
-    for bitmap, g, r in tree._nodes(g_max):
-        gapbits = ~bitmap & ((1 << (2 * g + 2)) - 1)
-        n = (gapbits & ~(gapbits >> 1)).bit_count()
-        gaps = None
-        if r < n // 2:
-            gaps = Semigroup._from_bitmap(bitmap, g).gaps()
-            bad.add(g, gaps, f"r={r} < floor(n/2) with n={n}")
-        if _high_depth(g, r) and n != 2 * r + (g & 1):
-            gaps = gaps or Semigroup._from_bitmap(bitmap, g).gaps()
-            bad.add(g, gaps, f"high depth r={r} but n={n}")
-        if 3 * (n // 2) >= g + 2 and ((g - n) & 1 or r != n // 2):
-            gaps = gaps or Semigroup._from_bitmap(bitmap, g).gaps()
-            bad.add(g, gaps, f"n={n} high but r={r}, genus parity {g & 1}")
+    for g, r, bitmaps in tree._runs(g_max):
+        window = (1 << (2 * g + 2)) - 1
+        high = _high_depth(g, r)
+        for bitmap in bitmaps:
+            gapbits = ~bitmap & window
+            n = (gapbits & ~(gapbits >> 1)).bit_count()
+            gaps = None
+            if r < n // 2:
+                gaps = Semigroup._from_bitmap(bitmap, g).gaps()
+                bad.add(g, gaps, f"r={r} < floor(n/2) with n={n}")
+            if high and n != 2 * r + (g & 1):
+                gaps = gaps or Semigroup._from_bitmap(bitmap, g).gaps()
+                bad.add(g, gaps, f"high depth r={r} but n={n}")
+            if 3 * (n // 2) >= g + 2 and ((g - n) & 1 or r != n // 2):
+                gaps = gaps or Semigroup._from_bitmap(bitmap, g).gaps()
+                bad.add(g, gaps, f"n={n} high but r={r}, genus parity {g & 1}")
     return _report("intervals", f"genus <= {g_max}", bad)
 
 
@@ -187,18 +192,21 @@ def verify_bijection(g_max: int) -> VerificationReport:
     """Round-trip and counting checks for the high-depth pairing.
 
     For every g <= g_max and depth r with 3r >= g + 2: building from all
-    (omega, B) pairs is injective, lands exactly on the enumerated
-    semigroups of genus g and depth r, splitting is its two-sided
-    inverse, and the image size matches both the count table and the
-    closed-set sum.  The pairing's checks raise ValueError or AssertionError
-    exactly when a side condition fails: that is the cell's counterexample."""
+    (omega, B) pairs is injective, lands exactly on the semigroups of
+    genus g at depth r in the fixed-genus tree, splitting is its
+    two-sided inverse, and the image size matches both the count table
+    and the closed-set sum.  Where that tree's walk is compiled (see
+    ``tree._runs``), it is a third engine beside the generator-removal
+    walk of ``count_matrix`` and the pairing.  The pairing's checks
+    raise ValueError or AssertionError exactly when a side condition
+    fails: that is the cell's counterexample."""
     if g_max < 2:
         raise ValueError("g_max must be >= 2")
     matrix = tree.count_matrix(g_max)
     deep: dict[tuple[int, int], set[int]] = {}
-    for bitmap, g, r in tree._nodes(g_max):
+    for g, r, bitmaps in tree._runs(g_max):
         if _high_depth(g, r):
-            deep.setdefault((g, r), set()).add(bitmap)
+            deep.setdefault((g, r), set()).update(bitmaps)
     pair_pool: dict[int, list[tuple[Semigroup, closedsets.ClosedSet]]] = {}
 
     def fail(why: str) -> VerificationReport:

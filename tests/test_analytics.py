@@ -328,19 +328,25 @@ def test_tree_relations_expand_each_node_once(monkeypatch):
 
 
 def _doctor_depths(monkeypatch, depth):
-    """Make ``tree._nodes`` report ``depth(g, r)`` as every node's
-    ordinarization number."""
-    nodes = tree._nodes
+    """Make ``tree._runs`` report ``depth(g, r)`` as the ordinarization
+    number of every run."""
+    runs = tree._runs
     monkeypatch.setattr(
-        tree, "_nodes", lambda g_max: ((bm, g, depth(g, r)) for bm, g, r in nodes(g_max))
+        tree, "_runs", lambda g_max: ((g, depth(g, r), bitmaps) for g, r, bitmaps in runs(g_max))
     )
+
+
+# a g_max whose checks read ``tree._nodes``, and the first whose checks
+# read the compiled fixed-genus levels where the kernel loads
+_RUN_SOURCES = [8, tree._COMPILED_TG_MIN_GENUS]
 
 
 def test_parity_catches_a_wrong_depth(monkeypatch):
     _doctor_depths(monkeypatch, lambda g, r: g // 2)
-    report = verify_parity_lemma(8)
-    assert report.passed is False
-    assert " odd member " in report.counterexample
+    for g_max in _RUN_SOURCES:
+        report = verify_parity_lemma(g_max)
+        assert report.passed is False, g_max
+        assert " odd member " in report.counterexample
 
 
 @pytest.mark.parametrize("depth, label", [
@@ -350,8 +356,31 @@ def test_parity_catches_a_wrong_depth(monkeypatch):
 ])
 def test_intervals_catch_a_wrong_depth(monkeypatch, reported, depth, label):
     _doctor_depths(monkeypatch, depth)
-    assert verify_interval_theorem(8).passed is False
-    assert any(label in d for d in reported)
+    for g_max in _RUN_SOURCES:
+        reported.clear()
+        assert verify_interval_theorem(g_max).passed is False, g_max
+        assert any(label in d for d in reported), g_max
+
+
+@pytest.mark.parametrize("g_max", _RUN_SOURCES)
+def test_bijection_catches_a_dropped_deep_node(monkeypatch, g_max):
+    # the first run at the shallowest deep cell of g_max loses one bitmap
+    cell = (g_max, analytics._min_high_r(g_max))
+    runs = tree._runs
+
+    def doctored(limit):
+        dropped = False
+        for g, r, bitmaps in runs(limit):
+            if (g, r) == cell and not dropped:
+                dropped, bitmaps = True, list(bitmaps)[1:]
+            yield g, r, bitmaps
+
+    monkeypatch.setattr(tree, "_runs", doctored)
+    count = closedsets.f_value(g_max // 2 - cell[1])  # 1 at genus 8, 2 at 13
+    report = verify_bijection(g_max)
+    assert (report.passed, report.counterexample) == (
+        False, f"g={g_max} r={cell[1]}: image size {count} vs table {count}"
+    )
 
 
 def _decompose_into(monkeypatch, edit):

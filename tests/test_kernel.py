@@ -3,7 +3,9 @@ pure-Python tree kernel, closed-set descent and fixed-genus level, and
 the fallback to those where the compiled kernel cannot load."""
 
 import itertools
+import re
 import shutil
+from collections import Counter
 from importlib.machinery import EXTENSION_SUFFIXES
 
 import pytest
@@ -174,6 +176,49 @@ def test_compiled_tg_level_from_the_cutoff_to_genus_31(compiled_kernel, monkeypa
     assert tree._tg_plan(cutoff) is tree._tg_level
 
 
+def _spy_compiled_levels(monkeypatch) -> list[int]:
+    """The genus of every compiled fixed-genus level made from now on."""
+    genera: list[int] = []
+    compiled = tree._tg_level_compiled
+
+    def spy(bitmaps, effs, g, room):
+        genera.append(g)
+        return compiled(bitmaps, effs, g, room)
+
+    monkeypatch.setattr(tree, "_tg_level_compiled", spy)
+    return genera
+
+
+@pytest.mark.parametrize("source", ["compiled levels", "python"])
+def test_runs_match_nodes_on_both_sources(source, request, monkeypatch):
+    # the same multiset of (genus, depth, bitmap) on either source; the
+    # compiled levels are taken from the cutoff on, where the kernel loads
+    kernel = request.getfixturevalue("compiled_kernel") if source == "compiled levels" else False
+    monkeypatch.setattr(tree, "_kernel", kernel)
+    genera = _spy_compiled_levels(monkeypatch)
+    cutoff = tree._COMPILED_TG_MIN_GENUS
+    for g_max in range(19):
+        genera.clear()
+        runs = Counter((g, r, bitmap) for g, r, bitmaps in tree._runs(g_max) for bitmap in bitmaps)
+        assert runs == Counter((g, r, bitmap) for bitmap, g, r in tree._nodes(g_max)), g_max
+        assert set(genera) == (set(range(cutoff, g_max + 1)) if kernel and g_max >= cutoff else set()), g_max
+
+
+def test_runs_take_the_compiled_levels_from_the_cutoff_to_genus_31(compiled_kernel, monkeypatch):
+    # each source read up to its first node past the cutoff genus: levels
+    # for 13 <= g_max <= 31, one node a run elsewhere
+    genera = _spy_compiled_levels(monkeypatch)
+    cutoff = tree._COMPILED_TG_MIN_GENUS
+    for g_max in (cutoff - 1, cutoff, 31, 32):
+        genera.clear()
+        runs = list(itertools.takewhile(lambda run: run[0] <= cutoff, tree._runs(g_max)))
+        assert set(genera) == ({cutoff} if cutoff <= g_max <= 31 else set()), g_max
+        assert all(len(bitmaps) == 1 for _g, _r, bitmaps in runs) == (not genera), g_max
+    monkeypatch.setattr(tree, "_kernel", False)
+    list(tree._runs(cutoff))
+    assert genera == []
+
+
 def _dot_or_refusal(g: int, cap: int) -> str:
     try:
         return export_tree_dot(g, node_cap=cap)
@@ -211,6 +256,12 @@ def test_a_build_removes_older_builds_for_this_interpreter(tmp_path):
     assert built.pop().endswith(suffix)
 
 
+def _timing_masked(captured) -> tuple[str, str]:
+    """stdout, and stderr with each elapsed-seconds figure masked, so that
+    a slow run (such as one under a sanitizer) compares equal."""
+    return captured.out, re.sub(r" in \d+\.\ds$", " in ?s", captured.err, flags=re.MULTILINE)
+
+
 @pytest.mark.parametrize("breakage", ["no compiler", "build fails", "cache unwritable"])
 def test_failed_build_falls_back_silently(breakage, tmp_path, monkeypatch, capfd):
     dot = tmp_path / "tg.dot"
@@ -218,10 +269,13 @@ def test_failed_build_falls_back_silently(breakage, tmp_path, monkeypatch, capfd
         ["table", "--gmax", "12"],
         ["fseq", "--omega-max", "9"],
         ["verify", "--check", "trees", "--gmax", "16"],
+        ["verify", "--check", "parity", "--gmax", "14"],
+        ["verify", "--check", "intervals", "--gmax", "14"],
         ["tree", "--genus", "14", "--dot", str(dot)],
     )
-    assert [cli.run(argv) for argv in argvs] == [0, 0, 0, 0]
-    want = capfd.readouterr()
+    assert [cli.run(argv) for argv in argvs] == [0] * len(argvs)
+    want = _timing_masked(capfd.readouterr())
+    assert "counted genus <= 12 in ?s\n" in want[1]
     want_dot = dot.read_bytes()
     dot.unlink()
     source = tmp_path / "_kernel.c"
@@ -241,5 +295,5 @@ def test_failed_build_falls_back_silently(breakage, tmp_path, monkeypatch, capfd
         monkeypatch.setattr(tree, "_kernel", None)
         assert cli.run(argv) == 0
         assert tree._kernel is False
-    assert capfd.readouterr() == want
+    assert _timing_masked(capfd.readouterr()) == want
     assert dot.read_bytes() == want_dot
