@@ -15,15 +15,13 @@ table-cell checks (``check_conjecture``, ``high_depth_cross_check``,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import closedsets, tree
 from .semigroup import Semigroup, _ordinarize_bitmap
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check_name: str
     range_tested: str
     passed: bool
@@ -120,11 +118,10 @@ def verify_parity_lemma(g_max: int) -> VerificationReport:
     if g_max < 0:
         raise ValueError("g_max must be non-negative")
     bad = _Counterexamples()
-    odd_positions = int("10" * (g_max + 1), 2) if g_max else 0
     for g, r, bitmaps in tree._runs(g_max):
         if not _high_depth(g, r):
             continue
-        odd_low = odd_positions & ((1 << (g + 1)) - 2)
+        odd_low = ((1 << ((g + 1) & -2)) - 1) // 3 << 1  # bits 1, 3, 5, ... up to g
         for bitmap in bitmaps:
             culprits = bitmap & odd_low
             if culprits:

@@ -27,8 +27,7 @@ its oracle, everywhere else, with the same result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .semigroup import Semigroup
 from .tree import _WORD_GMAX, _compiled_kernel, _nodes, _run_tasks
@@ -70,39 +69,57 @@ def is_closed_set(omega: Semigroup, elements: Iterable[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ClosedSet:
-    """A translation-closed set over ``base``, canonical (minimum 0)."""
-
+class _ClosedSetFields(NamedTuple):
     base: Semigroup
     elements: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.elements or self.elements[0] != 0:
+
+class ClosedSet(_ClosedSetFields):
+    """A translation-closed set over ``base``, canonical (minimum 0);
+    checked on every build, as ``Semigroup`` is."""
+
+    __slots__ = ()
+
+    def __new__(cls, base: Semigroup, elements: tuple[int, ...]) -> "ClosedSet":
+        self = super().__new__(cls, base, elements)
+        if not elements or elements[0] != 0:
             raise ValueError("elements must be non-empty with minimum 0")
-        if any(b <= a for a, b in zip(self.elements, self.elements[1:])):
+        if any(b <= a for a, b in zip(elements, elements[1:])):
             raise ValueError("elements must be strictly increasing")
-        if not is_closed_set(self.base, self.elements):
+        if not is_closed_set(base, elements):
             raise ValueError(f"{self} is not closed over its base semigroup")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "ClosedSet":
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.elements)) + "}"
 
 
-@dataclass(frozen=True)
-class PairDecomposition:
-    """A base semigroup of genus w together with a closed set of size w+1,
-    standing for one genus-g semigroup of depth floor(g/2) - w."""
-
+class _PairFields(NamedTuple):
     omega: Semigroup
     b: ClosedSet
     g: int
 
-    def __post_init__(self):
-        if self.b.base != self.omega:
+
+class PairDecomposition(_PairFields):
+    """A base semigroup of genus w together with a closed set of size w+1,
+    standing for one genus-g semigroup of depth floor(g/2) - w."""
+
+    __slots__ = ()
+
+    def __new__(cls, omega: Semigroup, b: ClosedSet, g: int) -> "PairDecomposition":
+        if b.base != omega:
             raise ValueError("closed set must be closed over omega")
-        if len(self.b.elements) != self.omega.genus + 1:
+        if len(b.elements) != omega.genus + 1:
             raise ValueError("closed set must have size genus(omega) + 1")
+        return super().__new__(cls, omega, b, g)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "PairDecomposition":
+        return cls(*iterable)
 
     @property
     def r(self) -> int:

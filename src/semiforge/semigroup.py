@@ -11,7 +11,9 @@ a member.
 ``Semigroup`` therefore stores a single int whose bit i records whether
 i is a member, plus the cached genus, Frobenius number and
 multiplicity.  Values are immutable, hashable, and safe to share
-between worker processes; every operation is a pure function.
+between worker processes; every operation is a pure function.  Like
+every record in the package it is a NamedTuple, so it also equals the
+plain tuple of its fields.
 
 The canonical textual form of a semigroup is its comma-separated gap
 list ("1,2,3,6,7,11"; the empty string for the full set of non-negative
@@ -20,7 +22,6 @@ integers).  Parsing and formatting round-trip byte-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 
@@ -35,14 +36,6 @@ class NotClosed(ValueError):
         super().__init__(
             f"{a} + {b} = {a + b} is a gap, so the complement is not closed under addition"
         )
-
-
-@dataclass(frozen=True)
-class GapIntervalProfile:
-    """Maximal runs of consecutive gaps, ascending; run lengths sum to the genus."""
-
-    interval_count: int
-    intervals: tuple[tuple[int, int], ...]
 
 
 def _sum_bitmap(bitmap: int, genus: int) -> int:
@@ -199,10 +192,6 @@ class Semigroup(_Fields):
     def gap_string(self) -> str:
         return ",".join(map(str, self.gaps()))
 
-    def members_upto(self, limit: int) -> list[int]:
-        """All members x with 0 <= x <= limit."""
-        return [x for x in range(limit + 1) if self.contains(x)]
-
     def nth_member(self, i: int) -> int:
         """The i-th member in increasing order (the 0-th is 0)."""
         if i < 0:
@@ -259,16 +248,3 @@ class Semigroup(_Fields):
         while not chain[-1].is_ordinary:
             chain.append(chain[-1].ordinarize())
         return chain
-
-    def gap_intervals(self) -> GapIntervalProfile:
-        gapbits = ~self.bitmap & ((1 << (2 * self.genus + 2)) - 1)
-        starts = gapbits & ~(gapbits << 1)
-        ends = gapbits & ~(gapbits >> 1)
-        runs = []
-        while starts:
-            lo = starts & -starts
-            hi = ends & -ends
-            runs.append((lo.bit_length() - 1, hi.bit_length() - 1))
-            starts ^= lo
-            ends ^= hi
-        return GapIntervalProfile(interval_count=len(runs), intervals=tuple(runs))

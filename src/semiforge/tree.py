@@ -47,8 +47,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .semigroup import Semigroup, _sum_bitmap
 
@@ -95,8 +94,7 @@ class TooLarge(RuntimeError):
     """Tree export would materialize more nodes than the configured cap."""
 
 
-@dataclass(frozen=True)
-class CountMatrix:
+class CountMatrix(NamedTuple):
     """Exact counts by genus (row) and ordinarization number (column).
 
     Row g has floor(g/2) + 1 entries; cells outside the table are zero.

@@ -96,3 +96,20 @@ def children_in_T(s: Semigroup) -> list[Semigroup]:
     definition: remove each minimal generator above the Frobenius number,
     in increasing order."""
     return [Semigroup.from_gaps(s.gaps() + (a,)) for a in s.minimal_generators() if a > s.frobenius]
+
+
+def members_upto(s: Semigroup, limit: int) -> list[int]:
+    """The members x of ``s`` with 0 <= x <= limit."""
+    return [x for x in range(limit + 1) if s.contains(x)]
+
+
+def gap_runs(s: Semigroup) -> list[tuple[int, int]]:
+    """The maximal runs of consecutive gaps of ``s`` as (first, last),
+    ascending."""
+    runs: list[tuple[int, int]] = []
+    for x in s.gaps():
+        if runs and runs[-1][1] == x - 1:
+            runs[-1] = (runs[-1][0], x)
+        else:
+            runs.append((x, x))
+    return runs

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pickle
 from collections import Counter
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ import pytest
 from semiforge import (
     Semigroup,
     check_conjecture,
+    count_matrix,
     enumerate_genus,
     max_ordinarization_attainer,
     n_g1_formula,
@@ -22,7 +24,7 @@ from semiforge import (
 from semiforge import analytics, closedsets, tree
 from semiforge.cli import run
 from semiforge.analytics import high_depth_cross_check
-from conftest import children_in_T
+from conftest import children_in_T, gap_runs
 from reference_tables import COUNTS_BY_GENUS
 
 
@@ -103,8 +105,8 @@ def test_parity_report():
 
 def test_interval_report_and_examples():
     h6 = max_ordinarization_attainer(6)
-    assert h6.gap_intervals().interval_count == 6  # = 2r with r = 3
-    assert Semigroup.ordinary(5).gap_intervals().interval_count == 1
+    assert len(gap_runs(h6)) == 6  # = 2r with r = 3
+    assert len(gap_runs(Semigroup.ordinary(5))) == 1
     report = verify_interval_theorem(14)
     assert report.passed, report
 
@@ -445,8 +447,20 @@ def test_bijection_catches_a_build_that_does_not_invert(monkeypatch):
 def test_report_json_shape():
     report = verify_parity_lemma(4)
     obj = report.as_json_dict()
-    assert set(obj) == {"check", "range", "passed", "counterexample"}
+    assert list(obj) == ["check", "range", "passed", "counterexample"]
     assert obj["passed"] is True and obj["counterexample"] is None
+
+
+def test_reports_and_tables_are_immutable_values():
+    report = verify_parity_lemma(4)
+    matrix = count_matrix(6)
+    for record in (report, matrix):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record and hash(back) == hash(record) and type(back) is type(record)
+    assert report == verify_parity_lemma(4) and report != verify_parity_lemma(5)
+    assert matrix == count_matrix(6) and matrix != count_matrix(7)
 
 
 def test_counterexample_reporting(monkeypatch, capsys):

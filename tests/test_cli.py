@@ -233,6 +233,22 @@ def test_a_forking_table_keeps_the_contract(fake_pool, python_kernel, capsys):
     assert fake_pool  # the 231 tasks went through the pool
 
 
+def test_cli_import_loads_no_heavy_modules():
+    # a fresh interpreter, since pytest loads most of these itself; what
+    # the interpreter starts with (a site hook may load tempfile) does not
+    # count, only what ``import semiforge.cli`` adds
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import semiforge.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    added = set(proc.stdout.split())
+    assert "semiforge.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "multiprocessing", "ctypes", "subprocess", "tempfile"})
+
+
 def _semiforge(argv, **kwargs):
     return subprocess.Popen([sys.executable, "-m", "semiforge", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
 
@@ -254,6 +270,7 @@ def test_a_closed_stdout_pipe_exits_5_silently(unbuffered):
 _OVERSIZED_CALLS = (
     ["table", "--gmax", "100000"],
     ["verify", "--check", "parity", "--gmax", "2000000000"],
+    ["verify", "--check", "parity", "--gmax", "100000000000000000000"],
     ["verify", "--check", "conjecture", "--gmax", "100000"],
     ["tree", "--genus", "100000", "--dot", "x.dot", "--node-cap", "100000000000"],
 )
@@ -263,7 +280,7 @@ _OVERSIZED_CALLS = (
 def test_oversized_inputs_exit_2_under_an_address_space_limit(tmp_path):
     # each needs gigabytes; a 256 MB address space makes that a MemoryError
     # at once, which must exit 2 like any input too large to handle.  The
-    # four run side by side, at most 1 GB in all
+    # five run side by side, at most 1.25 GB in all
     import resource
 
     def limit():

@@ -2,6 +2,7 @@
 sequence, and the high-depth pairing."""
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from semiforge.closedsets import (
     count_closed_sets,
     is_closed_set,
 )
+from conftest import members_upto
 from reference_tables import COUNTS_BY_GENUS, F_SEQUENCE
 
 N0 = Semigroup.from_gaps([])
@@ -151,7 +153,7 @@ def test_f_value_pooled_at_12_and_13(w, fork_calls, python_kernel):
 def test_build_from_pair_examples():
     hyper6 = build_from_pair(PairDecomposition(N0, ClosedSet(N0, (0,)), 6))
     assert hyper6 == max_ordinarization_attainer(6)
-    assert hyper6.members_upto(13) == [0, 2, 4, 6, 8, 10, 12, 13]
+    assert members_upto(hyper6, 13) == [0, 2, 4, 6, 8, 10, 12, 13]
 
     s20 = build_from_pair(PairDecomposition(G1, ClosedSet(G1, (0, 2)), 20))
     assert s20.genus == 20 and s20.ordinarization_number() == 9
@@ -179,6 +181,27 @@ def test_pair_type_validates_size():
     o1, o2 = Semigroup.from_gaps([1, 2]), Semigroup.from_gaps([1, 3])
     with pytest.raises(ValueError):
         PairDecomposition(o2, ClosedSet(o1, (0, 1, 3)), 20)
+
+
+def test_closed_set_and_pair_builders_check_their_fields():
+    # NamedTuple's own builders go through the constructors' checks
+    single = ClosedSet(N0, (0,))
+    with pytest.raises(ValueError):
+        single._replace(elements=(0, 2))  # 0 + 1 = 1 is missing
+    with pytest.raises(ValueError):
+        ClosedSet._make((N0, (0, 2)))
+    pair = decompose(max_ordinarization_attainer(6))
+    with pytest.raises(ValueError):
+        pair._replace(b=ClosedSet(G1, (0,)))  # closed over G1, not over omega = N0
+    with pytest.raises(ValueError):
+        PairDecomposition._make((G1, ClosedSet(G1, (0,)), 20))
+    for record in (single, pair):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], G1)
+        assert record._replace() == record and type(record._replace()) is type(record)
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record and hash(back) == hash(record) and type(back) is type(record)
+    assert pair == PairDecomposition(N0, single, 6) and pair != PairDecomposition(N0, single, 7)
 
 
 def test_decompose_examples():
@@ -222,6 +245,6 @@ def test_pair_round_trip(pair):
     s = build_from_pair(pair)
     assert s.genus == pair.g and s.ordinarization_number() == r
     # members up to g are even
-    assert all(x % 2 == 0 for x in s.members_upto(s.genus))
+    assert all(x % 2 == 0 for x in members_upto(s, s.genus))
     back = decompose(s)
     assert back.omega == pair.omega and back.b.elements == pair.b.elements

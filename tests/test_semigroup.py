@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semiforge import NotClosed, Semigroup, enumerate_genus, max_ordinarization_attainer
-from conftest import children_in_T
+from conftest import children_in_T, gap_runs, members_upto
 
 
 def brute_minimal_generators(s: Semigroup) -> list[int]:
@@ -48,7 +48,7 @@ def test_from_gaps_examples():
 
     worked = Semigroup.from_gaps([1, 2, 3, 6, 7, 11])
     assert worked.multiplicity == 4 and worked.frobenius == 11
-    assert worked.members_upto(12) == [0, 4, 5, 8, 9, 10, 12]
+    assert members_upto(worked, 12) == [0, 4, 5, 8, 9, 10, 12]
 
 
 def test_from_gaps_rejects_non_closed_complement():
@@ -126,7 +126,7 @@ def test_ordinary_examples():
     assert Semigroup.ordinary(0) == Semigroup.from_gaps([])
     o3 = Semigroup.ordinary(3)
     assert o3.frobenius == 3 and o3.gaps() == (1, 2, 3)
-    assert Semigroup.ordinary(6).members_upto(9) == [0, 7, 8, 9]
+    assert members_upto(Semigroup.ordinary(6), 9) == [0, 7, 8, 9]
     with pytest.raises(ValueError):
         Semigroup.ordinary(-1)
 
@@ -170,7 +170,7 @@ def test_minimal_generators_against_brute_force():
 def test_ordinarize_worked_example():
     s = Semigroup.from_gaps([1, 2, 3, 6, 7, 11])
     s1 = s.ordinarize()
-    assert s1.members_upto(12) == [0, 5, 8, 9, 10, 11, 12]
+    assert members_upto(s1, 12) == [0, 5, 8, 9, 10, 11, 12]
     s2 = s1.ordinarize()
     assert s2 == Semigroup.ordinary(6)
 
@@ -264,10 +264,10 @@ def test_membership_threshold_property():
 # gap intervals
 
 def test_gap_intervals_examples():
-    assert Semigroup.ordinary(6).gap_intervals().intervals == ((1, 6),)
+    assert gap_runs(Semigroup.ordinary(6)) == [(1, 6)]
     h6 = max_ordinarization_attainer(6)
-    assert h6.gap_intervals().intervals == tuple((k, k) for k in range(1, 12, 2))
-    assert Semigroup.from_gaps([1, 2, 3, 6, 7, 11]).gap_intervals().interval_count == 3
+    assert gap_runs(h6) == [(k, k) for k in range(1, 12, 2)]
+    assert len(gap_runs(Semigroup.from_gaps([1, 2, 3, 6, 7, 11]))) == 3
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +295,7 @@ def test_transform_preserves_genus(s):
 @given(semigroups())
 def test_closure_under_addition(s):
     top = 2 * s.genus + 1
-    members = s.members_upto(top)
+    members = members_upto(s, top)
     for a in members:
         for b in members:
             if a and b and a + b <= top:
@@ -304,9 +304,9 @@ def test_closure_under_addition(s):
 
 @given(semigroups())
 def test_gap_interval_lengths_sum_to_genus(s):
-    profile = s.gap_intervals()
-    assert sum(hi - lo + 1 for lo, hi in profile.intervals) == s.genus
-    assert list(profile.intervals) == sorted(profile.intervals)
+    runs = gap_runs(s)
+    assert sum(hi - lo + 1 for lo, hi in runs) == s.genus
+    assert runs == sorted(runs)
 
 
 @given(semigroups())
