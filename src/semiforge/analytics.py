@@ -270,6 +270,43 @@ def _expand_checked(bitmap: int, g: int, eff: int, transform: int, nxt: set[int]
             bad.add(g1, Semigroup._from_bitmap(child, g1).gaps(), "siblings transform to different parents")
 
 
+def _trees_hold(g_max: int) -> bool:
+    """Whether ``verify_tree_relations(g_max)`` passes, decided level by
+    level by the compiled ``semiforge_tg_check`` on the fixed-genus walk
+    to genus g_max <= 31, each genus held as uint64 arrays; False as soon
+    as a check fails, or a level's values do not fit its C types."""
+    from ctypes import c_int, c_uint64
+
+    check = tree._kernel.semiforge_tg_check
+    expected = (c_uint64 * 1)(Semigroup.ordinary(0).bitmap)  # genus g, as the expansion of g - 1
+    for g in range(g_max + 1):
+        total, filled, pieces, prev = len(expected), 0, [], ()
+        seen = (c_uint64 * total)()
+        for depth, level in enumerate(tree._tg_levels(g)):
+            arrays = [tree._c_array(x, ctype) for x, ctype in zip(level, (c_int, c_uint64, c_uint64))]
+            # the kernel would misread sequences of unequal lengths, or a
+            # value that its C type truncates
+            if len(set(map(len, level))) > 1 or any(
+                list(array) != list(x) for array, x in zip(arrays, level) if not isinstance(x, memoryview)
+            ):
+                return False
+            parents, children, effs = arrays
+            up = prev or children  # the root is its own parent
+            nxt = None
+            if g < g_max:  # one child in T per bit of eff
+                nxt = (c_uint64 * int.from_bytes(memoryview(effs).cast("B"), "little").bit_count())()
+                pieces.append(nxt)
+            if check(parents, children, effs, len(children), up, len(up), g, depth, seen, filled, expected, total, nxt):
+                return False
+            filled += len(children)
+            prev = children
+        if filled != total:
+            return False
+        joined = bytearray().join(pieces)
+        expected = (c_uint64 * (len(joined) // 8)).from_buffer(joined)
+    return True
+
+
 def verify_tree_relations(g_max: int) -> VerificationReport:
     """Cross-checks between the generator-removal tree and the fixed-genus
     trees, for every genus <= g_max:
@@ -289,9 +326,38 @@ def verify_tree_relations(g_max: int) -> VerificationReport:
     semigroup the walk misses is reported at its genus, under the
     smallest key there, and is not expanded: all it could add lies at a
     larger genus, so it could not change the report.
+
+    Where the fixed-genus walk at g_max is compiled (``tree._tg_plan``),
+    the compiled ``_trees_hold`` decides first, and the loop below runs
+    only when it fails, to write the report; so every report comes from
+    the loop.  A compiled pass implies the loop's, genus by genus.  Let
+    W be the nodes of the walk of genus g, each of whose values must fit
+    its C type, and E the kernel's expansion of genus g - 1 (the root, at
+    genus 0); by induction, ``level`` is set(E) when genus g begins.  The
+    kernel requires:
+
+    - W and E, sorted, equal and strictly increasing: set equality with
+      no repeat on either side.  So the walk reaches each member of
+      ``level`` once, which is removed and expanded then; ``level`` ends
+      empty, sum(row) = |W| = sum(expected_row), and ``nxt`` is the set
+      of the kernel's expansion of W, which carries the induction;
+    - every edge: a node's transform is its parent, the root its own;
+      the kernel fails wherever the Python transform would raise;
+    - the ancestor line and the sibling lemma on every node's expansion,
+      with the same eff and transform as ``_expand_checked``;
+    - each node at depth d has d non-zero members <= g, and 2d <= g.  So
+      row[d] counts the members of ``level`` with ordinarization number
+      d, which is expected_row[d], and no depth passes g // 2.  On true
+      semigroups this follows from the edge check and set equality, by
+      induction on depth: only the ordinary root is its own transform,
+      and a transform trades a multiplicity <= g for a Frobenius number
+      > g.  The kernel checks it per node, so that the implication holds
+      for any walk, a broken one too.
     """
     if g_max < 0:
         raise ValueError("g_max must be non-negative")
+    if tree._tg_plan(g_max) is tree._tg_level_compiled and _trees_hold(g_max):
+        return VerificationReport("trees", f"genus <= {g_max}", True)
     bad = _Counterexamples()
     level = {Semigroup.ordinary(0).bitmap}  # the bitmaps of genus g
     for g in range(g_max + 1):

@@ -18,7 +18,8 @@ because removing a minimal generator cannot break any old pair.
 
 A walk of the generator-removal tree holds one depth-first stack, not a
 whole genus, though a caller may collect one: ``f_value(w)`` lists genus
-w, and ``verify_tree_relations`` holds genera g and g + 1 as sets.  Most
+w, and ``verify_tree_relations`` holds genera g and g + 1, as uint64
+arrays where the kernel checks them and as sets elsewhere.  Most
 of that tree hangs below the ordinary semigroups, so every walk splits
 along that ordinary spine: the spine and its non-ordinary children are
 built by formula (``_spine_tasks``), and the subtree under each such
@@ -320,12 +321,11 @@ def _compiled_kernel() -> Optional[ctypes.CDLL]:
 
 
 def _load_kernel(source: str) -> Optional[ctypes.CDLL]:
-    """The library built from ``source``, with the signatures of
-    ``semiforge_count``, ``semiforge_closed`` and ``semiforge_tg_level`` declared, cached
-    in the __pycache__ beside it under a name keyed on the source and the
-    interpreter's platform tag, so that a stale or foreign build never
-    loads; None when there is no compiler, the build fails or the cache
-    cannot be written."""
+    """The library built from ``source``, with the signatures of its four
+    functions declared, cached in the __pycache__ beside it under a name
+    keyed on the source and the interpreter's platform tag, so that a
+    stale or foreign build never loads; None when there is no compiler,
+    the build fails or the cache cannot be written."""
     import binascii  # a CRC keys the source; hashlib would load OpenSSL, 3.6 MB
     import ctypes
     from importlib.machinery import EXTENSION_SUFFIXES
@@ -346,6 +346,10 @@ def _load_kernel(source: str) -> Optional[ctypes.CDLL]:
     lib.semiforge_closed.restype = ctypes.c_uint64
     lib.semiforge_tg_level.argtypes = [words, words, c_int, c_int, words, words, ctypes.POINTER(c_int), c_int]
     lib.semiforge_tg_level.restype = c_int
+    lib.semiforge_tg_check.argtypes = [
+        ctypes.POINTER(c_int), words, words, c_int, words, c_int, c_int, c_int, words, c_int, words, c_int, words
+    ]
+    lib.semiforge_tg_check.restype = c_int
     return lib
 
 
@@ -456,7 +460,7 @@ def _tg_level_compiled(bitmaps: Sequence[int], effs: Sequence[int], g: int, room
     if g > _WORD_GMAX:
         raise ValueError(f"the compiled kernel walks the fixed-genus tree to genus {_WORD_GMAX}, not {g}")
     n = len(bitmaps)
-    words = [(c_uint64 * n).from_buffer(x) if isinstance(x, memoryview) else (c_uint64 * n)(*x) for x in (bitmaps, effs)]
+    words = [_c_array(x, c_uint64) for x in (bitmaps, effs)]
     count = _kernel.semiforge_tg_level(*words, n, g, None, None, None, int(min(room, _INT_MAX)))
     if count < 0:
         return None
@@ -466,6 +470,13 @@ def _tg_level_compiled(bitmaps: Sequence[int], effs: Sequence[int], g: int, room
         memoryview(buffer).cast("B").cast(code)
         for buffer, code in ((parents, "i"), (children, "Q"), (child_effs, "Q"))
     )
+
+
+def _c_array(values: Sequence[int], ctype: type) -> ctypes.Array:
+    """``values`` as a ctypes array of ``ctype``: over the same memory where
+    it is a memoryview, as a compiled level's sequences are, else a copy."""
+    n = len(values)
+    return (ctype * n).from_buffer(values) if isinstance(values, memoryview) else (ctype * n)(*values)
 
 
 def _tg_plan(g: int) -> Callable:
@@ -487,10 +498,15 @@ def _tg_levels(g: int, node_cap: float = math.inf) -> Iterator[TgLevel]:
 
     Raises TooLarge as soon as the nodes reached exceed ``node_cap``, so an
     oversized level is never completed; the root's n_g1(g) children, about
-    3g^2/8, are counted before even the root is made.
+    3g^2/8, are counted before even the root is made.  Raises MemoryError
+    there too when those children, at the window's 2g + 2 bits each, would
+    not fit this machine's physical memory.
     """
-    if n_g1_formula(g) > node_cap - 1:
+    first = n_g1_formula(g)
+    if first > node_cap - 1:
         raise TooLarge(f"fixed-genus tree for g={g} exceeds {node_cap} nodes")
+    if first * ((2 * g + 9) // 8) > _physical_memory():
+        raise MemoryError
     root = Semigroup.ordinary(g).bitmap
     level = _tg_plan(g)
     room = node_cap
@@ -518,6 +534,14 @@ def _runs(g_max: int) -> Iterator[tuple[int, int, Sequence[int]]]:
             for r, (_parents, children, _effs) in enumerate(_tg_levels(g))
         )
     return ((g, r, (bitmap,)) for bitmap, g, r in _nodes(g_max))
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory on this machine; inf where it cannot be read."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
 def _usable_cpus() -> int:

@@ -75,6 +75,25 @@ def compiled_kernel():
     return kernel
 
 
+_TG_LEVEL_COMPILED = tree._tg_level_compiled
+
+
+def doctor_compiled_levels(patch: pytest.MonkeyPatch, g: int, edit) -> None:
+    """Make the compiled fixed-genus walk of genus g find ``edit(kids)``
+    below the ordinary root instead of its true children ``kids``, each a
+    (bitmap, eff) pair; a second call replaces the first edit."""
+    root = Semigroup.ordinary(g).bitmap
+
+    def doctored(bitmaps, effs, genus, room):
+        out = _TG_LEVEL_COMPILED(bitmaps, effs, genus, room)
+        if (list(bitmaps), genus) != ([root], g):
+            return out
+        kids = edit(list(zip(out[1], out[2])))
+        return [0] * len(kids), [kid for kid, _eff in kids], [eff for _kid, eff in kids]
+
+    patch.setattr(tree, "_tg_level_compiled", doctored)
+
+
 @pytest.fixture(scope="session")
 def semigroups_by_genus() -> dict[int, list[Semigroup]]:
     """All semigroups of genus <= 9, grouped by genus."""

@@ -24,7 +24,7 @@ from semiforge import (
 from semiforge import analytics, closedsets, tree
 from semiforge.cli import run
 from semiforge.analytics import high_depth_cross_check
-from conftest import children_in_T, gap_runs
+from conftest import children_in_T, doctor_compiled_levels, gap_runs
 from reference_tables import COUNTS_BY_GENUS
 
 
@@ -159,7 +159,7 @@ def _tg_walks(monkeypatch, reported: list[str]):
     kinds = [("python", 6)]
     if tree._compiled_kernel():
         kinds.append(("compiled", tree._COMPILED_TG_MIN_GENUS))
-    raw, compiled = tree._tg_children_raw, tree._tg_level_compiled
+    raw = tree._tg_children_raw
     for kind, g in kinds:
         root = Semigroup.ordinary(g).bitmap
         with monkeypatch.context() as patch:
@@ -171,17 +171,10 @@ def _tg_walks(monkeypatch, reported: list[str]):
                     kids = raw(bitmap, genus, eff)
                     return edit(kids) if (bitmap, genus) == (root, g) else kids
 
-                def doctored_compiled(bitmaps, effs, genus, room):
-                    out = compiled(bitmaps, effs, genus, room)
-                    if (list(bitmaps), genus) != ([root], g):
-                        return out
-                    kids = edit(list(zip(out[1], out[2])))
-                    return [0] * len(kids), [kid for kid, _eff in kids], [eff for _kid, eff in kids]
-
                 if kind == "python":
                     patch.setattr(tree, "_tg_children_raw", doctored_raw)
                 else:
-                    patch.setattr(tree, "_tg_level_compiled", doctored_compiled)
+                    doctor_compiled_levels(patch, g, edit)
 
             reported.clear()
             yield g, doctor
@@ -239,10 +232,19 @@ def test_tree_relations_catch_a_wrong_inherited_eff(monkeypatch, reported):
             assert "fixed-genus tree misses or repeats semigroups" in reported
 
 
+def _python_loop_only(monkeypatch) -> None:
+    """Let the compiled trees check fail at once, so that the Python loop
+    decides on either walk: the compiled check calls none of the Python
+    functions that the tests below doctor or spy on.  ``tests/test_kernel.py``
+    plants faults that it can see."""
+    monkeypatch.setattr(analytics, "_trees_hold", lambda g_max: False)
+
+
 def test_tree_relations_catch_a_broken_transform(monkeypatch, reported):
     # the transform does nothing at even genus from G on: a genus-(2k+1)
     # parent's transform no longer adjoins back from its children's, and
     # siblings keep their own bitmaps
+    _python_loop_only(monkeypatch)
     transform = analytics._ordinarize_bitmap
     for g, _doctor in _tg_walks(monkeypatch, reported):
         monkeypatch.setattr(
@@ -256,6 +258,7 @@ def test_tree_relations_catch_a_broken_transform(monkeypatch, reported):
 def test_tree_relations_check_the_root_edge(monkeypatch, reported):
     # the root is its own parent: a transform that moves the ordinary
     # semigroup of genus G, and nothing else, breaks that one edge
+    _python_loop_only(monkeypatch)
     transform = analytics._ordinarize_bitmap
     for g, _doctor in _tg_walks(monkeypatch, reported):
         root = Semigroup.ordinary(g).bitmap
@@ -299,6 +302,7 @@ def test_tree_relations_expand_each_node_once(monkeypatch):
     # on either walk, each semigroup of genus < g_max is expanded once,
     # from the state the fixed-genus walk made, and the generator-removal
     # tree is never walked
+    _python_loop_only(monkeypatch)
     expand = analytics._expand_checked
 
     def restart(*args):

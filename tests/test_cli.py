@@ -192,6 +192,16 @@ def test_tree_node_cap_refuses_a_huge_genus_at_once(tmp_path, capsys):
     assert not (tmp_path / "x.dot").exists()
 
 
+def test_tree_refuses_a_first_level_larger_than_memory_at_once(tmp_path, capsys):
+    # under the node cap, the root's 3.75e9 children would still need 25 kB
+    # each, far more than any machine's memory: refused before the root is made
+    started = time.perf_counter()
+    assert run(["tree", "--genus", "100000", "--dot", str(tmp_path / "x.dot"), "--node-cap", "100000000000"]) == 2
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().err == "not enough memory for this input\n"
+    assert not (tmp_path / "x.dot").exists()
+
+
 def test_tree_write_failure_exits_5(tmp_path, capsys):
     assert run(["tree", "--genus", "2", "--dot", str(tmp_path / "no" / "dir" / "x.dot")]) == 5
 

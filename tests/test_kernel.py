@@ -1,6 +1,6 @@
-"""The compiled kernel's three walks against their oracles, the
-pure-Python tree kernel, closed-set descent and fixed-genus level, and
-the fallback to those where the compiled kernel cannot load."""
+"""The compiled kernel's four functions against their oracles, the
+pure-Python tree kernel, closed-set descent, fixed-genus level and trees
+check, and the fallback to those where the compiled kernel cannot load."""
 
 import itertools
 import re
@@ -13,6 +13,7 @@ import pytest
 from semiforge import (
     Semigroup,
     TooLarge,
+    analytics,
     cli,
     closedsets,
     count_matrix,
@@ -21,8 +22,12 @@ from semiforge import (
     max_ordinarization_attainer,
     tg_bfs_row,
     tree,
+    verify_tree_relations,
 )
+from semiforge.analytics import VerificationReport
 from semiforge.closedsets import count_closed_sets
+from semiforge.semigroup import _ordinarize_bitmap
+from conftest import doctor_compiled_levels
 from reference_tables import COUNTS_BY_GENUS, F_SEQUENCE
 
 
@@ -217,6 +222,169 @@ def test_runs_take_the_compiled_levels_from_the_cutoff_to_genus_31(compiled_kern
     monkeypatch.setattr(tree, "_kernel", False)
     list(tree._runs(cutoff))
     assert genera == []
+
+
+def test_compiled_trees_check_passes_to_genus_21_without_the_python_loop(compiled_kernel, monkeypatch):
+    # every genus from 0 on is walked by the kernel; each node is checked
+    # at its depth once and expanded into as many children in T as the
+    # next genus has
+    monkeypatch.setattr(tree, "_COMPILED_TG_MIN_GENUS", 0)
+
+    def python_loop():
+        raise AssertionError("the Python loop of verify_tree_relations ran")
+
+    monkeypatch.setattr(analytics, "_Counterexamples", python_loop)
+    calls = []
+    check = compiled_kernel.semiforge_tg_check
+
+    def spy(parents, children, effs, n, up, n_up, g, depth, *rest):
+        calls.append((g, depth, n, len(rest[-1]) if rest[-1] else 0))
+        return check(parents, children, effs, n, up, n_up, g, depth, *rest)
+
+    monkeypatch.setattr(compiled_kernel, "semiforge_tg_check", spy)
+    for g_max in range(22):
+        calls.clear()
+        assert verify_tree_relations(g_max) == VerificationReport("trees", f"genus <= {g_max}", True)
+        checked, expanded = Counter(), Counter()
+        for g, depth, n, children_in_T in calls:
+            checked[g, depth] += n
+            expanded[g] += children_in_T
+        assert checked == Counter({(g, r): c for g in range(g_max + 1) for r, c in enumerate(COUNTS_BY_GENUS[g]) if c})
+        assert expanded == Counter({g: sum(COUNTS_BY_GENUS[g + 1]) for g in range(g_max)})
+
+
+def _misplaced(g):
+    def edit(kids):
+        grandchild = next(gc for kid, eff in kids for gc in tree._tg_children_raw(kid, g, eff))
+        return kids[:-1] + [grandchild]
+
+    return edit
+
+
+def _wrong_eff(wrong):
+    def edit(kids):
+        i = next(i for i, (_kid, eff) in enumerate(kids) if wrong(eff) != eff)
+        return kids[:i] + [(kids[i][0], wrong(kids[i][1]))] + kids[i + 1 :]
+
+    return edit
+
+
+# faults planted below the root of the walk of genus g, and the g_max from
+# which the trees check must fail
+_WALK_FAULTS = {
+    "dropped child": lambda g: (lambda kids: kids[:-1], g),
+    "repeated child": lambda g: (lambda kids: kids + kids[-1:], g),
+    "misplaced child": lambda g: (_misplaced(g), g),
+    "eff bit cleared": lambda g: (_wrong_eff(lambda eff: eff & (eff - 1)), g + 1),
+    "eff bit set": lambda g: (_wrong_eff(lambda eff: eff | 1 << (2 * g + 1)), g + 1),
+    # as many children in T, one of them no semigroup: only the sorted
+    # comparison of the next genus sees it
+    "eff bit moved": lambda g: (_wrong_eff(lambda eff: eff & (eff - 1) | 1 << (2 * g + 1) if eff else eff), g + 1),
+    # a uint64 copy would drop the stray bit and pass
+    "child past the word": lambda g: (lambda kids: kids[:-1] + [(kids[-1][0] | 1 << 64, kids[-1][1])], g),
+}
+
+
+@pytest.mark.parametrize("fault", _WALK_FAULTS)
+@pytest.mark.parametrize("at", ["genus 8", "the cutoff"])
+def test_compiled_trees_check_fails_under_each_walk_fault(fault, at, compiled_kernel, monkeypatch):
+    # the compiled decision fails, and the Python loop, which writes the
+    # report, fails too on the same walk
+    g = 8 if at == "genus 8" else tree._COMPILED_TG_MIN_GENUS
+    monkeypatch.setattr(tree, "_COMPILED_TG_MIN_GENUS", min(g, tree._COMPILED_TG_MIN_GENUS))
+    edit, g_max = _WALK_FAULTS[fault](g)
+    doctor_compiled_levels(monkeypatch, g, edit)
+    assert tree._tg_plan(g_max) is tree._tg_level_compiled
+    assert analytics._trees_hold(g_max) is False
+    report = verify_tree_relations(g_max)
+    assert report.passed is False and report.counterexample
+
+
+def _check_level(kernel, parents, children, effs, up, g, depth, expected, expand=True) -> tuple[int, list[int]]:
+    """``semiforge_tg_check`` on one hand-built level that fills a genus
+    whose expected nodes are ``expected``: its return code, and the
+    children in T it wrote when asked to expand."""
+    from ctypes import c_int, c_uint64
+
+    def words(values, ctype=c_uint64):
+        return (ctype * len(values))(*values)
+
+    n = len(children)
+    out = words([0] * sum(eff.bit_count() for eff in effs)) if expand else None
+    code = kernel.semiforge_tg_check(
+        words(parents, c_int), words(children), words(effs), n, words(up), len(up), g, depth,
+        words([0] * len(expected)), 0, words(expected), len(expected), out,
+    )
+    return code, list(out or ())
+
+
+def test_compiled_trees_check_sees_what_the_python_checks_see(compiled_kernel):
+    # one node of genus g <= 8 a level, under its true parent or as its own
+    # (a root), with its effective generators or one bit of the next
+    # window flipped: the kernel fails exactly where the Python edge check
+    # or _expand_checked reports a failure or raises
+    seen = Counter()
+    for bitmap, g, r in tree._nodes(8):
+        parent = _ordinarize_bitmap(bitmap, g)
+        eff = tree._effective_generators(bitmap, g)
+        for up in (parent, bitmap):
+            for flip in (0, *(1 << x for x in range(2 * g + 4))):
+                bad, nxt = analytics._Counterexamples(), set()
+                try:
+                    if parent != up:
+                        bad.add(g, (), "edge child does not transform to parent")
+                    analytics._expand_checked(bitmap, g, eff ^ flip, parent, nxt, bad)
+                    verdict = bad.best and bad.best[2]
+                except ValueError:
+                    verdict = "raises"
+                seen[verdict] += 1
+                code, out = _check_level(compiled_kernel, [0], [bitmap], [eff ^ flip], [up], g, r, [bitmap])
+                assert code == (-1 if verdict else 0), (bitmap, g, up, flip, verdict)
+                if not verdict:
+                    assert len(out) == len(nxt) and set(out) == nxt
+    # each Python failure, and a pass, is met
+    assert set(seen) >= {
+        None,
+        "edge child does not transform to parent",
+        "transform left the ancestor line",
+        "siblings transform to different parents",
+    }, seen
+
+
+def test_compiled_trees_check_refuses_repeats_and_wrong_depths(compiled_kernel):
+    # faults that only a broken walk makes, each seen by one check: a node
+    # repeated in the walk, more often than in the expansion of the genus
+    # before (a level larger than the genus, whose buffers exceed ctypes'
+    # 16 inline bytes, so that ASan watches them) or as often, a node one
+    # level too deep, and a non-semigroup with 4 of the members <= 4,
+    # deeper than any genus-4 node can be (the Python loop raises on it)
+    node, g, r = next(node for node in tree._nodes(8) if node[1:] == (8, 1))
+    up = [_ordinarize_bitmap(node, g)]
+    assert _check_level(compiled_kernel, [0], [node], [0], up, g, r, [node]) == (0, [])
+    assert _check_level(compiled_kernel, [0] * 4, [node] * 4, [0] * 4, up, g, r, [node] * 3)[0] == -1
+    assert _check_level(compiled_kernel, [0, 0], [node, node], [0, 0], up, g, r, [node, node])[0] == -1
+    assert _check_level(compiled_kernel, [0], [node], [0], up, g, r + 1, [node])[0] == -1
+    deep = 0b1000011111  # gaps 5 to 8
+    assert _check_level(compiled_kernel, [0], [deep], [0], [_ordinarize_bitmap(deep, 4)], 4, 4, [deep])[0] == -1
+
+
+def test_compiled_trees_check_expands_genus_30_into_bit_63(compiled_kernel):
+    # the genus-30 nodes at depth 1 expand into genus 31, whose window is
+    # the whole word; the genus-31 nodes at depth 1 are checked there
+    for g in (30, 31):
+        levels = [tuple(map(list, level)) for level in itertools.islice(tree._tg_levels(g), 2)]
+        (_, (root,), _), (parents, children, effs) = levels
+        code, out = _check_level(compiled_kernel, parents, children, effs, [root], g, 1, children, expand=g < 31)
+        assert code == 0, g
+        if g == 30:
+            want, bad = set(), analytics._Counterexamples()
+            for child, eff in zip(children, effs):
+                analytics._expand_checked(child, g, eff, root, want, bad)
+            assert bad.best is None and len(out) == len(want) and set(out) == want
+            assert all(child >> 63 for child in out)
+        # a node with its top member dropped no longer transforms to the root
+        broken = [children[0] ^ 1 << (2 * g + 1)] + children[1:]
+        assert _check_level(compiled_kernel, parents, broken, effs, [root], g, 1, broken, expand=g < 31)[0] == -1
 
 
 def _dot_or_refusal(g: int, cap: int) -> str:
