@@ -8,13 +8,12 @@ Each harness returns a ``VerificationReport`` that names one failure:
 the tree walks (``verify_parity_lemma``, ``verify_interval_theorem``,
 ``verify_tree_relations``) the smallest by (genus, gap list),
 ``verify_sumset_bound`` the smallest set by (size, elements), and the
-table-cell checks (``check_conjecture``, ``high_depth_cross_check``,
-``verify_bijection``) the first failing (g, r) cell, by g, then r.
+table-cell checks (``check_conjecture``, ``verify_bijection``) the first
+failing (g, r) cell, by g, then r.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple, Optional, Sequence
 
 from . import closedsets, tree
@@ -170,33 +169,24 @@ def check_conjecture(g_max: int, *, workers: int = 1) -> VerificationReport:
     return VerificationReport("conjecture", f"genus <= {g_max}", True)
 
 
-def high_depth_cross_check(g_max: int) -> VerificationReport:
-    """Every high-depth cell of the count table must equal the closed-set
-    sum for w = floor(g/2) - r."""
-    if g_max < 2:
-        raise ValueError("g_max must be >= 2")
-    matrix = tree.count_matrix(g_max)
-    f = functools.cache(closedsets.f_value)
-    for g in range(2, g_max + 1):
-        for r in range(_min_high_r(g), g // 2 + 1):
-            if matrix.cell(g, r) != f(g // 2 - r):
-                worst = f"n({g},{r})={matrix.cell(g, r)} != f({g // 2 - r})={f(g // 2 - r)}"
-                return VerificationReport("high-depth-cross-check", f"genus <= {g_max}", False, worst)
-    return VerificationReport("high-depth-cross-check", f"genus <= {g_max}", True)
-
-
 def verify_bijection(g_max: int) -> VerificationReport:
     """Round-trip and counting checks for the high-depth pairing.
 
-    For every g <= g_max and depth r with 3r >= g + 2: building from all
-    (omega, B) pairs is injective, lands exactly on the semigroups of
-    genus g at depth r in the fixed-genus tree, splitting is its
-    two-sided inverse, and the image size matches both the count table
-    and the closed-set sum.  Where that tree's walk is compiled (see
-    ``tree._runs``), it is a third engine beside the generator-removal
-    walk of ``count_matrix`` and the pairing.  The pairing's checks
-    raise ValueError or AssertionError exactly when a side condition
-    fails: that is the cell's counterexample."""
+    For every g <= g_max and depth r with 3r >= g + 2, building from all
+    (omega, B) pairs with omega of genus w = floor(g/2) - r is injective,
+    lands exactly on the semigroups of genus g at depth r, and splitting
+    is its two-sided inverse.  Four engines agree on each such cell:
+
+    - the count table, ``tree.count_matrix``, gives its size;
+    - the fixed-genus walk (``tree._runs``; ``_nodes`` where that walk is
+      not compiled) gives its semigroups, which must be the image;
+    - the pair listing is ``tree.enumerate_genus(w)`` times
+      ``closedsets.closed_sets`` of size w + 1, built once per w;
+    - the closed-set count ``closedsets.f_value(w)`` must equal the
+      listing's length when the listing is built.
+
+    The pairing's checks raise ValueError or AssertionError exactly when
+    a side condition fails: that is the cell's counterexample."""
     if g_max < 2:
         raise ValueError("g_max must be >= 2")
     matrix = tree.count_matrix(g_max)
@@ -217,6 +207,9 @@ def verify_bijection(g_max: int) -> VerificationReport:
                     omegas: list[Semigroup] = []
                     tree.enumerate_genus(w, omegas.append)
                     pair_pool[w] = [(om, b) for om in omegas for b in closedsets.closed_sets(om, w + 1)]
+                    f = closedsets.f_value(w)
+                    if len(pair_pool[w]) != f:
+                        return fail(f"{len(pair_pool[w])} pairs vs f({w}) = {f}")
                 pairs = [closedsets.PairDecomposition(om, b, g) for om, b in pair_pool[w]]
                 built = [closedsets.build_from_pair(p) for p in pairs]
                 image = {s.bitmap for s in built}

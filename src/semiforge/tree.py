@@ -62,13 +62,14 @@ if TYPE_CHECKING:
 # vs 106 (19).  ``closedsets`` measures its own cutoffs.
 _POOL_MIN_TASKS = 200
 
-# The same crossover for tables counted by the compiled kernel, which
-# makes each task about 40 times cheaper (same machine; median ms, serial
-# vs 2-worker pool, two runs of 21 interleaved pairs): count_matrix(27)
-# (351 tasks) 36-39 vs 46-57 (pool faster in 0 and 7), count_matrix(28)
-# (378) 60-62 vs 48-54 (17, 16), count_matrix(29) (406) 94-100 vs 69-72
-# (18, 19); count_matrix(30) 149 vs 93 (faster in 11 of 11 pairs).
-_COMPILED_POOL_MIN_TASKS = 28 * 27 // 2
+# The same crossover for tables counted by the compiled kernel, whose
+# tasks are far cheaper (same machine; median ms, serial vs 2-worker
+# pool, four runs of 10-20 alternating pairs): count_matrix(29)
+# (406 tasks) 51-59 vs 51-75 (pool faster in 4 of 12, 0 of 10, 8 of 10,
+# 6 of 20), count_matrix(30) (435) 98-121 vs 66-73 (in 12, 10, 10 and 20:
+# every pair), count_matrix(31) (465) 137-209 vs 94-121 (11 of 12, then
+# every pair).
+_COMPILED_POOL_MIN_TASKS = 30 * 29 // 2
 
 # The compiled kernel (``_kernel.c``) holds the window 2*g_max + 3 of a
 # table in one 128-bit word, and the window [0, 2g + 1] of a fixed-genus

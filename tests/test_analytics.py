@@ -23,7 +23,6 @@ from semiforge import (
 )
 from semiforge import analytics, closedsets, tree
 from semiforge.cli import run
-from semiforge.analytics import high_depth_cross_check
 from conftest import children_in_T, doctor_compiled_levels, gap_runs
 from reference_tables import COUNTS_BY_GENUS
 
@@ -120,7 +119,9 @@ def test_conjecture_report():
 
 
 def test_cross_check_report():
-    report = high_depth_cross_check(16)
+    # every high-depth cell to genus 16 against the count table, the
+    # fixed-genus walk, the pair listing and f_value
+    report = verify_bijection(16)
     assert report.passed, report
 
 
@@ -404,6 +405,15 @@ def test_bijection_catches_a_collapsed_pairing(monkeypatch):
     assert (report.passed, report.counterexample) == (False, "g=10 r=4: pairing not injective")
 
 
+def test_bijection_checks_each_pair_pool_against_f_value(monkeypatch):
+    # the closed-set count is one too high at w = 1, which the pool of
+    # g = 10, r = 4 is the first to use
+    f_value = closedsets.f_value
+    monkeypatch.setattr(closedsets, "f_value", lambda w, **kw: f_value(w, **kw) + (w == 1))
+    report = verify_bijection(10)
+    assert (report.passed, report.counterexample) == (False, "g=10 r=4: 2 pairs vs f(1) = 3")
+
+
 def test_bijection_catches_a_table_mismatch(monkeypatch):
     rows = [list(row) for row in tree.count_matrix(8).rows]
     rows[4][2] += 1
@@ -483,8 +493,8 @@ def test_counterexample_reporting(monkeypatch, capsys):
     want = "n(6,3)=3 > n(7,3)=1"
     report = check_conjecture(12)
     assert not report.passed and report.counterexample == want
-    report = high_depth_cross_check(12)
-    assert not report.passed and report.counterexample == "n(6,3)=3 != f(0)=1"
+    report = verify_bijection(12)
+    assert not report.passed and report.counterexample == "g=6 r=3: image size 1 vs table 3"
     assert run(["verify", "--check", "conjecture", "--gmax", "12"]) == 1
     out = capsys.readouterr().out
     assert '"passed": false' in out

@@ -66,15 +66,15 @@ def test_compiled_kernel_counts_to_genus_62(compiled_kernel, monkeypatch):
 
 
 def test_compiled_tables_match_python_at_1_2_3_workers(compiled_kernel, fork_calls, monkeypatch):
-    want = count_matrix(29, workers=1).rows
-    assert [list(row) for row in want] == [COUNTS_BY_GENUS[g] for g in range(30)]
+    want = count_matrix(31, workers=1).rows
+    assert [list(row) for row in want[:31]] == [COUNTS_BY_GENUS[g] for g in range(31)]
     for workers in (2, 3):
-        for g in (21, 22, 27, 28, 29):
+        for g in (21, 22, 29, 30, 31):
             assert count_matrix(g, workers=workers).rows == want[: g + 1], (g, workers)
     # compiled tasks are cheap enough that the pool pays only from genus
-    # 28, where the Python kernel's pays from 21
-    assert sum(range(27)) < tree._COMPILED_POOL_MIN_TASKS <= sum(range(28))
-    assert fork_calls == [(sum(range(g)), workers) for workers in (2, 3) for g in (28, 29)]
+    # 30, where the Python kernel's pays from 21
+    assert sum(range(29)) < tree._COMPILED_POOL_MIN_TASKS <= sum(range(30))
+    assert fork_calls == [(sum(range(g)), workers) for workers in (2, 3) for g in (30, 31)]
     monkeypatch.setattr(tree, "_kernel", False)
     for workers in (1, 2, 3):
         assert count_matrix(22, workers=workers).rows == want[:23], workers
