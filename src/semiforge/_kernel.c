@@ -1,4 +1,4 @@
-/* Four functions on machine words, each the compiled twin of a Python
+/* Five functions on machine words, each the compiled twin of a Python
    oracle that stays as the fallback.
 
    semiforge_count is semiforge.tree._count_into on 128-bit words: the
@@ -6,6 +6,11 @@
    popcount and a child without effective generators tallied instead of
    pushed.  The window W = 2 g_max + 3 must fit one word, so g_max <= 62.
    See _subtree for the inheritance rule.
+
+   semiforge_hist is semiforge.tree._hist_into: the same walk, tallying
+   (genus, depth, gap intervals, odd member <= genus) in place of
+   (genus, depth).  It is a function of its own, so that the count's
+   tally stays as it is.
 
    semiforge_closed is the counting branch of
    semiforge.closedsets._closed_masks and _descend on 64-bit words: the
@@ -232,5 +237,72 @@ int semiforge_tg_check(const int *parents, const uint64_t *children, const uint6
     for (int i = 0; i < total; i++)
         if (seen[i] != expected[i] || (i && seen[i] == seen[i - 1]))
             return -1;
+    return 0;
+}
+
+/* popcount of a 128-bit word */
+static int popcount(word x) {
+    return __builtin_popcountll((uint64_t)x) + __builtin_popcountll((uint64_t)(x >> 64));
+}
+
+/* 1 where `bitmap` has an odd member <= g; g <= 62, so they are all in
+   the low half. */
+static int odd_low(word bitmap, int g) {
+    return ((uint64_t)bitmap & 0xAAAAAAAAAAAAAAAAull & (((uint64_t)2 << g) - 1)) != 0;
+}
+
+/* An entry of semiforge_hist: the fields of `entry` but the depth, and
+   the index of its cell. */
+typedef struct { word bitmap, eff, rev; int g, cell; } hist_entry;
+
+/* semiforge_count's walk from the same root, whose n gap intervals the
+   caller gives, tallying each node into cells[((g R + r) N + n) 2 + odd]
+   (R = g_max / 2 + 1, N = g_max + 1), odd = 1 where it has an odd member
+   <= g.  A node of genus g has n <= g.  A child removes an effective
+   generator a > F (F the Frobenius number) and has Frobenius number a:
+   it keeps n when a - 1 = F is a gap and opens one more interval when
+   a - 1 is a member.  Every a >= g + 2 (a node under the spine has
+   F >= g + 1), so the children of one node share their depth and their
+   members <= g + 1, and so their cell but for n.  Returns -1 when out
+   of memory. */
+int semiforge_hist(const uint64_t *root, int g, int r, int n, int m, int g_max, uint64_t *cells) {
+    int W = 2 * g_max + 3, shift = W - m, N = g_max + 1, R = g_max / 2 + 1, top = 0;
+    hist_entry *stack = malloc(sizeof(hist_entry) * (g_max * (g_max - 1) / 2 + 1));
+    if (!stack) return -1;
+    word bitmap = (word)root[1] << 64 | root[0];
+    stack[top++] = (hist_entry){bitmap, (word)root[3] << 64 | root[2], (word)root[5] << 64 | root[4], g,
+                                ((g * R + r) * N + n) * 2 + odd_low(bitmap, g)};
+    while (top) {
+        hist_entry e = stack[--top];
+        cells[e.cell] += 1;
+        if (e.g == g_max || !e.eff) continue;
+        int g1 = e.g + 1;
+        /* the cell of a child that keeps n (kept + 2 has one more): a
+           genus on, and a depth deeper where g + 1 is a member */
+        int kept = (e.cell & ~1) + 2 * N * (R + (int)((e.bitmap >> g1) & 1)) + odd_low(e.bitmap, g1);
+        /* bit a is set where a - 1 is a member: removing a opens an interval */
+        word opens = e.bitmap << 1;
+        if (g1 == g_max) {
+            int more = popcount(e.eff & opens);
+            cells[kept] += popcount(e.eff) - more;
+            cells[kept + 2] += more;
+            continue;
+        }
+        int head = 2 * e.g + 2, a_max = head + 1 - m;
+        word extended = e.bitmap | (word)3 << head, nonzero = extended & ~(word)1, eff = e.eff;
+        while (eff) {
+            word low = eff & -eff;
+            eff ^= low;
+            int a = low_index(low), cell = kept + 2 * ((opens & low) != 0);
+            word child_rev = e.rev ^ (word)1 << (W - a);
+            if (a <= a_max && !((nonzero ^ low) & (child_rev >> (shift - a))))
+                stack[top++] = (hist_entry){extended ^ low, eff | low << m, child_rev, g1, cell};
+            else if (eff)
+                stack[top++] = (hist_entry){extended ^ low, eff, child_rev, g1, cell};
+            else
+                cells[cell] += 1;
+        }
+    }
+    free(stack);
     return 0;
 }

@@ -9,7 +9,10 @@ the tree walks (``verify_parity_lemma``, ``verify_interval_theorem``,
 ``verify_tree_relations``) the smallest by (genus, gap list),
 ``verify_sumset_bound`` the smallest set by (size, elements), and the
 table-cell checks (``check_conjecture``, ``verify_bijection``) the first
-failing (g, r) cell, by g, then r.
+failing (g, r) cell, by g, then r.  The parity and interval checks are
+decided on a histogram of the tree and walk it only to name a failure;
+a failing histogram cell in which the walk finds no semigroup is
+reported as that cell.
 """
 
 from __future__ import annotations
@@ -112,48 +115,90 @@ def verify_sumset_bound(max_value: int = 30, max_size: int = 6) -> VerificationR
 # ----------------------------------------------------------------------
 # lemma harnesses over the tree
 
-def verify_parity_lemma(g_max: int) -> VerificationReport:
-    """Members <= g are all even whenever the depth satisfies 3r >= g + 2."""
+def _failing_cell(g_max: int, workers: int, fails) -> Optional[tuple[int, int, int, int]]:
+    """The first cell (g, r, n, odd) of ``tree._histogram(g_max)``, by g,
+    r, n, odd, that holds a semigroup and on which ``fails(g, r, n, odd)``
+    is true; None where there is none."""
+    for g, row in enumerate(tree._histogram(g_max, workers=workers)):
+        for r, cells in enumerate(row):
+            for i, count in enumerate(cells):
+                if count and fails(g, r, i >> 1, i & 1):
+                    return g, r, i >> 1, i & 1
+    return None
+
+
+def _cell_report(name: str, rng: str, bad: _Counterexamples, cell: tuple[int, int, int, int]) -> VerificationReport:
+    """The failing report of a check whose histogram ``cell`` fails: the
+    smallest counterexample the walk found, else the cell itself."""
+    if bad.best is None:
+        g, r, n, odd = cell
+        why = f"histogram cell g={g} r={r} n={n} odd={odd} fails, but the walk finds no semigroup in it"
+        return VerificationReport(name, rng, False, why)
+    return _report(name, rng, bad)
+
+
+def verify_parity_lemma(g_max: int, *, workers: int = 1) -> VerificationReport:
+    """Members <= g are all even whenever the depth satisfies 3r >= g + 2.
+
+    Decided on ``tree._histogram``: it passes when no high-depth cell
+    holds a semigroup with an odd member <= g.  Otherwise the fixed-genus
+    walk (``tree._runs``) names the smallest counterexample."""
     if g_max < 0:
         raise ValueError("g_max must be non-negative")
+    rng = f"genus <= {g_max}, depth 3r >= g+2"
+    cell = _failing_cell(g_max, workers, lambda g, r, n, odd: odd and _high_depth(g, r))
+    if cell is None:
+        return VerificationReport("parity", rng, True)
     bad = _Counterexamples()
     for g, r, bitmaps in tree._runs(g_max):
         if not _high_depth(g, r):
             continue
-        odd_low = ((1 << ((g + 1) & -2)) - 1) // 3 << 1  # bits 1, 3, 5, ... up to g
+        odd_low = tree._odd_low(g)
         for bitmap in bitmaps:
             culprits = bitmap & odd_low
             if culprits:
                 x = (culprits & -culprits).bit_length() - 1
                 bad.add(g, Semigroup._from_bitmap(bitmap, g).gaps(), f"odd member {x} <= g={g}")
-    return _report("parity", f"genus <= {g_max}, depth 3r >= g+2", bad)
+    return _cell_report("parity", rng, bad, cell)
 
 
-def verify_interval_theorem(g_max: int) -> VerificationReport:
+def _interval_faults(g: int, r: int, n: int) -> list[str]:
+    """The statements of ``verify_interval_theorem`` that a semigroup of
+    genus g, depth r and n gap intervals breaks, as report details."""
+    faults = []
+    if r < n // 2:
+        faults.append(f"r={r} < floor(n/2) with n={n}")
+    if _high_depth(g, r) and n != 2 * r + (g & 1):
+        faults.append(f"high depth r={r} but n={n}")
+    if 3 * (n // 2) >= g + 2 and ((g - n) & 1 or r != n // 2):
+        faults.append(f"n={n} high but r={r}, genus parity {g & 1}")
+    return faults
+
+
+def verify_interval_theorem(g_max: int, *, workers: int = 1) -> VerificationReport:
     """Three statements tying gap-interval counts n to tree depth r:
     (i) r >= floor(n/2) always, (ii) high depth forces n = 2r or 2r + 1
     according to the parity of g, (iii) a high interval count forces the
-    parity match and r = floor(n/2) exactly."""
+    parity match and r = floor(n/2) exactly.
+
+    Decided on ``tree._histogram``: it passes when no cell (g, r, n) that
+    holds a semigroup breaks one.  Otherwise the fixed-genus walk
+    (``tree._runs``) names the smallest counterexample."""
     if g_max < 0:
         raise ValueError("g_max must be non-negative")
+    rng = f"genus <= {g_max}"
+    cell = _failing_cell(g_max, workers, lambda g, r, n, odd: _interval_faults(g, r, n))
+    if cell is None:
+        return VerificationReport("intervals", rng, True)
     bad = _Counterexamples()
     for g, r, bitmaps in tree._runs(g_max):
-        window = (1 << (2 * g + 2)) - 1
-        high = _high_depth(g, r)
         for bitmap in bitmaps:
-            gapbits = ~bitmap & window
-            n = (gapbits & ~(gapbits >> 1)).bit_count()
-            gaps = None
-            if r < n // 2:
+            faults = _interval_faults(g, r, tree._gap_intervals(bitmap, g))
+            if faults:
                 gaps = Semigroup._from_bitmap(bitmap, g).gaps()
-                bad.add(g, gaps, f"r={r} < floor(n/2) with n={n}")
-            if high and n != 2 * r + (g & 1):
-                gaps = gaps or Semigroup._from_bitmap(bitmap, g).gaps()
-                bad.add(g, gaps, f"high depth r={r} but n={n}")
-            if 3 * (n // 2) >= g + 2 and ((g - n) & 1 or r != n // 2):
-                gaps = gaps or Semigroup._from_bitmap(bitmap, g).gaps()
-                bad.add(g, gaps, f"n={n} high but r={r}, genus parity {g & 1}")
-    return _report("intervals", f"genus <= {g_max}", bad)
+                for detail in faults:
+                    bad.add(g, gaps, detail)
+    return _cell_report("intervals", rng, bad, cell)
 
 
 def check_conjecture(g_max: int, *, workers: int = 1) -> VerificationReport:

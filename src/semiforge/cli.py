@@ -31,8 +31,8 @@ WORKERS_ENV = "SEMIFORGE_WORKERS"
 _VERIFY_CHECKS = {
     "conjecture": lambda gmax, workers: analytics.check_conjecture(gmax, workers=workers),
     "bijection": lambda gmax, workers: analytics.verify_bijection(gmax),
-    "intervals": lambda gmax, workers: analytics.verify_interval_theorem(gmax),
-    "parity": lambda gmax, workers: analytics.verify_parity_lemma(gmax),
+    "intervals": lambda gmax, workers: analytics.verify_interval_theorem(gmax, workers=workers),
+    "parity": lambda gmax, workers: analytics.verify_parity_lemma(gmax, workers=workers),
     "trees": lambda gmax, workers: analytics.verify_tree_relations(gmax),
 }
 

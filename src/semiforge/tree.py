@@ -28,7 +28,10 @@ inherits its effective generators from its parent.  A table tallies the
 spine directly and counts its tasks in process or by forked workers, by
 a C kernel, built on first use by the system C compiler, or by that walk
 where the kernel cannot load; the per-(genus, depth) tallies merge by
-addition, so results do not depend on the worker count.
+addition, so results do not depend on the worker count.  The same tasks,
+walked the same ways, tally the histogram (``_histogram``) by genus,
+depth, number of gap intervals and whether an odd member <= genus is
+left, on which the ``parity`` and ``intervals`` checks are decided.
 
 The fixed-genus tree is walked breadth first (``_tg_levels``) from the
 root at depth 0, holding one whole level while it builds the next (the
@@ -38,9 +41,10 @@ two calls into the same C kernel: one counts it, refusing it if too
 large, and one fills buffers of that size, which the next level reads
 in place; elsewhere, or where the kernel cannot load, ``_tg_level``
 walks it in Python.  Besides ``tg_bfs_row``, the DOT export and the
-``trees`` check, that walk feeds the ``parity``, ``intervals`` and
-``bijection`` checks one level at a time (``_runs``) wherever it is
-compiled; elsewhere they read ``_nodes``.
+``trees`` check, that walk feeds the ``bijection`` check one level at a
+time (``_runs``) wherever it is compiled, and names the counterexample
+of a failing ``parity`` or ``intervals`` check; elsewhere they read
+``_nodes``.
 """
 
 from __future__ import annotations
@@ -305,11 +309,91 @@ def _count_worker_compiled(payload: tuple[list[Node], int]) -> list[list[int]]:
     stride = g_max // 2 + 1
     tally = (c_uint64 * ((g_max + 1) * stride))()
     for task in tasks:
-        (bitmap, g, r, eff, rev), m = _task_start(task, g_max)
-        words = (c_uint64 * 6)(*(x >> s & _WORD for x in (bitmap, eff, rev) for s in (0, 64)))
+        words, g, r, m = _task_words(task, g_max)
         if _kernel.semiforge_count(words, g, r, m, g_max, tally):
             raise MemoryError("the compiled count kernel could not allocate its stack")
     return [tally[g * stride : g * stride + g // 2 + 1] for g in range(g_max + 1)]
+
+
+def _task_words(task: Node, g_max: int) -> tuple[ctypes.Array, int, int, int]:
+    """The first entry of a task's walk as the compiled kernels take it:
+    its bitmap, eff and rev as six 64-bit words (low half first), its
+    genus, its depth and the multiplicity m of the walk."""
+    from ctypes import c_uint64
+
+    (bitmap, g, r, eff, rev), m = _task_start(task, g_max)
+    return (c_uint64 * 6)(*(x >> s & _WORD for x in (bitmap, eff, rev) for s in (0, 64))), g, r, m
+
+
+def _gap_intervals(bitmap: int, g: int) -> int:
+    """The number of maximal runs of consecutive gaps of the genus-g ``bitmap``."""
+    gaps = ~bitmap & ((1 << (2 * g + 2)) - 1)
+    return (gaps & ~(gaps >> 1)).bit_count()
+
+
+def _odd_low(g: int) -> int:
+    """The bits 1, 3, 5, ... up to g."""
+    return ((1 << ((g + 1) & -2)) - 1) // 3 << 1
+
+
+def _hist_into(hist: list[list[list[int]]], root: Node, g_max: int) -> None:
+    """Tally every node under the non-ordinary ``root`` into
+    hist[g][r][2n + odd], by its genus g, depth r and number n of gap
+    intervals, odd = 1 when it has an odd member <= g: ``_subtree`` to
+    genus g_max - 1, then a split popcount of each parent's ``eff``.
+    ``_kernel.c`` is this in C (``semiforge_hist``); this is its oracle.
+
+    A child of a node of genus g removes a generator a > F >= g + 1 (F
+    the Frobenius number, as the node is not ordinary), so the children
+    of one node keep its members <= g + 1; a child has one interval more
+    than its parent when a - 1 is a member, and as many when a - 1 = F."""
+    last = g_max - 1
+    odd_low = [_odd_low(g) for g in range(g_max + 1)]
+    for bitmap, g, r, eff, _rev in _subtree(root, g_max, last):
+        # bit x of opens: x - 1 is a member; where x is a gap, an interval
+        # starts at x, and x = 2g + 2, just past the window, counts once
+        opens = bitmap << 1
+        n = (opens & ~bitmap).bit_count() - 1
+        hist[g][r][2 * n + (bitmap & odd_low[g] != 0)] += 1
+        if g == last and eff:
+            more = (eff & opens).bit_count()
+            cells = hist[g_max][r + ((bitmap >> g_max) & 1)]
+            odd = bitmap & odd_low[g_max] != 0
+            cells[2 * n + odd] += eff.bit_count() - more
+            cells[2 * n + 2 + odd] += more
+
+
+def _empty_hist(g_max: int) -> list[list[list[int]]]:
+    return [[[0] * (2 * g + 2) for _r in range(g // 2 + 1)] for g in range(g_max + 1)]
+
+
+def _hist_worker(payload: tuple[list[Node], int]) -> list[list[list[int]]]:
+    tasks, g_max = payload
+    hist = _empty_hist(g_max)
+    for task in tasks:
+        _hist_into(hist, task, g_max)
+    return hist
+
+
+def _hist_worker_compiled(payload: tuple[list[Node], int]) -> list[list[list[int]]]:
+    """``_hist_worker`` on the compiled kernel, which tallies into one
+    uint64 buffer of g_max // 2 + 1 depths per genus and g_max + 1 (n, odd)
+    pairs per depth."""
+    from ctypes import c_uint64
+
+    tasks, g_max = payload
+    if g_max > _KERNEL_GMAX:
+        raise ValueError(f"the compiled kernel counts to genus {_KERNEL_GMAX}, not {g_max}")
+    stride, depths = 2 * (g_max + 1), g_max // 2 + 1
+    tally = (c_uint64 * ((g_max + 1) * depths * stride))()
+    for task in tasks:
+        words, g, r, m = _task_words(task, g_max)
+        if _kernel.semiforge_hist(words, g, r, _gap_intervals(task[0], g), m, g_max, tally):
+            raise MemoryError("the compiled count kernel could not allocate its stack")
+    return [
+        [tally[(g * depths + r) * stride : (g * depths + r) * stride + 2 * g + 2] for r in range(g // 2 + 1)]
+        for g in range(g_max + 1)
+    ]
 
 
 def _compiled_kernel() -> Optional[ctypes.CDLL]:
@@ -322,7 +406,7 @@ def _compiled_kernel() -> Optional[ctypes.CDLL]:
 
 
 def _load_kernel(source: str) -> Optional[ctypes.CDLL]:
-    """The library built from ``source``, with the signatures of its four
+    """The library built from ``source``, with the signatures of its five
     functions declared, cached in the __pycache__ beside it under a name
     keyed on the source and the interpreter's platform tag, so that a
     stale or foreign build never loads; None when there is no compiler,
@@ -343,6 +427,8 @@ def _load_kernel(source: str) -> Optional[ctypes.CDLL]:
     words, c_int = ctypes.POINTER(ctypes.c_uint64), ctypes.c_int
     lib.semiforge_count.argtypes = [words, c_int, c_int, c_int, c_int, words]
     lib.semiforge_count.restype = c_int
+    lib.semiforge_hist.argtypes = [words, c_int, c_int, c_int, c_int, c_int, words]
+    lib.semiforge_hist.restype = c_int
     lib.semiforge_closed.argtypes = [words, c_int, c_int]
     lib.semiforge_closed.restype = ctypes.c_uint64
     lib.semiforge_tg_level.argtypes = [words, words, c_int, c_int, words, words, ctypes.POINTER(c_int), c_int]
@@ -657,6 +743,28 @@ def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
             for r, c in enumerate(counts):
                 row[r] += c
     return CountMatrix(tuple(tuple(row) for row in rows))
+
+
+def _histogram(g_max: int, *, workers: int = 1) -> list[list[list[int]]]:
+    """hist[g][r][2n + odd]: how many semigroups of genus g <= g_max have
+    depth r, n gap intervals and (odd = 1) or no (odd = 0) odd member <= g.
+    The spine is tallied directly and the count tasks of ``count_matrix``
+    by ``semiforge_hist`` or ``_hist_into``, with its workers and cutoffs
+    (``_count_plan``, ``_run_tasks``); tallies merge by addition."""
+    if g_max < 0:
+        raise ValueError("g_max must be non-negative")
+    worker, min_tasks = _count_plan(g_max)
+    worker = _hist_worker_compiled if worker is _count_worker_compiled else _hist_worker
+    parts = _run_tasks(worker, _spine_tasks(g_max), g_max, workers, min_tasks)
+    hist = _empty_hist(g_max)
+    for g, row in enumerate(hist):
+        row[0][2 * (g > 0)] += 1  # the ordinary semigroup: gaps 1..g, one interval, no member in 1..g
+    for part in parts:
+        for row, part_row in zip(hist, part):
+            for cells, counts in zip(row, part_row):
+                for i, c in enumerate(counts):
+                    cells[i] += c
+    return hist
 
 
 def tg_bfs_row(g: int) -> list[int]:

@@ -343,12 +343,20 @@ def _doctor_depths(monkeypatch, depth):
     )
 
 
+def _walk_only(monkeypatch) -> None:
+    """Let every histogram cell fail, so that the walk of ``tree._runs``
+    decides the parity and intervals checks: the histogram reads none of
+    what the tests below doctor."""
+    monkeypatch.setattr(analytics, "_failing_cell", lambda g_max, workers, fails: (0, 0, 0, 0))
+
+
 # a g_max whose checks read ``tree._nodes``, and the first whose checks
 # read the compiled fixed-genus levels where the kernel loads
 _RUN_SOURCES = [8, tree._COMPILED_TG_MIN_GENUS]
 
 
 def test_parity_catches_a_wrong_depth(monkeypatch):
+    _walk_only(monkeypatch)
     _doctor_depths(monkeypatch, lambda g, r: g // 2)
     for g_max in _RUN_SOURCES:
         report = verify_parity_lemma(g_max)
@@ -362,11 +370,94 @@ def test_parity_catches_a_wrong_depth(monkeypatch):
     (lambda g, r: g // 2, "high depth r="),
 ])
 def test_intervals_catch_a_wrong_depth(monkeypatch, reported, depth, label):
+    _walk_only(monkeypatch)
     _doctor_depths(monkeypatch, depth)
     for g_max in _RUN_SOURCES:
         reported.clear()
         assert verify_interval_theorem(g_max).passed is False, g_max
         assert any(label in d for d in reported), g_max
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "python"])
+def test_passing_cell_checks_never_walk_the_runs(kernel, request, monkeypatch):
+    # both checks decide a pass on the histogram alone, counted by either
+    # kernel, below and from the cutoff where the runs would be compiled
+    if kernel == "compiled":
+        request.getfixturevalue("compiled_kernel")
+    else:
+        monkeypatch.setattr(tree, "_kernel", False)
+
+    def runs(g_max):
+        raise AssertionError("a passing check walked tree._runs")
+
+    monkeypatch.setattr(tree, "_runs", runs)
+    for g_max in range(tree._COMPILED_TG_MIN_GENUS + 2):
+        assert verify_parity_lemma(g_max).passed, g_max
+        assert verify_interval_theorem(g_max).passed, g_max
+
+
+def _doctor_histogram(monkeypatch, edit):
+    """Make ``tree._histogram`` return ``edit(hist)`` for its true ``hist``."""
+    histogram = tree._histogram
+    monkeypatch.setattr(tree, "_histogram", lambda g_max, *, workers=1: edit(histogram(g_max, workers=workers)))
+
+
+def _moved_to(depth):
+    """An edit that moves every cell of row g to depth ``depth(g, r)``."""
+
+    def edit(hist):
+        moved = [[[0] * len(cells) for cells in row] for row in hist]
+        for g, row in enumerate(hist):
+            for r, cells in enumerate(row):
+                for i, count in enumerate(cells):
+                    moved[g][depth(g, r)][i] += count
+        return moved
+
+    return edit
+
+
+# the walk's smallest counterexample where the runs and the histogram both
+# put every semigroup at a wrong depth: the reports the checks gave when
+# the walk alone decided them
+_WRONG_DEPTH_REPORTS = [
+    (verify_parity_lemma, lambda g, r: g // 2, "gaps=1,2,4,5 odd member 3 <= g=4"),
+    (verify_interval_theorem, lambda g, r: 0, "gaps=1,3 r=0 < floor(n/2) with n=2"),
+    (verify_interval_theorem, lambda g, r: g // 2, "gaps=1,2,3,4 high depth r=2 but n=1"),
+]
+
+
+@pytest.mark.parametrize("check, depth, want", _WRONG_DEPTH_REPORTS)
+def test_a_failing_cell_lets_the_walk_name_the_counterexample(monkeypatch, check, depth, want):
+    _doctor_histogram(monkeypatch, _moved_to(depth))
+    _doctor_depths(monkeypatch, depth)
+    for g_max in _RUN_SOURCES:
+        report = check(g_max)
+        assert (report.passed, report.counterexample) == (False, want), g_max
+
+
+@pytest.mark.parametrize("check, cell", [
+    (verify_parity_lemma, (8, 4, 8, 1)),
+    (verify_interval_theorem, (8, 0, 2, 0)),
+])
+def test_a_failing_cell_whose_walk_finds_nothing_still_fails(monkeypatch, check, cell):
+    # one semigroup too many in a cell that breaks the statement, which
+    # the true walk cannot find: the report names the cell
+    g, r, n, odd = cell
+
+    def edit(hist):
+        hist[g][r][2 * n + odd] += 1
+        return hist
+
+    _doctor_histogram(monkeypatch, edit)
+    runs = []
+    walk = tree._runs
+    monkeypatch.setattr(tree, "_runs", lambda g_max: runs.append(g_max) or walk(g_max))
+    for g_max in _RUN_SOURCES:
+        report = check(g_max)
+        assert (report.passed, report.counterexample) == (
+            False, f"histogram cell g={g} r={r} n={n} odd={odd} fails, but the walk finds no semigroup in it"
+        ), g_max
+    assert runs == _RUN_SOURCES
 
 
 @pytest.mark.parametrize("g_max", _RUN_SOURCES)

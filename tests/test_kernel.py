@@ -1,6 +1,7 @@
-"""The compiled kernel's four functions against their oracles, the
-pure-Python tree kernel, closed-set descent, fixed-genus level and trees
-check, and the fallback to those where the compiled kernel cannot load."""
+"""The compiled kernel's five functions against their oracles, the
+pure-Python tree kernel and histogram, closed-set descent, fixed-genus
+level and trees check, and the fallback to those where the compiled
+kernel cannot load."""
 
 import itertools
 import re
@@ -20,14 +21,17 @@ from semiforge import (
     export_tree_dot,
     f_value,
     max_ordinarization_attainer,
+    n_g1_formula,
     tg_bfs_row,
     tree,
+    verify_interval_theorem,
+    verify_parity_lemma,
     verify_tree_relations,
 )
 from semiforge.analytics import VerificationReport
 from semiforge.closedsets import count_closed_sets
 from semiforge.semigroup import _ordinarize_bitmap
-from conftest import doctor_compiled_levels
+from conftest import doctor_compiled_levels, gap_runs
 from reference_tables import COUNTS_BY_GENUS, F_SEQUENCE
 
 
@@ -78,6 +82,63 @@ def test_compiled_tables_match_python_at_1_2_3_workers(compiled_kernel, fork_cal
     monkeypatch.setattr(tree, "_kernel", False)
     for workers in (1, 2, 3):
         assert count_matrix(22, workers=workers).rows == want[:23], workers
+
+
+def test_compiled_histogram_matches_python_per_task(compiled_kernel):
+    for g_max in range(25):
+        for task in tree._spine_tasks(g_max):
+            payload = ([task], g_max)
+            assert tree._hist_worker_compiled(payload) == tree._hist_worker(payload), (g_max, task)
+
+
+def test_compiled_histogram_matches_python_in_the_top_word(compiled_kernel):
+    tasks = [task for task in tree._spine_tasks(62) if task[1] >= 60]
+    for task in tasks:
+        payload = ([task], 62)
+        assert tree._hist_worker_compiled(payload) == tree._hist_worker(payload), task
+    with pytest.raises(ValueError, match="genus 62, not 63"):
+        tree._hist_worker_compiled(([], 63))
+
+
+def test_histogram_matches_a_count_of_each_semigroup(monkeypatch):
+    # (genus, depth, gap intervals, odd member <= genus) of every
+    # semigroup of genus <= 21, by the definition, against the histogram
+    # of each kernel that loads
+    want = Counter()
+    for bitmap, g, r in tree._nodes(21):
+        odd = any(bitmap >> x & 1 for x in range(1, g + 1, 2))
+        want[g, r, len(gap_runs(Semigroup._from_bitmap(bitmap, g))), int(odd)] += 1
+    for kernel in filter(None, (tree._compiled_kernel(), False)):
+        monkeypatch.setattr(tree, "_kernel", kernel)
+        hist = tree._histogram(21)
+        got = Counter({
+            (g, r, i >> 1, i & 1): count
+            for g, row in enumerate(hist) for r, cells in enumerate(row) for i, count in enumerate(cells) if count
+        })
+        assert got == want, kernel
+        assert [len(cells) for row in hist for cells in row] == [
+            2 * g + 2 for g in range(22) for _r in range(g // 2 + 1)
+        ]
+
+
+def test_histogram_marginal_matches_the_tables_above_genus_30(compiled_kernel):
+    # to genus 30 the reference table; at 31 and 32, where no reference
+    # table reaches, depth 1 by its formula, the last depth 1 semigroup,
+    # and each high-depth cell f_value(g // 2 - r), by the pairing
+    rows = [[sum(cells) for cells in row] for row in tree._histogram(32)]
+    assert rows[:31] == [COUNTS_BY_GENUS[g] for g in range(31)]
+    for g in (31, 32):
+        assert rows[g][1] == n_g1_formula(g) and rows[g][-1] == 1, g
+    high = range((32 + 4) // 3, 17)
+    assert [rows[32][r] for r in high] == [f_value(16 - r) for r in high]
+
+
+def test_cell_checks_equal_at_1_and_2_workers(compiled_kernel, fork_calls):
+    # at genus 30 the histogram's 435 tasks fork, as the table's do
+    for check in (verify_parity_lemma, verify_interval_theorem):
+        report = check(30)
+        assert report.passed and check(30, workers=2) == report
+    assert fork_calls == [(sum(range(30)), 2)] * 2
 
 
 def _compiled_closed_count(omega: Semigroup) -> int:
