@@ -23,15 +23,25 @@
    with the effective generators it inherits by the rule in
    _tg_children_raw.  The window [0, 2 genus + 1] must fit one word, so
    genus <= 31; at 31 it is the whole word, and no shift may reach 64.
+   One call counts the whole level, refusing it past the node cap `room`,
+   and writes only the first `cap` children, so that the caller can size
+   its buffers by a guess and call again only when the guess falls short.
 
    semiforge_tg_check is the per-level body of
    semiforge.analytics.verify_tree_relations with _expand_checked, on
    64-bit words: it decides pass or fail, and the Python loop writes every
    report.  Its children of genus + 1 must fit the window
    [0, 2 genus + 3], so it expands only while genus <= 30, and checks
-   levels to genus 31. */
+   levels to genus 31.  The level that completes a genus compares it with
+   the expansion of the genus before, both sorted in linear time by a
+   radix sort over the whole word.
+
+   semiforge_tg_level and semiforge_tg_check take their buffers as
+   addresses of Python arrays, which the caller keeps alive; each writes
+   only within the sizes it is given. */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef unsigned __int128 word;
 typedef struct { word bitmap, eff, rev; int g, r; } entry;
@@ -134,14 +144,15 @@ static uint64_t window(int genus) {
 }
 
 /* bitmaps, effs: the n semigroups of one level of the genus-`genus` tree
-   and their effective generators.  Returns the number of children, -1 as
-   soon as there are more than `cap`, and writes each child, ordered by
-   parent and then by (added b, removed a), with its own effective
-   generators and its parent's index, unless `children` is NULL.  S + b
-   is closed only if b + m is in S (m the multiplicity), so the other
-   b < m are skipped before the shift test. */
+   and their effective generators.  Returns the number of children, or -1
+   as soon as there are more than `room`, and writes the first `cap` of
+   them, ordered by parent and then by (added b, removed a), with their
+   own effective generators and their parents' indices; a caller whose
+   guess `cap` falls short calls again with the count.  S + b is closed
+   only if b + m is in S (m the multiplicity), so the other b < m are
+   skipped before the shift test. */
 int semiforge_tg_level(const uint64_t *bitmaps, const uint64_t *effs, int n, int genus,
-                       uint64_t *children, uint64_t *child_effs, int *parents, int cap) {
+                       uint64_t *children, uint64_t *child_effs, int *parents, int cap, int room) {
     uint64_t mask = window(genus);
     int count = 0;
     for (int i = 0; i < n; i++) {
@@ -154,9 +165,9 @@ int semiforge_tg_level(const uint64_t *bitmaps, const uint64_t *effs, int n, int
             if (sums & mask & ~(bitmap | added))
                 continue;
             for (uint64_t kept = effs[i] & ~sums; kept; kept &= kept - 1) {
-                if (count == cap)
+                if (count == room)
                     return -1;
-                if (children) {
+                if (count < cap) {
                     uint64_t low = kept & -kept, child = (bitmap ^ low) | added;
                     children[count] = child;
                     child_effs[count] = effs[i] & ~(low | (low - 1)) & ~(child << b);
@@ -183,9 +194,35 @@ static uint64_t transform(uint64_t x, int genus) {
     return gaps ? (x ^ (uint64_t)1 << m) | (uint64_t)1 << (63 - __builtin_clzll(gaps)) : 0;
 }
 
-static int ascending(const void *a, const void *b) {
-    uint64_t x = *(const uint64_t *)a, y = *(const uint64_t *)b;
-    return (x > y) - (x < y);
+/* Sorts x[0..n) ascending through the scratch tmp[0..n): a least
+   significant digit radix sort on the eight bytes of the word, the top
+   one too, since bit 63 is in the genus-31 window.  A byte that every
+   word shares is skipped, its pass being the identity. */
+static void radix_sort(uint64_t *x, uint64_t *tmp, int n) {
+    int counts[8][256] = {{0}};
+    uint64_t *from = x, *to = tmp;
+    if (n < 2)
+        return;
+    for (int i = 0; i < n; i++)
+        for (int d = 0; d < 8; d++)
+            counts[d][x[i] >> 8 * d & 255]++;
+    for (int d = 0; d < 8; d++) {
+        int *start = counts[d], sum = 0;
+        if (start[from[0] >> 8 * d & 255] == n)
+            continue;
+        for (int k = 0; k < 256; k++) {
+            int c = start[k];
+            start[k] = sum;
+            sum += c;
+        }
+        for (int i = 0; i < n; i++)
+            to[start[from[i] >> 8 * d & 255]++] = from[i];
+        uint64_t *swap = from;
+        from = to;
+        to = swap;
+    }
+    if (from != x)
+        memcpy(x, from, sizeof *x * n);
 }
 
 /* One level of the trees check: the n nodes at depth `depth` of the
@@ -232,8 +269,12 @@ int semiforge_tg_check(const int *parents, const uint64_t *children, const uint6
     if (filled + n < total)
         return 0;
     /* the same set, with no repeat on either side */
-    qsort(seen, total, sizeof *seen, ascending);
-    qsort(expected, total, sizeof *expected, ascending);
+    uint64_t *tmp = malloc(sizeof *tmp * total);
+    if (!tmp && total)
+        return -1;
+    radix_sort(seen, tmp, total);
+    radix_sort(expected, tmp, total);
+    free(tmp);
     for (int i = 0; i < total; i++)
         if (seen[i] != expected[i] || (i && seen[i] == seen[i - 1]))
             return -1;

@@ -313,35 +313,39 @@ def _trees_hold(g_max: int) -> bool:
     level by the compiled ``semiforge_tg_check`` on the fixed-genus walk
     to genus g_max <= 31, each genus held as uint64 arrays; False as soon
     as a check fails, or a level's values do not fit its C types."""
-    from ctypes import c_int, c_uint64
+    from array import array
 
-    check = tree._kernel.semiforge_tg_check
-    expected = (c_uint64 * 1)(Semigroup.ordinary(0).bitmap)  # genus g, as the expansion of g - 1
+    check, address = tree._kernel.semiforge_tg_check, tree._address
+    expected = array("Q", [Semigroup.ordinary(0).bitmap])  # genus g, as the expansion of g - 1
     for g in range(g_max + 1):
-        total, filled, pieces, prev = len(expected), 0, [], ()
-        seen = (c_uint64 * total)()
+        total, filled, prev = len(expected), 0, ()
+        seen, following = array("Q", [0]) * total, array("Q")
         for depth, level in enumerate(tree._tg_levels(g)):
-            arrays = [tree._c_array(x, ctype) for x, ctype in zip(level, (c_int, c_uint64, c_uint64))]
-            # the kernel would misread sequences of unequal lengths, or a
-            # value that its C type truncates
-            if len(set(map(len, level))) > 1 or any(
-                list(array) != list(x) for array, x in zip(arrays, level) if not isinstance(x, memoryview)
+            # the kernel would misread sequences of unequal lengths, and
+            # array() refuses a value that does not fit its C type
+            if len(set(map(len, level))) > 1:
+                return False
+            try:
+                parents, children, effs = (
+                    x if isinstance(x, array) and x.typecode == code else array(code, x)
+                    for x, code in zip(level, "iQQ")
+                )
+            except OverflowError:
+                return False
+            n, up, expand = len(children), prev or children, g < g_max  # the root is its own parent
+            # one child in T per bit of eff
+            nxt = array("Q", [0]) * (int.from_bytes(effs, "little").bit_count() if expand else 0)
+            if check(
+                address(parents), address(children), address(effs), n, address(up), len(up), g, depth,
+                address(seen), filled, address(expected), total, address(nxt) if expand else None,
             ):
                 return False
-            parents, children, effs = arrays
-            up = prev or children  # the root is its own parent
-            nxt = None
-            if g < g_max:  # one child in T per bit of eff
-                nxt = (c_uint64 * int.from_bytes(memoryview(effs).cast("B"), "little").bit_count())()
-                pieces.append(nxt)
-            if check(parents, children, effs, len(children), up, len(up), g, depth, seen, filled, expected, total, nxt):
-                return False
-            filled += len(children)
+            filled += n
             prev = children
+            following += nxt
         if filled != total:
             return False
-        joined = bytearray().join(pieces)
-        expected = (c_uint64 * (len(joined) // 8)).from_buffer(joined)
+        expected = following
     return True
 
 

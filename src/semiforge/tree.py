@@ -37,14 +37,15 @@ The fixed-genus tree is walked breadth first (``_tg_levels``) from the
 root at depth 0, holding one whole level while it builds the next (the
 DOT export keeps them all, under its node cap); each child inherits its
 effective generators from its parent's.  From genus 13 to 31 a level is
-two calls into the same C kernel: one counts it, refusing it if too
-large, and one fills buffers of that size, which the next level reads
-in place; elsewhere, or where the kernel cannot load, ``_tg_level``
-walks it in Python.  Besides ``tg_bfs_row``, the DOT export and the
-``trees`` check, that walk feeds the ``bijection`` check one level at a
-time (``_runs``) wherever it is compiled, and names the counterexample
-of a failing ``parity`` or ``intervals`` check; elsewhere they read
-``_nodes``.
+one call into the same C kernel, which counts it, refusing it if too
+large, and fills arrays guessed at one child a parent, which the next
+level reads in place; a level with more children than parents takes a
+second call, into arrays of its exact size.  Elsewhere, or where the
+kernel cannot load, ``_tg_level`` walks it in Python.  Besides
+``tg_bfs_row``, the DOT export and the ``trees`` check, that walk feeds
+the ``bijection`` check one level at a time (``_runs``) wherever it is
+compiled, and names the counterexample of a failing ``parity`` or
+``intervals`` check; elsewhere they read ``_nodes``.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .semigroup import Semigroup, _sum_bitmap
 
 if TYPE_CHECKING:
     import ctypes
+    from array import array
 
 # Forking a pool costs more than the work it shares below this many
 # tasks (2 CPUs, Python 3.11; median ms, serial vs 2-worker pool, 21
@@ -424,17 +426,17 @@ def _load_kernel(source: str) -> Optional[ctypes.CDLL]:
         lib = ctypes.CDLL(library)
     except OSError:
         return None
-    words, c_int = ctypes.POINTER(ctypes.c_uint64), ctypes.c_int
+    words, c_int, address = ctypes.POINTER(ctypes.c_uint64), ctypes.c_int, ctypes.c_void_p
     lib.semiforge_count.argtypes = [words, c_int, c_int, c_int, c_int, words]
     lib.semiforge_count.restype = c_int
     lib.semiforge_hist.argtypes = [words, c_int, c_int, c_int, c_int, c_int, words]
     lib.semiforge_hist.restype = c_int
     lib.semiforge_closed.argtypes = [words, c_int, c_int]
     lib.semiforge_closed.restype = ctypes.c_uint64
-    lib.semiforge_tg_level.argtypes = [words, words, c_int, c_int, words, words, ctypes.POINTER(c_int), c_int]
+    lib.semiforge_tg_level.argtypes = [address, address, c_int, c_int, address, address, address, c_int, c_int]
     lib.semiforge_tg_level.restype = c_int
     lib.semiforge_tg_check.argtypes = [
-        ctypes.POINTER(c_int), words, words, c_int, words, c_int, c_int, c_int, words, c_int, words, c_int, words
+        address, address, address, c_int, address, c_int, c_int, c_int, address, c_int, address, c_int, address
     ]
     lib.semiforge_tg_check.restype = c_int
     return lib
@@ -538,32 +540,42 @@ def _tg_level(bitmaps: Sequence[int], effs: Sequence[int], g: int, room: float) 
 
 
 def _tg_level_compiled(bitmaps: Sequence[int], effs: Sequence[int], g: int, room: float) -> Optional[TgLevel]:
-    """``_tg_level`` by the compiled kernel, as memoryviews over its output
-    buffers, which the next level reads in place.  A first call only
-    counts the children, so the buffers are allocated to the exact size
-    and an oversized level is refused before any is."""
-    from ctypes import c_int, c_uint64
+    """``_tg_level`` by the compiled kernel, as arrays that the next level
+    reads in place.  One call counts the children, refusing an oversized
+    level, and writes those that fit buffers guessed at one child a
+    parent; only a level with more children than parents is walked again,
+    into buffers of its exact size, and the guess's slack is cut off, so
+    that a level handed out holds its children and nothing more.  A value
+    of a list that does not fit the word is cut to it."""
+    from array import array
 
     if g > _WORD_GMAX:
         raise ValueError(f"the compiled kernel walks the fixed-genus tree to genus {_WORD_GMAX}, not {g}")
-    n = len(bitmaps)
-    words = [_c_array(x, c_uint64) for x in (bitmaps, effs)]
-    count = _kernel.semiforge_tg_level(*words, n, g, None, None, None, int(min(room, _INT_MAX)))
+    n, room = len(bitmaps), int(min(room, _INT_MAX))
+    words = [x if isinstance(x, array) else array("Q", [v & _WORD for v in x]) for x in (bitmaps, effs)]
+    cap = n  # the guess
+    while True:
+        parents, children, child_effs = array("i", [0]) * cap, array("Q", [0]) * cap, array("Q", [0]) * cap
+        count = _kernel.semiforge_tg_level(
+            *map(_address, words), n, g, _address(children), _address(child_effs), _address(parents), cap, room
+        )
+        if count <= cap:
+            break
+        cap = count
+        del parents, children, child_effs  # before the exact buffers are made
     if count < 0:
         return None
-    parents, children, child_effs = (c_int * count)(), (c_uint64 * count)(), (c_uint64 * count)()
-    _kernel.semiforge_tg_level(*words, n, g, children, child_effs, parents, count)
-    return tuple(
-        memoryview(buffer).cast("B").cast(code)
-        for buffer, code in ((parents, "i"), (children, "Q"), (child_effs, "Q"))
-    )
+    if count < cap:  # copies, each guess freed once copied: an array shrunk in place keeps spare room
+        parents = parents[:count]
+        children = children[:count]
+        child_effs = child_effs[:count]
+    return parents, children, child_effs
 
 
-def _c_array(values: Sequence[int], ctype: type) -> ctypes.Array:
-    """``values`` as a ctypes array of ``ctype``: over the same memory where
-    it is a memoryview, as a compiled level's sequences are, else a copy."""
-    n = len(values)
-    return (ctype * n).from_buffer(values) if isinstance(values, memoryview) else (ctype * n)(*values)
+def _address(buffer: array) -> int:
+    """The address of the first item of ``buffer``, for a ``c_void_p``
+    argument; the caller keeps it alive, and unresized, while C reads it."""
+    return buffer.buffer_info()[0]
 
 
 def _tg_plan(g: int) -> Callable:

@@ -3,9 +3,13 @@ pure-Python tree kernel and histogram, closed-set descent, fixed-genus
 level and trees check, and the fallback to those where the compiled
 kernel cannot load."""
 
+import ctypes
 import itertools
+import math
 import re
 import shutil
+import sys
+from array import array
 from collections import Counter
 from importlib.machinery import EXTENSION_SUFFIXES
 
@@ -242,6 +246,50 @@ def test_compiled_tg_level_from_the_cutoff_to_genus_31(compiled_kernel, monkeypa
     assert tree._tg_plan(cutoff) is tree._tg_level
 
 
+def _kernel_level(kernel, bitmaps, effs, g, cap, room) -> tuple[int, list[list[int]]]:
+    """``semiforge_tg_level`` on one level, with cap + 2 slots a buffer
+    preset to 7: its return code and the three buffers (children, their
+    effs, parents)."""
+    words = [array("Q", bitmaps), array("Q", effs)]
+    out = array("Q", [7]) * (cap + 2), array("Q", [7]) * (cap + 2), array("i", [7]) * (cap + 2)
+    code = kernel.semiforge_tg_level(*map(tree._address, words), len(bitmaps), g, *map(tree._address, out), cap, room)
+    return code, [list(buffer) for buffer in out]
+
+
+def test_compiled_tg_level_writes_cap_children_and_counts_to_room(compiled_kernel):
+    # every level of the genus at the cutoff, the first ones larger than
+    # their parents: the full count whatever the cap, exactly the first
+    # cap children written, and -1 once the count passes room
+    g = tree._COMPILED_TG_MIN_GENUS
+    for _parents, bitmaps, effs in tree._tg_levels(g):
+        bitmaps, effs = list(bitmaps), list(effs)
+        parents, children, child_effs = tree._tg_level(bitmaps, effs, g, math.inf)
+        total = len(children)
+        for cap in sorted({0, 1, len(bitmaps), total - 1, total} & set(range(total + 1))):
+            code, out = _kernel_level(compiled_kernel, bitmaps, effs, g, cap, total)
+            assert code == total, (g, cap)
+            assert out == [want[:cap] + [7, 7] for want in (children, child_effs, parents)], (g, cap)
+            assert _kernel_level(compiled_kernel, bitmaps, effs, g, cap, total - 1)[0] == (-1 if total else 0)
+
+
+def test_compiled_tg_level_equals_python_and_keeps_no_slack(compiled_kernel):
+    # every level of genus 13 to 24, and the first two at genus 31, whose
+    # first holds 360 children of one parent: past the guess of one child
+    # a parent, which the levels growing from the root all pass.  Each
+    # level handed out is an array of exactly its children
+    genera = range(tree._COMPILED_TG_MIN_GENUS, 25)
+    grown = 0
+    for g, depth in [*((g, None) for g in genera), (31, 2)]:
+        for _parents, bitmaps, effs in itertools.islice(tree._tg_levels(g), depth):
+            compiled = tree._tg_level_compiled(bitmaps, effs, g, math.inf)
+            assert [list(x) for x in compiled] == list(tree._tg_level(list(bitmaps), list(effs), g, math.inf)), g
+            grown += len(compiled[1]) > len(bitmaps)
+            for buffer in compiled:
+                assert sys.getsizeof(buffer) == sys.getsizeof(array(buffer.typecode)) + buffer.itemsize * len(buffer)
+    rows = [[c for c in COUNTS_BY_GENUS[g] if c] for g in genera]
+    assert grown == sum(b > a for row in rows for a, b in zip(row, row[1:])) + 2
+
+
 def _spy_compiled_levels(monkeypatch) -> list[int]:
     """The genus of every compiled fixed-genus level made from now on."""
     genera: list[int] = []
@@ -299,7 +347,10 @@ def test_compiled_trees_check_passes_to_genus_21_without_the_python_loop(compile
     check = compiled_kernel.semiforge_tg_check
 
     def spy(parents, children, effs, n, up, n_up, g, depth, *rest):
-        calls.append((g, depth, n, len(rest[-1]) if rest[-1] else 0))
+        # the buffers are addresses: the n effs give the children in T
+        # that the kernel is asked to write
+        expanded = int.from_bytes(ctypes.string_at(effs, 8 * n), "little").bit_count() if rest[-1] else 0
+        calls.append((g, depth, n, expanded))
         return check(parents, children, effs, n, up, n_up, g, depth, *rest)
 
     monkeypatch.setattr(compiled_kernel, "semiforge_tg_check", spy)
@@ -448,6 +499,34 @@ def test_compiled_trees_check_expands_genus_30_into_bit_63(compiled_kernel):
         assert _check_level(compiled_kernel, parents, broken, effs, [root], g, 1, broken, expand=g < 31)[0] == -1
 
 
+def test_compiled_trees_check_sorts_the_whole_word_at_genus_31(compiled_kernel):
+    # a hand-built depth-1 level under the ordinary root of genus 31: each
+    # node adds one member m <= 7 and drops one F >= 32, which the
+    # transform trades back, so nodes of one F differ only in the bottom
+    # byte, and nodes of one m with F >= 56 only in the top one.  The
+    # walk's nodes come in one order and the expansion in the reverse: a
+    # sort that skipped the top or the bottom byte would keep the nodes
+    # that differ only there in their input orders, which differ
+    root = Semigroup.ordinary(31).bitmap
+    level = [root & ~(1 << f) | 1 << m for m in range(1, 8) for f in range(32, 64)]
+    assert all(_ordinarize_bitmap(node, 31) == root for node in level)
+
+    def check(seen, expected):
+        n = len(seen)
+        return _check_level(compiled_kernel, [0] * n, seen, [0] * n, [root], 31, 1, expected, expand=False)[0]
+
+    assert check(level, level[::-1]) == 0
+    for bit in (0, 63):
+        flipped = level[:100] + [level[100] ^ 1 << bit] + level[101:]
+        assert check(level, flipped[::-1]) == -1, bit
+        assert check(flipped, level[::-1]) == -1, bit
+    # a repeat: the same multiset on both sides, or on one side only
+    repeated = level[:-1] + level[:1]
+    assert check(repeated, repeated[::-1]) == -1
+    assert check(repeated, level[::-1]) == -1
+    assert check(level, repeated[::-1]) == -1
+
+
 def _dot_or_refusal(g: int, cap: int) -> str:
     try:
         return export_tree_dot(g, node_cap=cap)
@@ -464,6 +543,30 @@ def test_compiled_tg_walk_refuses_at_the_python_caps(compiled_kernel, monkeypatc
     assert compiled.count(compiled[-1]) == 2  # the whole tree fits the last two caps
     monkeypatch.setattr(tree, "_kernel", False)
     assert compiled == [_dot_or_refusal(g, cap) for cap in caps]
+
+
+def test_compiled_tree_command_refuses_at_the_node_cap(compiled_kernel, tmp_path, capsys, monkeypatch):
+    # `tree --node-cap`, the cap crossed in levels that pass the guess of
+    # one child a parent and in levels that do not: the same exit code and
+    # message as the Python walk, and no file
+    g = tree._COMPILED_TG_MIN_GENUS
+    ends = list(itertools.accumulate(tg_bfs_row(g)))
+    dot = tmp_path / "t.dot"
+
+    def outcomes():
+        out = []
+        for cap in sorted({1, 2} | {end + d for end in ends for d in (-1, 0)}):
+            code = cli.run(["tree", "--genus", str(g), "--dot", str(dot), "--node-cap", str(cap)])
+            out.append((cap, code, capsys.readouterr().err, dot.exists()))
+            dot.unlink(missing_ok=True)
+        return out
+
+    compiled = outcomes()
+    *refusals, last = compiled
+    assert refusals == [(cap, 4, f"fixed-genus tree for g={g} exceeds {cap} nodes\n", False) for cap, *_ in refusals]
+    assert last == (ends[-1], 0, f"wrote {dot}\n", True)
+    monkeypatch.setattr(tree, "_kernel", False)
+    assert outcomes() == compiled
 
 
 def test_a_build_removes_older_builds_for_this_interpreter(tmp_path):
