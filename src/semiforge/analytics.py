@@ -141,8 +141,9 @@ def verify_parity_lemma(g_max: int, *, workers: int = 1) -> VerificationReport:
     """Members <= g are all even whenever the depth satisfies 3r >= g + 2.
 
     Decided on ``tree._histogram``: it passes when no high-depth cell
-    holds a semigroup with an odd member <= g.  Otherwise the fixed-genus
-    walk (``tree._runs``) names the smallest counterexample."""
+    holds a semigroup with an odd member <= g.  Otherwise the walk of the
+    generator-removal tree (``tree._nodes``) names the smallest
+    counterexample."""
     if g_max < 0:
         raise ValueError("g_max must be non-negative")
     rng = f"genus <= {g_max}, depth 3r >= g+2"
@@ -150,15 +151,11 @@ def verify_parity_lemma(g_max: int, *, workers: int = 1) -> VerificationReport:
     if cell is None:
         return VerificationReport("parity", rng, True)
     bad = _Counterexamples()
-    for g, r, bitmaps in tree._runs(g_max):
-        if not _high_depth(g, r):
-            continue
-        odd_low = tree._odd_low(g)
-        for bitmap in bitmaps:
-            culprits = bitmap & odd_low
-            if culprits:
-                x = (culprits & -culprits).bit_length() - 1
-                bad.add(g, Semigroup._from_bitmap(bitmap, g).gaps(), f"odd member {x} <= g={g}")
+    for bitmap, g, r in tree._nodes(g_max):
+        culprits = bitmap & tree._odd_low(g)
+        if culprits and _high_depth(g, r):
+            x = (culprits & -culprits).bit_length() - 1
+            bad.add(g, Semigroup._from_bitmap(bitmap, g).gaps(), f"odd member {x} <= g={g}")
     return _cell_report("parity", rng, bad, cell)
 
 
@@ -182,8 +179,9 @@ def verify_interval_theorem(g_max: int, *, workers: int = 1) -> VerificationRepo
     parity match and r = floor(n/2) exactly.
 
     Decided on ``tree._histogram``: it passes when no cell (g, r, n) that
-    holds a semigroup breaks one.  Otherwise the fixed-genus walk
-    (``tree._runs``) names the smallest counterexample."""
+    holds a semigroup breaks one.  Otherwise the walk of the
+    generator-removal tree (``tree._nodes``) names the smallest
+    counterexample."""
     if g_max < 0:
         raise ValueError("g_max must be non-negative")
     rng = f"genus <= {g_max}"
@@ -191,13 +189,12 @@ def verify_interval_theorem(g_max: int, *, workers: int = 1) -> VerificationRepo
     if cell is None:
         return VerificationReport("intervals", rng, True)
     bad = _Counterexamples()
-    for g, r, bitmaps in tree._runs(g_max):
-        for bitmap in bitmaps:
-            faults = _interval_faults(g, r, tree._gap_intervals(bitmap, g))
-            if faults:
-                gaps = Semigroup._from_bitmap(bitmap, g).gaps()
-                for detail in faults:
-                    bad.add(g, gaps, detail)
+    for bitmap, g, r in tree._nodes(g_max):
+        faults = _interval_faults(g, r, tree._gap_intervals(bitmap, g))
+        if faults:
+            gaps = Semigroup._from_bitmap(bitmap, g).gaps()
+            for detail in faults:
+                bad.add(g, gaps, detail)
     return _cell_report("intervals", rng, bad, cell)
 
 
@@ -220,25 +217,24 @@ def verify_bijection(g_max: int) -> VerificationReport:
     For every g <= g_max and depth r with 3r >= g + 2, building from all
     (omega, B) pairs with omega of genus w = floor(g/2) - r is injective,
     lands exactly on the semigroups of genus g at depth r, and splitting
-    is its two-sided inverse.  Four engines agree on each such cell:
+    is its two-sided inverse.  Three engines agree on each such cell:
 
-    - the count table, ``tree.count_matrix``, gives its size;
-    - the fixed-genus walk (``tree._runs``; ``_nodes`` where that walk is
-      not compiled) gives its semigroups, which must be the image;
+    - the count table, ``tree.count_matrix``, gives its size n(g, r);
     - the pair listing is ``tree.enumerate_genus(w)`` times
       ``closedsets.closed_sets`` of size w + 1, built once per w;
     - the closed-set count ``closedsets.f_value(w)`` must equal the
       listing's length when the listing is built.
+
+    The image is the whole cell with no walk of it: each built semigroup
+    is checked here to be a semigroup of genus g and depth r, so the image
+    lies in the cell; the pairing is injective, so the image has as many
+    members as there are pairs; and that is n(g, r), the cell's size.
 
     The pairing's checks raise ValueError or AssertionError exactly when
     a side condition fails: that is the cell's counterexample."""
     if g_max < 2:
         raise ValueError("g_max must be >= 2")
     matrix = tree.count_matrix(g_max)
-    deep: dict[tuple[int, int], set[int]] = {}
-    for g, r, bitmaps in tree._runs(g_max):
-        if _high_depth(g, r):
-            deep.setdefault((g, r), set()).update(bitmaps)
     pair_pool: dict[int, list[tuple[Semigroup, closedsets.ClosedSet]]] = {}
 
     def fail(why: str) -> VerificationReport:
@@ -257,10 +253,13 @@ def verify_bijection(g_max: int) -> VerificationReport:
                         return fail(f"{len(pair_pool[w])} pairs vs f({w}) = {f}")
                 pairs = [closedsets.PairDecomposition(om, b, g) for om, b in pair_pool[w]]
                 built = [closedsets.build_from_pair(p) for p in pairs]
-                image = {s.bitmap for s in built}
-                if len(image) != len(built):
+                for s in built:
+                    if s.genus != g or s.ordinarization_number() != r:
+                        return fail(f"built {s.gap_string()} has genus {s.genus} and depth {s.ordinarization_number()}")
+                    Semigroup._from_bitmap(s.bitmap, g, validate=True)  # raises unless a semigroup
+                if len({s.bitmap for s in built}) != len(built):
                     return fail("pairing not injective")
-                if image != deep.get((g, r), set()) or len(built) != matrix.cell(g, r):
+                if len(built) != matrix.cell(g, r):
                     return fail(f"image size {len(built)} vs table {matrix.cell(g, r)}")
                 for p, s in zip(pairs, built):
                     back = closedsets.decompose(s)

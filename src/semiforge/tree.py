@@ -41,11 +41,8 @@ one call into the same C kernel, which counts it, refusing it if too
 large, and fills arrays guessed at one child a parent, which the next
 level reads in place; a level with more children than parents takes a
 second call, into arrays of its exact size.  Elsewhere, or where the
-kernel cannot load, ``_tg_level`` walks it in Python.  Besides
-``tg_bfs_row``, the DOT export and the ``trees`` check, that walk feeds
-the ``bijection`` check one level at a time (``_runs``) wherever it is
-compiled, and names the counterexample of a failing ``parity`` or
-``intervals`` check; elsewhere they read ``_nodes``.
+kernel cannot load, ``_tg_level`` walks it in Python.  It has three
+readers: ``tg_bfs_row``, the DOT export and the ``trees`` check.
 """
 
 from __future__ import annotations
@@ -617,22 +614,6 @@ def _tg_levels(g: int, node_cap: float = math.inf) -> Iterator[TgLevel]:
         if out is None:
             raise TooLarge(f"fixed-genus tree for g={g} exceeds {node_cap} nodes")
         parents, bitmaps, effs = out
-
-
-def _runs(g_max: int) -> Iterator[tuple[int, int, Sequence[int]]]:
-    """Every node of genus <= g_max, as runs (genus, depth, bitmaps) in no
-    promised order: each level of ``_tg_levels(g)`` for g = 0..g_max where
-    the fixed-genus walk at g_max is compiled, else each node of
-    ``_nodes(g_max)`` as a run of one.  The order is free because every
-    reader keeps the smallest counterexample by its key, or a set per
-    (genus, depth) cell."""
-    if _tg_plan(g_max) is _tg_level_compiled:
-        return (
-            (g, r, children)
-            for g in range(g_max + 1)
-            for r, (_parents, children, _effs) in enumerate(_tg_levels(g))
-        )
-    return ((g, r, (bitmap,)) for bitmap, g, r in _nodes(g_max))
 
 
 def _physical_memory() -> float:

@@ -335,23 +335,23 @@ def test_tree_relations_expand_each_node_once(monkeypatch):
 
 
 def _doctor_depths(monkeypatch, depth):
-    """Make ``tree._runs`` report ``depth(g, r)`` as the ordinarization
-    number of every run."""
-    runs = tree._runs
+    """Make ``tree._nodes`` report ``depth(g, r)`` as the ordinarization
+    number of every node."""
+    nodes = tree._nodes
     monkeypatch.setattr(
-        tree, "_runs", lambda g_max: ((g, depth(g, r), bitmaps) for g, r, bitmaps in runs(g_max))
+        tree, "_nodes", lambda g_max: ((bitmap, g, depth(g, r)) for bitmap, g, r in nodes(g_max))
     )
 
 
 def _walk_only(monkeypatch) -> None:
-    """Let every histogram cell fail, so that the walk of ``tree._runs``
+    """Let every histogram cell fail, so that the walk of ``tree._nodes``
     decides the parity and intervals checks: the histogram reads none of
     what the tests below doctor."""
     monkeypatch.setattr(analytics, "_failing_cell", lambda g_max, workers, fails: (0, 0, 0, 0))
 
 
-# a g_max whose checks read ``tree._nodes``, and the first whose checks
-# read the compiled fixed-genus levels where the kernel loads
+# a g_max below the genus where the fixed-genus walk is compiled, and
+# that genus: the failing checks read ``tree._nodes`` at both
 _RUN_SOURCES = [8, tree._COMPILED_TG_MIN_GENUS]
 
 
@@ -381,16 +381,17 @@ def test_intervals_catch_a_wrong_depth(monkeypatch, reported, depth, label):
 @pytest.mark.parametrize("kernel", ["compiled", "python"])
 def test_passing_cell_checks_never_walk_the_runs(kernel, request, monkeypatch):
     # both checks decide a pass on the histogram alone, counted by either
-    # kernel, below and from the cutoff where the runs would be compiled
+    # kernel, below and from the cutoff where the fixed-genus walk is
+    # compiled
     if kernel == "compiled":
         request.getfixturevalue("compiled_kernel")
     else:
         monkeypatch.setattr(tree, "_kernel", False)
 
-    def runs(g_max):
-        raise AssertionError("a passing check walked tree._runs")
+    def nodes(g_max):
+        raise AssertionError("a passing check walked tree._nodes")
 
-    monkeypatch.setattr(tree, "_runs", runs)
+    monkeypatch.setattr(tree, "_nodes", nodes)
     for g_max in range(tree._COMPILED_TG_MIN_GENUS + 2):
         assert verify_parity_lemma(g_max).passed, g_max
         assert verify_interval_theorem(g_max).passed, g_max
@@ -416,7 +417,7 @@ def _moved_to(depth):
     return edit
 
 
-# the walk's smallest counterexample where the runs and the histogram both
+# the walk's smallest counterexample where the nodes and the histogram both
 # put every semigroup at a wrong depth: the reports the checks gave when
 # the walk alone decided them
 _WRONG_DEPTH_REPORTS = [
@@ -449,36 +450,57 @@ def test_a_failing_cell_whose_walk_finds_nothing_still_fails(monkeypatch, check,
         return hist
 
     _doctor_histogram(monkeypatch, edit)
-    runs = []
-    walk = tree._runs
-    monkeypatch.setattr(tree, "_runs", lambda g_max: runs.append(g_max) or walk(g_max))
+    walks = []
+    nodes = tree._nodes
+    monkeypatch.setattr(tree, "_nodes", lambda g_max: walks.append(g_max) or nodes(g_max))
     for g_max in _RUN_SOURCES:
         report = check(g_max)
         assert (report.passed, report.counterexample) == (
             False, f"histogram cell g={g} r={r} n={n} odd={odd} fails, but the walk finds no semigroup in it"
         ), g_max
-    assert runs == _RUN_SOURCES
+    assert walks == _RUN_SOURCES
 
 
-@pytest.mark.parametrize("g_max", _RUN_SOURCES)
-def test_bijection_catches_a_dropped_deep_node(monkeypatch, g_max):
-    # the first run at the shallowest deep cell of g_max loses one bitmap
-    cell = (g_max, analytics._min_high_r(g_max))
-    runs = tree._runs
+@pytest.mark.parametrize("outside, want", [
+    # the ordinary semigroup of the cell's genus, at depth 0
+    (lambda p: Semigroup.ordinary(p.g), "built 1,2,3,4 has genus 4 and depth 0"),
+    # the one of genus g + 1 at the largest depth, which is the cell's depth
+    (lambda p: max_ordinarization_attainer(p.g + 1), "built 1,3,5,7,9 has genus 5 and depth 2"),
+], ids=["depth", "genus"])
+def test_bijection_catches_a_built_semigroup_outside_its_cell(monkeypatch, outside, want):
+    # the pairing builds, without raising, a true semigroup outside the
+    # first deep cell, g = 4, r = 2
+    monkeypatch.setattr(closedsets, "build_from_pair", outside)
+    report = verify_bijection(8)
+    assert (report.passed, report.counterexample) == (False, f"g=4 r=2: {want}")
 
-    def doctored(limit):
-        dropped = False
-        for g, r, bitmaps in runs(limit):
-            if (g, r) == cell and not dropped:
-                dropped, bitmaps = True, list(bitmaps)[1:]
-            yield g, r, bitmaps
 
-    monkeypatch.setattr(tree, "_runs", doctored)
-    count = closedsets.f_value(g_max // 2 - cell[1])  # 1 at genus 8, 2 at 13
-    report = verify_bijection(g_max)
-    assert (report.passed, report.counterexample) == (
-        False, f"g={g_max} r={cell[1]}: image size {count} vs table {count}"
-    )
+@pytest.mark.parametrize("kernel", ["compiled", "python"])
+@pytest.mark.parametrize("g_max", [8, tree._COMPILED_TG_MIN_GENUS + 1])
+def test_bijection_walks_only_the_genera_of_its_pairs(kernel, g_max, request, monkeypatch):
+    # the cells are checked by the table and the pairing alone: no
+    # fixed-genus level is made, and the generator-removal tree is walked
+    # only to list the omegas, of genus w <= g_max // 2 - ceil((g_max + 2) / 3)
+    if kernel == "compiled":
+        request.getfixturevalue("compiled_kernel")
+    else:
+        monkeypatch.setattr(tree, "_kernel", False)
+
+    def levels(g, node_cap=None):
+        raise AssertionError("verify_bijection walked the fixed-genus tree")
+
+    walked: list[int] = []
+    nodes = tree._nodes
+    monkeypatch.setattr(tree, "_tg_levels", levels)
+    monkeypatch.setattr(tree, "_nodes", lambda limit: walked.append(limit) or nodes(limit))
+    monkeypatch.setattr(closedsets, "_nodes", tree._nodes)
+    assert verify_bijection(g_max).passed
+    assert walked and max(walked) <= g_max // 2 + (g_max + 2) // -3, walked
+
+
+def test_bijection_passes_at_genus_32_without_a_walk(compiled_kernel):
+    # past genus 31 no fixed-genus level is compiled, and none is read
+    assert verify_bijection(32).passed
 
 
 def _decompose_into(monkeypatch, edit):

@@ -290,49 +290,6 @@ def test_compiled_tg_level_equals_python_and_keeps_no_slack(compiled_kernel):
     assert grown == sum(b > a for row in rows for a, b in zip(row, row[1:])) + 2
 
 
-def _spy_compiled_levels(monkeypatch) -> list[int]:
-    """The genus of every compiled fixed-genus level made from now on."""
-    genera: list[int] = []
-    compiled = tree._tg_level_compiled
-
-    def spy(bitmaps, effs, g, room):
-        genera.append(g)
-        return compiled(bitmaps, effs, g, room)
-
-    monkeypatch.setattr(tree, "_tg_level_compiled", spy)
-    return genera
-
-
-@pytest.mark.parametrize("source", ["compiled levels", "python"])
-def test_runs_match_nodes_on_both_sources(source, request, monkeypatch):
-    # the same multiset of (genus, depth, bitmap) on either source; the
-    # compiled levels are taken from the cutoff on, where the kernel loads
-    kernel = request.getfixturevalue("compiled_kernel") if source == "compiled levels" else False
-    monkeypatch.setattr(tree, "_kernel", kernel)
-    genera = _spy_compiled_levels(monkeypatch)
-    cutoff = tree._COMPILED_TG_MIN_GENUS
-    for g_max in range(19):
-        genera.clear()
-        runs = Counter((g, r, bitmap) for g, r, bitmaps in tree._runs(g_max) for bitmap in bitmaps)
-        assert runs == Counter((g, r, bitmap) for bitmap, g, r in tree._nodes(g_max)), g_max
-        assert set(genera) == (set(range(cutoff, g_max + 1)) if kernel and g_max >= cutoff else set()), g_max
-
-
-def test_runs_take_the_compiled_levels_from_the_cutoff_to_genus_31(compiled_kernel, monkeypatch):
-    # each source read up to its first node past the cutoff genus: levels
-    # for 13 <= g_max <= 31, one node a run elsewhere
-    genera = _spy_compiled_levels(monkeypatch)
-    cutoff = tree._COMPILED_TG_MIN_GENUS
-    for g_max in (cutoff - 1, cutoff, 31, 32):
-        genera.clear()
-        runs = list(itertools.takewhile(lambda run: run[0] <= cutoff, tree._runs(g_max)))
-        assert set(genera) == ({cutoff} if cutoff <= g_max <= 31 else set()), g_max
-        assert all(len(bitmaps) == 1 for _g, _r, bitmaps in runs) == (not genera), g_max
-    monkeypatch.setattr(tree, "_kernel", False)
-    list(tree._runs(cutoff))
-    assert genera == []
-
-
 def test_compiled_trees_check_passes_to_genus_21_without_the_python_loop(compiled_kernel, monkeypatch):
     # every genus from 0 on is walked by the kernel; each node is checked
     # at its depth once and expanded into as many children in T as the
