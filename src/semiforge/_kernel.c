@@ -1,16 +1,25 @@
 /* Five functions on machine words, each the compiled twin of a Python
    oracle that stays as the fallback.
 
-   semiforge_count is semiforge.tree._count_into on 128-bit words: the
+   semiforge_count is semiforge.tree._count_into on machine words: the
    walk of _subtree, tallied as it goes, with the last genus counted by a
    popcount and a child without effective generators tallied instead of
-   pushed.  The window W = 2 g_max + 3 must fit one word, so g_max <= 62.
+   pushed.  The window W = 2 g_max + 3 must fit one word: a 64-bit one
+   where W <= 64, so g_max <= 30, else a 128-bit one, so g_max <= 62.
    See _subtree for the inheritance rule.
 
-   semiforge_hist is semiforge.tree._hist_into: the same walk, tallying
-   (genus, depth, gap intervals, odd member <= genus) in place of
-   (genus, depth).  It is a function of its own, so that the count's
-   tally stays as it is.
+   semiforge_hist is semiforge.tree._hist_into: the same walk, on the same
+   words, tallying (genus, depth, gap intervals, odd member <= genus) in
+   place of (genus, depth).  It is a function of its own, so that the
+   count's tally stays as it is.
+
+   Each of these two walks is one source text, at the end of this file,
+   over the word type WORD: the file includes itself once with WORD a
+   uint64_t and once with it an unsigned __int128, and the exported
+   functions take the 64-bit walk wherever the window fits it.  The walks
+   stay in this one file, which keeps the name _kernel.c, because the
+   library's cache is keyed on this file's CRC alone: a second source
+   file could change while a stale library still loaded.
 
    semiforge_closed is the counting branch of
    semiforge.closedsets._closed_masks and _descend on 64-bit words: the
@@ -39,56 +48,63 @@
    semiforge_tg_level and semiforge_tg_check take their buffers as
    addresses of Python arrays, which the caller keeps alive; each writes
    only within the sizes it is given. */
+#ifndef WORD
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-typedef unsigned __int128 word;
-typedef struct { word bitmap, eff, rev; int g, r; } entry;
+typedef unsigned __int128 u128;
 
-static int low_index(word x) {
+static int popcount128(u128 x) {
+    return __builtin_popcountll((uint64_t)x) + __builtin_popcountll((uint64_t)(x >> 64));
+}
+
+/* the index of the lowest set bit of x != 0 */
+static int low_index128(u128 x) {
     uint64_t low = (uint64_t)x;
     return low ? __builtin_ctzll(low) : 64 + __builtin_ctzll((uint64_t)(x >> 64));
 }
 
+/* 1 where a bitmap whose low 64 bits are `low` has an odd member <= g;
+   g <= 62, so they are all in the low bits. */
+static int odd_low(uint64_t low, int g) {
+    return (low & 0xAAAAAAAAAAAAAAAAull & (((uint64_t)2 << g) - 1)) != 0;
+}
+
+/* count64 and hist64: the root's high words are 0 where the window fits
+   64 bits */
+#define WORD uint64_t
+#define SIZED(name) name##64
+#define POPCOUNT __builtin_popcountll
+#define LOW_INDEX __builtin_ctzll
+#define FROM_PAIR(p) ((WORD)(p)[0])
+#include "_kernel.c"
+#undef WORD
+#undef SIZED
+#undef POPCOUNT
+#undef LOW_INDEX
+#undef FROM_PAIR
+
+/* count128 and hist128 */
+#define WORD u128
+#define SIZED(name) name##128
+#define POPCOUNT popcount128
+#define LOW_INDEX low_index128
+#define FROM_PAIR(p) ((WORD)(p)[1] << 64 | (p)[0])
+#include "_kernel.c"
+
 /* root: bitmap, eff and rev of a task as (low, high) word pairs;
-   rows: (g_max + 1) rows of g_max / 2 + 1 tallies.  A node of genus g
-   has at most g + 1 effective generators, and only nodes of genus up to
-   g_max - 2 push, so the stack never holds more than
-   1 + 2 + ... + (g_max - 1) entries.  Returns -1 when out of memory. */
+   rows: (g_max + 1) rows of g_max / 2 + 1 tallies.  Returns -1 when out
+   of memory. */
 int semiforge_count(const uint64_t *root, int g, int r, int m, int g_max, uint64_t *rows) {
-    int W = 2 * g_max + 3, shift = W - m, stride = g_max / 2 + 1, top = 0;
-    entry *stack = malloc(sizeof(entry) * (g_max * (g_max - 1) / 2 + 1));
-    if (!stack) return -1;
-    stack[top++] = (entry){(word)root[1] << 64 | root[0], (word)root[3] << 64 | root[2],
-                           (word)root[5] << 64 | root[4], g, r};
-    while (top) {
-        entry e = stack[--top];
-        rows[e.g * stride + e.r] += 1;
-        if (e.g == g_max || !e.eff) continue;
-        int g1 = e.g + 1, rbase = e.r + (int)((e.bitmap >> g1) & 1);
-        if (g1 == g_max) {
-            rows[g1 * stride + rbase] += __builtin_popcountll((uint64_t)e.eff) +
-                                         __builtin_popcountll((uint64_t)(e.eff >> 64));
-            continue;
-        }
-        int head = 2 * e.g + 2, a_max = head + 1 - m;
-        word extended = e.bitmap | (word)3 << head, nonzero = extended & ~(word)1, eff = e.eff;
-        while (eff) {
-            word low = eff & -eff;
-            eff ^= low;
-            int a = low_index(low);
-            word child_rev = e.rev ^ (word)1 << (W - a);
-            if (a <= a_max && !((nonzero ^ low) & (child_rev >> (shift - a))))
-                stack[top++] = (entry){extended ^ low, eff | low << m, child_rev, g1, rbase};
-            else if (eff)
-                stack[top++] = (entry){extended ^ low, eff, child_rev, g1, rbase};
-            else
-                rows[g1 * stride + rbase] += 1;
-        }
-    }
-    free(stack);
-    return 0;
+    return 2 * g_max + 3 <= 64 ? count64(root, g, r, m, g_max, rows) : count128(root, g, r, m, g_max, rows);
+}
+
+/* root as semiforge_count's, and n its number of gap intervals; cells:
+   the tallies laid out as the histogram walk below says.  Returns -1
+   when out of memory. */
+int semiforge_hist(const uint64_t *root, int g, int r, int n, int m, int g_max, uint64_t *cells) {
+    return 2 * g_max + 3 <= 64 ? hist64(root, g, r, n, m, g_max, cells) : hist128(root, g, r, n, m, g_max, cells);
 }
 
 /* Ways to add `left` more of the candidates j >= idx to `chosen`;
@@ -281,65 +297,97 @@ int semiforge_tg_check(const int *parents, const uint64_t *children, const uint6
     return 0;
 }
 
-/* popcount of a 128-bit word */
-static int popcount(word x) {
-    return __builtin_popcountll((uint64_t)x) + __builtin_popcountll((uint64_t)(x >> 64));
+#else
+/* The walks of semiforge_count and semiforge_hist on words of type WORD,
+   named SIZED(count) and SIZED(hist); POPCOUNT and LOW_INDEX are WORD's
+   popcount and lowest set bit, and FROM_PAIR(p) joins the (low, high)
+   64-bit pair p into a WORD. */
+
+typedef struct { WORD bitmap, eff, rev; int g, r; } SIZED(entry);
+
+/* A node of genus g has at most g + 1 effective generators, and only
+   nodes of genus up to g_max - 2 push, so the stack never holds more than
+   1 + 2 + ... + (g_max - 1) entries. */
+static int SIZED(count)(const uint64_t *root, int g, int r, int m, int g_max, uint64_t *rows) {
+    int W = 2 * g_max + 3, shift = W - m, stride = g_max / 2 + 1, top = 0;
+    SIZED(entry) *stack = malloc(sizeof(SIZED(entry)) * (g_max * (g_max - 1) / 2 + 1));
+    if (!stack) return -1;
+    stack[top++] = (SIZED(entry)){FROM_PAIR(root), FROM_PAIR(root + 2), FROM_PAIR(root + 4), g, r};
+    while (top) {
+        SIZED(entry) e = stack[--top];
+        rows[e.g * stride + e.r] += 1;
+        if (e.g == g_max || !e.eff) continue;
+        int g1 = e.g + 1, rbase = e.r + (int)((e.bitmap >> g1) & 1);
+        if (g1 == g_max) {
+            rows[g1 * stride + rbase] += POPCOUNT(e.eff);
+            continue;
+        }
+        int head = 2 * e.g + 2, a_max = head + 1 - m;
+        WORD extended = e.bitmap | (WORD)3 << head, nonzero = extended & ~(WORD)1, eff = e.eff;
+        while (eff) {
+            WORD low = eff & -eff;
+            eff ^= low;
+            int a = LOW_INDEX(low);
+            WORD child_rev = e.rev ^ (WORD)1 << (W - a);
+            if (a <= a_max && !((nonzero ^ low) & (child_rev >> (shift - a))))
+                stack[top++] = (SIZED(entry)){extended ^ low, eff | low << m, child_rev, g1, rbase};
+            else if (eff)
+                stack[top++] = (SIZED(entry)){extended ^ low, eff, child_rev, g1, rbase};
+            else
+                rows[g1 * stride + rbase] += 1;
+        }
+    }
+    free(stack);
+    return 0;
 }
 
-/* 1 where `bitmap` has an odd member <= g; g <= 62, so they are all in
-   the low half. */
-static int odd_low(word bitmap, int g) {
-    return ((uint64_t)bitmap & 0xAAAAAAAAAAAAAAAAull & (((uint64_t)2 << g) - 1)) != 0;
-}
+/* An entry of the histogram walk: the fields of the count's entry but
+   the depth, and the index of its cell. */
+typedef struct { WORD bitmap, eff, rev; int g, cell; } SIZED(hist_entry);
 
-/* An entry of semiforge_hist: the fields of `entry` but the depth, and
-   the index of its cell. */
-typedef struct { word bitmap, eff, rev; int g, cell; } hist_entry;
-
-/* semiforge_count's walk from the same root, whose n gap intervals the
-   caller gives, tallying each node into cells[((g R + r) N + n) 2 + odd]
+/* The count's walk from the same root, whose n gap intervals the caller
+   gives, tallying each node into cells[((g R + r) N + n) 2 + odd]
    (R = g_max / 2 + 1, N = g_max + 1), odd = 1 where it has an odd member
    <= g.  A node of genus g has n <= g.  A child removes an effective
    generator a > F (F the Frobenius number) and has Frobenius number a:
    it keeps n when a - 1 = F is a gap and opens one more interval when
    a - 1 is a member.  Every a >= g + 2 (a node under the spine has
    F >= g + 1), so the children of one node share their depth and their
-   members <= g + 1, and so their cell but for n.  Returns -1 when out
-   of memory. */
-int semiforge_hist(const uint64_t *root, int g, int r, int n, int m, int g_max, uint64_t *cells) {
+   members <= g + 1, and so their cell but for n. */
+static int SIZED(hist)(const uint64_t *root, int g, int r, int n, int m, int g_max, uint64_t *cells) {
     int W = 2 * g_max + 3, shift = W - m, N = g_max + 1, R = g_max / 2 + 1, top = 0;
-    hist_entry *stack = malloc(sizeof(hist_entry) * (g_max * (g_max - 1) / 2 + 1));
+    SIZED(hist_entry) *stack = malloc(sizeof(SIZED(hist_entry)) * (g_max * (g_max - 1) / 2 + 1));
     if (!stack) return -1;
-    word bitmap = (word)root[1] << 64 | root[0];
-    stack[top++] = (hist_entry){bitmap, (word)root[3] << 64 | root[2], (word)root[5] << 64 | root[4], g,
-                                ((g * R + r) * N + n) * 2 + odd_low(bitmap, g)};
+    WORD bitmap = FROM_PAIR(root);
+    stack[top++] = (SIZED(hist_entry)){bitmap, FROM_PAIR(root + 2), FROM_PAIR(root + 4), g,
+                                       ((g * R + r) * N + n) * 2 + odd_low((uint64_t)bitmap, g)};
     while (top) {
-        hist_entry e = stack[--top];
+        SIZED(hist_entry) e = stack[--top];
         cells[e.cell] += 1;
         if (e.g == g_max || !e.eff) continue;
         int g1 = e.g + 1;
         /* the cell of a child that keeps n (kept + 2 has one more): a
            genus on, and a depth deeper where g + 1 is a member */
-        int kept = (e.cell & ~1) + 2 * N * (R + (int)((e.bitmap >> g1) & 1)) + odd_low(e.bitmap, g1);
+        int kept = (e.cell & ~1) + 2 * N * (R + (int)((e.bitmap >> g1) & 1)) + odd_low((uint64_t)e.bitmap, g1);
         /* bit a is set where a - 1 is a member: removing a opens an interval */
-        word opens = e.bitmap << 1;
+        WORD opens = e.bitmap << 1;
         if (g1 == g_max) {
-            int more = popcount(e.eff & opens);
-            cells[kept] += popcount(e.eff) - more;
+            int more = POPCOUNT(e.eff & opens);
+            cells[kept] += POPCOUNT(e.eff) - more;
             cells[kept + 2] += more;
             continue;
         }
         int head = 2 * e.g + 2, a_max = head + 1 - m;
-        word extended = e.bitmap | (word)3 << head, nonzero = extended & ~(word)1, eff = e.eff;
+        WORD extended = e.bitmap | (WORD)3 << head, nonzero = extended & ~(WORD)1, eff = e.eff;
         while (eff) {
-            word low = eff & -eff;
+            WORD low = eff & -eff;
             eff ^= low;
-            int a = low_index(low), cell = kept + 2 * ((opens & low) != 0);
-            word child_rev = e.rev ^ (word)1 << (W - a);
+            int a = LOW_INDEX(low), cell = kept + 2 * ((opens & low) != 0);
+            WORD child_rev = e.rev ^ (WORD)1 << (W - a);
             if (a <= a_max && !((nonzero ^ low) & (child_rev >> (shift - a))))
-                stack[top++] = (hist_entry){extended ^ low, eff | low << m, child_rev, g1, cell};
+                stack[top++] = (SIZED(hist_entry)){extended ^ low, eff | low << m, child_rev, g1, cell};
             else if (eff)
-                stack[top++] = (hist_entry){extended ^ low, eff, child_rev, g1, cell};
+                stack[top++] = (SIZED(hist_entry)){extended ^ low, eff, child_rev, g1, cell};
             else
                 cells[cell] += 1;
         }
@@ -347,3 +395,4 @@ int semiforge_hist(const uint64_t *root, int g, int r, int n, int m, int g_max, 
     free(stack);
     return 0;
 }
+#endif

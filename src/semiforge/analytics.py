@@ -144,8 +144,6 @@ def verify_parity_lemma(g_max: int, *, workers: int = 1) -> VerificationReport:
     holds a semigroup with an odd member <= g.  Otherwise the walk of the
     generator-removal tree (``tree._nodes``) names the smallest
     counterexample."""
-    if g_max < 0:
-        raise ValueError("g_max must be non-negative")
     rng = f"genus <= {g_max}, depth 3r >= g+2"
     cell = _failing_cell(g_max, workers, lambda g, r, n, odd: odd and _high_depth(g, r))
     if cell is None:
@@ -182,8 +180,6 @@ def verify_interval_theorem(g_max: int, *, workers: int = 1) -> VerificationRepo
     holds a semigroup breaks one.  Otherwise the walk of the
     generator-removal tree (``tree._nodes``) names the smallest
     counterexample."""
-    if g_max < 0:
-        raise ValueError("g_max must be non-negative")
     rng = f"genus <= {g_max}"
     cell = _failing_cell(g_max, workers, lambda g, r, n, odd: _interval_faults(g, r, n))
     if cell is None:

@@ -65,18 +65,16 @@ if TYPE_CHECKING:
 # vs 106 (19).  ``closedsets`` measures its own cutoffs.
 _POOL_MIN_TASKS = 200
 
-# The same crossover for tables counted by the compiled kernel, whose
-# tasks are far cheaper (same machine; median ms, serial vs 2-worker
-# pool, four runs of 10-20 alternating pairs): count_matrix(29)
-# (406 tasks) 51-59 vs 51-75 (pool faster in 4 of 12, 0 of 10, 8 of 10,
-# 6 of 20), count_matrix(30) (435) 98-121 vs 66-73 (in 12, 10, 10 and 20:
-# every pair), count_matrix(31) (465) 137-209 vs 94-121 (11 of 12, then
-# every pair).
+# The same crossover for tables counted by the compiled kernel (same
+# machine; median ms, serial vs 2-worker pool, and the pairs the pool won
+# in each of two runs of 12 alternating pairs): count_matrix(28) (378
+# tasks) 28-34 vs 55-62 (0, 0), (29) 47 vs 46-72 (5, 0), (30) 68-75 vs 60
+# (10, 9), (31) 199-227 vs 130-140 (12, 11), and at 32 and 33 every pair.
 _COMPILED_POOL_MIN_TASKS = 30 * 29 // 2
 
-# The compiled kernel (``_kernel.c``) holds the window 2*g_max + 3 of a
-# table in one 128-bit word, and the window [0, 2g + 1] of a fixed-genus
-# level or a closed-set count in one 64-bit word, so to genus _WORD_GMAX.
+# The compiled kernel (``_kernel.c``) holds a table's window 2*g_max + 3
+# in one 64-bit word to g_max = 30, else a 128-bit one (_KERNEL_GMAX), and
+# [0, 2g + 1] of a fixed-genus level or closed-set count in 64 (_WORD_GMAX).
 # ``_kernel`` is None until the first table, f-value or fixed-genus walk
 # looks for it, then the loaded library, or False where it cannot load.
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
@@ -471,8 +469,8 @@ def _build_kernel(source: str, library: str) -> None:
 
 def _count_plan(g_max: int) -> tuple[Callable, int]:
     """The worker that counts a table to ``g_max``, and the fewest tasks
-    for which its pool pays: the compiled kernel where it loads and the
-    window 2*g_max + 3 fits its 128-bit word, else ``_count_worker``."""
+    for which its pool pays: the compiled kernel where it loads and
+    g_max <= _KERNEL_GMAX, else ``_count_worker``."""
     if g_max <= _KERNEL_GMAX and _compiled_kernel():
         return _count_worker_compiled, _COMPILED_POOL_MIN_TASKS
     return _count_worker, _POOL_MIN_TASKS
@@ -715,6 +713,14 @@ def _spine_tasks(g_max: int) -> list[Node]:
     return tasks
 
 
+def _check_table(g_max: int, cells: int) -> None:
+    """Refuses g_max < 0, and with MemoryError a table to g_max of ``cells`` tallies past the memory."""
+    if g_max < 0:
+        raise ValueError("g_max must be non-negative")
+    if 50 * g_max * (g_max - 1) + 8 * cells > _physical_memory():  # 100 bytes or more a task, 8 a tally
+        raise MemoryError
+
+
 def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
     """Exact table of counts by genus and ordinarization number, g <= g_max.
 
@@ -722,11 +728,11 @@ def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
     tallied directly; the subtree under each non-ordinary child of a
     spine node is one task, g_max*(g_max - 1)/2 in all, counted in this
     process or by forked workers (see ``_run_tasks``), by the compiled
-    kernel where it loads and g_max <= 62, else by ``_count_into``
-    (see ``_count_plan``).  Tallies merge by addition.
+    kernel where it loads and g_max <= 62 (on 64-bit words to 30), else
+    by ``_count_into`` (see ``_count_plan``).  Tallies merge by addition;
+    a table too large for the memory raises MemoryError before any count.
     """
-    if g_max < 0:
-        raise ValueError("g_max must be non-negative")
+    _check_table(g_max, (g_max + 1) * (g_max // 2 + 1))
     rows = _empty_rows(g_max)
     for row in rows:
         row[0] += 1  # the spine: one ordinary semigroup per genus, at depth 0
@@ -744,8 +750,7 @@ def _histogram(g_max: int, *, workers: int = 1) -> list[list[list[int]]]:
     The spine is tallied directly and the count tasks of ``count_matrix``
     by ``semiforge_hist`` or ``_hist_into``, with its workers and cutoffs
     (``_count_plan``, ``_run_tasks``); tallies merge by addition."""
-    if g_max < 0:
-        raise ValueError("g_max must be non-negative")
+    _check_table(g_max, 2 * (g_max + 1) ** 2 * (g_max // 2 + 1))
     worker, min_tasks = _count_plan(g_max)
     worker = _hist_worker_compiled if worker is _count_worker_compiled else _hist_worker
     parts = _run_tasks(worker, _spine_tasks(g_max), g_max, workers, min_tasks)

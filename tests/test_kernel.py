@@ -104,6 +104,27 @@ def test_compiled_histogram_matches_python_in_the_top_word(compiled_kernel):
         tree._hist_worker_compiled(([], 63))
 
 
+@pytest.mark.parametrize("g_max", [30, 31])
+def test_compiled_walks_match_python_at_the_word_boundary(compiled_kernel, g_max):
+    # the window 2*30 + 3 = 63 is the widest that the 64-bit walks take,
+    # and 65 the narrowest that the 128-bit walks do; the tasks from root
+    # genus g_max - 4 keep the test short, and their last genus fills the
+    # window as every task's does
+    tasks = [task for task in tree._spine_tasks(g_max) if task[1] >= g_max - 4]
+    assert len(tasks) == sum(range(g_max - 5, g_max))
+    for task in tasks:
+        payload = ([task], g_max)
+        assert tree._count_worker_compiled(payload) == tree._count_worker(payload), task
+        assert tree._hist_worker_compiled(payload) == tree._hist_worker(payload), task
+
+
+@pytest.mark.parametrize("g_max", [29, 30])
+def test_compiled_tables_on_the_64_bit_word_match_the_reference(compiled_kernel, g_max):
+    want = [COUNTS_BY_GENUS[g] for g in range(g_max + 1)]
+    assert [list(row) for row in count_matrix(g_max).rows] == want
+    assert [[sum(cells) for cells in row] for row in tree._histogram(g_max)] == want
+
+
 def test_histogram_matches_a_count_of_each_semigroup(monkeypatch):
     # (genus, depth, gap intervals, odd member <= genus) of every
     # semigroup of genus <= 21, by the definition, against the histogram

@@ -191,6 +191,28 @@ def test_count_into_refuses_ordinary_roots():
             tree._count_worker_compiled(([root], 5))
 
 
+def test_tables_too_large_for_the_memory_are_refused_before_anything_is_built(monkeypatch):
+    # a table's tasks and tallies are sized up front; building them would
+    # take every byte before the MemoryError came
+    def never(*_args):
+        raise AssertionError("built a table past the memory")
+
+    for name in ("_empty_rows", "_empty_hist", "_spine_tasks", "_count_plan"):
+        monkeypatch.setattr(tree, name, never)
+    for g_max in (10**7, 10**20):
+        with pytest.raises(MemoryError):
+            count_matrix(g_max)
+        with pytest.raises(MemoryError):
+            tree._histogram(g_max)
+    # the histogram's tallies, about g_max^3, pass the memory long before
+    # the table's tasks do: at 600, 1.7 GB against 19 MB
+    monkeypatch.setattr(tree, "_physical_memory", lambda: 10**9)
+    with pytest.raises(MemoryError):
+        tree._histogram(600)
+    with pytest.raises(AssertionError, match="past the memory"):
+        count_matrix(600)
+
+
 def test_count_matrix_csv_json_round_trip():
     matrix = count_matrix(9)
     assert CountMatrix.from_csv(matrix.to_csv()) == matrix
