@@ -4,9 +4,11 @@
    semiforge_count is semiforge.tree._count_into on machine words: the
    walk of _subtree, tallied as it goes, with the last genus counted by a
    popcount and a child without effective generators tallied instead of
-   pushed.  The window W = 2 g_max + 3 must fit one word: a 64-bit one
-   where W <= 64, so g_max <= 30, else a 128-bit one, so g_max <= 62.
-   See _subtree for the inheritance rule.
+   pushed.  Its words hold bits to 2 g_max + 1: a node's bitmap and eff,
+   and rev, whose top bit is W - m <= W - 2 (W = 2 g_max + 3), as every
+   task's multiplicity m is at least 2.  So the walk runs on a 64-bit
+   word to g_max = 31, else on a 128-bit one to 62.  See _subtree for the
+   inheritance rule.
 
    semiforge_hist is semiforge.tree._hist_into: the same walk, on the same
    words, tallying (genus, depth, gap intervals, odd member <= genus) in
@@ -15,11 +17,10 @@
 
    Each of these two walks is one source text, at the end of this file,
    over the word type WORD: the file includes itself once with WORD a
-   uint64_t and once with it an unsigned __int128, and the exported
-   functions take the 64-bit walk wherever the window fits it.  The walks
-   stay in this one file, which keeps the name _kernel.c, because the
-   library's cache is keyed on this file's CRC alone: a second source
-   file could change while a stale library still loaded.
+   uint64_t and once with it an unsigned __int128.  The walks stay in
+   this one file, which keeps the name _kernel.c, because the library's
+   cache is keyed on this file's CRC alone: a second source file could
+   change while a stale library still loaded.
 
    semiforge_closed is the counting branch of
    semiforge.closedsets._closed_masks and _descend on 64-bit words: the
@@ -71,8 +72,7 @@ static int odd_low(uint64_t low, int g) {
     return (low & 0xAAAAAAAAAAAAAAAAull & (((uint64_t)2 << g) - 1)) != 0;
 }
 
-/* count64 and hist64: the root's high words are 0 where the window fits
-   64 bits */
+/* count64 and hist64, where the root's high words are 0 */
 #define WORD uint64_t
 #define SIZED(name) name##64
 #define POPCOUNT __builtin_popcountll
@@ -97,14 +97,14 @@ static int odd_low(uint64_t low, int g) {
    rows: (g_max + 1) rows of g_max / 2 + 1 tallies.  Returns -1 when out
    of memory. */
 int semiforge_count(const uint64_t *root, int g, int r, int m, int g_max, uint64_t *rows) {
-    return 2 * g_max + 3 <= 64 ? count64(root, g, r, m, g_max, rows) : count128(root, g, r, m, g_max, rows);
+    return g_max <= 31 ? count64(root, g, r, m, g_max, rows) : count128(root, g, r, m, g_max, rows);
 }
 
 /* root as semiforge_count's, and n its number of gap intervals; cells:
    the tallies laid out as the histogram walk below says.  Returns -1
    when out of memory. */
 int semiforge_hist(const uint64_t *root, int g, int r, int n, int m, int g_max, uint64_t *cells) {
-    return 2 * g_max + 3 <= 64 ? hist64(root, g, r, n, m, g_max, cells) : hist128(root, g, r, n, m, g_max, cells);
+    return g_max <= 31 ? hist64(root, g, r, n, m, g_max, cells) : hist128(root, g, r, n, m, g_max, cells);
 }
 
 /* Ways to add `left` more of the candidates j >= idx to `chosen`;

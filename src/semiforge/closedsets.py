@@ -30,20 +30,15 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple
 
 from .semigroup import Semigroup
-from .tree import _WORD_GMAX, _compiled_kernel, _nodes, _run_tasks
+from .tree import _THREAD_MIN_TASKS, _WORD_GMAX, _compiled_kernel, _nodes, _run_tasks
 
-# f_value has one task per semigroup of genus w, and forks only from
-# this many (2 CPUs, Python 3.11; median ms, serial vs 2-worker pool,
-# interleaved pairs).  In Python: w = 9 (118 tasks) 12 vs 27 (pool faster
-# in 0/21); w = 10 (204) sits on the crossover, 40-64 vs 42-47 over runs
-# of 11, 21 and 21 pairs, faster in 10/11, 9/21, 18/21, against 1/15,
-# 18/21 and 2/21 earlier; w = 11 (343) 132-159 vs 82-87 (11/11, 21/21).
+# f_value has one task per semigroup of genus w, and the Python descent
+# forks only from this many (2 CPUs, Python 3.11; median ms, serial vs
+# 2-worker pool, interleaved pairs): w = 9 (118 tasks) 12 vs 27 (pool faster
+# in 0/21); w = 10 (204) sits on the crossover, 40-64 vs 42-47 over runs of
+# 11, 21 and 21 pairs, faster in 10/11, 9/21, 18/21, against 1/15, 18/21 and
+# 2/21 earlier; w = 11 (343) 132-159 vs 82-87 (11/11, 21/21).
 _F_POOL_MIN_TASKS = 343
-# Compiled, where each task is about 50 times cheaper: w = 13 (1001) 20
-# vs 43 (0/11); w = 14 (1661) 46-51 vs 52-69 (0/11, 4/21, 6/11); w = 15
-# (2857) 115-135 vs 95-105 (11/11, 20/21, 10/11); w = 16 (4806) 299-359
-# vs 225-254 (11/11, 10/11).
-_COMPILED_F_POOL_MIN_TASKS = 2857
 
 
 class PreconditionViolated(ValueError):
@@ -215,23 +210,26 @@ def _f_worker(payload: tuple[list[int], int]) -> int:
     return total
 
 
-def _f_worker_compiled(payload: tuple[list[int], int]) -> int:
-    """``_f_worker`` on the compiled kernel, one call per chunk."""
+def _f_worker_compiled(payload: tuple[Iterable[int], int]) -> int:
+    """``_f_worker`` on the compiled kernel, one call a list or a chunk of 16 a thread claims."""
     from ctypes import c_uint64
+    from itertools import islice
 
     bitmaps, genus = payload
     if genus > _WORD_GMAX:
         raise ValueError(f"the compiled kernel counts closed sets to genus {_WORD_GMAX}, not {genus}")
-    return _compiled_kernel().semiforge_closed((c_uint64 * len(bitmaps))(*bitmaps), len(bitmaps), genus)
+    claims, size = iter(bitmaps), (len(bitmaps) if isinstance(bitmaps, list) else 16)
+    chunks = iter(lambda: list(islice(claims, size)), [])
+    return sum(_compiled_kernel().semiforge_closed((c_uint64 * len(c))(*c), len(c), genus) for c in chunks)
 
 
-def _f_plan(genus: int) -> tuple[Callable, int]:
-    """The worker that sums the closed-set counts over genus ``genus``,
-    and the fewest tasks for which its pool pays: the compiled kernel
-    where it loads and the window fits its 64-bit word, else ``_f_worker``."""
+def _f_plan(genus: int) -> tuple[Callable, int, bool]:
+    """The worker that sums the closed-set counts over genus ``genus``, the
+    fewest tasks for which sharing them pays, and whether threads share them:
+    the compiled kernel where it loads and the window fits its word, else ``_f_worker``."""
     if genus <= _WORD_GMAX and _compiled_kernel():
-        return _f_worker_compiled, _COMPILED_F_POOL_MIN_TASKS
-    return _f_worker, _F_POOL_MIN_TASKS
+        return _f_worker_compiled, _THREAD_MIN_TASKS, True
+    return _f_worker, _F_POOL_MIN_TASKS, False
 
 
 def f_value(omega_genus: int, *, workers: int = 1) -> int:
@@ -241,8 +239,8 @@ def f_value(omega_genus: int, *, workers: int = 1) -> int:
     if omega_genus < 0:
         raise ValueError("genus must be non-negative")
     bitmaps = [bm for bm, g, _r in _nodes(omega_genus) if g == omega_genus]
-    worker, min_tasks = _f_plan(omega_genus)
-    return sum(_run_tasks(worker, bitmaps, omega_genus, workers, min_tasks))
+    worker, *share = _f_plan(omega_genus)
+    return sum(_run_tasks(worker, bitmaps, omega_genus, workers, *share))
 
 
 # ----------------------------------------------------------------------

@@ -25,13 +25,14 @@ along that ordinary spine: the spine and its non-ordinary children are
 built by formula (``_spine_tasks``), and the subtree under each such
 child, one task, by one walk (``_subtree``) in which every child
 inherits its effective generators from its parent.  A table tallies the
-spine directly and counts its tasks in process or by forked workers, by
-a C kernel, built on first use by the system C compiler, or by that walk
-where the kernel cannot load; the per-(genus, depth) tallies merge by
-addition, so results do not depend on the worker count.  The same tasks,
-walked the same ways, tally the histogram (``_histogram``) by genus,
-depth, number of gap intervals and whether an odd member <= genus is
-left, on which the ``parity`` and ``intervals`` checks are decided.
+spine directly and counts its tasks by a C kernel, built on first use by
+the system C compiler, or by that walk where the kernel cannot load, in
+process or shared by threads (the kernel releases the GIL) or forked
+workers (the walk); the tallies merge by addition, so results do not
+depend on the worker count.  The same tasks, walked the same ways, tally
+the histogram (``_histogram``) by genus, depth, number of gap intervals
+and whether an odd member <= genus is left, on which the ``parity`` and
+``intervals`` checks are decided.
 
 The fixed-genus tree is walked breadth first (``_tg_levels``) from the
 root at depth 0, holding one whole level while it builds the next (the
@@ -65,15 +66,14 @@ if TYPE_CHECKING:
 # vs 106 (19).  ``closedsets`` measures its own cutoffs.
 _POOL_MIN_TASKS = 200
 
-# The same crossover for tables counted by the compiled kernel (same
-# machine; median ms, serial vs 2-worker pool, and the pairs the pool won
-# in each of two runs of 12 alternating pairs): count_matrix(28) (378
-# tasks) 28-34 vs 55-62 (0, 0), (29) 47 vs 46-72 (5, 0), (30) 68-75 vs 60
-# (10, 9), (31) 199-227 vs 130-140 (12, 11), and at 32 and 33 every pair.
-_COMPILED_POOL_MIN_TASKS = 30 * 29 // 2
+# Threads share a compiled kernel's tasks, a table's or an f-value's, from
+# this many (2 CPUs, Python 3.11; median ms, one thread vs two, pairs of 21
+# two won): count_matrix(21) (210 tasks) 3.1 vs 3.4 (2), (22) (231) 3.9 vs
+# 3.8 (19); f_value(10) (204) 1.36 vs 1.34 (15), (11) (343) 3.0 vs 2.4 (21).
+_THREAD_MIN_TASKS = 22 * 21 // 2
 
 # The compiled kernel (``_kernel.c``) holds a table's window 2*g_max + 3
-# in one 64-bit word to g_max = 30, else a 128-bit one (_KERNEL_GMAX), and
+# in one 64-bit word to g_max = 31, else a 128-bit one (_KERNEL_GMAX), and
 # [0, 2g + 1] of a fixed-genus level or closed-set count in 64 (_WORD_GMAX).
 # ``_kernel`` is None until the first table, f-value or fixed-genus walk
 # looks for it, then the loaded library, or False where it cannot load.
@@ -303,23 +303,21 @@ def _count_worker_compiled(payload: tuple[list[Node], int]) -> list[list[int]]:
     tasks, g_max = payload
     if g_max > _KERNEL_GMAX:
         raise ValueError(f"the compiled kernel counts to genus {_KERNEL_GMAX}, not {g_max}")
-    stride = g_max // 2 + 1
+    stride, words = g_max // 2 + 1, (c_uint64 * 6)()
     tally = (c_uint64 * ((g_max + 1) * stride))()
     for task in tasks:
-        words, g, r, m = _task_words(task, g_max)
+        g, r, m = _task_words(task, g_max, words)
         if _kernel.semiforge_count(words, g, r, m, g_max, tally):
             raise MemoryError("the compiled count kernel could not allocate its stack")
     return [tally[g * stride : g * stride + g // 2 + 1] for g in range(g_max + 1)]
 
 
-def _task_words(task: Node, g_max: int) -> tuple[ctypes.Array, int, int, int]:
-    """The first entry of a task's walk as the compiled kernels take it:
-    its bitmap, eff and rev as six 64-bit words (low half first), its
-    genus, its depth and the multiplicity m of the walk."""
-    from ctypes import c_uint64
-
+def _task_words(task: Node, g_max: int, words: ctypes.Array) -> tuple[int, int, int]:
+    """Writes a task's first entry into ``words`` as the compiled kernels take it, its bitmap, eff
+    and rev as six 64-bit words (low half first); returns its genus, depth and walk's multiplicity m."""
     (bitmap, g, r, eff, rev), m = _task_start(task, g_max)
-    return (c_uint64 * 6)(*(x >> s & _WORD for x in (bitmap, eff, rev) for s in (0, 64))), g, r, m
+    words[:] = [x >> s & _WORD for x in (bitmap, eff, rev) for s in (0, 64)]
+    return g, r, m
 
 
 def _gap_intervals(bitmap: int, g: int) -> int:
@@ -381,10 +379,10 @@ def _hist_worker_compiled(payload: tuple[list[Node], int]) -> list[list[list[int
     tasks, g_max = payload
     if g_max > _KERNEL_GMAX:
         raise ValueError(f"the compiled kernel counts to genus {_KERNEL_GMAX}, not {g_max}")
-    stride, depths = 2 * (g_max + 1), g_max // 2 + 1
+    stride, depths, words = 2 * (g_max + 1), g_max // 2 + 1, (c_uint64 * 6)()
     tally = (c_uint64 * ((g_max + 1) * depths * stride))()
     for task in tasks:
-        words, g, r, m = _task_words(task, g_max)
+        g, r, m = _task_words(task, g_max, words)
         if _kernel.semiforge_hist(words, g, r, _gap_intervals(task[0], g), m, g_max, tally):
             raise MemoryError("the compiled count kernel could not allocate its stack")
     return [
@@ -467,13 +465,13 @@ def _build_kernel(source: str, library: str) -> None:
                 os.remove(os.path.join(cache, old))
 
 
-def _count_plan(g_max: int) -> tuple[Callable, int]:
-    """The worker that counts a table to ``g_max``, and the fewest tasks
-    for which its pool pays: the compiled kernel where it loads and
-    g_max <= _KERNEL_GMAX, else ``_count_worker``."""
+def _count_plan(g_max: int) -> tuple[Callable, int, bool]:
+    """The worker that counts a table to ``g_max``, the fewest tasks for
+    which sharing them pays, and whether threads share them: the compiled
+    kernel where it loads and g_max <= _KERNEL_GMAX, else ``_count_worker``."""
     if g_max <= _KERNEL_GMAX and _compiled_kernel():
-        return _count_worker_compiled, _COMPILED_POOL_MIN_TASKS
-    return _count_worker, _POOL_MIN_TASKS
+        return _count_worker_compiled, _THREAD_MIN_TASKS, True
+    return _count_worker, _POOL_MIN_TASKS, False
 
 
 def _tg_children_raw(bitmap: int, genus: int, eff: int) -> list[tuple[int, int]]:
@@ -622,21 +620,55 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+def _usable_cpus() -> list[int]:
+    """The CPUs the calling thread may run on."""
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [*range(os.cpu_count() or 1)]
 
 
-def _run_tasks(fn: Callable, tasks: list, arg: object, workers: int, min_tasks: int) -> list:
-    """fn((chunk, arg)) over ``tasks``: one call in this process when there
-    is one worker or fewer than ``min_tasks`` tasks, too few to pay for a
-    pool, else ``_fork_map``.  ``workers`` = 0 means one per usable CPU."""
+def _run_tasks(fn: Callable, tasks: list, arg: object, workers: int, min_tasks: int, threads: bool) -> list:
+    """fn((tasks, arg)) in this thread when there is one worker or fewer
+    than ``min_tasks`` tasks, too few to pay for sharing them; else shared
+    by threads (``threads``: fn calls the compiled kernel, which releases
+    the GIL) or forked processes.  ``workers`` = 0 means one per usable CPU."""
     if workers < 0:
         raise ValueError("workers must be >= 0")
-    workers = workers or _usable_cpus()
+    workers = workers or len(_usable_cpus())
     if workers == 1 or len(tasks) < min_tasks:
         return [fn((tasks, arg))]
-    return _fork_map(fn, tasks, arg, workers)
+    return (_thread_map if threads else _fork_map)(fn, tasks, arg, workers)
+
+
+def _thread_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
+    """fn((claims, arg)) in this thread and up to ``workers`` - 1 more, each
+    pinned to a usable CPU of its own (unpinned, a new thread stays on its
+    creator's for about 100 ms); ``claims``, atomic under the GIL, iterates
+    ``tasks`` for all.  A thread's error is raised once all stop, the others
+    at their next claim."""
+    import threading
+
+    cpus, claims, results = _usable_cpus(), iter(tasks), []
+    pin = getattr(os, "sched_setaffinity", lambda _pid, _cpus: None)
+
+    def work(cpu: int) -> None:
+        try:
+            pin(0, {cpu})
+            results.append(fn((claims, arg)))
+        except BaseException as exc:
+            results.insert(0, exc)
+            list(claims)  # drops the rest, so that no thread claims another
+
+    threads = [threading.Thread(target=work, args=(cpu,)) for cpu in cpus[1:workers]]
+    try:
+        for thread in threads:
+            thread.start()
+        work(cpus[0])
+    finally:
+        for thread in filter(threading.Thread.is_alive, threads):  # not one that failed to start
+            thread.join()
+        pin(0, cpus)  # this thread's CPUs, as they were
+    if isinstance(results[0], BaseException):
+        raise results[0]
+    return results
 
 
 def _fork_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
@@ -649,7 +681,7 @@ def _fork_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
     """
     import multiprocessing  # loaded only by runs that fork
 
-    workers = min(workers, _usable_cpus())
+    workers = min(workers, len(_usable_cpus()))
     n = min(4 * workers, len(tasks))
     payloads = [(tasks[i::n], arg) for i in range(n)]
     with multiprocessing.get_context("fork").Pool(min(workers, n)) as pool:
@@ -727,8 +759,8 @@ def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
     The ordinary spine (the ordinary semigroups, genus 0 to g_max) is
     tallied directly; the subtree under each non-ordinary child of a
     spine node is one task, g_max*(g_max - 1)/2 in all, counted in this
-    process or by forked workers (see ``_run_tasks``), by the compiled
-    kernel where it loads and g_max <= 62 (on 64-bit words to 30), else
+    thread or shared among workers (see ``_run_tasks``), by the compiled
+    kernel where it loads and g_max <= 62 (on 64-bit words to 31), else
     by ``_count_into`` (see ``_count_plan``).  Tallies merge by addition;
     a table too large for the memory raises MemoryError before any count.
     """
@@ -736,8 +768,8 @@ def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
     rows = _empty_rows(g_max)
     for row in rows:
         row[0] += 1  # the spine: one ordinary semigroup per genus, at depth 0
-    worker, min_tasks = _count_plan(g_max)
-    for part in _run_tasks(worker, _spine_tasks(g_max), g_max, workers, min_tasks):
+    worker, *share = _count_plan(g_max)
+    for part in _run_tasks(worker, _spine_tasks(g_max), g_max, workers, *share):
         for row, counts in zip(rows, part):
             for r, c in enumerate(counts):
                 row[r] += c
@@ -751,9 +783,9 @@ def _histogram(g_max: int, *, workers: int = 1) -> list[list[list[int]]]:
     by ``semiforge_hist`` or ``_hist_into``, with its workers and cutoffs
     (``_count_plan``, ``_run_tasks``); tallies merge by addition."""
     _check_table(g_max, 2 * (g_max + 1) ** 2 * (g_max // 2 + 1))
-    worker, min_tasks = _count_plan(g_max)
+    worker, *share = _count_plan(g_max)
     worker = _hist_worker_compiled if worker is _count_worker_compiled else _hist_worker
-    parts = _run_tasks(worker, _spine_tasks(g_max), g_max, workers, min_tasks)
+    parts = _run_tasks(worker, _spine_tasks(g_max), g_max, workers, *share)
     hist = _empty_hist(g_max)
     for g, row in enumerate(hist):
         row[0][2 * (g > 0)] += 1  # the ordinary semigroup: gaps 1..g, one interval, no member in 1..g

@@ -1,4 +1,5 @@
 import os
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,6 +31,35 @@ def fork_calls(monkeypatch) -> list[tuple[int, int]]:
 
     monkeypatch.setattr(tree, "_fork_map", spy)
     return calls
+
+
+@pytest.fixture
+def thread_calls(monkeypatch) -> list[tuple[int, int]]:
+    """(number of tasks, workers) of every run shared among threads; the
+    threads still run."""
+    calls: list[tuple[int, int]] = []
+    thread_map = tree._thread_map
+
+    def spy(fn, tasks, arg, workers):
+        calls.append((len(tasks), workers))
+        return thread_map(fn, tasks, arg, workers)
+
+    monkeypatch.setattr(tree, "_thread_map", spy)
+    return calls
+
+
+@pytest.fixture
+def threads_made(monkeypatch) -> list[threading.Thread]:
+    """Every ``threading.Thread`` constructed; each still runs."""
+    made: list[threading.Thread] = []
+
+    class Spy(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return made
 
 
 @pytest.fixture

@@ -337,7 +337,8 @@ def _choice(good, bad):
     return _mostly(st.sampled_from(good).map(lambda t: (t, t)), st.sampled_from(bad).map(lambda t: (t, None)))
 
 
-# sizes stay small enough that nothing forks, whatever --workers asks for;
+# sizes stay small enough that nothing forks or starts a thread, whatever
+# --workers asks for;
 # "{dir}" stands for a fresh directory
 _WORKERS = _count(10**6)
 _FLAGS = {
@@ -447,6 +448,7 @@ def test_generated_calls_keep_the_cli_contract(command, data):
         with (
             mock.patch.dict(os.environ, environ, clear=True),
             mock.patch.object(tree, "_fork_map", side_effect=AssertionError("forked")),
+            mock.patch.object(tree, "_thread_map", side_effect=AssertionError("threaded")),
             contextlib.redirect_stdout(out),
             contextlib.redirect_stderr(err),
         ):

@@ -65,24 +65,27 @@ def test_compiled_kernel_matches_python_in_the_top_word(compiled_kernel):
 
 
 def test_compiled_kernel_counts_to_genus_62(compiled_kernel, monkeypatch):
-    assert tree._count_plan(62) == (tree._count_worker_compiled, tree._COMPILED_POOL_MIN_TASKS)
-    assert tree._count_plan(63) == (tree._count_worker, tree._POOL_MIN_TASKS)
+    # threads share the compiled kernel's tasks, forked processes the Python walk's
+    assert tree._count_plan(62) == (tree._count_worker_compiled, tree._THREAD_MIN_TASKS, True)
+    assert tree._count_plan(63) == (tree._count_worker, tree._POOL_MIN_TASKS, False)
     with pytest.raises(ValueError, match="genus 62, not 63"):
         tree._count_worker_compiled(([], 63))
     monkeypatch.setattr(tree, "_kernel", False)
-    assert tree._count_plan(62) == (tree._count_worker, tree._POOL_MIN_TASKS)
+    assert tree._count_plan(62) == (tree._count_worker, tree._POOL_MIN_TASKS, False)
 
 
-def test_compiled_tables_match_python_at_1_2_3_workers(compiled_kernel, fork_calls, monkeypatch):
+def test_compiled_tables_match_python_at_1_2_3_workers(compiled_kernel, fork_calls, thread_calls, monkeypatch):
     want = count_matrix(31, workers=1).rows
     assert [list(row) for row in want[:31]] == [COUNTS_BY_GENUS[g] for g in range(31)]
+    assert sum(want[31]) == 9_266_788  # n(31), OEIS A007323, counted on the 64-bit walk
     for workers in (2, 3):
-        for g in (21, 22, 29, 30, 31):
+        for g in (21, 22, 27, 30, 31):
             assert count_matrix(g, workers=workers).rows == want[: g + 1], (g, workers)
-    # compiled tasks are cheap enough that the pool pays only from genus
-    # 30, where the Python kernel's pays from 21
-    assert sum(range(29)) < tree._COMPILED_POOL_MIN_TASKS <= sum(range(30))
-    assert fork_calls == [(sum(range(g)), workers) for workers in (2, 3) for g in (30, 31)]
+    # threads share the compiled tasks from genus 22, forked processes
+    # the Python kernel's from 21; the compiled kernel never forks
+    assert sum(range(21)) < tree._THREAD_MIN_TASKS <= sum(range(22))
+    assert thread_calls == [(sum(range(g)), workers) for workers in (2, 3) for g in (22, 27, 30, 31)]
+    assert fork_calls == []
     monkeypatch.setattr(tree, "_kernel", False)
     for workers in (1, 2, 3):
         assert count_matrix(22, workers=workers).rows == want[:23], workers
@@ -104,14 +107,15 @@ def test_compiled_histogram_matches_python_in_the_top_word(compiled_kernel):
         tree._hist_worker_compiled(([], 63))
 
 
-@pytest.mark.parametrize("g_max", [30, 31])
+@pytest.mark.parametrize("g_max", [31, 32])
 def test_compiled_walks_match_python_at_the_word_boundary(compiled_kernel, g_max):
-    # the window 2*30 + 3 = 63 is the widest that the 64-bit walks take,
-    # and 65 the narrowest that the 128-bit walks do; the tasks from root
-    # genus g_max - 4 keep the test short, and their last genus fills the
-    # window as every task's does
-    tasks = [task for task in tree._spine_tasks(g_max) if task[1] >= g_max - 4]
-    assert len(tasks) == sum(range(g_max - 5, g_max))
+    # the 64-bit walks take g_max = 31, whose words use bit 63, and the
+    # 128-bit walks start at 32: the tasks from root genus g_max - 4 up fill
+    # the window to 2 g_max + 1, and those of multiplicity m = 2 and 3 (root
+    # genus 2 and 3) put rev's top bit, W - m, highest (W = 2 g_max + 3);
+    # the rest would make the test long
+    tasks = [task for task in tree._spine_tasks(g_max) if task[1] >= g_max - 4 or task[1] <= 3]
+    assert len(tasks) == sum(range(g_max - 5, g_max)) + 1 + 2
     for task in tasks:
         payload = ([task], g_max)
         assert tree._count_worker_compiled(payload) == tree._count_worker(payload), task
@@ -158,12 +162,12 @@ def test_histogram_marginal_matches_the_tables_above_genus_30(compiled_kernel):
     assert [rows[32][r] for r in high] == [f_value(16 - r) for r in high]
 
 
-def test_cell_checks_equal_at_1_and_2_workers(compiled_kernel, fork_calls):
-    # at genus 30 the histogram's 435 tasks fork, as the table's do
+def test_cell_checks_equal_at_1_and_2_workers(compiled_kernel, fork_calls, thread_calls):
+    # at genus 30 threads share the histogram's 435 tasks, as the table's
     for check in (verify_parity_lemma, verify_interval_theorem):
         report = check(30)
         assert report.passed and check(30, workers=2) == report
-    assert fork_calls == [(sum(range(30)), 2)] * 2
+    assert thread_calls == [(sum(range(30)), 2)] * 2 and fork_calls == []
 
 
 def _compiled_closed_count(omega: Semigroup) -> int:
@@ -192,8 +196,8 @@ def test_compiled_f_value_matches_the_published_sequence(compiled_kernel):
 
 
 def test_compiled_kernel_counts_closed_sets_to_genus_31(compiled_kernel, monkeypatch):
-    compiled = (closedsets._f_worker_compiled, closedsets._COMPILED_F_POOL_MIN_TASKS)
-    python = (closedsets._f_worker, closedsets._F_POOL_MIN_TASKS)
+    compiled = (closedsets._f_worker_compiled, tree._THREAD_MIN_TASKS, True)
+    python = (closedsets._f_worker, closedsets._F_POOL_MIN_TASKS, False)
     assert closedsets._f_plan(31) == compiled
     assert closedsets._f_plan(32) == python
     with pytest.raises(ValueError, match="genus 31, not 32"):
@@ -202,13 +206,19 @@ def test_compiled_kernel_counts_closed_sets_to_genus_31(compiled_kernel, monkeyp
     assert closedsets._f_plan(31) == python
 
 
-def test_compiled_f_value_forks_only_from_genus_15(compiled_kernel, fork_calls):
-    # a compiled genus-14 count takes about 50 ms, less than the pool costs
-    assert sum(COUNTS_BY_GENUS[14]) < closedsets._COMPILED_F_POOL_MIN_TASKS <= sum(COUNTS_BY_GENUS[15])
-    assert [f_value(w, workers=2) for w in range(14)] == F_SEQUENCE[:14]
+def test_compiled_f_value_forks_only_from_genus_15(compiled_kernel, fork_calls, thread_calls):
+    # the compiled f-values never fork: threads share them from the floor
+    # that the compiled tables use, omega 11 (343 tasks) and up
+    assert sum(COUNTS_BY_GENUS[10]) < tree._THREAD_MIN_TASKS <= sum(COUNTS_BY_GENUS[11])
+    assert [f_value(w, workers=2) for w in range(11)] == F_SEQUENCE[:11]
+    assert thread_calls == []
+    for workers in (1, 2, 3):
+        assert [f_value(w, workers=workers) for w in (11, 14)] == [F_SEQUENCE[11], F_SEQUENCE[14]], workers
+    assert f_value(15, workers=2) == f_value(15, workers=3) == f_value(15, workers=1)
+    assert thread_calls == [(sum(COUNTS_BY_GENUS[w]), workers) for workers in (2, 3) for w in (11, 14)] + [
+        (sum(COUNTS_BY_GENUS[15]), workers) for workers in (2, 3)
+    ]
     assert fork_calls == []
-    assert f_value(15, workers=2) == f_value(15, workers=1)
-    assert fork_calls == [(sum(COUNTS_BY_GENUS[15]), 2)]
 
 
 def _levels(g: int, depth=None) -> list[tuple[list[int], list[int], list[int]]]:

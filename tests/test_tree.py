@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +23,7 @@ from semiforge import (
     tg_bfs_row,
     tree,
 )
+from semiforge.cli import run
 from semiforge.semigroup import _ordinarize_bitmap, _sum_bitmap
 from conftest import children_in_T
 from reference_tables import COUNTS_BY_GENUS, F_SEQUENCE, FIG6_EDGES, FIG6_NODES_BY_DEPTH
@@ -180,6 +183,99 @@ def test_pools_start_no_more_workers_than_usable_cpus(fake_pool, fork_calls, pyt
     assert fake_pool and all(size <= cpus and chunks <= 4 * cpus for size, chunks in fake_pool)
     # workers = 0 asks for one per usable CPU, and one CPU counts serially
     assert [workers for _tasks, workers in fork_calls] == [1000] + ([cpus] if cpus > 1 else []) + [5000]
+
+
+def test_compiled_histograms_match_at_1_2_3_workers(compiled_kernel, thread_calls):
+    # either side of the thread floor (genus 21 and 22), and at 27 and 30
+    for g in (21, 22, 27, 30):
+        want = tree._histogram(g, workers=1)
+        for workers in (2, 3):
+            assert tree._histogram(g, workers=workers) == want, (g, workers)
+    assert thread_calls == [(sum(range(g)), workers) for g in (22, 27, 30) for workers in (2, 3)]
+
+
+def _needs_two_cpus() -> None:
+    if not hasattr(os, "sched_getaffinity") or len(tree._usable_cpus()) < 2:
+        pytest.skip("one usable CPU: no thread shares the tasks")
+
+
+@pytest.fixture
+def kernel_failing_in_threads(compiled_kernel, monkeypatch) -> list[bool]:
+    """The compiled kernel, but semiforge_count fails, as out of memory,
+    on every call outside the main thread; the list records, for each
+    call in the main thread, whether a failure came before it."""
+    _needs_two_cpus()
+    calls: list[bool] = []
+    failed: list[bool] = []
+
+    def semiforge_count(*args):
+        if threading.current_thread() is not threading.main_thread():
+            failed.append(True)
+            return -1
+        calls.append(bool(failed))
+        return compiled_kernel.semiforge_count(*args)
+
+    monkeypatch.setattr(tree, "_kernel", SimpleNamespace(semiforge_count=semiforge_count))
+    return calls
+
+
+def test_a_kernel_failure_in_a_thread_fails_the_call_and_stops_every_thread(kernel_failing_in_threads, capsys):
+    baseline, cpus = threading.active_count(), os.sched_getaffinity(0)
+    with pytest.raises(MemoryError, match="could not allocate"):
+        count_matrix(27, workers=2)
+    # the caller stops at its next claim: one call may be under way when
+    # the thread fails, and one more may claim a task before the thread
+    # has dropped the rest
+    calls = kernel_failing_in_threads
+    assert calls.count(True) <= 2 and len(calls) < sum(range(27)) // 2
+    assert threading.active_count() == baseline and os.sched_getaffinity(0) == cpus
+    assert run(["table", "--gmax", "27", "--workers", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "the compiled count kernel could not allocate its stack\n"
+    assert threading.active_count() == baseline and os.sched_getaffinity(0) == cpus
+
+
+def test_threads_leave_the_callers_cpus_as_they_were(compiled_kernel):
+    _needs_two_cpus()
+    cpus = os.sched_getaffinity(0)
+    assert count_matrix(27, workers=2).rows == count_matrix(27, workers=1).rows
+    assert f_value(13, workers=2) == F_SEQUENCE[13]
+    assert os.sched_getaffinity(0) == cpus
+
+
+def test_one_worker_and_work_below_the_floor_start_no_thread(compiled_kernel, threads_made, capsys):
+    assert run(["table", "--gmax", "27", "--workers", "1"]) == 0
+    assert run(["fseq", "--omega-max", "13", "--workers", "1"]) == 0
+    # 210 tasks, the histogram's too, and 204 semigroups of genus 10
+    assert count_matrix(21, workers=3).rows == tuple(tuple(COUNTS_BY_GENUS[g]) for g in range(22))
+    assert [sum(cells) for cells in tree._histogram(21, workers=3)[21]] == COUNTS_BY_GENUS[21]
+    assert f_value(10, workers=3) == F_SEQUENCE[10]
+    assert run(["table", "--gmax", "11", "--workers", "0"]) == 0
+    assert run(["fseq", "--omega-max", "10", "--workers", "0"]) == 0
+    assert threads_made == []
+
+
+def test_threads_never_outnumber_the_usable_cpus(compiled_kernel, threads_made):
+    # a task claimed twice or by no thread would change the result; a
+    # switch interval of a microsecond lets the threads take turns between
+    # almost any two bytecodes
+    cpus = len(tree._usable_cpus())
+    calls = [
+        lambda workers: count_matrix(27, workers=workers).rows,
+        lambda workers: tree._histogram(27, workers=workers),
+        lambda workers: f_value(13, workers=workers),
+    ]
+    interval = sys.getswitchinterval()
+    try:
+        for call in calls:
+            want = call(1)
+            sys.setswitchinterval(1e-6)
+            made = len(threads_made)
+            assert call(10**6) == want
+            assert len(threads_made) - made <= cpus - 1
+            sys.setswitchinterval(interval)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_count_into_refuses_ordinary_roots():
