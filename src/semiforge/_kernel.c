@@ -40,19 +40,21 @@
    semiforge_tg_check is the per-level body of
    semiforge.analytics.verify_tree_relations with _expand_checked, on
    64-bit words: it decides pass or fail, and the Python loop writes every
-   report.  Its children of genus + 1 must fit the window
+   report.  It checks each node of a level where the walk hands it over,
+   and keeps nothing: the node is a semigroup, its eff is true, and its
+   (parent, multiplicity, Frobenius number) is larger than the node's
+   before, so the walk repeats nothing; its children in the
+   generator-removal tree are counted, which gives the size of the next
+   genus, and checked.  Those children of genus + 1 must fit the window
    [0, 2 genus + 3], so it expands only while genus <= 30, and checks
-   levels to genus 31.  The level that completes a genus compares it with
-   the expansion of the genus before, both sorted in linear time by a
-   radix sort over the whole word.
+   levels to genus 31.
 
    semiforge_tg_level and semiforge_tg_check take their buffers as
-   addresses of Python arrays, which the caller keeps alive; each writes
-   only within the sizes it is given. */
+   addresses of Python arrays, which the caller keeps alive; the first
+   writes only within the sizes it is given, the second only reads. */
 #ifndef WORD
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 
 typedef unsigned __int128 u128;
 
@@ -196,81 +198,66 @@ int semiforge_tg_level(const uint64_t *bitmaps, const uint64_t *effs, int n, int
     return count;
 }
 
-/* semiforge.semigroup._ordinarize_bitmap: swap the multiplicity for the
-   Frobenius number, the identity on the ordinary semigroup; 0 where x
-   has no non-zero member, or no gap in its window below a multiplicity
-   <= genus, on which the Python transform raises.  Never 0 otherwise. */
+/* semiforge.semigroup._ordinarize_bitmap on a semigroup x of genus
+   `genus`: swap the multiplicity for the Frobenius number, the identity
+   on the ordinary semigroup. */
 static uint64_t transform(uint64_t x, int genus) {
-    uint64_t nonzero = x & ~(uint64_t)1, gaps = ~x & window(genus);
-    if (!nonzero)
-        return 0;
-    int m = __builtin_ctzll(nonzero);
+    int m = __builtin_ctzll(x & ~(uint64_t)1);
     if (m > genus)
         return x;
-    return gaps ? (x ^ (uint64_t)1 << m) | (uint64_t)1 << (63 - __builtin_clzll(gaps)) : 0;
-}
-
-/* Sorts x[0..n) ascending through the scratch tmp[0..n): a least
-   significant digit radix sort on the eight bytes of the word, the top
-   one too, since bit 63 is in the genus-31 window.  A byte that every
-   word shares is skipped, its pass being the identity. */
-static void radix_sort(uint64_t *x, uint64_t *tmp, int n) {
-    int counts[8][256] = {{0}};
-    uint64_t *from = x, *to = tmp;
-    if (n < 2)
-        return;
-    for (int i = 0; i < n; i++)
-        for (int d = 0; d < 8; d++)
-            counts[d][x[i] >> 8 * d & 255]++;
-    for (int d = 0; d < 8; d++) {
-        int *start = counts[d], sum = 0;
-        if (start[from[0] >> 8 * d & 255] == n)
-            continue;
-        for (int k = 0; k < 256; k++) {
-            int c = start[k];
-            start[k] = sum;
-            sum += c;
-        }
-        for (int i = 0; i < n; i++)
-            to[start[from[i] >> 8 * d & 255]++] = from[i];
-        uint64_t *swap = from;
-        from = to;
-        to = swap;
-    }
-    if (from != x)
-        memcpy(x, from, sizeof *x * n);
+    return (x ^ (uint64_t)1 << m) | (uint64_t)1 << (63 - __builtin_clzll(~x & window(genus)));
 }
 
 /* One level of the trees check: the n nodes at depth `depth` of the
    genus-`genus` tree, with their parents' indices into the n_up nodes
    `up` of the level above (the level itself at depth 0) and their effs.
-   Appends the nodes to `seen`, `filled` of whose `total` slots are
-   taken; the level that fills it sorts `seen` and `expected`.  With
-   `next`, which needs room for the popcount of the effs, also writes
-   each node's children in the generator-removal tree.  Returns -1 as
-   soon as a check in verify_tree_relations' docstring fails, else 0. */
+   Checks each node, its edge and its place among its siblings; with
+   `expand`, also its eff and its children in the generator-removal tree,
+   made one at a time.  Returns the number of those children, the
+   popcount of the level's effs (0 without `expand`), or -1 as soon as a
+   check in verify_tree_relations' docstring fails. */
 int semiforge_tg_check(const int *parents, const uint64_t *children, const uint64_t *effs, int n,
-                       const uint64_t *up, int n_up, int genus, int depth, uint64_t *seen, int filled,
-                       uint64_t *expected, int total, uint64_t *next) {
-    uint64_t low = ((uint64_t)2 << genus) - 2;
-    if (2 * depth > genus || n > total - filled || (next && genus >= 31))
+                       const uint64_t *up, int n_up, int genus, int depth, int expand) {
+    uint64_t mask = window(genus), low = ((uint64_t)2 << genus) - 2;
+    long long prev = -1;
+    int count = 0;
+    if (2 * depth > genus || (!depth && n != 1) || (expand && genus >= 31))
         return -1;
     for (int i = 0; i < n; i++) {
-        /* the edge, and the depth: `depth` non-zero members <= genus */
-        uint64_t node = children[i], t = transform(node, genus), first = 0;
-        if (parents[i] < 0 || parents[i] >= n_up || !t || t != up[parents[i]] ||
-            __builtin_popcountll(node & low) != depth)
+        /* a semigroup of genus `genus`: 0 and genus + 2 members in the
+           window, none past it, and closed there, where every sum has a
+           summand <= genus */
+        uint64_t node = children[i], nonzero = node & ~(uint64_t)1, sums = 0;
+        if (!(node & 1) || node & ~mask || __builtin_popcountll(node) != genus + 2)
             return -1;
-        seen[filled + i] = node;
-        if (!next)
+        for (uint64_t small = node & low; small; small &= small - 1)
+            sums |= nonzero << __builtin_ctzll(small);
+        if (sums & mask & ~node)
+            return -1;
+        /* the edge, and the depth: `depth` non-zero members <= genus */
+        uint64_t t = transform(node, genus);
+        if (parents[i] < 0 || parents[i] >= n_up || t != up[parents[i]] || __builtin_popcountll(node & low) != depth)
+            return -1;
+        /* no repeat: (parent, multiplicity, Frobenius number) strictly
+           increasing, F = 0 at genus 0 */
+        int frob = 63 - __builtin_clzll((~node & mask) | 1);
+        long long order = (long long)parents[i] << 12 | __builtin_ctzll(nonzero) << 6 | frob;
+        if (order <= prev)
+            return -1;
+        prev = order;
+        if (!expand)
             continue;
-        uint64_t extended = node | (uint64_t)3 << (2 * genus + 2);
+        /* eff: the members above the Frobenius number that are no sums */
+        if (effs[i] != (nonzero & ~sums & mask & -((uint64_t)2 << frob)))
+            return -1;
+        count += __builtin_popcountll(effs[i]);
+        uint64_t extended = node | (uint64_t)3 << (2 * genus + 2), first = 0;
         for (uint64_t eff = effs[i]; eff; eff &= eff - 1) {
             uint64_t child = extended ^ (eff & -eff), child_t = transform(child, genus + 1);
-            uint64_t gaps = ~child_t & window(genus + 1);
             /* the ancestor line: adjoining its Frobenius number to the
                child's transform gives the node's (_raw_parent_in_T) */
-            if (!child_t || !gaps || ((child_t | (uint64_t)1 << (63 - __builtin_clzll(gaps))) & window(genus)) != t)
+            uint64_t child_frob = (uint64_t)1 << (63 - __builtin_clzll(~child_t & window(genus + 1)));
+            if (((child_t | child_frob) & mask) != t)
                 return -1;
             /* siblings: every non-ordinary child has the same transform */
             if (__builtin_ctzll(child & ~(uint64_t)1) <= genus + 1) {
@@ -279,22 +266,9 @@ int semiforge_tg_check(const int *parents, const uint64_t *children, const uint6
                 else if (child_t != first)
                     return -1;
             }
-            *next++ = child;
         }
     }
-    if (filled + n < total)
-        return 0;
-    /* the same set, with no repeat on either side */
-    uint64_t *tmp = malloc(sizeof *tmp * total);
-    if (!tmp && total)
-        return -1;
-    radix_sort(seen, tmp, total);
-    radix_sort(expected, tmp, total);
-    free(tmp);
-    for (int i = 0; i < total; i++)
-        if (seen[i] != expected[i] || (i && seen[i] == seen[i - 1]))
-            return -1;
-    return 0;
+    return count;
 }
 
 #else

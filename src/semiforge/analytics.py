@@ -306,15 +306,14 @@ def _expand_checked(bitmap: int, g: int, eff: int, transform: int, nxt: set[int]
 def _trees_hold(g_max: int) -> bool:
     """Whether ``verify_tree_relations(g_max)`` passes, decided level by
     level by the compiled ``semiforge_tg_check`` on the fixed-genus walk
-    to genus g_max <= 31, each genus held as uint64 arrays; False as soon
+    to genus g_max <= 31, which keeps nothing past a level; False as soon
     as a check fails, or a level's values do not fit its C types."""
     from array import array
 
     check, address = tree._kernel.semiforge_tg_check, tree._address
-    expected = array("Q", [Semigroup.ordinary(0).bitmap])  # genus g, as the expansion of g - 1
+    size = 1  # n(g): the children in T of genus g - 1, the root at genus 0
     for g in range(g_max + 1):
-        total, filled, prev = len(expected), 0, ()
-        seen, following = array("Q", [0]) * total, array("Q")
+        walked, following, prev = 0, 0, ()
         for depth, level in enumerate(tree._tg_levels(g)):
             # the kernel would misread sequences of unequal lengths, and
             # array() refuses a value that does not fit its C type
@@ -327,20 +326,14 @@ def _trees_hold(g_max: int) -> bool:
                 )
             except OverflowError:
                 return False
-            n, up, expand = len(children), prev or children, g < g_max  # the root is its own parent
-            # one child in T per bit of eff
-            nxt = array("Q", [0]) * (int.from_bytes(effs, "little").bit_count() if expand else 0)
-            if check(
-                address(parents), address(children), address(effs), n, address(up), len(up), g, depth,
-                address(seen), filled, address(expected), total, address(nxt) if expand else None,
-            ):
+            n, up = len(children), prev or children  # the root is its own parent
+            count = check(*map(address, (parents, children, effs)), n, address(up), len(up), g, depth, g < g_max)
+            if count < 0:
                 return False
-            filled += n
-            prev = children
-            following += nxt
-        if filled != total:
+            walked, following, prev = walked + n, following + count, children
+        if walked != size:
             return False
-        expected = following
+        size = following
     return True
 
 
@@ -369,27 +362,28 @@ def verify_tree_relations(g_max: int) -> VerificationReport:
     only when it fails, to write the report; so every report comes from
     the loop.  A compiled pass implies the loop's, genus by genus.  Let
     W be the nodes of the walk of genus g, each of whose values must fit
-    its C type, and E the kernel's expansion of genus g - 1 (the root, at
-    genus 0); by induction, ``level`` is set(E) when genus g begins.  The
-    kernel requires:
+    its C type; by induction, W of genus g - 1 was every semigroup of its
+    genus once, with its true effs, and ``level`` is all of genus g.  The
+    kernel requires of each node at depth d (the root, its own parent, at
+    depth 0):
 
-    - W and E, sorted, equal and strictly increasing: set equality with
-      no repeat on either side.  So the walk reaches each member of
-      ``level`` once, which is removed and expanded then; ``level`` ends
-      empty, sum(row) = |W| = sum(expected_row), and ``nxt`` is the set
-      of the kernel's expansion of W, which carries the induction;
-    - every edge: a node's transform is its parent, the root its own;
-      the kernel fails wherever the Python transform would raise;
-    - the ancestor line and the sibling lemma on every node's expansion,
-      with the same eff and transform as ``_expand_checked``;
-    - each node at depth d has d non-zero members <= g, and 2d <= g.  So
-      row[d] counts the members of ``level`` with ordinarization number
-      d, which is expected_row[d], and no depth passes g // 2.  On true
-      semigroups this follows from the edge check and set equality, by
-      induction on depth: only the ordinary root is its own transform,
-      and a transform trades a multiplicity <= g for a Frobenius number
-      > g.  The kernel checks it per node, so that the implication holds
-      for any walk, a broken one too.
+    - 0 and g + 2 members in [0, 2g + 1], none above, and every sum in
+      that window a member: it is a semigroup of genus g, on which the
+      Python transform does not raise;
+    - its transform is its parent, d non-zero members <= g, and 2d <= g;
+    - a parent index no smaller than the node's before, and if equal, a
+      larger (multiplicity, Frobenius number); at depth 0, one node;
+    - below g_max, the eff of ``_effective_generators``, and the ancestor
+      line and sibling lemma on the children in T it makes, with the eff
+      and transform of ``_expand_checked``.
+
+    Equal nodes have equal transforms, so by induction on depth the same
+    parent and the same key: W repeats nothing.  |W| must equal the sum
+    of the popcounts of the effs of genus g - 1, which are true, so |W|
+    = n(g) and W is all of genus g.  So the walk removes each member of
+    ``level`` once and expands it; ``level`` ends empty, sum(row) = |W| =
+    sum(expected_row), row[d] = expected_row[d] by the depth check, and
+    ``nxt``, made from the true effs, is all of genus g + 1.
     """
     if g_max < 0:
         raise ValueError("g_max must be non-negative")

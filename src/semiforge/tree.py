@@ -18,8 +18,8 @@ because removing a minimal generator cannot break any old pair.
 
 A walk of the generator-removal tree holds one depth-first stack, not a
 whole genus, though a caller may collect one: ``f_value(w)`` lists genus
-w, and ``verify_tree_relations`` holds genera g and g + 1, as uint64
-arrays where the kernel checks them and as sets elsewhere.  Most
+w, and ``verify_tree_relations`` holds genera g and g + 1 as sets, or
+only two levels of the walk where the kernel checks them.  Most
 of that tree hangs below the ordinary semigroups, so every walk splits
 along that ordinary spine: the spine and its non-ordinary children are
 built by formula (``_spine_tasks``), and the subtree under each such
@@ -428,9 +428,7 @@ def _load_kernel(source: str) -> Optional[ctypes.CDLL]:
     lib.semiforge_closed.restype = ctypes.c_uint64
     lib.semiforge_tg_level.argtypes = [address, address, c_int, c_int, address, address, address, c_int, c_int]
     lib.semiforge_tg_level.restype = c_int
-    lib.semiforge_tg_check.argtypes = [
-        address, address, address, c_int, address, c_int, c_int, c_int, address, c_int, address, c_int, address
-    ]
+    lib.semiforge_tg_check.argtypes = [address, address, address, c_int, address, c_int, c_int, c_int, c_int]
     lib.semiforge_tg_check.restype = c_int
     return lib
 

@@ -334,12 +334,11 @@ def test_compiled_trees_check_passes_to_genus_21_without_the_python_loop(compile
     calls = []
     check = compiled_kernel.semiforge_tg_check
 
-    def spy(parents, children, effs, n, up, n_up, g, depth, *rest):
-        # the buffers are addresses: the n effs give the children in T
-        # that the kernel is asked to write
-        expanded = int.from_bytes(ctypes.string_at(effs, 8 * n), "little").bit_count() if rest[-1] else 0
-        calls.append((g, depth, n, expanded))
-        return check(parents, children, effs, n, up, n_up, g, depth, *rest)
+    def spy(parents, children, effs, n, up, n_up, g, depth, expand):
+        # the kernel returns the children in T that it checked
+        count = check(parents, children, effs, n, up, n_up, g, depth, expand)
+        calls.append((g, depth, n, count))
+        return count
 
     monkeypatch.setattr(compiled_kernel, "semiforge_tg_check", spy)
     for g_max in range(22):
@@ -369,6 +368,11 @@ def _wrong_eff(wrong):
     return edit
 
 
+def _non_semigroup_first(g):
+    bitmap = Semigroup.ordinary(g).bitmap ^ 1 << (2 * g + 1) | 2  # the root plus 1 less 2g + 1
+    return lambda kids: [(bitmap, kids[0][1])] + kids[1:]
+
+
 # faults planted below the root of the walk of genus g, and the g_max from
 # which the trees check must fail
 _WALK_FAULTS = {
@@ -377,9 +381,16 @@ _WALK_FAULTS = {
     "misplaced child": lambda g: (_misplaced(g), g),
     "eff bit cleared": lambda g: (_wrong_eff(lambda eff: eff & (eff - 1)), g + 1),
     "eff bit set": lambda g: (_wrong_eff(lambda eff: eff | 1 << (2 * g + 1)), g + 1),
-    # as many children in T, one of them no semigroup: only the sorted
-    # comparison of the next genus sees it
+    # as many children in T, one of them no semigroup: the eff check at
+    # genus g sees it
     "eff bit moved": lambda g: (_wrong_eff(lambda eff: eff & (eff - 1) | 1 << (2 * g + 1) if eff else eff), g + 1),
+    # the root's first child, a leaf, becomes a non-semigroup without
+    # children: g gaps, the root as its transform, depth 1 and the first
+    # key, so only the closure check sees it
+    "non-semigroup child": lambda g: (_non_semigroup_first(g), g),
+    # the root's second child, a leaf as the first is, becomes a copy of
+    # the first: only the sibling order sees it
+    "copied sibling": lambda g: (lambda kids: kids[:1] * 2 + kids[2:], g),
     # a uint64 copy would drop the stray bit and pass
     "child past the word": lambda g: (lambda kids: kids[:-1] + [(kids[-1][0] | 1 << 64, kids[-1][1])], g),
 }
@@ -400,29 +411,24 @@ def test_compiled_trees_check_fails_under_each_walk_fault(fault, at, compiled_ke
     assert report.passed is False and report.counterexample
 
 
-def _check_level(kernel, parents, children, effs, up, g, depth, expected, expand=True) -> tuple[int, list[int]]:
-    """``semiforge_tg_check`` on one hand-built level that fills a genus
-    whose expected nodes are ``expected``: its return code, and the
-    children in T it wrote when asked to expand."""
-    from ctypes import c_int, c_uint64
+def _check_level(kernel, parents, children, effs, up, g, depth, expand=True) -> int:
+    """``semiforge_tg_check`` on one hand-built level: the number of
+    children in T it checked, or -1."""
 
-    def words(values, ctype=c_uint64):
+    def words(values, ctype=ctypes.c_uint64):
         return (ctype * len(values))(*values)
 
-    n = len(children)
-    out = words([0] * sum(eff.bit_count() for eff in effs)) if expand else None
-    code = kernel.semiforge_tg_check(
-        words(parents, c_int), words(children), words(effs), n, words(up), len(up), g, depth,
-        words([0] * len(expected)), 0, words(expected), len(expected), out,
+    return kernel.semiforge_tg_check(
+        words(parents, ctypes.c_int), words(children), words(effs), len(children), words(up), len(up), g, depth, expand
     )
-    return code, list(out or ())
 
 
 def test_compiled_trees_check_sees_what_the_python_checks_see(compiled_kernel):
     # one node of genus g <= 8 a level, under its true parent or as its own
     # (a root), with its effective generators or one bit of the next
     # window flipped: the kernel fails exactly where the Python edge check
-    # or _expand_checked reports a failure or raises
+    # or _expand_checked reports a failure or raises, or where the eff is
+    # not the node's, and else counts the children in T that Python expands
     seen = Counter()
     for bitmap, g, r in tree._nodes(8):
         parent = _ordinarize_bitmap(bitmap, g)
@@ -438,10 +444,8 @@ def test_compiled_trees_check_sees_what_the_python_checks_see(compiled_kernel):
                 except ValueError:
                     verdict = "raises"
                 seen[verdict] += 1
-                code, out = _check_level(compiled_kernel, [0], [bitmap], [eff ^ flip], [up], g, r, [bitmap])
-                assert code == (-1 if verdict else 0), (bitmap, g, up, flip, verdict)
-                if not verdict:
-                    assert len(out) == len(nxt) and set(out) == nxt
+                code = _check_level(compiled_kernel, [0], [bitmap], [eff ^ flip], [up], g, r)
+                assert code == (-1 if verdict or flip else len(nxt)), (bitmap, g, up, flip, verdict)
     # each Python failure, and a pass, is met
     assert set(seen) >= {
         None,
@@ -453,19 +457,30 @@ def test_compiled_trees_check_sees_what_the_python_checks_see(compiled_kernel):
 
 def test_compiled_trees_check_refuses_repeats_and_wrong_depths(compiled_kernel):
     # faults that only a broken walk makes, each seen by one check: a node
-    # repeated in the walk, more often than in the expansion of the genus
-    # before (a level larger than the genus, whose buffers exceed ctypes'
-    # 16 inline bytes, so that ASan watches them) or as often, a node one
-    # level too deep, and a non-semigroup with 4 of the members <= 4,
-    # deeper than any genus-4 node can be (the Python loop raises on it)
-    node, g, r = next(node for node in tree._nodes(8) if node[1:] == (8, 1))
-    up = [_ordinarize_bitmap(node, g)]
-    assert _check_level(compiled_kernel, [0], [node], [0], up, g, r, [node]) == (0, [])
-    assert _check_level(compiled_kernel, [0] * 4, [node] * 4, [0] * 4, up, g, r, [node] * 3)[0] == -1
-    assert _check_level(compiled_kernel, [0, 0], [node, node], [0, 0], up, g, r, [node, node])[0] == -1
-    assert _check_level(compiled_kernel, [0], [node], [0], up, g, r + 1, [node])[0] == -1
+    # repeated four times (buffers past ctypes' 16 inline bytes, so that
+    # ASan watches them), twice, or around a node of a later parent, and
+    # the root twice; a node one level too deep; and a non-semigroup with
+    # 4 of the members <= 4, deeper than any genus-4 node can be (the
+    # Python loop raises on it)
+    node, g, r = next(node for node in tree._nodes(8) if node[1:] == (8, 1) and tree._effective_generators(node[0], 8))
+    up, eff = [_ordinarize_bitmap(node, g)], tree._effective_generators(node, g)
+    assert _check_level(compiled_kernel, [0], [node], [eff], up, g, r) == eff.bit_count()
+    assert _check_level(compiled_kernel, [0] * 4, [node] * 4, [eff] * 4, up, g, r) == -1
+    assert _check_level(compiled_kernel, [0, 0], [node, node], [eff, eff], up, g, r) == -1
+    assert _check_level(compiled_kernel, [0], [node], [eff], up, g, r + 1) == -1
     deep = 0b1000011111  # gaps 5 to 8
-    assert _check_level(compiled_kernel, [0], [deep], [0], [_ordinarize_bitmap(deep, 4)], 4, 4, [deep])[0] == -1
+    assert _check_level(compiled_kernel, [0], [deep], [0], [_ordinarize_bitmap(deep, 4)], 4, 4) == -1
+    # the root twice at depth 0, each its own parent
+    root = Semigroup.ordinary(g).bitmap
+    root_eff = tree._effective_generators(root, g)
+    assert _check_level(compiled_kernel, [0], [root], [root_eff], [root], g, 0) == g + 1
+    assert _check_level(compiled_kernel, [0, 1], [root] * 2, [root_eff] * 2, [root] * 2, g, 0) == -1
+    # the first and the last (parent, child, eff) at depth 2, then the first again
+    (_, up, _), level = itertools.islice(tree._tg_levels(g), 1, 3)
+    nodes = [[list(x)[i] for x in level] for i in (0, -1, 0)]
+    assert nodes[0][0] < nodes[1][0]
+    assert _check_level(compiled_kernel, *zip(*nodes[:2]), up, g, 2) == sum(eff.bit_count() for *_, eff in nodes[:2])
+    assert _check_level(compiled_kernel, *zip(*nodes), up, g, 2) == -1
 
 
 def test_compiled_trees_check_expands_genus_30_into_bit_63(compiled_kernel):
@@ -474,45 +489,47 @@ def test_compiled_trees_check_expands_genus_30_into_bit_63(compiled_kernel):
     for g in (30, 31):
         levels = [tuple(map(list, level)) for level in itertools.islice(tree._tg_levels(g), 2)]
         (_, (root,), _), (parents, children, effs) = levels
-        code, out = _check_level(compiled_kernel, parents, children, effs, [root], g, 1, children, expand=g < 31)
-        assert code == 0, g
+        code = _check_level(compiled_kernel, parents, children, effs, [root], g, 1, expand=g < 31)
         if g == 30:
             want, bad = set(), analytics._Counterexamples()
             for child, eff in zip(children, effs):
                 analytics._expand_checked(child, g, eff, root, want, bad)
-            assert bad.best is None and len(out) == len(want) and set(out) == want
-            assert all(child >> 63 for child in out)
-        # a node with its top member dropped no longer transforms to the root
+            assert bad.best is None and code == len(want)
+            assert all(child >> 63 for child in want)
+        else:
+            assert code == 0
+        # a node with its top member dropped is no semigroup of genus g
         broken = [children[0] ^ 1 << (2 * g + 1)] + children[1:]
-        assert _check_level(compiled_kernel, parents, broken, effs, [root], g, 1, broken, expand=g < 31)[0] == -1
+        assert _check_level(compiled_kernel, parents, broken, effs, [root], g, 1, expand=g < 31) == -1
 
 
-def test_compiled_trees_check_sorts_the_whole_word_at_genus_31(compiled_kernel):
-    # a hand-built depth-1 level under the ordinary root of genus 31: each
-    # node adds one member m <= 7 and drops one F >= 32, which the
-    # transform trades back, so nodes of one F differ only in the bottom
-    # byte, and nodes of one m with F >= 56 only in the top one.  The
-    # walk's nodes come in one order and the expansion in the reverse: a
-    # sort that skipped the top or the bottom byte would keep the nodes
-    # that differ only there in their input orders, which differ
-    root = Semigroup.ordinary(31).bitmap
-    level = [root & ~(1 << f) | 1 << m for m in range(1, 8) for f in range(32, 64)]
-    assert all(_ordinarize_bitmap(node, 31) == root for node in level)
+def test_compiled_trees_check_orders_siblings_and_sums_at_genus_31(compiled_kernel):
+    # the 360 nodes at depth 1 of genus 31, whose window [0, 63] is the
+    # whole word, under the ordinary root in increasing (multiplicity,
+    # Frobenius number): out of that order, with a sibling replaced by a
+    # copy of its neighbour, or with bit 0 or 63 of a node flipped, the
+    # level fails
+    (_, (root,), _), (_, level, _) = (tuple(map(list, level)) for level in itertools.islice(tree._tg_levels(31), 2))
 
-    def check(seen, expected):
-        n = len(seen)
-        return _check_level(compiled_kernel, [0] * n, seen, [0] * n, [root], 31, 1, expected, expand=False)[0]
+    def check(nodes):
+        return _check_level(compiled_kernel, [0] * len(nodes), nodes, [0] * len(nodes), [root], 31, 1, expand=False)
 
-    assert check(level, level[::-1]) == 0
+    assert check(level) == 0
+    assert check(level[::-1]) == -1
+    assert check(level[:1] + level[2:3] + level[1:2] + level[3:]) == -1
+    assert check(level[:100] + level[99:100] + level[101:]) == -1
     for bit in (0, 63):
-        flipped = level[:100] + [level[100] ^ 1 << bit] + level[101:]
-        assert check(level, flipped[::-1]) == -1, bit
-        assert check(flipped, level[::-1]) == -1, bit
-    # a repeat: the same multiset on both sides, or on one side only
-    repeated = level[:-1] + level[:1]
-    assert check(repeated, repeated[::-1]) == -1
-    assert check(repeated, level[::-1]) == -1
-    assert check(level, repeated[::-1]) == -1
+        assert check(level[:100] + [level[100] ^ 1 << bit] + level[101:]) == -1, bit
+    # the root plus one b in [16, 31] less 63, put where its key (b, 63)
+    # sorts: g gaps, the root as its transform and depth 1, but
+    # b + (63 - b) = 63 is no member, the one sum that misses, which only
+    # a sum set that keeps bit 63 sees
+    multiplicities = [(node & -2 & -(node & -2)).bit_length() - 1 for node in level]
+    assert sorted(set(multiplicities)) == [*range(16, 32)]
+    for b in range(16, 32):
+        node, at = root ^ 1 << 63 | 1 << b, multiplicities.index(b) + multiplicities.count(b)
+        assert _ordinarize_bitmap(node, 31) == root
+        assert check(level[:at] + [node] + level[at:]) == -1, b
 
 
 def _dot_or_refusal(g: int, cap: int) -> str:
