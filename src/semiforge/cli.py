@@ -49,7 +49,7 @@ def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=_non_negative,
         metavar="N",
-        help=f"worker processes, 0 = one per usable CPU (default; ${WORKERS_ENV} overrides)",
+        help=f"worker threads or forked processes, 0 = one per usable CPU (default; ${WORKERS_ENV} overrides)",
     )
 
 

@@ -27,18 +27,10 @@ its oracle, everywhere else, with the same result.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .semigroup import Semigroup
-from .tree import _THREAD_MIN_TASKS, _WORD_GMAX, _compiled_kernel, _nodes, _run_tasks
-
-# f_value has one task per semigroup of genus w, and the Python descent
-# forks only from this many (2 CPUs, Python 3.11; median ms, serial vs
-# 2-worker pool, interleaved pairs): w = 9 (118 tasks) 12 vs 27 (pool faster
-# in 0/21); w = 10 (204) sits on the crossover, 40-64 vs 42-47 over runs of
-# 11, 21 and 21 pairs, faster in 10/11, 9/21, 18/21, against 1/15, 18/21 and
-# 2/21 earlier; w = 11 (343) 132-159 vs 82-87 (11/11, 21/21).
-_F_POOL_MIN_TASKS = 343
+from .tree import _WORD_GMAX, _compiled_kernel, _nodes, _run_tasks
 
 
 class PreconditionViolated(ValueError):
@@ -203,11 +195,7 @@ def count_closed_sets(omega: Semigroup, size: int) -> int:
 
 def _f_worker(payload: tuple[list[int], int]) -> int:
     bitmaps, genus = payload
-    total = 0
-    for bm in bitmaps:
-        omega = Semigroup._from_bitmap(bm, genus)
-        total += count_closed_sets(omega, genus + 1)
-    return total
+    return sum(count_closed_sets(Semigroup._from_bitmap(bm, genus), genus + 1) for bm in bitmaps)
 
 
 def _f_worker_compiled(payload: tuple[Iterable[int], int]) -> int:
@@ -223,15 +211,6 @@ def _f_worker_compiled(payload: tuple[Iterable[int], int]) -> int:
     return sum(_compiled_kernel().semiforge_closed((c_uint64 * len(c))(*c), len(c), genus) for c in chunks)
 
 
-def _f_plan(genus: int) -> tuple[Callable, int, bool]:
-    """The worker that sums the closed-set counts over genus ``genus``, the
-    fewest tasks for which sharing them pays, and whether threads share them:
-    the compiled kernel where it loads and the window fits its word, else ``_f_worker``."""
-    if genus <= _WORD_GMAX and _compiled_kernel():
-        return _f_worker_compiled, _THREAD_MIN_TASKS, True
-    return _f_worker, _F_POOL_MIN_TASKS, False
-
-
 def f_value(omega_genus: int, *, workers: int = 1) -> int:
     """Sum of the closed-set counts of size w+1 over every semigroup of
     genus w.  Equals the number of genus-g semigroups at depth r whenever
@@ -239,8 +218,9 @@ def f_value(omega_genus: int, *, workers: int = 1) -> int:
     if omega_genus < 0:
         raise ValueError("genus must be non-negative")
     bitmaps = [bm for bm, g, _r in _nodes(omega_genus) if g == omega_genus]
-    worker, *share = _f_plan(omega_genus)
-    return sum(_run_tasks(worker, bitmaps, omega_genus, workers, *share))
+    compiled = omega_genus <= _WORD_GMAX and _compiled_kernel() is not None
+    worker = _f_worker_compiled if compiled else _f_worker
+    return sum(_run_tasks(worker, bitmaps, omega_genus, workers, compiled))
 
 
 # ----------------------------------------------------------------------

@@ -27,12 +27,12 @@ child, one task, by one walk (``_subtree``) in which every child
 inherits its effective generators from its parent.  A table tallies the
 spine directly and counts its tasks by a C kernel, built on first use by
 the system C compiler, or by that walk where the kernel cannot load, in
-process or shared by threads (the kernel releases the GIL) or forked
-workers (the walk); the tallies merge by addition, so results do not
-depend on the worker count.  The same tasks, walked the same ways, tally
-the histogram (``_histogram``) by genus, depth, number of gap intervals
-and whether an odd member <= genus is left, on which the ``parity`` and
-``intervals`` checks are decided.
+process, or shared by threads where the kernel runs (it releases the
+GIL) and by forked children where the walk does; the tallies merge by
+addition, so results do not depend on the worker count.  The same
+tasks, walked the same ways, tally the histogram (``_histogram``) by
+genus, depth, number of gap intervals and whether an odd member <= genus
+is left, on which the ``parity`` and ``intervals`` checks are decided.
 
 The fixed-genus tree is walked breadth first (``_tg_levels``) from the
 root at depth 0, holding one whole level while it builds the next (the
@@ -59,12 +59,11 @@ if TYPE_CHECKING:
     import ctypes
     from array import array
 
-# Forking a pool costs more than the work it shares below this many
-# tasks (2 CPUs, Python 3.11; median ms, serial vs 2-worker pool, 21
-# interleaved pairs): count_matrix(20) (190 tasks) 53 vs 83 (pool faster
-# in 4), count_matrix(21) (210) 77 vs 62 (16), count_matrix(22) (231) 126
-# vs 106 (19).  ``closedsets`` measures its own cutoffs.
-_POOL_MIN_TASKS = 200
+# Forked children share the Python walks' tasks, a table's or an f-value's,
+# from this many (2 CPUs, Python 3.11; median ms, one process vs two, 15
+# pairs of fresh interpreters): count_matrix(20) (190 tasks) 35.7 vs 35.6,
+# (21) (210) 74.6 vs 46.8; f_value(9) (118) 14.3 vs 18.0, (10) (204) 33.7 vs 24.4.
+_FORK_MIN_TASKS = 200
 
 # Threads share a compiled kernel's tasks, a table's or an f-value's, from
 # this many (2 CPUs, Python 3.11; median ms, one thread vs two, pairs of 21
@@ -91,6 +90,7 @@ _INT_MAX = 2**31 - 1
 _COMPILED_TG_MIN_GENUS = 13
 _WORD = (1 << 64) - 1
 _kernel = None
+_pin = getattr(os, "sched_setaffinity", lambda _pid, _cpus: None)  # sets a thread's CPUs, where it can
 
 
 class TooLarge(RuntimeError):
@@ -463,15 +463,6 @@ def _build_kernel(source: str, library: str) -> None:
                 os.remove(os.path.join(cache, old))
 
 
-def _count_plan(g_max: int) -> tuple[Callable, int, bool]:
-    """The worker that counts a table to ``g_max``, the fewest tasks for
-    which sharing them pays, and whether threads share them: the compiled
-    kernel where it loads and g_max <= _KERNEL_GMAX, else ``_count_worker``."""
-    if g_max <= _KERNEL_GMAX and _compiled_kernel():
-        return _count_worker_compiled, _THREAD_MIN_TASKS, True
-    return _count_worker, _POOL_MIN_TASKS, False
-
-
 def _tg_children_raw(bitmap: int, genus: int, eff: int) -> list[tuple[int, int]]:
     """Children in the fixed-genus tree, ordered by (added b, removed a), of
     the semigroup ``bitmap`` with effective generators ``eff``, each as
@@ -623,17 +614,17 @@ def _usable_cpus() -> list[int]:
     return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [*range(os.cpu_count() or 1)]
 
 
-def _run_tasks(fn: Callable, tasks: list, arg: object, workers: int, min_tasks: int, threads: bool) -> list:
-    """fn((tasks, arg)) in this thread when there is one worker or fewer
-    than ``min_tasks`` tasks, too few to pay for sharing them; else shared
-    by threads (``threads``: fn calls the compiled kernel, which releases
-    the GIL) or forked processes.  ``workers`` = 0 means one per usable CPU."""
+def _run_tasks(fn: Callable, tasks: list, arg: object, workers: int, compiled: bool) -> list:
+    """fn((tasks, arg)) in this thread when there is one worker or too few tasks to pay for sharing
+    them; else shared by threads from _THREAD_MIN_TASKS where fn runs the compiled kernel
+    (``compiled``), which releases the GIL, and by forked children from _FORK_MIN_TASKS, where it
+    does not.  ``workers`` = 0 means one per usable CPU."""
     if workers < 0:
         raise ValueError("workers must be >= 0")
     workers = workers or len(_usable_cpus())
-    if workers == 1 or len(tasks) < min_tasks:
+    if workers == 1 or len(tasks) < (_THREAD_MIN_TASKS if compiled else _FORK_MIN_TASKS):
         return [fn((tasks, arg))]
-    return (_thread_map if threads else _fork_map)(fn, tasks, arg, workers)
+    return (_thread_map if compiled else _fork_map)(fn, tasks, arg, workers)
 
 
 def _thread_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
@@ -645,11 +636,10 @@ def _thread_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
     import threading
 
     cpus, claims, results = _usable_cpus(), iter(tasks), []
-    pin = getattr(os, "sched_setaffinity", lambda _pid, _cpus: None)
 
     def work(cpu: int) -> None:
         try:
-            pin(0, {cpu})
+            _pin(0, {cpu})
             results.append(fn((claims, arg)))
         except BaseException as exc:
             results.insert(0, exc)
@@ -663,27 +653,54 @@ def _thread_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
     finally:
         for thread in filter(threading.Thread.is_alive, threads):  # not one that failed to start
             thread.join()
-        pin(0, cpus)  # this thread's CPUs, as they were
+        _pin(0, cpus)  # this thread's CPUs, as they were
     if isinstance(results[0], BaseException):
         raise results[0]
     return results
 
 
 def _fork_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
-    """fn((chunk, arg)) over four chunks of ``tasks`` per worker, in a pool
-    of forked processes; results come back in completion order.  Workers
-    beyond the usable CPUs would only wait for one, so they are not started.
+    """fn((tasks[i::k], arg)) for i < k = min(workers, usable CPUs, tasks): i = 0 in this process,
+    each other i in a child forked for it and pinned to a usable CPU of its own, which pickles its
+    result or error back through a pipe.  A child's error, or MemoryError for one that a signal
+    killed, is raised once all are reaped; if this process fails, it kills them first."""
+    import pickle
+    import signal
 
-    Chunks are strided (``tasks[i::n]``), so neighbouring tasks, which
-    tend to be alike in size, land in different chunks.
-    """
-    import multiprocessing  # loaded only by runs that fork
-
-    workers = min(workers, len(_usable_cpus()))
-    n = min(4 * workers, len(tasks))
-    payloads = [(tasks[i::n], arg) for i in range(n)]
-    with multiprocessing.get_context("fork").Pool(min(workers, n)) as pool:
-        return list(pool.imap_unordered(fn, payloads))
+    cpus, children = _usable_cpus(), []
+    k = min(workers, len(cpus), len(tasks))
+    with contextlib.ExitStack() as pipes:  # closes every end, whatever fails
+        try:
+            for i in range(1, k):
+                read, write = map(pipes.enter_context, map(open, os.pipe(), ("rb", "wb")))
+                pid = os.fork()
+                if not pid:
+                    try:
+                        try:
+                            _pin(0, {cpus[i]})
+                            out = fn((tasks[i::k], arg))
+                        except BaseException as exc:
+                            out = exc
+                        pickle.dump(out, write)
+                        write.flush()
+                    finally:
+                        os._exit(0)
+                write.close()
+                children.append((pid, read))
+            results = [fn((tasks[::k], arg))]
+        except BaseException:
+            for pid, _read in children:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:  # each reply is read first: one past the pipe's buffer blocks its child until read
+            replies = [(read.read(), os.waitpid(pid, 0)[1]) for pid, read in children]
+    for reply, status in replies:
+        killed = os.WIFSIGNALED(status) and signal.Signals(os.WTERMSIG(status)).name
+        results.append(MemoryError(f"a forked worker was killed by {killed}") if killed else pickle.loads(reply))
+    for out in results:
+        if isinstance(out, BaseException):
+            raise out
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -759,15 +776,16 @@ def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
     spine node is one task, g_max*(g_max - 1)/2 in all, counted in this
     thread or shared among workers (see ``_run_tasks``), by the compiled
     kernel where it loads and g_max <= 62 (on 64-bit words to 31), else
-    by ``_count_into`` (see ``_count_plan``).  Tallies merge by addition;
+    by ``_count_into``.  Tallies merge by addition;
     a table too large for the memory raises MemoryError before any count.
     """
     _check_table(g_max, (g_max + 1) * (g_max // 2 + 1))
     rows = _empty_rows(g_max)
     for row in rows:
         row[0] += 1  # the spine: one ordinary semigroup per genus, at depth 0
-    worker, *share = _count_plan(g_max)
-    for part in _run_tasks(worker, _spine_tasks(g_max), g_max, workers, *share):
+    compiled = g_max <= _KERNEL_GMAX and _compiled_kernel() is not None
+    worker = _count_worker_compiled if compiled else _count_worker
+    for part in _run_tasks(worker, _spine_tasks(g_max), g_max, workers, compiled):
         for row, counts in zip(rows, part):
             for r, c in enumerate(counts):
                 row[r] += c
@@ -778,12 +796,12 @@ def _histogram(g_max: int, *, workers: int = 1) -> list[list[list[int]]]:
     """hist[g][r][2n + odd]: how many semigroups of genus g <= g_max have
     depth r, n gap intervals and (odd = 1) or no (odd = 0) odd member <= g.
     The spine is tallied directly and the count tasks of ``count_matrix``
-    by ``semiforge_hist`` or ``_hist_into``, with its workers and cutoffs
-    (``_count_plan``, ``_run_tasks``); tallies merge by addition."""
+    by ``semiforge_hist`` or ``_hist_into``, with its workers and floors
+    (``_run_tasks``); tallies merge by addition."""
     _check_table(g_max, 2 * (g_max + 1) ** 2 * (g_max // 2 + 1))
-    worker, *share = _count_plan(g_max)
-    worker = _hist_worker_compiled if worker is _count_worker_compiled else _hist_worker
-    parts = _run_tasks(worker, _spine_tasks(g_max), g_max, workers, *share)
+    compiled = g_max <= _KERNEL_GMAX and _compiled_kernel() is not None
+    worker = _hist_worker_compiled if compiled else _hist_worker
+    parts = _run_tasks(worker, _spine_tasks(g_max), g_max, workers, compiled)
     hist = _empty_hist(g_max)
     for g, row in enumerate(hist):
         row[0][2 * (g > 0)] += 1  # the ordinary semigroup: gaps 1..g, one interval, no member in 1..g

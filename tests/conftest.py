@@ -1,7 +1,6 @@
 import os
 import threading
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -20,8 +19,34 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 
 
 @pytest.fixture
-def fork_calls(monkeypatch) -> list[tuple[int, int]]:
-    """(number of tasks, workers) of every fork-pool run; the pool still runs."""
+def forks(monkeypatch) -> list[list[int]]:
+    """The pids of the children that each ``_fork_map`` call forked, one
+    list a call; the children still run.  A call that would fork more than
+    one child per usable CPU besides its own fails the test before it forks."""
+    calls: list[list[int]] = []
+    fork_map, fork, room = tree._fork_map, os.fork, len(tree._usable_cpus()) - 1
+
+    def map_spy(*args, **kwargs):
+        calls.append([])
+        return fork_map(*args, **kwargs)
+
+    def fork_spy():
+        if len(calls[-1]) >= room:
+            pytest.fail(f"one call forked more than {room} children")
+        pid = fork()
+        if pid:
+            calls[-1].append(pid)
+        return pid
+
+    monkeypatch.setattr(tree, "_fork_map", map_spy)
+    monkeypatch.setattr(os, "fork", fork_spy)
+    return calls
+
+
+@pytest.fixture
+def fork_calls(monkeypatch, forks) -> list[tuple[int, int]]:
+    """(number of tasks, workers) of every run shared with forked children,
+    each held to the usable CPUs (see ``forks``); the children still run."""
     calls: list[tuple[int, int]] = []
     fork_map = tree._fork_map
 
@@ -60,32 +85,6 @@ def threads_made(monkeypatch) -> list[threading.Thread]:
 
     monkeypatch.setattr(threading, "Thread", Spy)
     return made
-
-
-@pytest.fixture
-def fake_pool(monkeypatch) -> list[tuple[int, int]]:
-    """(size, number of chunks) of every fork pool; each pool is faked to
-    map in this process, so that no worker starts whatever the request."""
-    import multiprocessing
-
-    pools: list[tuple[int, int]] = []
-
-    class Pool:
-        def __init__(self, size):
-            self.size = size
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap_unordered(self, fn, payloads):
-            pools.append((self.size, len(payloads)))
-            return map(fn, payloads)
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
-    return pools
 
 
 @pytest.fixture

@@ -236,11 +236,12 @@ def test_a_raising_pairing_is_a_counterexample(error, monkeypatch, capsys):
     assert json.loads(captured.out)["counterexample"] == f"g=6 r=3: {error.__name__}: doctored"
 
 
-def test_a_forking_table_keeps_the_contract(fake_pool, python_kernel, capsys):
+def test_a_forking_table_keeps_the_contract(forks, python_kernel, capsys):
     assert run(["table", "--gmax", "22", "--workers", "3"]) == 0
     want = tuple(tuple(COUNTS_BY_GENUS[g]) for g in range(23))
     assert CountMatrix.from_csv(capsys.readouterr().out).rows == want
-    assert fake_pool  # the 231 tasks went through the pool
+    # the 231 tasks were shared with a child per usable CPU besides the caller's, up to 2
+    assert [len(pids) for pids in forks] == [min(3, len(tree._usable_cpus())) - 1]
 
 
 def test_cli_import_loads_no_heavy_modules():

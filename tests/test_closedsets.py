@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from semiforge import (
     PreconditionViolated,
     Semigroup,
-    closedsets,
     decompose,
     enumerate_genus,
     f_value,
     max_ordinarization_attainer,
+    tree,
 )
 from semiforge.closedsets import (
     ClosedSet,
@@ -133,12 +133,12 @@ def test_f_sequence_prefix():
 
 def test_f_value_workers_deterministic(fork_calls, python_kernel):
     # one task per semigroup of genus w; the Python descent forks from
-    # genus 11, since at genus 10 the pool wins no reliable time
-    assert sum(COUNTS_BY_GENUS[10]) < closedsets._F_POOL_MIN_TASKS <= sum(COUNTS_BY_GENUS[11])
-    assert f_value(11, workers=2) == F_SEQUENCE[11]
-    assert fork_calls == [(343, 2)]  # the genus-11 semigroups
+    # genus 10, on the floor that the Python tables use
+    assert sum(COUNTS_BY_GENUS[9]) < tree._FORK_MIN_TASKS <= sum(COUNTS_BY_GENUS[10])
     assert f_value(10, workers=2) == F_SEQUENCE[10]
-    assert len(fork_calls) == 1  # the 204 semigroups of genus 10 stay serial
+    assert fork_calls == [(204, 2)]  # the genus-10 semigroups
+    assert f_value(9, workers=2) == F_SEQUENCE[9]
+    assert len(fork_calls) == 1  # the 118 semigroups of genus 9 stay serial
 
 
 @pytest.mark.parametrize("w", [12, 13])

@@ -64,14 +64,36 @@ def test_compiled_kernel_matches_python_in_the_top_word(compiled_kernel):
         assert tree._count_worker_compiled(payload) == tree._count_worker(payload), task
 
 
+def _shares(monkeypatch, module) -> list[tuple[object, bool]]:
+    """(worker, whether the kernel runs it) of every ``_run_tasks`` call
+    that ``module`` makes, which now runs no task and returns no tally."""
+    shares: list[tuple[object, bool]] = []
+
+    def record(fn, tasks, arg, workers, compiled):
+        shares.append((fn, compiled))
+        return []
+
+    monkeypatch.setattr(module, "_run_tasks", record)
+    return shares
+
+
 def test_compiled_kernel_counts_to_genus_62(compiled_kernel, monkeypatch):
-    # threads share the compiled kernel's tasks, forked processes the Python walk's
-    assert tree._count_plan(62) == (tree._count_worker_compiled, tree._THREAD_MIN_TASKS, True)
-    assert tree._count_plan(63) == (tree._count_worker, tree._POOL_MIN_TASKS, False)
+    # the kernel's tasks are shared by threads, from _THREAD_MIN_TASKS,
+    # and the Python walk's by forked children, from _FORK_MIN_TASKS
+    shares = _shares(monkeypatch, tree)
+    for g_max in (62, 63):
+        count_matrix(g_max)
+        tree._histogram(g_max)
     with pytest.raises(ValueError, match="genus 62, not 63"):
         tree._count_worker_compiled(([], 63))
     monkeypatch.setattr(tree, "_kernel", False)
-    assert tree._count_plan(62) == (tree._count_worker, tree._POOL_MIN_TASKS, False)
+    count_matrix(62)
+    tree._histogram(62)
+    assert shares == [
+        (tree._count_worker_compiled, True), (tree._hist_worker_compiled, True),
+        (tree._count_worker, False), (tree._hist_worker, False),
+        (tree._count_worker, False), (tree._hist_worker, False),
+    ]
 
 
 def test_compiled_tables_match_python_at_1_2_3_workers(compiled_kernel, fork_calls, thread_calls, monkeypatch):
@@ -196,14 +218,15 @@ def test_compiled_f_value_matches_the_published_sequence(compiled_kernel):
 
 
 def test_compiled_kernel_counts_closed_sets_to_genus_31(compiled_kernel, monkeypatch):
-    compiled = (closedsets._f_worker_compiled, tree._THREAD_MIN_TASKS, True)
-    python = (closedsets._f_worker, closedsets._F_POOL_MIN_TASKS, False)
-    assert closedsets._f_plan(31) == compiled
-    assert closedsets._f_plan(32) == python
+    shares = _shares(monkeypatch, closedsets)
+    monkeypatch.setattr(closedsets, "_nodes", lambda g: iter(()))  # lists no semigroup of genus 31
+    assert f_value(31) == f_value(32) == 0
     with pytest.raises(ValueError, match="genus 31, not 32"):
         closedsets._f_worker_compiled(([], 32))
     monkeypatch.setattr(tree, "_kernel", False)
-    assert closedsets._f_plan(31) == python
+    assert f_value(31) == 0
+    compiled, python = (closedsets._f_worker_compiled, True), (closedsets._f_worker, False)
+    assert shares == [compiled, python, python]
 
 
 def test_compiled_f_value_forks_only_from_genus_15(compiled_kernel, fork_calls, thread_calls):

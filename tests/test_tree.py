@@ -4,7 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import threading
+import time
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -123,8 +126,8 @@ def test_count_matrix_matches_reference_to_16():
 
 def test_count_matrix_workers_deterministic(fork_calls, python_kernel):
     # one task per non-ordinary child of the ordinary semigroups of genus
-    # 0..g-1, so g = 21 is the first table with enough tasks for a pool
-    assert sum(range(20)) < tree._POOL_MIN_TASKS <= sum(range(21))
+    # 0..g-1, so g = 21 is the first table with enough tasks to fork
+    assert sum(range(20)) < tree._FORK_MIN_TASKS <= sum(range(21))
     assert count_matrix(21, workers=2) == count_matrix(21, workers=1)
     assert fork_calls == [(sum(range(21)), 2)]
     assert count_matrix(20, workers=3) == count_matrix(20, workers=1)
@@ -149,38 +152,43 @@ def test_negative_workers_rejected(monkeypatch):
 
 
 def test_serial_runs_never_import_multiprocessing():
-    # runs below the pool cutoff stay in process, so the module that forks
-    # is never loaded; a fresh interpreter, since pytest may load it itself
+    # runs below the fork floor stay in process, and the Python walks fork
+    # by os.fork, so the module is never loaded; a fresh interpreter, since
+    # pytest may load it itself
     code = (
         "import sys, semiforge\n"
-        "from semiforge import cli\n"
+        "from semiforge import cli, tree\n"
         "semiforge.count_matrix(20, workers=2)\n"
         "semiforge.f_value(9, workers=2)\n"
+        "tree._kernel = False\n"
+        "tree._fork_map = lambda *args, fork_map=tree._fork_map: print('forked') or fork_map(*args)\n"
+        "print(semiforge.count_matrix(21, workers=2).row(21), semiforge.f_value(10, workers=2))\n"
         "print('multiprocessing' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == f"forked\nforked\n{tuple(COUNTS_BY_GENUS[21])} {F_SEQUENCE[10]}\nFalse\n"
 
 
-def test_fork_map_more_workers_than_chunks():
-    # the two non-ordinary children of {0, 3, 4, 5, ...}: remove 4 or 5
+def test_fork_map_more_workers_than_chunks(forks):
+    # the two non-ordinary children of {0, 3, 4, 5, ...}: remove 4 or 5;
+    # one child takes the second, where two CPUs are usable
     _ordinary, *kids = children_in_T(Semigroup.ordinary(2))
     tasks = [node(kid) for kid in kids]
     assert [kid.gaps() for kid in kids] == [(1, 2, 4), (1, 2, 5)]
     parts = tree._fork_map(tree._count_worker, tasks, 12, workers=5)
-    assert len(parts) == 2
+    assert len(parts) == min(2, len(tree._usable_cpus())) == len(forks[0]) + 1
     merged = [[sum(cells) for cells in zip(*rows)] for rows in zip(*parts)]
     assert merged == tree._count_worker((tasks, 12))
 
 
-def test_pools_start_no_more_workers_than_usable_cpus(fake_pool, fork_calls, python_kernel):
-    # no worker is started whatever the request; both kernels share the
-    # pool, and the Python one forks the smallest tables
+def test_pools_start_no_more_workers_than_usable_cpus(forks, fork_calls, python_kernel):
+    # whatever the request, a call forks one child per usable CPU besides
+    # its own (``forks`` fails the test before one more would start)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     want = tuple(tuple(COUNTS_BY_GENUS[g]) for g in range(22))
     assert count_matrix(21, workers=1000).rows == count_matrix(21, workers=0).rows == want
     assert f_value(11, workers=5000) == F_SEQUENCE[11]
-    assert fake_pool and all(size <= cpus and chunks <= 4 * cpus for size, chunks in fake_pool)
+    assert forks and all(len(pids) == cpus - 1 for pids in forks)
     # workers = 0 asks for one per usable CPU, and one CPU counts serially
     assert [workers for _tasks, workers in fork_calls] == [1000] + ([cpus] if cpus > 1 else []) + [5000]
 
@@ -233,6 +241,105 @@ def test_a_kernel_failure_in_a_thread_fails_the_call_and_stops_every_thread(kern
     out, err = capsys.readouterr()
     assert out == "" and err == "the compiled count kernel could not allocate its stack\n"
     assert threading.active_count() == baseline and os.sched_getaffinity(0) == cpus
+
+
+def test_back_to_back_forks_never_warn(forks, python_kernel):
+    # Python 3.12 and later warn on a fork while the process has another
+    # thread, as a multiprocessing pool's helpers could leave behind
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        for _ in range(20):
+            assert count_matrix(22, workers=2).row(22) == tuple(COUNTS_BY_GENUS[22])
+    assert [w for w in seen if issubclass(w.category, DeprecationWarning) and "fork" in str(w.message)] == []
+    assert len(forks) == 20
+
+
+def _reaped(pid: int) -> bool:
+    """Whether the child ``pid`` of this process has been waited for."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.fixture
+def doctored_walk(python_kernel, monkeypatch):
+    """Makes ``_count_into`` call ``child`` first in a forked child and
+    ``caller`` first in this process, each a function of no argument."""
+    _needs_two_cpus()
+    pid, count_into = os.getpid(), tree._count_into
+
+    def doctor(child=lambda: None, caller=lambda: None):
+        def doctored(*args):
+            (caller if os.getpid() == pid else child)()
+            return count_into(*args)
+
+        monkeypatch.setattr(tree, "_count_into", doctored)
+
+    return doctor
+
+
+def _fail(message: str):
+    def fail():
+        raise MemoryError(message)
+
+    return fail
+
+
+def test_an_error_in_a_forked_child_fails_the_call(doctored_walk, forks, capsys):
+    cpus = os.sched_getaffinity(0)
+    doctored_walk(child=_fail("out of memory in a child"))
+    with pytest.raises(MemoryError, match="in a child"):
+        count_matrix(22, workers=2)
+    assert run(["table", "--gmax", "22", "--workers", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "out of memory in a child\n"
+    assert [len(pids) for pids in forks] == [1, 1] and all(_reaped(pid) for pids in forks for pid in pids)
+    assert os.sched_getaffinity(0) == cpus
+
+
+def test_a_failing_caller_kills_its_forked_children(doctored_walk, forks):
+    cpus = os.sched_getaffinity(0)
+    # the child sleeps, then leaves unheard: a caller that waited for it would take 20 s
+    doctored_walk(child=lambda: time.sleep(20) or os._exit(0), caller=_fail("out of memory in the caller"))
+    started = time.perf_counter()
+    with pytest.raises(MemoryError, match="in the caller"):
+        count_matrix(22, workers=2)
+    assert time.perf_counter() - started < 10
+    assert [len(pids) for pids in forks] == [1] and _reaped(forks[0][0])
+    assert os.sched_getaffinity(0) == cpus
+
+
+def test_a_child_killed_by_a_signal_fails_the_call_instead_of_hanging():
+    # a multiprocessing pool would wait for the killed worker for ever, so
+    # the table is counted in a fresh interpreter under a timeout
+    _needs_two_cpus()
+    code = textwrap.dedent(
+        """
+        import os, signal
+        from semiforge import cli, tree
+
+        tree._kernel = False
+        caller, cpus, count_into = os.getpid(), os.sched_getaffinity(0), tree._count_into
+
+        def doctored(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return count_into(*args)
+
+        tree._count_into = doctored
+        print(cli.run(["table", "--gmax", "22", "--workers", "2"]))
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            print("every child reaped")
+        print(os.sched_getaffinity(0) == cpus)
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "2\nevery child reaped\nTrue\n"
+    assert proc.stderr == "a forked worker was killed by SIGKILL\n"
 
 
 def test_threads_leave_the_callers_cpus_as_they_were(compiled_kernel):
@@ -293,7 +400,7 @@ def test_tables_too_large_for_the_memory_are_refused_before_anything_is_built(mo
     def never(*_args):
         raise AssertionError("built a table past the memory")
 
-    for name in ("_empty_rows", "_empty_hist", "_spine_tasks", "_count_plan"):
+    for name in ("_empty_rows", "_empty_hist", "_spine_tasks", "_compiled_kernel"):
         monkeypatch.setattr(tree, name, never)
     for g_max in (10**7, 10**20):
         with pytest.raises(MemoryError):
