@@ -15,18 +15,23 @@
    place of (genus, depth).  It is a function of its own, so that the
    count's tally stays as it is.
 
-   Each of these two walks is one source text, at the end of this file,
-   over the word type WORD: the file includes itself once with WORD a
-   uint64_t and once with it an unsigned __int128.  The walks stay in
+   semiforge_f_value is semiforge.closedsets._f_worker: the count's walk
+   from one task, or from the ordinary semigroup of genus w, to genus w,
+   where each node of genus w adds its closed sets of size w + 1 that
+   contain 0 (closed_one, the counting branch of
+   semiforge.closedsets._closed_masks and _descend) and no other node
+   adds anything.  Every maximum is at most 2 w and the window
+   [0, 2 w + 1] must fit one word, so it runs on the 64-bit walk alone,
+   to w = 31, the count's proven range.
+
+   The count's and the f-value's walk are one source text, at the end of
+   this file, and so is the histogram's, each over the word type WORD:
+   the file includes itself with WORD a uint64_t for count64, hist64 and
+   closed64, and with it an unsigned __int128 for count128 and hist128;
+   CLOSED picks what a node of the shared walk adds.  The walks stay in
    this one file, which keeps the name _kernel.c, because the library's
    cache is keyed on this file's CRC alone: a second source file could
    change while a stale library still loaded.
-
-   semiforge_closed is the counting branch of
-   semiforge.closedsets._closed_masks and _descend on 64-bit words: the
-   closed sets of size genus + 1 over each semigroup of a chunk.  Every
-   maximum is at most 2 genus and the window [0, 2 genus + 1] must fit one
-   word, so genus <= 31.
 
    semiforge_tg_level is semiforge.tree._tg_level on 64-bit words: one
    level of the breadth-first walk of the fixed-genus tree, each child
@@ -74,13 +79,59 @@ static int odd_low(uint64_t low, int g) {
     return (low & 0xAAAAAAAAAAAAAAAAull & (((uint64_t)2 << g) - 1)) != 0;
 }
 
-/* count64 and hist64, where the root's high words are 0 */
+/* Ways to add `left` more of the candidates j >= idx to `chosen`;
+   candidate j, the gap gap[j], is admissible once its required mask
+   reqs[j] is chosen.  The last choice is counted without a branch,
+   never recursed into. */
+static uint64_t descend(const uint64_t *reqs, const int *gap, int n, int idx, uint64_t chosen, int left) {
+    uint64_t total = 0, unchosen = ~chosen;
+    if (left == 1) {
+        for (int j = idx; j < n; j++)
+            total += !(reqs[j] & unchosen);
+        return total;
+    }
+    for (int j = idx; j <= n - left; j++)
+        if (!(reqs[j] & unchosen))
+            total += descend(reqs, gap, n, j + 1, chosen | (uint64_t)1 << gap[j], left - 1);
+    return total;
+}
+
+/* members: the membership window [0, 2 genus + 1] of a semigroup of genus
+   `genus`.  Returns its closed sets of size genus + 1 that contain 0,
+   grouped by their maximum top as in _closed_masks: the members below top
+   are forced, and the free gaps below it are decided largest first. */
+static uint64_t closed_one(uint64_t members, int genus) {
+    uint64_t total = 0, reqs[64], nonzero = members & ~(uint64_t)1, rest = members;
+    int gap[64];
+    for (int k = 0; k < genus; k++) rest &= rest - 1;
+    int last = __builtin_ctzll(rest);  /* the genus-th member, at most 2 genus */
+    for (int top = genus; top <= last; top++) {
+        uint64_t top_mask = ((uint64_t)1 << top) - 1, below = members & top_mask;
+        int need = genus - __builtin_popcountll(below), nf = 0;  /* >= 0 as top <= last */
+        if (!need) {
+            total++;
+            continue;
+        }
+        for (int x = top - 1; x > 0; x--)
+            if (!(below >> x & 1)) {
+                gap[nf] = x;
+                reqs[nf++] = (nonzero << x) & top_mask & ~below;
+            }
+        total += descend(reqs, gap, nf, 0, below | (uint64_t)1 << top, need);
+    }
+    return total;
+}
+
+/* count64, hist64 and closed64, where the root's high words are 0 */
 #define WORD uint64_t
 #define SIZED(name) name##64
 #define POPCOUNT __builtin_popcountll
 #define LOW_INDEX __builtin_ctzll
 #define FROM_PAIR(p) ((WORD)(p)[0])
 #include "_kernel.c"
+#define CLOSED
+#include "_kernel.c"
+#undef CLOSED
 #undef WORD
 #undef SIZED
 #undef POPCOUNT
@@ -109,51 +160,12 @@ int semiforge_hist(const uint64_t *root, int g, int r, int n, int m, int g_max, 
     return g_max <= 31 ? hist64(root, g, r, n, m, g_max, cells) : hist128(root, g, r, n, m, g_max, cells);
 }
 
-/* Ways to add `left` more of the candidates j >= idx to `chosen`;
-   candidate j, the gap gap[j], is admissible once its required mask
-   reqs[j] is chosen.  The last choice is counted without a branch,
-   never recursed into. */
-static uint64_t descend(const uint64_t *reqs, const int *gap, int n, int idx, uint64_t chosen, int left) {
-    uint64_t total = 0, unchosen = ~chosen;
-    if (left == 1) {
-        for (int j = idx; j < n; j++)
-            total += !(reqs[j] & unchosen);
-        return total;
-    }
-    for (int j = idx; j <= n - left; j++)
-        if (!(reqs[j] & unchosen))
-            total += descend(reqs, gap, n, j + 1, chosen | (uint64_t)1 << gap[j], left - 1);
-    return total;
-}
-
-/* bitmaps: n membership windows [0, 2 genus + 1] of semigroups of genus
-   `genus`.  Returns the sum over them of the closed sets of size
-   genus + 1 that contain 0, grouped by their maximum top as in
-   _closed_masks: the members below top are forced, and the free gaps
-   below it are decided largest first. */
-uint64_t semiforge_closed(const uint64_t *bitmaps, int n, int genus) {
-    uint64_t total = 0, reqs[64];
-    int gap[64];
-    for (int i = 0; i < n; i++) {
-        uint64_t members = bitmaps[i], nonzero = members & ~(uint64_t)1, rest = members;
-        for (int k = 0; k < genus; k++) rest &= rest - 1;
-        int last = __builtin_ctzll(rest);  /* the genus-th member, at most 2 genus */
-        for (int top = genus; top <= last; top++) {
-            uint64_t top_mask = ((uint64_t)1 << top) - 1, below = members & top_mask;
-            int need = genus - __builtin_popcountll(below), nf = 0;  /* >= 0 as top <= last */
-            if (!need) {
-                total++;
-                continue;
-            }
-            for (int x = top - 1; x > 0; x--)
-                if (!(below >> x & 1)) {
-                    gap[nf] = x;
-                    reqs[nf++] = (nonzero << x) & top_mask & ~below;
-                }
-            total += descend(reqs, gap, nf, 0, below | (uint64_t)1 << top, need);
-        }
-    }
-    return total;
+/* root, g, r and m as semiforge_count's, of a task of f_value(w) or of
+   the ordinary semigroup of genus w <= 31; adds to *total the closed sets
+   over each semigroup of genus w that the count's walk reaches from it.
+   Returns -1 when out of memory. */
+int semiforge_f_value(const uint64_t *root, int g, int r, int m, int w, uint64_t *total) {
+    return closed64(root, g, r, m, w, total);
 }
 
 /* The membership window [0, 2 genus + 1] of a genus-`genus` bitmap. */
@@ -272,49 +284,69 @@ int semiforge_tg_check(const int *parents, const uint64_t *children, const uint6
 }
 
 #else
-/* The walks of semiforge_count and semiforge_hist on words of type WORD,
-   named SIZED(count) and SIZED(hist); POPCOUNT and LOW_INDEX are WORD's
-   popcount and lowest set bit, and FROM_PAIR(p) joins the (low, high)
-   64-bit pair p into a WORD. */
-
-typedef struct { WORD bitmap, eff, rev; int g, r; } SIZED(entry);
+/* The walks of semiforge_count, semiforge_hist and semiforge_f_value on
+   words of type WORD; POPCOUNT and LOW_INDEX are WORD's popcount and
+   lowest set bit, and FROM_PAIR(p) joins the (low, high) 64-bit pair p
+   into a WORD.  What a node of the shared walk adds to its tally:
+   NODE(e) for each entry popped, LAST(g, r, eff, extended) for the
+   children of genus g_max, one a bit of eff, that a node makes by
+   removing a bit from `extended`, and BARE(g, r) for a child without
+   effective generators below g_max, which is tallied instead of pushed. */
+#ifdef CLOSED
+/* closed64: a node of genus g_max adds its closed sets to tally[0] */
+#define WALK SIZED(closed)
+#define NODE(e) (*tally += (e).g == g_max ? closed_one((e).bitmap, g_max) : 0)
+#define LAST(g, r, eff, extended) for (WORD l = eff; l; l &= l - 1) *tally += closed_one(extended ^ (l & -l), g)
+#define BARE(g, r) (void)0
+#else
+/* count: a node of genus g and depth r adds 1 to row g, cell r */
+#define WALK SIZED(count)
+#define NODE(e) BARE((e).g, (e).r)
+#define LAST(g, r, eff, extended) (tally[(g) * (g_max / 2 + 1) + (r)] += POPCOUNT(eff))
+#define BARE(g, r) (tally[(g) * (g_max / 2 + 1) + (r)] += 1)
+#endif
 
 /* A node of genus g has at most g + 1 effective generators, and only
    nodes of genus up to g_max - 2 push, so the stack never holds more than
    1 + 2 + ... + (g_max - 1) entries. */
-static int SIZED(count)(const uint64_t *root, int g, int r, int m, int g_max, uint64_t *rows) {
-    int W = 2 * g_max + 3, shift = W - m, stride = g_max / 2 + 1, top = 0;
-    SIZED(entry) *stack = malloc(sizeof(SIZED(entry)) * (g_max * (g_max - 1) / 2 + 1));
+static int WALK(const uint64_t *root, int g, int r, int m, int g_max, uint64_t *tally) {
+    typedef struct { WORD bitmap, eff, rev; int g, r; } entry;
+    int W = 2 * g_max + 3, shift = W - m, top = 0;
+    entry *stack = malloc(sizeof(entry) * (g_max * (g_max - 1) / 2 + 1));
     if (!stack) return -1;
-    stack[top++] = (SIZED(entry)){FROM_PAIR(root), FROM_PAIR(root + 2), FROM_PAIR(root + 4), g, r};
+    stack[top++] = (entry){FROM_PAIR(root), FROM_PAIR(root + 2), FROM_PAIR(root + 4), g, r};
     while (top) {
-        SIZED(entry) e = stack[--top];
-        rows[e.g * stride + e.r] += 1;
+        entry e = stack[--top];
+        NODE(e);
         if (e.g == g_max || !e.eff) continue;
-        int g1 = e.g + 1, rbase = e.r + (int)((e.bitmap >> g1) & 1);
+        int g1 = e.g + 1, rbase = e.r + (int)((e.bitmap >> g1) & 1), head = 2 * e.g + 2, a_max = head + 1 - m;
+        WORD extended = e.bitmap | (WORD)3 << head, nonzero = extended & ~(WORD)1, eff = e.eff;
         if (g1 == g_max) {
-            rows[g1 * stride + rbase] += POPCOUNT(e.eff);
+            LAST(g1, rbase, eff, extended);
             continue;
         }
-        int head = 2 * e.g + 2, a_max = head + 1 - m;
-        WORD extended = e.bitmap | (WORD)3 << head, nonzero = extended & ~(WORD)1, eff = e.eff;
         while (eff) {
             WORD low = eff & -eff;
             eff ^= low;
             int a = LOW_INDEX(low);
             WORD child_rev = e.rev ^ (WORD)1 << (W - a);
             if (a <= a_max && !((nonzero ^ low) & (child_rev >> (shift - a))))
-                stack[top++] = (SIZED(entry)){extended ^ low, eff | low << m, child_rev, g1, rbase};
+                stack[top++] = (entry){extended ^ low, eff | low << m, child_rev, g1, rbase};
             else if (eff)
-                stack[top++] = (SIZED(entry)){extended ^ low, eff, child_rev, g1, rbase};
+                stack[top++] = (entry){extended ^ low, eff, child_rev, g1, rbase};
             else
-                rows[g1 * stride + rbase] += 1;
+                BARE(g1, rbase);
         }
     }
     free(stack);
     return 0;
 }
+#undef WALK
+#undef NODE
+#undef LAST
+#undef BARE
 
+#ifndef CLOSED
 /* An entry of the histogram walk: the fields of the count's entry but
    the depth, and the index of its cell. */
 typedef struct { WORD bitmap, eff, rev; int g, cell; } SIZED(hist_entry);
@@ -369,4 +401,5 @@ static int SIZED(hist)(const uint64_t *root, int g, int r, int n, int m, int g_m
     free(stack);
     return 0;
 }
+#endif
 #endif

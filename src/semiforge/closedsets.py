@@ -19,10 +19,10 @@ Both directions are implemented and are exact inverses; the number of
 genus-g semigroups at depth r therefore depends only on w, giving the
 sequence summed here by ``f_value``.  Listing and counting share one
 pruned descent over membership bitmaps, but counting never lists: it
-tallies the last choice in place and builds no set.  ``f_value`` runs
-that count in the compiled kernel (``semiforge_closed`` in
-``_kernel.c``) for w <= 31 where the kernel loads, and in this descent,
-its oracle, everywhere else, with the same result.
+tallies the last choice in place and builds no set.  ``f_value`` walks
+the tasks of ``count_matrix(w)`` and counts each genus-w semigroup where
+the walk makes it: by ``semiforge_f_value`` in ``_kernel.c`` for w <= 31
+where it loads, else by ``_subtree`` and this descent, with one result.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .semigroup import Semigroup
-from .tree import _WORD_GMAX, _compiled_kernel, _nodes, _run_tasks
+from .tree import _F_MIN_TASKS, _WORD_GMAX, Node, _compiled_kernel, _run_tasks, _spine_tasks, _subtree, _task_words
 
 
 class PreconditionViolated(ValueError):
@@ -193,34 +193,36 @@ def count_closed_sets(omega: Semigroup, size: int) -> int:
     return _closed_masks(omega, size, None)
 
 
-def _f_worker(payload: tuple[list[int], int]) -> int:
-    bitmaps, genus = payload
-    return sum(count_closed_sets(Semigroup._from_bitmap(bm, genus), genus + 1) for bm in bitmaps)
+def _f_worker(payload: tuple[Iterable[Node], int]) -> int:
+    tasks, w = payload
+    nodes = (bitmap for task in tasks for bitmap, g, _r, _eff, _rev in _subtree(task, w, w) if g == w)
+    return sum(count_closed_sets(Semigroup._from_bitmap(bitmap, w), w + 1) for bitmap in nodes)
 
 
-def _f_worker_compiled(payload: tuple[Iterable[int], int]) -> int:
-    """``_f_worker`` on the compiled kernel, one call a list or a chunk of 16 a thread claims."""
-    from ctypes import c_uint64
-    from itertools import islice
+def _f_worker_compiled(payload: tuple[Iterable[Node], int]) -> int:
+    """``_f_worker`` on the compiled kernel, one ``semiforge_f_value`` call a task."""
+    from ctypes import byref, c_uint64
 
-    bitmaps, genus = payload
-    if genus > _WORD_GMAX:
-        raise ValueError(f"the compiled kernel counts closed sets to genus {_WORD_GMAX}, not {genus}")
-    claims, size = iter(bitmaps), (len(bitmaps) if isinstance(bitmaps, list) else 16)
-    chunks = iter(lambda: list(islice(claims, size)), [])
-    return sum(_compiled_kernel().semiforge_closed((c_uint64 * len(c))(*c), len(c), genus) for c in chunks)
+    tasks, w = payload
+    if w > _WORD_GMAX:
+        raise ValueError(f"the compiled kernel counts closed sets to genus {_WORD_GMAX}, not {w}")
+    kernel, words, total = _compiled_kernel(), (c_uint64 * 6)(), c_uint64()
+    for task in tasks:
+        if kernel.semiforge_f_value(words, *_task_words(task, w, words), w, byref(total)):
+            raise MemoryError("the compiled f-value kernel could not allocate its stack")
+    return total.value
 
 
 def f_value(omega_genus: int, *, workers: int = 1) -> int:
-    """Sum of the closed-set counts of size w+1 over every semigroup of
-    genus w.  Equals the number of genus-g semigroups at depth r whenever
-    3r >= g + 2 and w = floor(g/2) - r."""
+    """Sum of the closed-set counts of size w+1 over every semigroup of genus w: the ordinary one, and
+    those under the tasks of ``count_matrix(w)``.  Equals the number of genus-g semigroups at depth r
+    whenever 3r >= g + 2 and w = floor(g/2) - r."""
     if omega_genus < 0:
         raise ValueError("genus must be non-negative")
-    bitmaps = [bm for bm, g, _r in _nodes(omega_genus) if g == omega_genus]
     compiled = omega_genus <= _WORD_GMAX and _compiled_kernel() is not None
     worker = _f_worker_compiled if compiled else _f_worker
-    return sum(_run_tasks(worker, bitmaps, omega_genus, workers, compiled))
+    parts = _run_tasks(worker, _spine_tasks(omega_genus), omega_genus, workers, compiled, _F_MIN_TASKS)
+    return worker(([(Semigroup.ordinary(omega_genus).bitmap, omega_genus, 0)], omega_genus)) + sum(parts)
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,9 @@ additively closed, which one shift test per added member `b` decides
 because removing a minimal generator cannot break any old pair.
 
 A walk of the generator-removal tree holds one depth-first stack, not a
-whole genus, though a caller may collect one: ``f_value(w)`` lists genus
-w, and ``verify_tree_relations`` holds genera g and g + 1 as sets, or
-only two levels of the walk where the kernel checks them.  Most
-of that tree hangs below the ordinary semigroups, so every walk splits
+whole genus; ``verify_tree_relations`` holds genera g and g + 1 as
+sets, or two levels of the walk where the kernel checks them.  Most of
+that tree hangs below the ordinary semigroups, so every walk splits
 along that ordinary spine: the spine and its non-ordinary children are
 built by formula (``_spine_tasks``), and the subtree under each such
 child, one task, by one walk (``_subtree``) in which every child
@@ -30,9 +29,9 @@ the system C compiler, or by that walk where the kernel cannot load, in
 process, or shared by threads where the kernel runs (it releases the
 GIL) and by forked children where the walk does; the tallies merge by
 addition, so results do not depend on the worker count.  The same
-tasks, walked the same ways, tally the histogram (``_histogram``) by
-genus, depth, number of gap intervals and whether an odd member <= genus
-is left, on which the ``parity`` and ``intervals`` checks are decided.
+tasks, walked the same ways, tally the histogram (``_histogram``), on
+which the ``parity`` and ``intervals`` checks are decided, and count
+the closed sets of each genus-w semigroup for ``f_value(w)``.
 
 The fixed-genus tree is walked breadth first (``_tg_levels``) from the
 root at depth 0, holding one whole level while it builds the next (the
@@ -59,17 +58,20 @@ if TYPE_CHECKING:
     import ctypes
     from array import array
 
-# Forked children share the Python walks' tasks, a table's or an f-value's,
-# from this many (2 CPUs, Python 3.11; median ms, one process vs two, 15
-# pairs of fresh interpreters): count_matrix(20) (190 tasks) 35.7 vs 35.6,
-# (21) (210) 74.6 vs 46.8; f_value(9) (118) 14.3 vs 18.0, (10) (204) 33.7 vs 24.4.
+# Forked children share the Python walks' tasks of a table from this many
+# (2 CPUs, Python 3.11; median ms, one process vs two, 15 pairs of fresh
+# interpreters): count_matrix(20) (190 tasks) 35.7 vs 35.6, (21) (210) 74.6 vs 46.8.
 _FORK_MIN_TASKS = 200
 
-# Threads share a compiled kernel's tasks, a table's or an f-value's, from
-# this many (2 CPUs, Python 3.11; median ms, one thread vs two, pairs of 21
-# two won): count_matrix(21) (210 tasks) 3.1 vs 3.4 (2), (22) (231) 3.9 vs
-# 3.8 (19); f_value(10) (204) 1.36 vs 1.34 (15), (11) (343) 3.0 vs 2.4 (21).
+# Threads share a compiled kernel's tasks of a table from this many (2 CPUs,
+# Python 3.11; median ms, one thread vs two, pairs of 21 two won):
+# count_matrix(21) (210 tasks) 3.1 vs 3.4 (2), (22) (231) 3.9 vs 3.8 (19).
 _THREAD_MIN_TASKS = 22 * 21 // 2
+
+# An f-value's tasks are shared by forks from 36 and threads from 55 (2 CPUs, Python 3.11; median ms, one
+# worker vs two, 11 pairs of fresh interpreters, two won): Python f_value(8) (28 tasks) 4.23 vs 4.01 (9; two
+# spread to 5.6), (9) (36) 11.3 vs 8.1 (11); compiled f_value(10) (45) 0.65 vs 0.72 (1), (11) (55) 1.42 vs 1.18 (11).
+_F_MIN_TASKS = (36, 55)
 
 # The compiled kernel (``_kernel.c``) holds a table's window 2*g_max + 3
 # in one 64-bit word to g_max = 31, else a 128-bit one (_KERNEL_GMAX), and
@@ -209,13 +211,13 @@ def _nodes(g_max: int) -> Iterator[Node]:
 
 
 def _task_start(root: Node, g_max: int) -> tuple[Entry, int]:
-    """The first entry of ``_subtree(root, g_max, ...)``, built from
-    scratch, and the multiplicity m of the walk.  Refuses an ordinary root."""
+    """The first entry of ``_subtree(root, g_max, ...)``, built from scratch, and the
+    multiplicity m of the walk.  Refuses an ordinary root below g_max, which it would expand."""
     W = 2 * g_max + 3
     bitmap, g, r = root
     nonzero = bitmap & -2
     m = (nonzero & -nonzero).bit_length() - 1
-    if m > g:
+    if m > g < g_max:
         raise ValueError(f"the ordinary semigroup of genus {g} is not a count task")
     members = (bitmap | -(1 << (g + g + 2))) & ((2 << W) - 2)
     rev = int(format(members >> 1, f"0{W}b")[::-1], 2)
@@ -223,9 +225,9 @@ def _task_start(root: Node, g_max: int) -> tuple[Entry, int]:
 
 
 def _subtree(task: Node, g_max: int, last: int) -> Iterator[Entry]:
-    """The non-ordinary ``task`` and every node below it down to genus
-    ``last`` <= ``g_max``, depth first in ``_nodes``' order, as (bitmap,
-    genus, depth, ``eff``, ``rev``).
+    """``task``, non-ordinary or of genus g_max, and every node below it down
+    to genus ``last`` <= ``g_max``, depth first in ``_nodes``' order, as
+    (bitmap, genus, depth, ``eff``, ``rev``).
 
     The multiplicity m <= g of ``task`` is below every removed generator
     a > F >= g + 1, so m is the whole subtree's and a child's depth is its
@@ -424,8 +426,8 @@ def _load_kernel(source: str) -> Optional[ctypes.CDLL]:
     lib.semiforge_count.restype = c_int
     lib.semiforge_hist.argtypes = [words, c_int, c_int, c_int, c_int, c_int, words]
     lib.semiforge_hist.restype = c_int
-    lib.semiforge_closed.argtypes = [words, c_int, c_int]
-    lib.semiforge_closed.restype = ctypes.c_uint64
+    lib.semiforge_f_value.argtypes = [words, c_int, c_int, c_int, c_int, words]
+    lib.semiforge_f_value.restype = c_int
     lib.semiforge_tg_level.argtypes = [address, address, c_int, c_int, address, address, address, c_int, c_int]
     lib.semiforge_tg_level.restype = c_int
     lib.semiforge_tg_check.argtypes = [address, address, address, c_int, address, c_int, c_int, c_int, c_int]
@@ -614,15 +616,16 @@ def _usable_cpus() -> list[int]:
     return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [*range(os.cpu_count() or 1)]
 
 
-def _run_tasks(fn: Callable, tasks: list, arg: object, workers: int, compiled: bool) -> list:
-    """fn((tasks, arg)) in this thread when there is one worker or too few tasks to pay for sharing
-    them; else shared by threads from _THREAD_MIN_TASKS where fn runs the compiled kernel
-    (``compiled``), which releases the GIL, and by forked children from _FORK_MIN_TASKS, where it
-    does not.  ``workers`` = 0 means one per usable CPU."""
+def _run_tasks(fn: Callable, tasks: list, arg: object, workers: int, compiled: bool,
+               floors: tuple[int, int] = (_FORK_MIN_TASKS, _THREAD_MIN_TASKS)) -> list:
+    """fn((tasks, arg)) in this thread when there is one worker or too few tasks to pay for sharing them;
+    else shared by threads from floors[1] (a table's by default) where fn runs the compiled kernel
+    (``compiled``), which releases the GIL, and by forked children from floors[0], where it does not.
+    ``workers`` = 0 means one per usable CPU."""
     if workers < 0:
         raise ValueError("workers must be >= 0")
     workers = workers or len(_usable_cpus())
-    if workers == 1 or len(tasks) < (_THREAD_MIN_TASKS if compiled else _FORK_MIN_TASKS):
+    if workers == 1 or len(tasks) < floors[compiled]:
         return [fn((tasks, arg))]
     return (_thread_map if compiled else _fork_map)(fn, tasks, arg, workers)
 

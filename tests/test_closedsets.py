@@ -132,19 +132,19 @@ def test_f_sequence_prefix():
 
 
 def test_f_value_workers_deterministic(fork_calls, python_kernel):
-    # one task per semigroup of genus w; the Python descent forks from
-    # genus 10, on the floor that the Python tables use
-    assert sum(COUNTS_BY_GENUS[9]) < tree._FORK_MIN_TASKS <= sum(COUNTS_BY_GENUS[10])
-    assert f_value(10, workers=2) == F_SEQUENCE[10]
-    assert fork_calls == [(204, 2)]  # the genus-10 semigroups
-    assert f_value(9, workers=2) == F_SEQUENCE[9]
-    assert len(fork_calls) == 1  # the 118 semigroups of genus 9 stay serial
+    # the w(w - 1)/2 tasks of count_matrix(w); the Python walk forks from
+    # genus 9, on the f-value floor
+    assert 8 * 7 // 2 < tree._F_MIN_TASKS[0] <= 9 * 8 // 2
+    assert [f_value(w, workers=2) for w in (9, 10)] == F_SEQUENCE[9:11]
+    assert fork_calls == [(36, 2), (45, 2)]
+    assert f_value(8, workers=2) == F_SEQUENCE[8]
+    assert len(fork_calls) == 2  # the 28 tasks of genus 8 stay serial
 
 
 @pytest.mark.parametrize("w", [12, 13])
 def test_f_value_pooled_at_12_and_13(w, fork_calls, python_kernel):
     assert f_value(w, workers=2) == F_SEQUENCE[w]
-    assert fork_calls == [(sum(COUNTS_BY_GENUS[w]), 2)]
+    assert fork_calls == [(w * (w - 1) // 2, 2)]
 
 
 # ----------------------------------------------------------------------

@@ -69,7 +69,7 @@ def _shares(monkeypatch, module) -> list[tuple[object, bool]]:
     that ``module`` makes, which now runs no task and returns no tally."""
     shares: list[tuple[object, bool]] = []
 
-    def record(fn, tasks, arg, workers, compiled):
+    def record(fn, tasks, arg, workers, compiled, floors=None):
         shares.append((fn, compiled))
         return []
 
@@ -193,11 +193,12 @@ def test_cell_checks_equal_at_1_and_2_workers(compiled_kernel, fork_calls, threa
 
 
 def _compiled_closed_count(omega: Semigroup) -> int:
-    return closedsets._f_worker_compiled(([omega.bitmap], omega.genus))
+    # the compiled f-value entry on a root of genus w, which counts that root alone
+    return closedsets._f_worker_compiled(([(omega.bitmap, omega.genus, 0)], omega.genus))
 
 
 def test_compiled_closed_count_matches_python_per_semigroup(compiled_kernel):
-    # one bitmap per call, so that errors in two semigroups cannot cancel
+    # one root per call, so that errors in two semigroups cannot cancel
     checked = 0
     for bitmap, g, _r in tree._nodes(12):
         omega = Semigroup._from_bitmap(bitmap, g)
@@ -213,33 +214,56 @@ def test_compiled_closed_count_matches_python_in_the_top_bits(compiled_kernel, w
     assert _compiled_closed_count(omega) == count_closed_sets(omega, w + 1) == w + 1
 
 
+def test_compiled_f_value_matches_python_per_task(compiled_kernel, monkeypatch):
+    # task by task, the ordinary root too, so that errors in two tasks
+    # cannot cancel in the sum
+    for w in range(13):
+        for task in [*tree._spine_tasks(w), (Semigroup.ordinary(w).bitmap, w, 0)]:
+            payload = ([task], w)
+            assert closedsets._f_worker_compiled(payload) == closedsets._f_worker(payload), (w, task)
+    # each genus-w semigroup is counted where a walk makes it: no listing
+    monkeypatch.setattr(tree, "_nodes", lambda g_max: pytest.fail(f"f_value listed genus {g_max}"))
+    for kernel in (compiled_kernel, False):
+        monkeypatch.setattr(tree, "_kernel", kernel)
+        assert [f_value(w, workers=workers) for workers in (1, 2) for w in range(12)] == F_SEQUENCE[:12] * 2
+
+
 def test_compiled_f_value_matches_the_published_sequence(compiled_kernel):
     assert [f_value(w) for w in range(len(F_SEQUENCE))] == F_SEQUENCE
 
 
 def test_compiled_kernel_counts_closed_sets_to_genus_31(compiled_kernel, monkeypatch):
-    shares = _shares(monkeypatch, closedsets)
-    monkeypatch.setattr(closedsets, "_nodes", lambda g: iter(()))  # lists no semigroup of genus 31
+    # f_value(w) counts its ordinary semigroup in this thread and shares
+    # the w(w - 1)/2 tasks of count_matrix(w), all on the f-value floors;
+    # here no worker counts anything
+    refuse = closedsets._f_worker_compiled
+    shares, counted = _shares(monkeypatch, closedsets), []
+    for name in ("_f_worker_compiled", "_f_worker"):
+        monkeypatch.setattr(closedsets, name, lambda payload, name=name: counted.append((name, payload)) or 0)
     assert f_value(31) == f_value(32) == 0
     with pytest.raises(ValueError, match="genus 31, not 32"):
-        closedsets._f_worker_compiled(([], 32))
+        refuse(([], 32))
     monkeypatch.setattr(tree, "_kernel", False)
     assert f_value(31) == 0
     compiled, python = (closedsets._f_worker_compiled, True), (closedsets._f_worker, False)
     assert shares == [compiled, python, python]
+    assert counted == [
+        (name, ([(Semigroup.ordinary(w).bitmap, w, 0)], w))
+        for name, w in [("_f_worker_compiled", 31), ("_f_worker", 32), ("_f_worker", 31)]
+    ]
 
 
 def test_compiled_f_value_forks_only_from_genus_15(compiled_kernel, fork_calls, thread_calls):
-    # the compiled f-values never fork: threads share them from the floor
-    # that the compiled tables use, omega 11 (343 tasks) and up
-    assert sum(COUNTS_BY_GENUS[10]) < tree._THREAD_MIN_TASKS <= sum(COUNTS_BY_GENUS[11])
+    # the compiled f-values never fork: threads share their w(w - 1)/2
+    # tasks from the f-value floor, omega 11 (55 tasks) and up
+    assert 10 * 9 // 2 < tree._F_MIN_TASKS[1] <= 11 * 10 // 2
     assert [f_value(w, workers=2) for w in range(11)] == F_SEQUENCE[:11]
     assert thread_calls == []
     for workers in (1, 2, 3):
         assert [f_value(w, workers=workers) for w in (11, 14)] == [F_SEQUENCE[11], F_SEQUENCE[14]], workers
     assert f_value(15, workers=2) == f_value(15, workers=3) == f_value(15, workers=1)
-    assert thread_calls == [(sum(COUNTS_BY_GENUS[w]), workers) for workers in (2, 3) for w in (11, 14)] + [
-        (sum(COUNTS_BY_GENUS[15]), workers) for workers in (2, 3)
+    assert thread_calls == [(w * (w - 1) // 2, workers) for workers in (2, 3) for w in (11, 14)] + [
+        (15 * 14 // 2, workers) for workers in (2, 3)
     ]
     assert fork_calls == []
 

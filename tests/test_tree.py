@@ -353,7 +353,8 @@ def test_threads_leave_the_callers_cpus_as_they_were(compiled_kernel):
 def test_one_worker_and_work_below_the_floor_start_no_thread(compiled_kernel, threads_made, capsys):
     assert run(["table", "--gmax", "27", "--workers", "1"]) == 0
     assert run(["fseq", "--omega-max", "13", "--workers", "1"]) == 0
-    # 210 tasks, the histogram's too, and 204 semigroups of genus 10
+    # 210 tasks, the histogram's too, and the 45 of f_value(10)
+    assert 10 * 9 // 2 < tree._F_MIN_TASKS[1]
     assert count_matrix(21, workers=3).rows == tuple(tuple(COUNTS_BY_GENUS[g]) for g in range(22))
     assert [sum(cells) for cells in tree._histogram(21, workers=3)[21]] == COUNTS_BY_GENUS[21]
     assert f_value(10, workers=3) == F_SEQUENCE[10]
