@@ -1,4 +1,4 @@
-/* Five functions on machine words, each the compiled twin of a Python
+/* Six functions on machine words, each the compiled twin of a Python
    oracle that stays as the fallback.
 
    semiforge_count is semiforge.tree._count_into on machine words: the
@@ -44,19 +44,20 @@
 
    semiforge_tg_check is the per-level body of
    semiforge.analytics.verify_tree_relations with _expand_checked, on
-   64-bit words: it decides pass or fail, and the Python loop writes every
-   report.  It checks each node of a level where the walk hands it over,
-   and keeps nothing: the node is a semigroup, its eff is true, and its
-   (parent, multiplicity, Frobenius number) is larger than the node's
+   64-bit words.  It checks each node of a level where the walk hands it
+   over, and keeps nothing: the node is a semigroup, its eff is true, and
+   its (parent, multiplicity, Frobenius number) is larger than the node's
    before, so the walk repeats nothing; its children in the
    generator-removal tree are counted, which gives the size of the next
    genus, and checked.  Those children of genus + 1 must fit the window
    [0, 2 genus + 3], so it expands only while genus <= 30, and checks
    levels to genus 31.
 
-   semiforge_tg_level and semiforge_tg_check take their buffers as
-   addresses of Python arrays, which the caller keeps alive; the first
-   writes only within the sizes it is given, the second only reads. */
+   semiforge_tg_sweep runs both on one genus, from its root, in a buffer
+   that it allocates and frees; the Python loop runs only when it fails.
+   The other two take their buffers as addresses, which the caller keeps
+   alive; the first writes only within the sizes it is given, the second
+   only reads. */
 #ifndef WORD
 #include <stdint.h>
 #include <stdlib.h>
@@ -179,8 +180,7 @@ static uint64_t window(int genus) {
    them, ordered by parent and then by (added b, removed a), with their
    own effective generators and their parents' indices; a caller whose
    guess `cap` falls short calls again with the count.  S + b is closed
-   only if b + m is in S (m the multiplicity), so the other b < m are
-   skipped before the shift test. */
+   only if b + m is in S (m the multiplicity), so b runs over those alone. */
 int semiforge_tg_level(const uint64_t *bitmaps, const uint64_t *effs, int n, int genus,
                        uint64_t *children, uint64_t *child_effs, int *parents, int cap, int room) {
     uint64_t mask = window(genus);
@@ -188,9 +188,8 @@ int semiforge_tg_level(const uint64_t *bitmaps, const uint64_t *effs, int n, int
     for (int i = 0; i < n; i++) {
         uint64_t bitmap = bitmaps[i], nonzero = bitmap & ~(uint64_t)1;
         int m = __builtin_ctzll(nonzero);
-        for (int b = 1; b < m; b++) {
-            if (!(bitmap >> (b + m) & 1))
-                continue;
+        for (uint64_t bs = bitmap >> m & (((uint64_t)1 << m) - 2); bs; bs &= bs - 1) {
+            int b = __builtin_ctzll(bs);
             uint64_t added = (uint64_t)1 << b, sums = (nonzero | added) << b;
             if (sums & mask & ~(bitmap | added))
                 continue;
@@ -281,6 +280,37 @@ int semiforge_tg_check(const int *parents, const uint64_t *children, const uint6
         }
     }
     return count;
+}
+
+/* The trees check of the genus-`genus` tree of `size` = n(genus) nodes,
+   `expand` as semiforge_tg_check's: each level is made in one pass into
+   one half of a buffer, where no page past it is touched, and checked
+   against the level above, in the other half; a level's parents are read
+   only by its own check, so one array holds them.  Returns the children
+   in T (0 without `expand`), -1 as soon as a check fails or the walk's
+   size is not `size`, or -2 when out of memory. */
+int semiforge_tg_sweep(int genus, int expand, int size) {
+    size_t s = size;  /* a half: s children, then s effs; then s parents */
+    uint64_t *buffer = size > 0 ? malloc(s * (4 * sizeof(uint64_t) + sizeof(int))) : NULL;
+    if (!buffer)
+        return size > 0 ? -2 : -1;
+    uint64_t *nodes[2] = {buffer, buffer + 2 * s}, *up = buffer;  /* up: the ordinary root, its own parent */
+    int *parents = (int *)(buffer + 4 * s), n = 1, n_up = 1, walked = 1, total = 0, code;
+    up[0] = window(genus) & ~(((uint64_t)2 << genus) - 2), up[s] = up[0] & ~(uint64_t)1, parents[0] = 0;
+    for (int depth = 0, k = 0;; depth++, k ^= 1) {
+        if ((code = semiforge_tg_check(parents, nodes[k], nodes[k] + s, n, up, n_up, genus, depth, expand)) < 0)
+            break;
+        total += code, up = nodes[k], n_up = n;
+        int room = size - walked;  /* no level holds more than the nodes still to walk */
+        n = semiforge_tg_level(up, up + s, n_up, genus, nodes[!k], nodes[!k] + s, parents, room, room);
+        if (n <= 0) {
+            code = n || walked != size ? -1 : total;
+            break;
+        }
+        walked += n;
+    }
+    free(buffer);
+    return code;
 }
 
 #else

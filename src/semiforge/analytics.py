@@ -304,36 +304,17 @@ def _expand_checked(bitmap: int, g: int, eff: int, transform: int, nxt: set[int]
 
 
 def _trees_hold(g_max: int) -> bool:
-    """Whether ``verify_tree_relations(g_max)`` passes, decided level by
-    level by the compiled ``semiforge_tg_check`` on the fixed-genus walk
-    to genus g_max <= 31, which keeps nothing past a level; False as soon
-    as a check fails, or a level's values do not fit its C types."""
-    from array import array
-
-    check, address = tree._kernel.semiforge_tg_check, tree._address
+    """Whether ``verify_tree_relations(g_max)`` passes, decided genus by
+    genus to g_max <= 31 by one call of the compiled ``semiforge_tg_sweep``,
+    which walks and checks the fixed-genus tree in C; False as soon as one
+    fails.  Raises MemoryError where the sweep cannot allocate its levels."""
     size = 1  # n(g): the children in T of genus g - 1, the root at genus 0
     for g in range(g_max + 1):
-        walked, following, prev = 0, 0, ()
-        for depth, level in enumerate(tree._tg_levels(g)):
-            # the kernel would misread sequences of unequal lengths, and
-            # array() refuses a value that does not fit its C type
-            if len(set(map(len, level))) > 1:
-                return False
-            try:
-                parents, children, effs = (
-                    x if isinstance(x, array) and x.typecode == code else array(code, x)
-                    for x, code in zip(level, "iQQ")
-                )
-            except OverflowError:
-                return False
-            n, up = len(children), prev or children  # the root is its own parent
-            count = check(*map(address, (parents, children, effs)), n, address(up), len(up), g, depth, g < g_max)
-            if count < 0:
-                return False
-            walked, following, prev = walked + n, following + count, children
-        if walked != size:
+        size = tree._kernel.semiforge_tg_sweep(g, g < g_max, size)
+        if size == -2:
+            raise MemoryError(f"the compiled trees check could not allocate the levels of genus {g}")
+        if size < 0:
             return False
-        size = following
     return True
 
 
@@ -358,14 +339,19 @@ def verify_tree_relations(g_max: int) -> VerificationReport:
     larger genus, so it could not change the report.
 
     Where the fixed-genus walk at g_max is compiled (``tree._tg_plan``),
-    the compiled ``_trees_hold`` decides first, and the loop below runs
-    only when it fails, to write the report; so every report comes from
-    the loop.  A compiled pass implies the loop's, genus by genus.  Let
-    W be the nodes of the walk of genus g, each of whose values must fit
-    its C type; by induction, W of genus g - 1 was every semigroup of its
-    genus once, with its true effs, and ``level`` is all of genus g.  The
-    kernel requires of each node at depth d (the root, its own parent, at
-    depth 0):
+    the compiled ``_trees_hold`` decides first, for every genus from 0,
+    and the loop below runs only when it fails, to write the report; so
+    every report comes from the loop.  A compiled pass implies the loop's,
+    genus by genus, on the walk that ``semiforge_tg_level`` makes, which
+    is the loop's from ``tree._COMPILED_TG_MIN_GENUS`` on; below it the
+    loop walks ``tree._tg_level``, which ``tests/test_kernel.py`` holds
+    level by level to that function.  Let
+    W be the nodes of the walk of genus g that ``semiforge_tg_sweep``
+    makes from the ordinary root, checking every node of each level as
+    the level is made; by induction, W of genus g - 1 was every semigroup
+    of its genus once, with its true effs, and ``level`` is all of genus
+    g.  The kernel requires of each node at depth d (the root, its own
+    parent, at depth 0):
 
     - 0 and g + 2 members in [0, 2g + 1], none above, and every sum in
       that window a member: it is a semigroup of genus g, on which the
@@ -378,12 +364,13 @@ def verify_tree_relations(g_max: int) -> VerificationReport:
       and transform of ``_expand_checked``.
 
     Equal nodes have equal transforms, so by induction on depth the same
-    parent and the same key: W repeats nothing.  |W| must equal the sum
-    of the popcounts of the effs of genus g - 1, which are true, so |W|
-    = n(g) and W is all of genus g.  So the walk removes each member of
-    ``level`` once and expands it; ``level`` ends empty, sum(row) = |W| =
-    sum(expected_row), row[d] = expected_row[d] by the depth check, and
-    ``nxt``, made from the true effs, is all of genus g + 1.
+    parent and the same key: W repeats nothing.  The sweep of genus g - 1
+    returns the sum of the popcounts of its effs, which are true, and the
+    sweep of genus g compares |W| with it in C, so |W| = n(g) and W is all
+    of genus g.  So the walk removes each member of ``level`` once and
+    expands it; ``level`` ends empty, sum(row) = |W| = sum(expected_row),
+    row[d] = expected_row[d] by the depth check, and ``nxt``, made from
+    the true effs, is all of genus g + 1.
     """
     if g_max < 0:
         raise ValueError("g_max must be non-negative")

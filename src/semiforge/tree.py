@@ -42,7 +42,9 @@ large, and fills arrays guessed at one child a parent, which the next
 level reads in place; a level with more children than parents takes a
 second call, into arrays of its exact size.  Elsewhere, or where the
 kernel cannot load, ``_tg_level`` walks it in Python.  It has three
-readers: ``tg_bfs_row``, the DOT export and the ``trees`` check.
+readers: ``tg_bfs_row``, the DOT export and the ``trees`` check, whose
+compiled decision, where g_max is in that range, walks every genus from
+0 inside C, one call a genus that hands back a count or a failure.
 """
 
 from __future__ import annotations
@@ -83,12 +85,13 @@ _KERNEL_GMAX = 62
 _WORD_GMAX = 31
 _INT_MAX = 2**31 - 1
 
-# Below this genus the fixed-genus tree is walked in Python: loading the
-# kernel costs more than the walk it would speed (fresh interpreters, 2
-# CPUs, Python 3.11; median ms of the kernel load plus compiled walk vs
-# the Python walk, two runs of 15 interleaved pairs): tg_bfs_row(12)
-# 3.4-3.5 vs 2.2 (compiled faster in 2, 0), tg_bfs_row(13) 3.7-3.9 vs 3.9
-# (11, 9), tg_bfs_row(14) 3.6-3.9 vs 6.3-6.8 (14, 15).
+# Below this genus the fixed-genus tree is walked in Python, and so is the
+# trees check to a g_max below it: loading the kernel costs more than the
+# walk it would speed (fresh interpreters, 2 CPUs, Python 3.11; median ms
+# of the kernel load plus compiled walk vs the Python walk, two runs of 15
+# interleaved pairs): tg_bfs_row(12) 3.4-3.5 vs 2.2 (compiled faster in 2,
+# 0), tg_bfs_row(13) 3.7-3.9 vs 3.9 (11, 9), tg_bfs_row(14) 3.6-3.9 vs
+# 6.3-6.8 (14, 15).
 _COMPILED_TG_MIN_GENUS = 13
 _WORD = (1 << 64) - 1
 _kernel = None
@@ -403,7 +406,7 @@ def _compiled_kernel() -> Optional[ctypes.CDLL]:
 
 
 def _load_kernel(source: str) -> Optional[ctypes.CDLL]:
-    """The library built from ``source``, with the signatures of its five
+    """The library built from ``source``, with the signatures of its six
     functions declared, cached in the __pycache__ beside it under a name
     keyed on the source and the interpreter's platform tag, so that a
     stale or foreign build never loads; None when there is no compiler,
@@ -432,6 +435,8 @@ def _load_kernel(source: str) -> Optional[ctypes.CDLL]:
     lib.semiforge_tg_level.restype = c_int
     lib.semiforge_tg_check.argtypes = [address, address, address, c_int, address, c_int, c_int, c_int, c_int]
     lib.semiforge_tg_check.restype = c_int
+    lib.semiforge_tg_sweep.argtypes = [c_int, c_int, c_int]
+    lib.semiforge_tg_sweep.restype = c_int
     return lib
 
 
@@ -529,14 +534,13 @@ def _tg_level_compiled(bitmaps: Sequence[int], effs: Sequence[int], g: int, room
     level, and writes those that fit buffers guessed at one child a
     parent; only a level with more children than parents is walked again,
     into buffers of its exact size, and the guess's slack is cut off, so
-    that a level handed out holds its children and nothing more.  A value
-    of a list that does not fit the word is cut to it."""
+    that a level handed out holds its children and nothing more."""
     from array import array
 
     if g > _WORD_GMAX:
         raise ValueError(f"the compiled kernel walks the fixed-genus tree to genus {_WORD_GMAX}, not {g}")
     n, room = len(bitmaps), int(min(room, _INT_MAX))
-    words = [x if isinstance(x, array) else array("Q", [v & _WORD for v in x]) for x in (bitmaps, effs)]
+    words = [x if isinstance(x, array) else array("Q", x) for x in (bitmaps, effs)]
     cap = n  # the guess
     while True:
         parents, children, child_effs = array("i", [0]) * cap, array("Q", [0]) * cap, array("Q", [0]) * cap

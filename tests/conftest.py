@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from semiforge import Semigroup, enumerate_genus, tree
+from semiforge import Semigroup, analytics, enumerate_genus, tree
 
 # ``pytest --hypothesis-profile=ci`` draws the same examples on every run,
 # so a generative failure in CI reproduces locally with the same flag
@@ -108,10 +108,14 @@ _TG_LEVEL_COMPILED = tree._tg_level_compiled
 
 
 def doctor_compiled_levels(patch: pytest.MonkeyPatch, g: int, edit) -> None:
-    """Make the compiled fixed-genus walk of genus g find ``edit(kids)``
-    below the ordinary root instead of its true children ``kids``, each a
-    (bitmap, eff) pair; a second call replaces the first edit."""
+    """Make the compiled fixed-genus walk of genus g, level by level through
+    Python, find ``edit(kids)`` below the ordinary root instead of its true
+    children ``kids``, each a (bitmap, eff) pair; a second call replaces
+    the first edit.  The compiled trees check walks in C and never reads
+    these levels, so it is made to fail at once and the Python loop decides
+    on them; ``tests/test_kernel.py`` plants faults in C that both see."""
     root = Semigroup.ordinary(g).bitmap
+    patch.setattr(analytics, "_trees_hold", lambda g_max: False)
 
     def doctored(bitmaps, effs, genus, room):
         out = _TG_LEVEL_COMPILED(bitmaps, effs, genus, room)

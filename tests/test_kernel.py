@@ -1,4 +1,4 @@
-"""The compiled kernel's five functions against their oracles, the
+"""The compiled kernel's six functions against their oracles, the
 pure-Python tree kernel and histogram, closed-set descent, fixed-genus
 level and trees check, and the fallback to those where the compiled
 kernel cannot load."""
@@ -12,6 +12,7 @@ import sys
 from array import array
 from collections import Counter
 from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +36,7 @@ from semiforge import (
 from semiforge.analytics import VerificationReport
 from semiforge.closedsets import count_closed_sets
 from semiforge.semigroup import _ordinarize_bitmap
-from conftest import doctor_compiled_levels, gap_runs
+from conftest import gap_runs
 from reference_tables import COUNTS_BY_GENUS, F_SEQUENCE
 
 
@@ -369,93 +370,173 @@ def test_compiled_tg_level_equals_python_and_keeps_no_slack(compiled_kernel):
 
 
 def test_compiled_trees_check_passes_to_genus_21_without_the_python_loop(compiled_kernel, monkeypatch):
-    # every genus from 0 on is walked by the kernel; each node is checked
-    # at its depth once and expanded into as many children in T as the
-    # next genus has
+    # one sweep a genus from 0 on, handed the size of its genus and
+    # returning the children in T of its genus (0 at g_max, which is not
+    # expanded); no level reaches Python
     monkeypatch.setattr(tree, "_COMPILED_TG_MIN_GENUS", 0)
 
-    def python_loop():
+    def python_loop(*args):
         raise AssertionError("the Python loop of verify_tree_relations ran")
 
     monkeypatch.setattr(analytics, "_Counterexamples", python_loop)
+    monkeypatch.setattr(tree, "_tg_levels", python_loop)
     calls = []
-    check = compiled_kernel.semiforge_tg_check
+    sweep = compiled_kernel.semiforge_tg_sweep
 
-    def spy(parents, children, effs, n, up, n_up, g, depth, expand):
-        # the kernel returns the children in T that it checked
-        count = check(parents, children, effs, n, up, n_up, g, depth, expand)
-        calls.append((g, depth, n, count))
-        return count
+    def spy(g, expand, size):
+        code = sweep(g, expand, size)
+        calls.append((g, expand, size, code))
+        return code
 
-    monkeypatch.setattr(compiled_kernel, "semiforge_tg_check", spy)
+    monkeypatch.setattr(compiled_kernel, "semiforge_tg_sweep", spy)
     for g_max in range(22):
         calls.clear()
         assert verify_tree_relations(g_max) == VerificationReport("trees", f"genus <= {g_max}", True)
-        checked, expanded = Counter(), Counter()
-        for g, depth, n, children_in_T in calls:
-            checked[g, depth] += n
-            expanded[g] += children_in_T
-        assert checked == Counter({(g, r): c for g in range(g_max + 1) for r, c in enumerate(COUNTS_BY_GENUS[g]) if c})
-        assert expanded == Counter({g: sum(COUNTS_BY_GENUS[g + 1]) for g in range(g_max)})
+        assert calls == [
+            (g, g < g_max, sum(COUNTS_BY_GENUS[g]), sum(COUNTS_BY_GENUS[g + 1]) if g < g_max else 0)
+            for g in range(g_max + 1)
+        ]
+    # a walk larger or smaller than the size it is handed fails
+    for g in (0, 8, tree._COMPILED_TG_MIN_GENUS):
+        size = sum(COUNTS_BY_GENUS[g])
+        assert [sweep(g, True, n) for n in (size - 1, size + 1)] == [-1, -1], g
 
 
-def _misplaced(g):
-    def edit(kids):
-        grandchild = next(gc for kid, eff in kids for gc in tree._tg_children_raw(kid, g, eff))
-        return kids[:-1] + [grandchild]
-
-    return edit
-
-
-def _wrong_eff(wrong):
-    def edit(kids):
-        i = next(i for i, (_kid, eff) in enumerate(kids) if wrong(eff) != eff)
-        return kids[:i] + [(kids[i][0], wrong(kids[i][1]))] + kids[i + 1 :]
-
-    return edit
+def _scratch_kernel(directory, *edits) -> ctypes.CDLL:
+    """The kernel built from a copy of ``_kernel.c`` in ``directory``, with
+    each (old, new) edit made to the one place that holds ``old``."""
+    text = Path(tree._KERNEL_SOURCE).read_text()
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    source = directory / "_kernel.c"
+    source.write_text(text)
+    kernel = tree._load_kernel(str(source))
+    assert kernel is not None
+    return kernel
 
 
-def _non_semigroup_first(g):
-    bitmap = Semigroup.ordinary(g).bitmap ^ 1 << (2 * g + 1) | 2  # the root plus 1 less 2g + 1
-    return lambda kids: [(bitmap, kids[0][1])] + kids[1:]
+def _wrong_eff(wrong: str) -> str:
+    """C that gives the first child whose eff ``e`` the expression
+    ``wrong`` changes the eff ``wrong`` in place of ``e``."""
+    return (
+        "for (int j = 0; j < count && j < cap; j++) {\n"
+        f"            uint64_t e = child_effs[j];\n"
+        f"            if ({wrong} != e) {{ child_effs[j] = {wrong}; break; }}\n"
+        "        }"
+    )
 
 
-# faults planted below the root of the walk of genus g, and the g_max from
-# which the trees check must fail
+# Faults planted at the end of semiforge_tg_level, on the level below the
+# ordinary root of genus `planted_genus`, whose children it has counted
+# and, within `cap`, written: each fault edits the same children as the
+# Python edit of its name would, so that the compiled sweep and the Python
+# loop, which walks its levels by the same function, both see it.  With the
+# g_max, as an offset from that genus, from which the trees check must fail.
 _WALK_FAULTS = {
-    "dropped child": lambda g: (lambda kids: kids[:-1], g),
-    "repeated child": lambda g: (lambda kids: kids + kids[-1:], g),
-    "misplaced child": lambda g: (_misplaced(g), g),
-    "eff bit cleared": lambda g: (_wrong_eff(lambda eff: eff & (eff - 1)), g + 1),
-    "eff bit set": lambda g: (_wrong_eff(lambda eff: eff | 1 << (2 * g + 1)), g + 1),
+    "dropped child": ("count--;", 0),
+    "repeated child": (
+        """if (count == room) return -1;
+        if (count < cap)
+            children[count] = children[count - 1], child_effs[count] = child_effs[count - 1], parents[count] = 0;
+        count++;""",
+        0,
+    ),
+    # the last child becomes the first grandchild, with its own eff
+    "misplaced child": (
+        """uint64_t kid, kid_eff;
+        int up, all = 0x7fffffff;
+        if (count <= cap && semiforge_tg_level(children, child_effs, count, genus, &kid, &kid_eff, &up, 1, all) > 0)
+            children[count - 1] = kid, child_effs[count - 1] = kid_eff;""",
+        0,
+    ),
+    # the first eff that the edit changes
+    "eff bit cleared": (_wrong_eff("(e & (e - 1))"), 1),
+    "eff bit set": (_wrong_eff("(e | (uint64_t)1 << (2 * genus + 1))"), 1),
     # as many children in T, one of them no semigroup: the eff check at
     # genus g sees it
-    "eff bit moved": lambda g: (_wrong_eff(lambda eff: eff & (eff - 1) | 1 << (2 * g + 1) if eff else eff), g + 1),
+    "eff bit moved": (_wrong_eff("(e ? (e & (e - 1)) | (uint64_t)1 << (2 * genus + 1) : e)"), 1),
     # the root's first child, a leaf, becomes a non-semigroup without
-    # children: g gaps, the root as its transform, depth 1 and the first
-    # key, so only the closure check sees it
-    "non-semigroup child": lambda g: (_non_semigroup_first(g), g),
+    # children, the root plus 1 less 2g + 1: g gaps, the root as its
+    # transform, depth 1 and the first key, so only the closure check sees it
+    "non-semigroup child": ("if (cap) children[0] = (bitmaps[0] ^ (uint64_t)1 << (2 * genus + 1)) | 2;", 0),
     # the root's second child, a leaf as the first is, becomes a copy of
     # the first: only the sibling order sees it
-    "copied sibling": lambda g: (lambda kids: kids[:1] * 2 + kids[2:], g),
-    # a uint64 copy would drop the stray bit and pass
-    "child past the word": lambda g: (lambda kids: kids[:-1] + [(kids[-1][0] | 1 << 64, kids[-1][1])], g),
+    "copied sibling": ("if (cap >= 2) children[1] = children[0], child_effs[1] = child_effs[0];", 0),
+    # the last child gains the word's top bit, past the window below genus
+    # 31: a check masked to the window would pass it
+    "child past the word": ("if (count <= cap) children[count - 1] |= (uint64_t)1 << 63;", 0),
 }
+
+
+def _planted(fault: str) -> list[tuple[str, str]]:
+    """The edits of ``_kernel.c`` that plant ``fault``."""
+    root = "window(genus) & ~(((uint64_t)2 << genus) - 2)"
+    return [
+        ("int semiforge_tg_level(", "int planted_genus = -1;\nint semiforge_tg_level("),
+        (
+            "    return count;\n}\n\n/* semiforge.semigroup._ordinarize_bitmap",
+            f"    if (genus == planted_genus && n == 1 && bitmaps[0] == ({root}) && count) {{\n"
+            f"        {_WALK_FAULTS[fault][0]}\n    }}\n"
+            "    return count;\n}\n\n/* semiforge.semigroup._ordinarize_bitmap",
+        ),
+    ]
+
+
+@pytest.fixture(scope="module")
+def planted_kernels(tmp_path_factory):
+    """The kernel with a fault of ``_WALK_FAULTS`` planted, by name, each
+    built once a module; the test is skipped where no kernel loads."""
+    if tree._compiled_kernel() is None:
+        pytest.skip("no compiled count kernel")
+    built = {}
+
+    def kernel(fault):
+        if fault not in built:
+            built[fault] = _scratch_kernel(tmp_path_factory.mktemp("fault"), *_planted(fault))
+        return built[fault]
+
+    return kernel
 
 
 @pytest.mark.parametrize("fault", _WALK_FAULTS)
 @pytest.mark.parametrize("at", ["genus 8", "the cutoff"])
-def test_compiled_trees_check_fails_under_each_walk_fault(fault, at, compiled_kernel, monkeypatch):
+def test_compiled_trees_check_fails_under_each_walk_fault(fault, at, planted_kernels, monkeypatch):
     # the compiled decision fails, and the Python loop, which writes the
-    # report, fails too on the same walk
+    # report, fails too on the same walk; the same kernel with the fault
+    # planted at no genus passes
     g = 8 if at == "genus 8" else tree._COMPILED_TG_MIN_GENUS
+    g_max = g + _WALK_FAULTS[fault][1]
+    kernel = planted_kernels(fault)
+    monkeypatch.setattr(tree, "_kernel", kernel)
     monkeypatch.setattr(tree, "_COMPILED_TG_MIN_GENUS", min(g, tree._COMPILED_TG_MIN_GENUS))
-    edit, g_max = _WALK_FAULTS[fault](g)
-    doctor_compiled_levels(monkeypatch, g, edit)
-    assert tree._tg_plan(g_max) is tree._tg_level_compiled
+    planted = ctypes.c_int.in_dll(kernel, "planted_genus")
+    assert tree._tg_plan(g) is tree._tg_level_compiled
+    planted.value = -1
+    assert analytics._trees_hold(g_max) is True
+    planted.value = g
     assert analytics._trees_hold(g_max) is False
     report = verify_tree_relations(g_max)
     assert report.passed is False and report.counterexample
+
+
+def test_a_sweep_out_of_memory_is_no_failed_check(compiled_kernel, tmp_path, capsys, monkeypatch):
+    # a sweep that cannot allocate its levels raises MemoryError, and the
+    # CLI exits 2 with one line, without the Python loop that a failed
+    # check would run
+    kernel = _scratch_kernel(tmp_path, ("malloc(s * (4 * sizeof(uint64_t) + sizeof(int)))", "NULL"))
+    assert kernel.semiforge_tg_sweep(0, True, 1) == -2
+    monkeypatch.setattr(tree, "_kernel", kernel)
+
+    def python_loop(*args):
+        raise AssertionError("the Python loop of verify_tree_relations ran")
+
+    monkeypatch.setattr(tree, "_tg_levels", python_loop)
+    g_max = tree._COMPILED_TG_MIN_GENUS
+    with pytest.raises(MemoryError, match="could not allocate the levels of genus 0"):
+        verify_tree_relations(g_max)
+    assert cli.run(["verify", "--check", "trees", "--gmax", str(g_max)]) == 2
+    assert capsys.readouterr() == ("", "the compiled trees check could not allocate the levels of genus 0\n")
 
 
 def _check_level(kernel, parents, children, effs, up, g, depth, expand=True) -> int:
@@ -500,6 +581,38 @@ def test_compiled_trees_check_sees_what_the_python_checks_see(compiled_kernel):
         "transform left the ancestor line",
         "siblings transform to different parents",
     }, seen
+
+
+def test_compiled_lemma_checks_fail_on_a_wrong_eff(compiled_kernel, tmp_path):
+    # with the eff check taken out of a scratch copy, a flipped bit of the
+    # eff of a genus-8 node, at its place in its level, reaches the ancestor
+    # line and the sibling lemma, each returning a code of its own: the
+    # kernel fails exactly where _expand_checked reports a failure, and each
+    # of the two checks fails somewhere
+    ancestor_line = "            if (((child_t | child_frob) & mask) != t)\n                return -"
+    siblings = "                else if (child_t != first)\n                    return -"
+    kernel = _scratch_kernel(
+        tmp_path,
+        ("        if (effs[i] != (nonzero & ~sums & mask & -((uint64_t)2 << frob)))\n            return -1;\n", ""),
+        (ancestor_line + "1;", ancestor_line + "3;"),
+        (siblings + "1;", siblings + "4;"),
+    )
+    codes = Counter()
+    g = 8
+    prev = ()
+    for depth, level in enumerate(tree._tg_levels(g)):
+        parents, children, effs = map(list, level)
+        up = prev or children
+        for i, (child, eff) in enumerate(zip(children, effs)):
+            for flip in (1 << x for x in range(2 * g + 4)):
+                bad, nxt = analytics._Counterexamples(), set()
+                analytics._expand_checked(child, g, eff ^ flip, up[parents[i]], nxt, bad)
+                wrong = effs[:i] + [eff ^ flip] + effs[i + 1 :]
+                code = _check_level(kernel, parents, children, wrong, up, g, depth)
+                assert (code < 0) == (bad.best is not None), (child, flip)
+                codes[code if code < 0 else "pass"] += 1
+        prev = children
+    assert codes[-3] and codes[-4] and set(codes) == {-3, -4, "pass"}, codes
 
 
 def test_compiled_trees_check_refuses_repeats_and_wrong_depths(compiled_kernel):
