@@ -16,13 +16,33 @@
    count's tally stays as it is.
 
    semiforge_f_value is semiforge.closedsets._f_worker: the count's walk
-   from one task, or from the ordinary semigroup of genus w, to genus w,
-   where each node of genus w adds its closed sets of size w + 1 that
-   contain 0 (closed_one, the counting branch of
+   to genus w, where each node of genus w adds its closed sets of size
+   w + 1 that contain 0 (closed_one, the counting branch of
    semiforge.closedsets._closed_masks and _descend) and no other node
    adds anything.  Every maximum is at most 2 w and the window
    [0, 2 w + 1] must fit one word, so it runs on the 64-bit walk alone,
    to w = 31, the count's proven range.
+
+   The three make each task of a table to g_max (w for the f-value) from
+   its index i = g (g - 1) / 2 + a - g - 2, in semiforge.tree._spine_tasks'
+   order: the ordinary semigroup of genus g < g_max less its generator a,
+   g + 2 <= a <= 2 g + 1.  Its members in the window [0, 2 g + 3] are 0 and
+   [g + 1, 2 g + 3] less a, bits to 2 g_max + 1 as above.  So its genus and
+   multiplicity m are g + 1, its one non-zero member <= m is m (depth 1,
+   and an odd member <= m exactly when m is odd), and its gaps [1, g] and
+   a make n = 2 intervals (a - 1 >= m is a member).  Its Frobenius number
+   is a, and sums of two non-zero members start at 2 g + 2, with 2 g + 3 =
+   m + (m + 1) among them unless a = m + 1: so eff is (a, 2 g + 1], and
+   2 g + 3 where a = g + 2.  rev holds the members [m, W] less a.  Index
+   g_max (g_max - 1) / 2, past the last task, is the ordinary semigroup of
+   genus g_max, which f_value counts and no walk expands.
+
+   Each walks in one call per worker.  The workers of one computation
+   share the counter *next; each claims an index by an atomic
+   fetch-and-add until it reaches `end`, on a stack allocated once per
+   call, so *next = i and end = i + 1 walk task i alone.  A call that
+   cannot allocate its stack stores `end` into *next, which stops every
+   other at its next claim, and returns -1.
 
    The count's and the f-value's walk are one source text, at the end of
    this file, and so is the histogram's, each over the word type WORD:
@@ -123,12 +143,11 @@ static uint64_t closed_one(uint64_t members, int genus) {
     return total;
 }
 
-/* count64, hist64 and closed64, where the root's high words are 0 */
+/* count64, hist64 and closed64 */
 #define WORD uint64_t
 #define SIZED(name) name##64
 #define POPCOUNT __builtin_popcountll
 #define LOW_INDEX __builtin_ctzll
-#define FROM_PAIR(p) ((WORD)(p)[0])
 #include "_kernel.c"
 #define CLOSED
 #include "_kernel.c"
@@ -137,36 +156,31 @@ static uint64_t closed_one(uint64_t members, int genus) {
 #undef SIZED
 #undef POPCOUNT
 #undef LOW_INDEX
-#undef FROM_PAIR
 
 /* count128 and hist128 */
 #define WORD u128
 #define SIZED(name) name##128
 #define POPCOUNT popcount128
 #define LOW_INDEX low_index128
-#define FROM_PAIR(p) ((WORD)(p)[1] << 64 | (p)[0])
 #include "_kernel.c"
 
-/* root: bitmap, eff and rev of a task as (low, high) word pairs;
-   rows: (g_max + 1) rows of g_max / 2 + 1 tallies.  Returns -1 when out
-   of memory. */
-int semiforge_count(const uint64_t *root, int g, int r, int m, int g_max, uint64_t *rows) {
-    return g_max <= 31 ? count64(root, g, r, m, g_max, rows) : count128(root, g, r, m, g_max, rows);
+/* rows: (g_max + 1) rows of g_max / 2 + 1 tallies, which the tasks from
+   *next to `end` add to.  Returns -1 when out of memory. */
+int semiforge_count(int g_max, int *next, int end, uint64_t *rows) {
+    return g_max <= 31 ? count64(g_max, next, end, rows) : count128(g_max, next, end, rows);
 }
 
-/* root as semiforge_count's, and n its number of gap intervals; cells:
-   the tallies laid out as the histogram walk below says.  Returns -1
-   when out of memory. */
-int semiforge_hist(const uint64_t *root, int g, int r, int n, int m, int g_max, uint64_t *cells) {
-    return g_max <= 31 ? hist64(root, g, r, n, m, g_max, cells) : hist128(root, g, r, n, m, g_max, cells);
+/* cells: the tallies laid out as the histogram walk below says.  Returns
+   -1 when out of memory. */
+int semiforge_hist(int g_max, int *next, int end, uint64_t *cells) {
+    return g_max <= 31 ? hist64(g_max, next, end, cells) : hist128(g_max, next, end, cells);
 }
 
-/* root, g, r and m as semiforge_count's, of a task of f_value(w) or of
-   the ordinary semigroup of genus w <= 31; adds to *total the closed sets
-   over each semigroup of genus w that the count's walk reaches from it.
-   Returns -1 when out of memory. */
-int semiforge_f_value(const uint64_t *root, int g, int r, int m, int w, uint64_t *total) {
-    return closed64(root, g, r, m, w, total);
+/* Adds to *total the closed sets over each semigroup of genus w <= 31
+   that the tasks from *next to `end` reach, the ordinary one at index
+   w (w - 1) / 2.  Returns -1 when out of memory. */
+int semiforge_f_value(int w, int *next, int end, uint64_t *total) {
+    return closed64(w, next, end, total);
 }
 
 /* The membership window [0, 2 genus + 1] of a genus-`genus` bitmap. */
@@ -188,7 +202,8 @@ int semiforge_tg_level(const uint64_t *bitmaps, const uint64_t *effs, int n, int
     for (int i = 0; i < n; i++) {
         uint64_t bitmap = bitmaps[i], nonzero = bitmap & ~(uint64_t)1;
         int m = __builtin_ctzll(nonzero);
-        for (uint64_t bs = bitmap >> m & (((uint64_t)1 << m) - 2); bs; bs &= bs - 1) {
+        /* b >= 2: a set holding 1 is closed only as all of N, of genus 0 */
+        for (uint64_t bs = bitmap >> m & (((uint64_t)1 << m) - 4); bs; bs &= bs - 1) {
             int b = __builtin_ctzll(bs);
             uint64_t added = (uint64_t)1 << b, sums = (nonzero | added) << b;
             if (sums & mask & ~(bitmap | added))
@@ -316,12 +331,34 @@ int semiforge_tg_sweep(int genus, int expand, int size) {
 #else
 /* The walks of semiforge_count, semiforge_hist and semiforge_f_value on
    words of type WORD; POPCOUNT and LOW_INDEX are WORD's popcount and
-   lowest set bit, and FROM_PAIR(p) joins the (low, high) 64-bit pair p
-   into a WORD.  What a node of the shared walk adds to its tally:
+   lowest set bit.  What a node of the shared walk adds to its tally:
    NODE(e) for each entry popped, LAST(g, r, eff, extended) for the
    children of genus g_max, one a bit of eff, that a node makes by
    removing a bit from `extended`, and BARE(g, r) for a child without
    effective generators below g_max, which is tallied instead of pushed. */
+#ifndef CLOSED
+/* An entry of a walk: a node's bitmap, eff and rev (see _subtree), its
+   genus g, and `at`, its depth, or in the histogram's walk its cell. */
+typedef struct { WORD bitmap, eff, rev; int g, at; } SIZED(entry);
+
+/* Task i of a table to g_max, made into *e as the header derives it; a
+   task's multiplicity is its genus.  The index g_max (g_max - 1) / 2 is
+   the ordinary semigroup of genus g_max, which no walk expands. */
+static void SIZED(task)(int i, int g_max, SIZED(entry) *e) {
+    int W = 2 * g_max + 3, g = 1;
+    if (2 * i == g_max * (g_max - 1)) {
+        WORD ordinary = ((WORD)2 << (2 * g_max + 1)) - ((WORD)2 << g_max) + 1;
+        *e = (SIZED(entry)){ordinary, ordinary & ~(WORD)1, ((WORD)2 << (W - g_max - 1)) - 1, g_max, 0};
+        return;
+    }
+    while (g * (g + 1) / 2 <= i) g++;
+    int a = i - g * (g - 1) / 2 + g + 2;
+    *e = (SIZED(entry)){(((WORD)2 << (2 * g + 3)) - ((WORD)2 << g) + 1) ^ (WORD)1 << a,
+                        (((WORD)2 << (2 * g + 1)) - ((WORD)2 << a)) | (WORD)(a == g + 2) << (2 * g + 3),
+                        (((WORD)2 << (W - g - 1)) - 1) ^ (WORD)1 << (W - a), g + 1, 1};
+}
+#endif
+
 #ifdef CLOSED
 /* closed64: a node of genus g_max adds its closed sets to tally[0] */
 #define WALK SIZED(closed)
@@ -331,7 +368,7 @@ int semiforge_tg_sweep(int genus, int expand, int size) {
 #else
 /* count: a node of genus g and depth r adds 1 to row g, cell r */
 #define WALK SIZED(count)
-#define NODE(e) BARE((e).g, (e).r)
+#define NODE(e) BARE((e).g, (e).at)
 #define LAST(g, r, eff, extended) (tally[(g) * (g_max / 2 + 1) + (r)] += POPCOUNT(eff))
 #define BARE(g, r) (tally[(g) * (g_max / 2 + 1) + (r)] += 1)
 #endif
@@ -339,33 +376,35 @@ int semiforge_tg_sweep(int genus, int expand, int size) {
 /* A node of genus g has at most g + 1 effective generators, and only
    nodes of genus up to g_max - 2 push, so the stack never holds more than
    1 + 2 + ... + (g_max - 1) entries. */
-static int WALK(const uint64_t *root, int g, int r, int m, int g_max, uint64_t *tally) {
-    typedef struct { WORD bitmap, eff, rev; int g, r; } entry;
-    int W = 2 * g_max + 3, shift = W - m, top = 0;
-    entry *stack = malloc(sizeof(entry) * (g_max * (g_max - 1) / 2 + 1));
-    if (!stack) return -1;
-    stack[top++] = (entry){FROM_PAIR(root), FROM_PAIR(root + 2), FROM_PAIR(root + 4), g, r};
-    while (top) {
-        entry e = stack[--top];
-        NODE(e);
-        if (e.g == g_max || !e.eff) continue;
-        int g1 = e.g + 1, rbase = e.r + (int)((e.bitmap >> g1) & 1), head = 2 * e.g + 2, a_max = head + 1 - m;
-        WORD extended = e.bitmap | (WORD)3 << head, nonzero = extended & ~(WORD)1, eff = e.eff;
-        if (g1 == g_max) {
-            LAST(g1, rbase, eff, extended);
-            continue;
-        }
-        while (eff) {
-            WORD low = eff & -eff;
-            eff ^= low;
-            int a = LOW_INDEX(low);
-            WORD child_rev = e.rev ^ (WORD)1 << (W - a);
-            if (a <= a_max && !((nonzero ^ low) & (child_rev >> (shift - a))))
-                stack[top++] = (entry){extended ^ low, eff | low << m, child_rev, g1, rbase};
-            else if (eff)
-                stack[top++] = (entry){extended ^ low, eff, child_rev, g1, rbase};
-            else
-                BARE(g1, rbase);
+static int WALK(int g_max, int *next, int end, uint64_t *tally) {
+    int W = 2 * g_max + 3;
+    SIZED(entry) *stack = malloc(sizeof(SIZED(entry)) * (g_max * (g_max - 1) / 2 + 1));
+    if (!stack) return __atomic_store_n(next, end, __ATOMIC_RELAXED), -1;  /* the others stop at their next claim */
+    for (int i; (i = __atomic_fetch_add(next, 1, __ATOMIC_RELAXED)) < end;) {
+        SIZED(task)(i, g_max, stack);
+        int m = stack->g, shift = W - m, top = 1;
+        while (top) {
+            SIZED(entry) e = stack[--top];
+            NODE(e);
+            if (e.g == g_max || !e.eff) continue;
+            int g1 = e.g + 1, rbase = e.at + (int)((e.bitmap >> g1) & 1), head = 2 * e.g + 2, a_max = head + 1 - m;
+            WORD extended = e.bitmap | (WORD)3 << head, nonzero = extended & ~(WORD)1, eff = e.eff;
+            if (g1 == g_max) {
+                LAST(g1, rbase, eff, extended);
+                continue;
+            }
+            while (eff) {
+                WORD low = eff & -eff;
+                eff ^= low;
+                int a = LOW_INDEX(low);
+                WORD child_rev = e.rev ^ (WORD)1 << (W - a);
+                if (a <= a_max && !((nonzero ^ low) & (child_rev >> (shift - a))))
+                    stack[top++] = (SIZED(entry)){extended ^ low, eff | low << m, child_rev, g1, rbase};
+                else if (eff)
+                    stack[top++] = (SIZED(entry)){extended ^ low, eff, child_rev, g1, rbase};
+                else
+                    BARE(g1, rbase);
+            }
         }
     }
     free(stack);
@@ -377,55 +416,54 @@ static int WALK(const uint64_t *root, int g, int r, int m, int g_max, uint64_t *
 #undef BARE
 
 #ifndef CLOSED
-/* An entry of the histogram walk: the fields of the count's entry but
-   the depth, and the index of its cell. */
-typedef struct { WORD bitmap, eff, rev; int g, cell; } SIZED(hist_entry);
-
-/* The count's walk from the same root, whose n gap intervals the caller
-   gives, tallying each node into cells[((g R + r) N + n) 2 + odd]
-   (R = g_max / 2 + 1, N = g_max + 1), odd = 1 where it has an odd member
-   <= g.  A node of genus g has n <= g.  A child removes an effective
-   generator a > F (F the Frobenius number) and has Frobenius number a:
-   it keeps n when a - 1 = F is a gap and opens one more interval when
-   a - 1 is a member.  Every a >= g + 2 (a node under the spine has
-   F >= g + 1), so the children of one node share their depth and their
-   members <= g + 1, and so their cell but for n. */
-static int SIZED(hist)(const uint64_t *root, int g, int r, int n, int m, int g_max, uint64_t *cells) {
-    int W = 2 * g_max + 3, shift = W - m, N = g_max + 1, R = g_max / 2 + 1, top = 0;
-    SIZED(hist_entry) *stack = malloc(sizeof(SIZED(hist_entry)) * (g_max * (g_max - 1) / 2 + 1));
-    if (!stack) return -1;
-    WORD bitmap = FROM_PAIR(root);
-    stack[top++] = (SIZED(hist_entry)){bitmap, FROM_PAIR(root + 2), FROM_PAIR(root + 4), g,
-                                       ((g * R + r) * N + n) * 2 + odd_low((uint64_t)bitmap, g)};
-    while (top) {
-        SIZED(hist_entry) e = stack[--top];
-        cells[e.cell] += 1;
-        if (e.g == g_max || !e.eff) continue;
-        int g1 = e.g + 1;
-        /* the cell of a child that keeps n (kept + 2 has one more): a
-           genus on, and a depth deeper where g + 1 is a member */
-        int kept = (e.cell & ~1) + 2 * N * (R + (int)((e.bitmap >> g1) & 1)) + odd_low((uint64_t)e.bitmap, g1);
-        /* bit a is set where a - 1 is a member: removing a opens an interval */
-        WORD opens = e.bitmap << 1;
-        if (g1 == g_max) {
-            int more = POPCOUNT(e.eff & opens);
-            cells[kept] += POPCOUNT(e.eff) - more;
-            cells[kept + 2] += more;
-            continue;
-        }
-        int head = 2 * e.g + 2, a_max = head + 1 - m;
-        WORD extended = e.bitmap | (WORD)3 << head, nonzero = extended & ~(WORD)1, eff = e.eff;
-        while (eff) {
-            WORD low = eff & -eff;
-            eff ^= low;
-            int a = LOW_INDEX(low), cell = kept + 2 * ((opens & low) != 0);
-            WORD child_rev = e.rev ^ (WORD)1 << (W - a);
-            if (a <= a_max && !((nonzero ^ low) & (child_rev >> (shift - a))))
-                stack[top++] = (SIZED(hist_entry)){extended ^ low, eff | low << m, child_rev, g1, cell};
-            else if (eff)
-                stack[top++] = (SIZED(hist_entry)){extended ^ low, eff, child_rev, g1, cell};
-            else
-                cells[cell] += 1;
+/* The count's walk of the same tasks, tallying each node into
+   cells[((g R + r) N + n) 2 + odd] (R = g_max / 2 + 1, N = g_max + 1), n
+   its gap intervals and odd = 1 where it has an odd member <= g; a task
+   has n = 2, and odd = 1 exactly where its genus is odd.  A node of genus
+   g has n <= g.  A child removes an effective generator a > F (F the
+   Frobenius number) and has Frobenius number a: it keeps n when a - 1 = F
+   is a gap and opens one more interval when a - 1 is a member.  Every
+   a >= g + 2 (a node under the spine has F >= g + 1), so the children of
+   one node share their depth and their members <= g + 1, and so their
+   cell but for n. */
+static int SIZED(hist)(int g_max, int *next, int end, uint64_t *cells) {
+    int W = 2 * g_max + 3, N = g_max + 1, R = g_max / 2 + 1;
+    SIZED(entry) *stack = malloc(sizeof(SIZED(entry)) * (g_max * (g_max - 1) / 2 + 1));
+    if (!stack) return __atomic_store_n(next, end, __ATOMIC_RELAXED), -1;  /* the others stop at their next claim */
+    for (int i; (i = __atomic_fetch_add(next, 1, __ATOMIC_RELAXED)) < end;) {
+        SIZED(task)(i, g_max, stack);
+        int m = stack->g, shift = W - m, top = 1;
+        stack->at = ((m * R + stack->at) * N + 2) * 2 + (m & 1);
+        while (top) {
+            SIZED(entry) e = stack[--top];
+            cells[e.at] += 1;
+            if (e.g == g_max || !e.eff) continue;
+            int g1 = e.g + 1;
+            /* the cell of a child that keeps n (kept + 2 has one more): a
+               genus on, and a depth deeper where g + 1 is a member */
+            int kept = (e.at & ~1) + 2 * N * (R + (int)((e.bitmap >> g1) & 1)) + odd_low((uint64_t)e.bitmap, g1);
+            /* bit a is set where a - 1 is a member: removing a opens an interval */
+            WORD opens = e.bitmap << 1;
+            if (g1 == g_max) {
+                int more = POPCOUNT(e.eff & opens);
+                cells[kept] += POPCOUNT(e.eff) - more;
+                cells[kept + 2] += more;
+                continue;
+            }
+            int head = 2 * e.g + 2, a_max = head + 1 - m;
+            WORD extended = e.bitmap | (WORD)3 << head, nonzero = extended & ~(WORD)1, eff = e.eff;
+            while (eff) {
+                WORD low = eff & -eff;
+                eff ^= low;
+                int a = LOW_INDEX(low), cell = kept + 2 * ((opens & low) != 0);
+                WORD child_rev = e.rev ^ (WORD)1 << (W - a);
+                if (a <= a_max && !((nonzero ^ low) & (child_rev >> (shift - a))))
+                    stack[top++] = (SIZED(entry)){extended ^ low, eff | low << m, child_rev, g1, cell};
+                else if (eff)
+                    stack[top++] = (SIZED(entry)){extended ^ low, eff, child_rev, g1, cell};
+                else
+                    cells[cell] += 1;
+            }
         }
     }
     free(stack);

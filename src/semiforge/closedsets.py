@@ -30,7 +30,9 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .semigroup import Semigroup
-from .tree import _F_MIN_TASKS, _WORD_GMAX, Node, _compiled_kernel, _run_tasks, _spine_tasks, _subtree, _task_words
+from .tree import (
+    _F_MIN_TASKS, _WORD_GMAX, Claims, Node, _compiled_kernel, _run_tasks, _spine_tasks, _subtree, _walk_compiled,
+)
 
 
 class PreconditionViolated(ValueError):
@@ -199,30 +201,22 @@ def _f_worker(payload: tuple[Iterable[Node], int]) -> int:
     return sum(count_closed_sets(Semigroup._from_bitmap(bitmap, w), w + 1) for bitmap in nodes)
 
 
-def _f_worker_compiled(payload: tuple[Iterable[Node], int]) -> int:
-    """``_f_worker`` on the compiled kernel, one ``semiforge_f_value`` call a task."""
-    from ctypes import byref, c_uint64
-
-    tasks, w = payload
-    if w > _WORD_GMAX:
-        raise ValueError(f"the compiled kernel counts closed sets to genus {_WORD_GMAX}, not {w}")
-    kernel, words, total = _compiled_kernel(), (c_uint64 * 6)(), c_uint64()
-    for task in tasks:
-        if kernel.semiforge_f_value(words, *_task_words(task, w, words), w, byref(total)):
-            raise MemoryError("the compiled f-value kernel could not allocate its stack")
-    return total.value
+def _f_worker_compiled(payload: tuple[Claims, int]) -> int:
+    """``_f_worker`` on the compiled kernel, whose walk to w <= 31 makes the tasks of ``f_value(w)``."""
+    return _walk_compiled("semiforge_f_value", payload, 1, _WORD_GMAX)[0]
 
 
 def f_value(omega_genus: int, *, workers: int = 1) -> int:
-    """Sum of the closed-set counts of size w+1 over every semigroup of genus w: the ordinary one, and
-    those under the tasks of ``count_matrix(w)``.  Equals the number of genus-g semigroups at depth r
-    whenever 3r >= g + 2 and w = floor(g/2) - r."""
+    """Sum of the closed-set counts of size w+1 over every semigroup of genus w: those under the tasks
+    of ``count_matrix(w)``, and the ordinary one, one task more.  Equals the number of genus-g
+    semigroups at depth r whenever 3r >= g + 2 and w = floor(g/2) - r."""
     if omega_genus < 0:
         raise ValueError("genus must be non-negative")
-    compiled = omega_genus <= _WORD_GMAX and _compiled_kernel() is not None
+    w = omega_genus
+    compiled = w <= _WORD_GMAX and _compiled_kernel() is not None
     worker = _f_worker_compiled if compiled else _f_worker
-    parts = _run_tasks(worker, _spine_tasks(omega_genus), omega_genus, workers, compiled, _F_MIN_TASKS)
-    return worker(([(Semigroup.ordinary(omega_genus).bitmap, omega_genus, 0)], omega_genus)) + sum(parts)
+    tasks = range(w * (w - 1) // 2 + 1) if compiled else [*_spine_tasks(w), (Semigroup.ordinary(w).bitmap, w, 0)]
+    return sum(_run_tasks(worker, tasks, w, workers, compiled, _F_MIN_TASKS))
 
 
 # ----------------------------------------------------------------------

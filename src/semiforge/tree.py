@@ -27,8 +27,11 @@ inherits its effective generators from its parent.  A table tallies the
 spine directly and counts its tasks by a C kernel, built on first use by
 the system C compiler, or by that walk where the kernel cannot load, in
 process, or shared by threads where the kernel runs (it releases the
-GIL) and by forked children where the walk does; the tallies merge by
-addition, so results do not depend on the worker count.  The same
+GIL) and by forked children where the walk does.  The kernel makes each
+task from its index, and each thread makes one call, which claims
+indices from a counter that all share; each forked child walks every
+k-th task.  The tallies merge by addition, so results do not depend on
+the worker count.  The same
 tasks, walked the same ways, tally the histogram (``_histogram``), on
 which the ``parity`` and ``intervals`` checks are decided, and count
 the closed sets of each genus-w semigroup for ``f_value(w)``.
@@ -66,14 +69,16 @@ if TYPE_CHECKING:
 _FORK_MIN_TASKS = 200
 
 # Threads share a compiled kernel's tasks of a table from this many (2 CPUs,
-# Python 3.11; median ms, one thread vs two, pairs of 21 two won):
-# count_matrix(21) (210 tasks) 3.1 vs 3.4 (2), (22) (231) 3.9 vs 3.8 (19).
-_THREAD_MIN_TASKS = 22 * 21 // 2
+# Python 3.11; median ms of 21 calls, one thread vs two, 31 interleaved pairs
+# of fresh interpreters, pairs two won): count_matrix(20) (190 tasks) 0.39 vs
+# 0.43 (8), (21) (210) 0.62 vs 0.56 (27).
+_THREAD_MIN_TASKS = 21 * 20 // 2
 
-# An f-value's tasks are shared by forks from 36 and threads from 55 (2 CPUs, Python 3.11; median ms, one
-# worker vs two, 11 pairs of fresh interpreters, two won): Python f_value(8) (28 tasks) 4.23 vs 4.01 (9; two
-# spread to 5.6), (9) (36) 11.3 vs 8.1 (11); compiled f_value(10) (45) 0.65 vs 0.72 (1), (11) (55) 1.42 vs 1.18 (11).
-_F_MIN_TASKS = (36, 55)
+# An f-value's tasks, its ordinary semigroup one of them, are shared by forks from 36 and threads from 46 (2 CPUs,
+# Python 3.11; median ms, one worker vs two, pairs of fresh interpreters, two won): Python f_value(8) (29 tasks) 4.23
+# vs 4.01 (9 of 11; two spread to 5.6), (9) (37) 11.3 vs 8.1 (11 of 11); compiled, of 21 calls, f_value(9) (37) 0.15
+# vs 0.28 (2 of 21), (10) (46) 0.49 vs 0.47 (16 of 21).
+_F_MIN_TASKS = (36, 46)
 
 # The compiled kernel (``_kernel.c``) holds a table's window 2*g_max + 3
 # in one 64-bit word to g_max = 31, else a 128-bit one (_KERNEL_GMAX), and
@@ -93,7 +98,6 @@ _INT_MAX = 2**31 - 1
 # 0), tg_bfs_row(13) 3.7-3.9 vs 3.9 (11, 9), tg_bfs_row(14) 3.6-3.9 vs
 # 6.3-6.8 (14, 15).
 _COMPILED_TG_MIN_GENUS = 13
-_WORD = (1 << 64) - 1
 _kernel = None
 _pin = getattr(os, "sched_setaffinity", lambda _pid, _cpus: None)  # sets a thread's CPUs, where it can
 
@@ -191,6 +195,7 @@ class CountMatrix(NamedTuple):
 Node = tuple[int, int, int]  # bitmap, genus, ordinarization number
 Entry = tuple[int, int, int, int, int]  # a Node's fields, then eff and rev (see _subtree)
 TgLevel = tuple[Sequence[int], Sequence[int], Sequence[int]]  # parent indices, children, their eff
+Claims = tuple["ctypes.c_int", int]  # a claim counter and the index past the last task (see _claims)
 
 
 def _effective_generators(bitmap: int, genus: int) -> int:
@@ -300,29 +305,26 @@ def _count_worker(payload: tuple[list[Node], int]) -> list[list[int]]:
     return rows
 
 
-def _count_worker_compiled(payload: tuple[list[Node], int]) -> list[list[int]]:
-    """``_count_worker`` on the compiled kernel, which tallies into one
-    uint64 buffer of g_max // 2 + 1 cells per row."""
+def _walk_compiled(walk: str, payload: tuple[Claims, int], cells: int, top: int = _KERNEL_GMAX) -> ctypes.Array:
+    """One call of the compiled ``walk``, which makes the tasks of a table to g_max <= ``top``, claims
+    them (``_claims``) and tallies them into the new buffer of ``cells`` uint64 cells returned."""
     from ctypes import c_uint64
 
-    tasks, g_max = payload
-    if g_max > _KERNEL_GMAX:
-        raise ValueError(f"the compiled kernel counts to genus {_KERNEL_GMAX}, not {g_max}")
-    stride, words = g_max // 2 + 1, (c_uint64 * 6)()
-    tally = (c_uint64 * ((g_max + 1) * stride))()
-    for task in tasks:
-        g, r, m = _task_words(task, g_max, words)
-        if _kernel.semiforge_count(words, g, r, m, g_max, tally):
-            raise MemoryError("the compiled count kernel could not allocate its stack")
+    (next_task, end), g_max = payload
+    if g_max > top:
+        raise ValueError(f"the compiled kernel counts to genus {top}, not {g_max}")
+    tally = (c_uint64 * cells)()
+    if getattr(_kernel, walk)(g_max, next_task, end, tally):
+        raise MemoryError("the compiled count kernel could not allocate its stack")
+    return tally
+
+
+def _count_worker_compiled(payload: tuple[Claims, int]) -> list[list[int]]:
+    """``_count_worker`` on the compiled kernel, tallied into g_max // 2 + 1 cells per row."""
+    g_max = payload[1]
+    stride = g_max // 2 + 1
+    tally = _walk_compiled("semiforge_count", payload, (g_max + 1) * stride)
     return [tally[g * stride : g * stride + g // 2 + 1] for g in range(g_max + 1)]
-
-
-def _task_words(task: Node, g_max: int, words: ctypes.Array) -> tuple[int, int, int]:
-    """Writes a task's first entry into ``words`` as the compiled kernels take it, its bitmap, eff
-    and rev as six 64-bit words (low half first); returns its genus, depth and walk's multiplicity m."""
-    (bitmap, g, r, eff, rev), m = _task_start(task, g_max)
-    words[:] = [x >> s & _WORD for x in (bitmap, eff, rev) for s in (0, 64)]
-    return g, r, m
 
 
 def _gap_intervals(bitmap: int, g: int) -> int:
@@ -375,21 +377,12 @@ def _hist_worker(payload: tuple[list[Node], int]) -> list[list[list[int]]]:
     return hist
 
 
-def _hist_worker_compiled(payload: tuple[list[Node], int]) -> list[list[list[int]]]:
-    """``_hist_worker`` on the compiled kernel, which tallies into one
-    uint64 buffer of g_max // 2 + 1 depths per genus and g_max + 1 (n, odd)
-    pairs per depth."""
-    from ctypes import c_uint64
-
-    tasks, g_max = payload
-    if g_max > _KERNEL_GMAX:
-        raise ValueError(f"the compiled kernel counts to genus {_KERNEL_GMAX}, not {g_max}")
-    stride, depths, words = 2 * (g_max + 1), g_max // 2 + 1, (c_uint64 * 6)()
-    tally = (c_uint64 * ((g_max + 1) * depths * stride))()
-    for task in tasks:
-        g, r, m = _task_words(task, g_max, words)
-        if _kernel.semiforge_hist(words, g, r, _gap_intervals(task[0], g), m, g_max, tally):
-            raise MemoryError("the compiled count kernel could not allocate its stack")
+def _hist_worker_compiled(payload: tuple[Claims, int]) -> list[list[list[int]]]:
+    """``_hist_worker`` on the compiled kernel, tallied into g_max // 2 + 1
+    depths per genus and g_max + 1 (n, odd) pairs per depth."""
+    g_max = payload[1]
+    stride, depths = 2 * (g_max + 1), g_max // 2 + 1
+    tally = _walk_compiled("semiforge_hist", payload, (g_max + 1) * depths * stride)
     return [
         [tally[(g * depths + r) * stride : (g * depths + r) * stride + 2 * g + 2] for r in range(g // 2 + 1)]
         for g in range(g_max + 1)
@@ -424,13 +417,10 @@ def _load_kernel(source: str) -> Optional[ctypes.CDLL]:
         lib = ctypes.CDLL(library)
     except OSError:
         return None
-    words, c_int, address = ctypes.POINTER(ctypes.c_uint64), ctypes.c_int, ctypes.c_void_p
-    lib.semiforge_count.argtypes = [words, c_int, c_int, c_int, c_int, words]
-    lib.semiforge_count.restype = c_int
-    lib.semiforge_hist.argtypes = [words, c_int, c_int, c_int, c_int, c_int, words]
-    lib.semiforge_hist.restype = c_int
-    lib.semiforge_f_value.argtypes = [words, c_int, c_int, c_int, c_int, words]
-    lib.semiforge_f_value.restype = c_int
+    c_int, address = ctypes.c_int, ctypes.c_void_p
+    for walk in (lib.semiforge_count, lib.semiforge_hist, lib.semiforge_f_value):
+        walk.argtypes = [c_int, ctypes.POINTER(c_int), c_int, ctypes.POINTER(ctypes.c_uint64)]
+        walk.restype = c_int
     lib.semiforge_tg_level.argtypes = [address, address, c_int, c_int, address, address, address, c_int, c_int]
     lib.semiforge_tg_level.restype = c_int
     lib.semiforge_tg_check.argtypes = [address, address, address, c_int, address, c_int, c_int, c_int, c_int]
@@ -497,7 +487,7 @@ def _tg_children_raw(bitmap: int, genus: int, eff: int) -> list[tuple[int, int]]
     nonzero = bitmap & -2
     mult = (nonzero & -nonzero).bit_length() - 1
     out = []
-    for b in range(1, mult):
+    for b in range(2, mult):  # not 1: a set holding 1 is closed only as all of N, of genus 0
         if not (bitmap >> (b + mult)) & 1:
             continue
         added = 1 << b
@@ -620,29 +610,39 @@ def _usable_cpus() -> list[int]:
     return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [*range(os.cpu_count() or 1)]
 
 
-def _run_tasks(fn: Callable, tasks: list, arg: object, workers: int, compiled: bool,
+def _run_tasks(fn: Callable, tasks: Sequence, arg: object, workers: int, compiled: bool,
                floors: tuple[int, int] = (_FORK_MIN_TASKS, _THREAD_MIN_TASKS)) -> list:
     """fn((tasks, arg)) in this thread when there is one worker or too few tasks to pay for sharing them;
     else shared by threads from floors[1] (a table's by default) where fn runs the compiled kernel
     (``compiled``), which releases the GIL, and by forked children from floors[0], where it does not.
-    ``workers`` = 0 means one per usable CPU."""
+    The kernel makes its tasks from their indices, so there ``tasks`` is a range of them, which fn
+    takes as claims (``_claims``).  ``workers`` = 0 means one per usable CPU."""
     if workers < 0:
         raise ValueError("workers must be >= 0")
     workers = workers or len(_usable_cpus())
     if workers == 1 or len(tasks) < floors[compiled]:
-        return [fn((tasks, arg))]
+        return [fn((_claims(tasks) if compiled else tasks, arg))]
     return (_thread_map if compiled else _fork_map)(fn, tasks, arg, workers)
 
 
-def _thread_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
+def _claims(tasks: range) -> Claims:
+    """The task indices ``tasks`` as a compiled walk claims them, one call a worker: a counter at
+    the first, which the workers of one computation share, and the index past the last."""
+    from ctypes import c_int
+
+    return c_int(tasks.start), tasks.stop
+
+
+def _thread_map(fn: Callable, tasks: range, arg: object, workers: int) -> list:
     """fn((claims, arg)) in this thread and up to ``workers`` - 1 more, each
     pinned to a usable CPU of its own (unpinned, a new thread stays on its
-    creator's for about 100 ms); ``claims``, atomic under the GIL, iterates
-    ``tasks`` for all.  A thread's error is raised once all stop, the others
-    at their next claim."""
+    creator's for about 100 ms); ``claims`` = ``_claims(tasks)`` is one
+    counter for all, from which each kernel call claims the tasks it walks.
+    A thread's error is raised once all stop; a kernel call that fails
+    stops the others at their next claim."""
     import threading
 
-    cpus, claims, results = _usable_cpus(), iter(tasks), []
+    cpus, claims, results = _usable_cpus(), _claims(tasks), []
 
     def work(cpu: int) -> None:
         try:
@@ -650,7 +650,6 @@ def _thread_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
             results.append(fn((claims, arg)))
         except BaseException as exc:
             results.insert(0, exc)
-            list(claims)  # drops the rest, so that no thread claims another
 
     threads = [threading.Thread(target=work, args=(cpu,)) for cpu in cpus[1:workers]]
     try:
@@ -787,15 +786,16 @@ def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
     a table too large for the memory raises MemoryError before any count.
     """
     _check_table(g_max, (g_max + 1) * (g_max // 2 + 1))
-    rows = _empty_rows(g_max)
-    for row in rows:
-        row[0] += 1  # the spine: one ordinary semigroup per genus, at depth 0
     compiled = g_max <= _KERNEL_GMAX and _compiled_kernel() is not None
     worker = _count_worker_compiled if compiled else _count_worker
-    for part in _run_tasks(worker, _spine_tasks(g_max), g_max, workers, compiled):
+    tasks = range(g_max * (g_max - 1) // 2) if compiled else _spine_tasks(g_max)
+    rows, *others = _run_tasks(worker, tasks, g_max, workers, compiled)
+    for part in others:
         for row, counts in zip(rows, part):
             for r, c in enumerate(counts):
                 row[r] += c
+    for row in rows:
+        row[0] += 1  # the spine: one ordinary semigroup per genus, at depth 0
     return CountMatrix(tuple(tuple(row) for row in rows))
 
 
@@ -808,15 +808,15 @@ def _histogram(g_max: int, *, workers: int = 1) -> list[list[list[int]]]:
     _check_table(g_max, 2 * (g_max + 1) ** 2 * (g_max // 2 + 1))
     compiled = g_max <= _KERNEL_GMAX and _compiled_kernel() is not None
     worker = _hist_worker_compiled if compiled else _hist_worker
-    parts = _run_tasks(worker, _spine_tasks(g_max), g_max, workers, compiled)
-    hist = _empty_hist(g_max)
-    for g, row in enumerate(hist):
-        row[0][2 * (g > 0)] += 1  # the ordinary semigroup: gaps 1..g, one interval, no member in 1..g
-    for part in parts:
+    tasks = range(g_max * (g_max - 1) // 2) if compiled else _spine_tasks(g_max)
+    hist, *others = _run_tasks(worker, tasks, g_max, workers, compiled)
+    for part in others:
         for row, part_row in zip(hist, part):
             for cells, counts in zip(row, part_row):
                 for i, c in enumerate(counts):
                     cells[i] += c
+    for g, row in enumerate(hist):
+        row[0][2 * (g > 0)] += 1  # the ordinary semigroup: gaps 1..g, one interval, no member in 1..g
     return hist
 
 

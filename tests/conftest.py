@@ -127,6 +127,20 @@ def doctor_compiled_levels(patch: pytest.MonkeyPatch, g: int, edit) -> None:
     patch.setattr(tree, "_tg_level_compiled", doctored)
 
 
+def scratch_kernel(directory, *edits):
+    """The kernel built from a copy of ``_kernel.c`` in ``directory``, with
+    each (old, new) edit made to the one place that holds ``old``."""
+    text = Path(tree._KERNEL_SOURCE).read_text()
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    source = directory / "_kernel.c"
+    source.write_text(text)
+    kernel = tree._load_kernel(str(source))
+    assert kernel is not None
+    return kernel
+
+
 @pytest.fixture(scope="session")
 def semigroups_by_genus() -> dict[int, list[Semigroup]]:
     """All semigroups of genus <= 9, grouped by genus."""

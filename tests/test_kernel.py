@@ -8,11 +8,11 @@ import itertools
 import math
 import re
 import shutil
+import struct
 import sys
 from array import array
 from collections import Counter
 from importlib.machinery import EXTENSION_SUFFIXES
-from pathlib import Path
 
 import pytest
 
@@ -36,7 +36,7 @@ from semiforge import (
 from semiforge.analytics import VerificationReport
 from semiforge.closedsets import count_closed_sets
 from semiforge.semigroup import _ordinarize_bitmap
-from conftest import gap_runs
+from conftest import gap_runs, scratch_kernel
 from reference_tables import COUNTS_BY_GENUS, F_SEQUENCE
 
 
@@ -47,32 +47,127 @@ def test_kernel_loads_where_a_compiler_is_on_path():
     assert tree._compiled_kernel() is not None
 
 
+def _one(i: int) -> tree.Claims:
+    """The claims of a compiled walk of task i alone."""
+    return tree._claims(range(i, i + 1))
+
+
 def test_compiled_kernel_matches_python_per_task(compiled_kernel):
     # task by task, so that errors in two tasks cannot cancel in the sum
     for g_max in range(25):
-        for task in tree._spine_tasks(g_max):
-            payload = ([task], g_max)
-            assert tree._count_worker_compiled(payload) == tree._count_worker(payload), (g_max, task)
+        for i, task in enumerate(tree._spine_tasks(g_max)):
+            want = tree._count_worker(([task], g_max))
+            assert tree._count_worker_compiled((_one(i), g_max)) == want, (g_max, task)
+
+
+def _top_word_tasks(g_max: int, genus: int) -> list[tuple[int, tree.Node]]:
+    """(index, task) of the tasks of a table to g_max whose genus is at least ``genus``."""
+    return [(i, task) for i, task in enumerate(tree._spine_tasks(g_max)) if task[1] >= genus]
 
 
 def test_compiled_kernel_matches_python_in_the_top_word(compiled_kernel):
     # the shallow tasks of a table to genus 62 fill both 64-bit halves of
     # the window 2*62 + 3 = 127 without counting the table
-    tasks = [task for task in tree._spine_tasks(62) if task[1] >= 60]
+    tasks = _top_word_tasks(62, 60)
     assert len(tasks) == 59 + 60 + 61
-    for task in tasks:
-        payload = ([task], 62)
-        assert tree._count_worker_compiled(payload) == tree._count_worker(payload), task
+    for i, task in tasks:
+        assert tree._count_worker_compiled((_one(i), 62)) == tree._count_worker(([task], 62)), task
 
 
-def _shares(monkeypatch, module) -> list[tuple[object, bool]]:
-    """(worker, whether the kernel runs it) of every ``_run_tasks`` call
-    that ``module`` makes, which now runs no task and returns no tally."""
-    shares: list[tuple[object, bool]] = []
+@pytest.fixture(scope="module")
+def exposed_kernel(tmp_path_factory) -> ctypes.CDLL:
+    """The kernel with its task maker (task64, task128) and closed_one
+    exported, which the library keeps to itself; built once a module."""
+    if tree._compiled_kernel() is None:
+        pytest.skip("no compiled count kernel")
+    kernel = scratch_kernel(
+        tmp_path_factory.mktemp("exposed"),
+        ("static void SIZED(task)(", "void SIZED(task)("),
+        ("static uint64_t closed_one(", "uint64_t closed_one("),
+    )
+    kernel.closed_one.argtypes, kernel.closed_one.restype = [ctypes.c_uint64, ctypes.c_int], ctypes.c_uint64
+    return kernel
+
+
+def _made_task(kernel, bits: int, i: int, g_max: int) -> tuple[tree.Entry, int]:
+    """Task i of a table to g_max as the kernel's task maker on ``bits``-bit
+    words makes it, as ``_task_start`` gives it: its first entry and its
+    multiplicity, the genus."""
+    buffer = (ctypes.c_uint64 * 10)()  # an entry of three words and two ints, 16-byte aligned
+    entry = ctypes.addressof(buffer) + (-ctypes.addressof(buffer) % 16)
+    getattr(kernel, f"task{bits}")(i, g_max, ctypes.c_void_p(entry))
+    raw, size = ctypes.string_at(entry, 3 * bits // 8 + 8), bits // 8
+    bitmap, eff, rev = (int.from_bytes(raw[k * size : (k + 1) * size], "little") for k in range(3))
+    g, r = struct.unpack_from("ii", raw, 3 * size)
+    return (bitmap, g, r, eff, rev), g
+
+
+def test_the_kernel_makes_each_task_as_python_builds_it(exposed_kernel):
+    # every task of every table to genus 62, on the 128-bit word, and to
+    # 31 on the 64-bit one, with the ordinary root of genus g_max one index
+    # past the last task; the histogram walk puts each task at n = 2 gap
+    # intervals, with an odd member <= g exactly where g is odd
+    for g_max in range(63):
+        tasks = [*tree._spine_tasks(g_max), (Semigroup.ordinary(g_max).bitmap, g_max, 0)]
+        for bits in (64, 128) if g_max <= 31 else (128,):
+            for i, task in enumerate(tasks):
+                made, genus = _made_task(exposed_kernel, bits, i, g_max)
+                want, m = tree._task_start(task, g_max)
+                assert made == want, (bits, g_max, task)
+                if task[2]:
+                    assert genus == m and tree._gap_intervals(task[0], genus) == 2, (g_max, task)
+                    assert (task[0] & tree._odd_low(genus) != 0) == genus % 2, (g_max, task)
+
+
+class _KernelSpy:
+    """The compiled kernel, recording the name of each walk called."""
+
+    def __init__(self, kernel):
+        self.kernel, self.calls = kernel, []
+
+    def __getattr__(self, name):
+        walk = getattr(self.kernel, name)
+
+        def spy(*args):
+            self.calls.append(name)
+            return walk(*args)
+
+        return spy
+
+
+def test_each_worker_makes_one_kernel_call(compiled_kernel, thread_calls, monkeypatch):
+    # above the thread floors (a table to 22 and f_value(11)) and below
+    # them (19 and 9); each worker claims all its tasks in one call
+    spy = _KernelSpy(compiled_kernel)
+    monkeypatch.setattr(tree, "_kernel", spy)
+    cpus = len(tree._usable_cpus())
+    computations = [
+        ("semiforge_count", lambda g, workers: count_matrix(g, workers=workers)),
+        ("semiforge_hist", lambda g, workers: tree._histogram(g, workers=workers)),
+        ("semiforge_f_value", lambda g, workers: f_value(g // 2, workers=workers)),
+    ]
+    for name, compute in computations:
+        for g in (19, 22):
+            want = compute(g, 1)
+            assert spy.calls == [name], (name, g)
+            for workers in (2, 3):
+                spy.calls.clear()
+                assert compute(g, workers) == want
+                shared = g == 22 and cpus > 1
+                assert spy.calls == [name] * (min(workers, cpus) if shared else 1), (name, g, workers)
+            spy.calls.clear()
+    assert len(thread_calls) == 6  # one CPU runs the caller's share alone
+
+
+def _shares(monkeypatch, module) -> list[tuple[object, object, bool]]:
+    """(worker, tasks, whether the kernel runs it) of every ``_run_tasks``
+    call that ``module`` makes, which now runs no task and returns one
+    empty tally."""
+    shares: list[tuple[object, object, bool]] = []
 
     def record(fn, tasks, arg, workers, compiled, floors=None):
-        shares.append((fn, compiled))
-        return []
+        shares.append((fn, tasks, compiled))
+        return [0 if module is closedsets else []]
 
     monkeypatch.setattr(module, "_run_tasks", record)
     return shares
@@ -80,20 +175,22 @@ def _shares(monkeypatch, module) -> list[tuple[object, bool]]:
 
 def test_compiled_kernel_counts_to_genus_62(compiled_kernel, monkeypatch):
     # the kernel's tasks are shared by threads, from _THREAD_MIN_TASKS,
-    # and the Python walk's by forked children, from _FORK_MIN_TASKS
+    # and the Python walk's by forked children, from _FORK_MIN_TASKS; the
+    # kernel makes its tasks, so it is handed their indices alone
     shares = _shares(monkeypatch, tree)
     for g_max in (62, 63):
         count_matrix(g_max)
         tree._histogram(g_max)
     with pytest.raises(ValueError, match="genus 62, not 63"):
-        tree._count_worker_compiled(([], 63))
+        tree._count_worker_compiled((tree._claims(range(0)), 63))
     monkeypatch.setattr(tree, "_kernel", False)
     count_matrix(62)
     tree._histogram(62)
+    indices, built, above = range(62 * 61 // 2), tree._spine_tasks(62), tree._spine_tasks(63)
     assert shares == [
-        (tree._count_worker_compiled, True), (tree._hist_worker_compiled, True),
-        (tree._count_worker, False), (tree._hist_worker, False),
-        (tree._count_worker, False), (tree._hist_worker, False),
+        (tree._count_worker_compiled, indices, True), (tree._hist_worker_compiled, indices, True),
+        (tree._count_worker, above, False), (tree._hist_worker, above, False),
+        (tree._count_worker, built, False), (tree._hist_worker, built, False),
     ]
 
 
@@ -102,12 +199,12 @@ def test_compiled_tables_match_python_at_1_2_3_workers(compiled_kernel, fork_cal
     assert [list(row) for row in want[:31]] == [COUNTS_BY_GENUS[g] for g in range(31)]
     assert sum(want[31]) == 9_266_788  # n(31), OEIS A007323, counted on the 64-bit walk
     for workers in (2, 3):
-        for g in (21, 22, 27, 30, 31):
+        for g in (20, 21, 27, 30, 31):
             assert count_matrix(g, workers=workers).rows == want[: g + 1], (g, workers)
-    # threads share the compiled tasks from genus 22, forked processes
-    # the Python kernel's from 21; the compiled kernel never forks
-    assert sum(range(21)) < tree._THREAD_MIN_TASKS <= sum(range(22))
-    assert thread_calls == [(sum(range(g)), workers) for workers in (2, 3) for g in (22, 27, 30, 31)]
+    # threads share the compiled tasks from genus 21, and so do forked
+    # processes the Python kernel's; the compiled kernel never forks
+    assert sum(range(20)) < tree._THREAD_MIN_TASKS <= sum(range(21))
+    assert thread_calls == [(sum(range(g)), workers) for workers in (2, 3) for g in (21, 27, 30, 31)]
     assert fork_calls == []
     monkeypatch.setattr(tree, "_kernel", False)
     for workers in (1, 2, 3):
@@ -116,18 +213,16 @@ def test_compiled_tables_match_python_at_1_2_3_workers(compiled_kernel, fork_cal
 
 def test_compiled_histogram_matches_python_per_task(compiled_kernel):
     for g_max in range(25):
-        for task in tree._spine_tasks(g_max):
-            payload = ([task], g_max)
-            assert tree._hist_worker_compiled(payload) == tree._hist_worker(payload), (g_max, task)
+        for i, task in enumerate(tree._spine_tasks(g_max)):
+            want = tree._hist_worker(([task], g_max))
+            assert tree._hist_worker_compiled((_one(i), g_max)) == want, (g_max, task)
 
 
 def test_compiled_histogram_matches_python_in_the_top_word(compiled_kernel):
-    tasks = [task for task in tree._spine_tasks(62) if task[1] >= 60]
-    for task in tasks:
-        payload = ([task], 62)
-        assert tree._hist_worker_compiled(payload) == tree._hist_worker(payload), task
+    for i, task in _top_word_tasks(62, 60):
+        assert tree._hist_worker_compiled((_one(i), 62)) == tree._hist_worker(([task], 62)), task
     with pytest.raises(ValueError, match="genus 62, not 63"):
-        tree._hist_worker_compiled(([], 63))
+        tree._hist_worker_compiled((tree._claims(range(0)), 63))
 
 
 @pytest.mark.parametrize("g_max", [31, 32])
@@ -137,12 +232,11 @@ def test_compiled_walks_match_python_at_the_word_boundary(compiled_kernel, g_max
     # the window to 2 g_max + 1, and those of multiplicity m = 2 and 3 (root
     # genus 2 and 3) put rev's top bit, W - m, highest (W = 2 g_max + 3);
     # the rest would make the test long
-    tasks = [task for task in tree._spine_tasks(g_max) if task[1] >= g_max - 4 or task[1] <= 3]
+    tasks = [(i, task) for i, task in enumerate(tree._spine_tasks(g_max)) if task[1] >= g_max - 4 or task[1] <= 3]
     assert len(tasks) == sum(range(g_max - 5, g_max)) + 1 + 2
-    for task in tasks:
-        payload = ([task], g_max)
-        assert tree._count_worker_compiled(payload) == tree._count_worker(payload), task
-        assert tree._hist_worker_compiled(payload) == tree._hist_worker(payload), task
+    for i, task in tasks:
+        assert tree._count_worker_compiled((_one(i), g_max)) == tree._count_worker(([task], g_max)), task
+        assert tree._hist_worker_compiled((_one(i), g_max)) == tree._hist_worker(([task], g_max)), task
 
 
 @pytest.mark.parametrize("g_max", [29, 30])
@@ -193,35 +287,31 @@ def test_cell_checks_equal_at_1_and_2_workers(compiled_kernel, fork_calls, threa
     assert thread_calls == [(sum(range(30)), 2)] * 2 and fork_calls == []
 
 
-def _compiled_closed_count(omega: Semigroup) -> int:
-    # the compiled f-value entry on a root of genus w, which counts that root alone
-    return closedsets._f_worker_compiled(([(omega.bitmap, omega.genus, 0)], omega.genus))
-
-
-def test_compiled_closed_count_matches_python_per_semigroup(compiled_kernel):
-    # one root per call, so that errors in two semigroups cannot cancel
+def test_compiled_closed_count_matches_python_per_semigroup(exposed_kernel):
+    # closed_one, which each node of genus w of the f-value walk calls, on
+    # one semigroup a call, so that errors in two semigroups cannot cancel
     checked = 0
     for bitmap, g, _r in tree._nodes(12):
         omega = Semigroup._from_bitmap(bitmap, g)
-        assert _compiled_closed_count(omega) == count_closed_sets(omega, g + 1), omega
+        assert exposed_kernel.closed_one(bitmap, g) == count_closed_sets(omega, g + 1), omega
         checked += 1
     assert checked == sum(sum(COUNTS_BY_GENUS[g]) for g in range(13))
 
 
 @pytest.mark.parametrize("w", [29, 30, 31])
-def test_compiled_closed_count_matches_python_in_the_top_bits(compiled_kernel, w):
+def test_compiled_closed_count_matches_python_in_the_top_bits(exposed_kernel, w):
     # the deepest semigroup's window [0, 2w + 1] reaches bit 63 at w = 31
     omega = max_ordinarization_attainer(w)
-    assert _compiled_closed_count(omega) == count_closed_sets(omega, w + 1) == w + 1
+    assert exposed_kernel.closed_one(omega.bitmap, w) == count_closed_sets(omega, w + 1) == w + 1
 
 
 def test_compiled_f_value_matches_python_per_task(compiled_kernel, monkeypatch):
     # task by task, the ordinary root too, so that errors in two tasks
     # cannot cancel in the sum
     for w in range(13):
-        for task in [*tree._spine_tasks(w), (Semigroup.ordinary(w).bitmap, w, 0)]:
-            payload = ([task], w)
-            assert closedsets._f_worker_compiled(payload) == closedsets._f_worker(payload), (w, task)
+        for i, task in enumerate([*tree._spine_tasks(w), (Semigroup.ordinary(w).bitmap, w, 0)]):
+            want = closedsets._f_worker(([task], w))
+            assert closedsets._f_worker_compiled((_one(i), w)) == want, (w, task)
     # each genus-w semigroup is counted where a walk makes it: no listing
     monkeypatch.setattr(tree, "_nodes", lambda g_max: pytest.fail(f"f_value listed genus {g_max}"))
     for kernel in (compiled_kernel, False):
@@ -234,37 +324,33 @@ def test_compiled_f_value_matches_the_published_sequence(compiled_kernel):
 
 
 def test_compiled_kernel_counts_closed_sets_to_genus_31(compiled_kernel, monkeypatch):
-    # f_value(w) counts its ordinary semigroup in this thread and shares
-    # the w(w - 1)/2 tasks of count_matrix(w), all on the f-value floors;
-    # here no worker counts anything
-    refuse = closedsets._f_worker_compiled
-    shares, counted = _shares(monkeypatch, closedsets), []
-    for name in ("_f_worker_compiled", "_f_worker"):
-        monkeypatch.setattr(closedsets, name, lambda payload, name=name: counted.append((name, payload)) or 0)
+    # f_value(w) shares the w(w - 1)/2 tasks of count_matrix(w) and its
+    # ordinary semigroup, one task more, on the f-value floors; the kernel
+    # makes them and is handed their indices; here no worker counts anything
+    shares = _shares(monkeypatch, closedsets)
     assert f_value(31) == f_value(32) == 0
     with pytest.raises(ValueError, match="genus 31, not 32"):
-        refuse(([], 32))
+        closedsets._f_worker_compiled((tree._claims(range(0)), 32))
     monkeypatch.setattr(tree, "_kernel", False)
     assert f_value(31) == 0
-    compiled, python = (closedsets._f_worker_compiled, True), (closedsets._f_worker, False)
-    assert shares == [compiled, python, python]
-    assert counted == [
-        (name, ([(Semigroup.ordinary(w).bitmap, w, 0)], w))
-        for name, w in [("_f_worker_compiled", 31), ("_f_worker", 32), ("_f_worker", 31)]
+    python = [[*tree._spine_tasks(w), (Semigroup.ordinary(w).bitmap, w, 0)] for w in (32, 31)]
+    assert shares == [
+        (closedsets._f_worker_compiled, range(31 * 30 // 2 + 1), True),
+        (closedsets._f_worker, python[0], False), (closedsets._f_worker, python[1], False),
     ]
 
 
 def test_compiled_f_value_forks_only_from_genus_15(compiled_kernel, fork_calls, thread_calls):
-    # the compiled f-values never fork: threads share their w(w - 1)/2
-    # tasks from the f-value floor, omega 11 (55 tasks) and up
-    assert 10 * 9 // 2 < tree._F_MIN_TASKS[1] <= 11 * 10 // 2
-    assert [f_value(w, workers=2) for w in range(11)] == F_SEQUENCE[:11]
+    # the compiled f-values never fork: threads share their w(w - 1)/2 + 1
+    # tasks from the f-value floor, omega 10 (46 tasks) and up
+    assert 9 * 8 // 2 + 1 < tree._F_MIN_TASKS[1] <= 10 * 9 // 2 + 1
+    assert [f_value(w, workers=2) for w in range(10)] == F_SEQUENCE[:10]
     assert thread_calls == []
     for workers in (1, 2, 3):
-        assert [f_value(w, workers=workers) for w in (11, 14)] == [F_SEQUENCE[11], F_SEQUENCE[14]], workers
+        assert [f_value(w, workers=workers) for w in (10, 14)] == [F_SEQUENCE[10], F_SEQUENCE[14]], workers
     assert f_value(15, workers=2) == f_value(15, workers=3) == f_value(15, workers=1)
-    assert thread_calls == [(w * (w - 1) // 2, workers) for workers in (2, 3) for w in (11, 14)] + [
-        (15 * 14 // 2, workers) for workers in (2, 3)
+    assert thread_calls == [(w * (w - 1) // 2 + 1, workers) for workers in (2, 3) for w in (10, 14)] + [
+        (15 * 14 // 2 + 1, workers) for workers in (2, 3)
     ]
     assert fork_calls == []
 
@@ -402,20 +488,6 @@ def test_compiled_trees_check_passes_to_genus_21_without_the_python_loop(compile
         assert [sweep(g, True, n) for n in (size - 1, size + 1)] == [-1, -1], g
 
 
-def _scratch_kernel(directory, *edits) -> ctypes.CDLL:
-    """The kernel built from a copy of ``_kernel.c`` in ``directory``, with
-    each (old, new) edit made to the one place that holds ``old``."""
-    text = Path(tree._KERNEL_SOURCE).read_text()
-    for old, new in edits:
-        assert text.count(old) == 1, old
-        text = text.replace(old, new)
-    source = directory / "_kernel.c"
-    source.write_text(text)
-    kernel = tree._load_kernel(str(source))
-    assert kernel is not None
-    return kernel
-
-
 def _wrong_eff(wrong: str) -> str:
     """C that gives the first child whose eff ``e`` the expression
     ``wrong`` changes the eff ``wrong`` in place of ``e``."""
@@ -493,7 +565,7 @@ def planted_kernels(tmp_path_factory):
 
     def kernel(fault):
         if fault not in built:
-            built[fault] = _scratch_kernel(tmp_path_factory.mktemp("fault"), *_planted(fault))
+            built[fault] = scratch_kernel(tmp_path_factory.mktemp("fault"), *_planted(fault))
         return built[fault]
 
     return kernel
@@ -524,7 +596,7 @@ def test_a_sweep_out_of_memory_is_no_failed_check(compiled_kernel, tmp_path, cap
     # a sweep that cannot allocate its levels raises MemoryError, and the
     # CLI exits 2 with one line, without the Python loop that a failed
     # check would run
-    kernel = _scratch_kernel(tmp_path, ("malloc(s * (4 * sizeof(uint64_t) + sizeof(int)))", "NULL"))
+    kernel = scratch_kernel(tmp_path, ("malloc(s * (4 * sizeof(uint64_t) + sizeof(int)))", "NULL"))
     assert kernel.semiforge_tg_sweep(0, True, 1) == -2
     monkeypatch.setattr(tree, "_kernel", kernel)
 
@@ -591,7 +663,7 @@ def test_compiled_lemma_checks_fail_on_a_wrong_eff(compiled_kernel, tmp_path):
     # of the two checks fails somewhere
     ancestor_line = "            if (((child_t | child_frob) & mask) != t)\n                return -"
     siblings = "                else if (child_t != first)\n                    return -"
-    kernel = _scratch_kernel(
+    kernel = scratch_kernel(
         tmp_path,
         ("        if (effs[i] != (nonzero & ~sums & mask & -((uint64_t)2 << frob)))\n            return -1;\n", ""),
         (ancestor_line + "1;", ancestor_line + "3;"),

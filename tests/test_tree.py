@@ -28,7 +28,7 @@ from semiforge import (
 )
 from semiforge.cli import run
 from semiforge.semigroup import _ordinarize_bitmap, _sum_bitmap
-from conftest import children_in_T
+from conftest import children_in_T, scratch_kernel
 from reference_tables import COUNTS_BY_GENUS, F_SEQUENCE, FIG6_EDGES, FIG6_NODES_BY_DEPTH
 
 
@@ -194,12 +194,12 @@ def test_pools_start_no_more_workers_than_usable_cpus(forks, fork_calls, python_
 
 
 def test_compiled_histograms_match_at_1_2_3_workers(compiled_kernel, thread_calls):
-    # either side of the thread floor (genus 21 and 22), and at 27 and 30
-    for g in (21, 22, 27, 30):
+    # either side of the thread floor (genus 20 and 21), and at 27 and 30
+    for g in (20, 21, 27, 30):
         want = tree._histogram(g, workers=1)
         for workers in (2, 3):
             assert tree._histogram(g, workers=workers) == want, (g, workers)
-    assert thread_calls == [(sum(range(g)), workers) for g in (22, 27, 30) for workers in (2, 3)]
+    assert thread_calls == [(sum(range(g)), workers) for g in (21, 27, 30) for workers in (2, 3)]
 
 
 def _needs_two_cpus() -> None:
@@ -208,38 +208,42 @@ def _needs_two_cpus() -> None:
 
 
 @pytest.fixture
-def kernel_failing_in_threads(compiled_kernel, monkeypatch) -> list[bool]:
-    """The compiled kernel, but semiforge_count fails, as out of memory,
-    on every call outside the main thread; the list records, for each
-    call in the main thread, whether a failure came before it."""
+def kernel_failing_in_threads(compiled_kernel, tmp_path, monkeypatch) -> list[int]:
+    """The compiled kernel, but semiforge_count fails outside the main
+    thread, out of memory: there it runs a build in which no malloc
+    succeeds.  The main thread's call waits for that failure; the list
+    records the nodes that each of its calls counted."""
     _needs_two_cpus()
-    calls: list[bool] = []
-    failed: list[bool] = []
+    failing = scratch_kernel(tmp_path, ("#include <stdlib.h>\n", "#include <stdlib.h>\n#define malloc(size) NULL\n"))
+    failed, counted = threading.Event(), []
 
-    def semiforge_count(*args):
+    def semiforge_count(g_max, next_task, end, tally):
         if threading.current_thread() is not threading.main_thread():
-            failed.append(True)
-            return -1
-        calls.append(bool(failed))
-        return compiled_kernel.semiforge_count(*args)
+            code = failing.semiforge_count(g_max, next_task, end, tally)
+            failed.set()
+            return code
+        assert failed.wait(60), "no thread failed"
+        failed.clear()
+        code = compiled_kernel.semiforge_count(g_max, next_task, end, tally)
+        counted.append(sum(tally))
+        return code
 
     monkeypatch.setattr(tree, "_kernel", SimpleNamespace(semiforge_count=semiforge_count))
-    return calls
+    return counted
 
 
 def test_a_kernel_failure_in_a_thread_fails_the_call_and_stops_every_thread(kernel_failing_in_threads, capsys):
     baseline, cpus = threading.active_count(), os.sched_getaffinity(0)
     with pytest.raises(MemoryError, match="could not allocate"):
         count_matrix(27, workers=2)
-    # the caller stops at its next claim: one call may be under way when
-    # the thread fails, and one more may claim a task before the thread
-    # has dropped the rest
-    calls = kernel_failing_in_threads
-    assert calls.count(True) <= 2 and len(calls) < sum(range(27)) // 2
+    # the failing call stores the end of the tasks as the next claim, so
+    # the caller's call, which starts after it, stops at its first claim
+    assert kernel_failing_in_threads == [0]
     assert threading.active_count() == baseline and os.sched_getaffinity(0) == cpus
     assert run(["table", "--gmax", "27", "--workers", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "the compiled count kernel could not allocate its stack\n"
+    assert kernel_failing_in_threads == [0, 0]
     assert threading.active_count() == baseline and os.sched_getaffinity(0) == cpus
 
 
@@ -353,13 +357,13 @@ def test_threads_leave_the_callers_cpus_as_they_were(compiled_kernel):
 def test_one_worker_and_work_below_the_floor_start_no_thread(compiled_kernel, threads_made, capsys):
     assert run(["table", "--gmax", "27", "--workers", "1"]) == 0
     assert run(["fseq", "--omega-max", "13", "--workers", "1"]) == 0
-    # 210 tasks, the histogram's too, and the 45 of f_value(10)
-    assert 10 * 9 // 2 < tree._F_MIN_TASKS[1]
-    assert count_matrix(21, workers=3).rows == tuple(tuple(COUNTS_BY_GENUS[g]) for g in range(22))
-    assert [sum(cells) for cells in tree._histogram(21, workers=3)[21]] == COUNTS_BY_GENUS[21]
-    assert f_value(10, workers=3) == F_SEQUENCE[10]
+    # 190 tasks, the histogram's too, and the 37 of f_value(9)
+    assert 9 * 8 // 2 + 1 < tree._F_MIN_TASKS[1]
+    assert count_matrix(20, workers=3).rows == tuple(tuple(COUNTS_BY_GENUS[g]) for g in range(21))
+    assert [sum(cells) for cells in tree._histogram(20, workers=3)[20]] == COUNTS_BY_GENUS[20]
+    assert f_value(9, workers=3) == F_SEQUENCE[9]
     assert run(["table", "--gmax", "11", "--workers", "0"]) == 0
-    assert run(["fseq", "--omega-max", "10", "--workers", "0"]) == 0
+    assert run(["fseq", "--omega-max", "9", "--workers", "0"]) == 0
     assert threads_made == []
 
 
@@ -387,12 +391,11 @@ def test_threads_never_outnumber_the_usable_cpus(compiled_kernel, threads_made):
 
 
 def test_count_into_refuses_ordinary_roots():
-    # an ordinary root also has the ordinary child, which neither kernel makes
+    # an ordinary root also has the ordinary child, which the walk does not
+    # make; the compiled walks make their tasks, none of them ordinary
     for root in (node(Semigroup.ordinary(0)), node(Semigroup.ordinary(2))):
         with pytest.raises(ValueError, match="ordinary"):
             tree._count_into(tree._empty_rows(5), root, 5)
-        with pytest.raises(ValueError, match="ordinary"):
-            tree._count_worker_compiled(([root], 5))
 
 
 def test_tables_too_large_for_the_memory_are_refused_before_anything_is_built(monkeypatch):
