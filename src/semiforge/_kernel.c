@@ -12,8 +12,7 @@
 
    semiforge_hist is semiforge.tree._hist_into: the same walk, on the same
    words, tallying (genus, depth, gap intervals, odd member <= genus) in
-   place of (genus, depth).  It is a function of its own, so that the
-   count's tally stays as it is.
+   place of (genus, depth).
 
    semiforge_f_value is semiforge.closedsets._f_worker: the count's walk
    to genus w, where each node of genus w adds its closed sets of size
@@ -44,14 +43,14 @@
    cannot allocate its stack stores `end` into *next, which stops every
    other at its next claim, and returns -1.
 
-   The count's and the f-value's walk are one source text, at the end of
-   this file, and so is the histogram's, each over the word type WORD:
-   the file includes itself with WORD a uint64_t for count64, hist64 and
-   closed64, and with it an unsigned __int128 for count128 and hist128;
-   CLOSED picks what a node of the shared walk adds.  The walks stay in
-   this one file, which keeps the name _kernel.c, because the library's
-   cache is keyed on this file's CRC alone: a second source file could
-   change while a stale library still loaded.
+   The three walks are one source text, at the end of this file, over the
+   word type WORD: the file includes itself with WORD a uint64_t for
+   count64, hist64 and closed64, and with it an unsigned __int128 for
+   count128 and hist128; HIST or CLOSED picks what a node adds to its
+   tally.  The walks stay in this one file, which keeps the name
+   _kernel.c, because the library's cache is keyed on this file's CRC
+   alone: a second source file could change while a stale library still
+   loaded.
 
    semiforge_tg_level is semiforge.tree._tg_level on 64-bit words: one
    level of the breadth-first walk of the fixed-genus tree, each child
@@ -92,12 +91,6 @@ static int popcount128(u128 x) {
 static int low_index128(u128 x) {
     uint64_t low = (uint64_t)x;
     return low ? __builtin_ctzll(low) : 64 + __builtin_ctzll((uint64_t)(x >> 64));
-}
-
-/* 1 where a bitmap whose low 64 bits are `low` has an odd member <= g;
-   g <= 62, so they are all in the low bits. */
-static int odd_low(uint64_t low, int g) {
-    return (low & 0xAAAAAAAAAAAAAAAAull & (((uint64_t)2 << g) - 1)) != 0;
 }
 
 /* Ways to add `left` more of the candidates j >= idx to `chosen`;
@@ -149,6 +142,9 @@ static uint64_t closed_one(uint64_t members, int genus) {
 #define POPCOUNT __builtin_popcountll
 #define LOW_INDEX __builtin_ctzll
 #include "_kernel.c"
+#define HIST
+#include "_kernel.c"
+#undef HIST
 #define CLOSED
 #include "_kernel.c"
 #undef CLOSED
@@ -163,15 +159,16 @@ static uint64_t closed_one(uint64_t members, int genus) {
 #define POPCOUNT popcount128
 #define LOW_INDEX low_index128
 #include "_kernel.c"
+#define HIST
+#include "_kernel.c"
 
-/* rows: (g_max + 1) rows of g_max / 2 + 1 tallies, which the tasks from
-   *next to `end` add to.  Returns -1 when out of memory. */
+/* The tasks from *next to `end` of a table to g_max add to rows, g_max + 1
+   rows of g_max / 2 + 1 tallies, or to cells, laid out as the histogram's
+   walk below says.  Each returns -1 when out of memory. */
 int semiforge_count(int g_max, int *next, int end, uint64_t *rows) {
     return g_max <= 31 ? count64(g_max, next, end, rows) : count128(g_max, next, end, rows);
 }
 
-/* cells: the tallies laid out as the histogram walk below says.  Returns
-   -1 when out of memory. */
 int semiforge_hist(int g_max, int *next, int end, uint64_t *cells) {
     return g_max <= 31 ? hist64(g_max, next, end, cells) : hist128(g_max, next, end, cells);
 }
@@ -330,47 +327,68 @@ int semiforge_tg_sweep(int genus, int expand, int size) {
 
 #else
 /* The walks of semiforge_count, semiforge_hist and semiforge_f_value on
-   words of type WORD; POPCOUNT and LOW_INDEX are WORD's popcount and
-   lowest set bit.  What a node of the shared walk adds to its tally:
-   NODE(e) for each entry popped, LAST(g, r, eff, extended) for the
-   children of genus g_max, one a bit of eff, that a node makes by
-   removing a bit from `extended`, and BARE(g, r) for a child without
-   effective generators below g_max, which is tallied instead of pushed. */
-#ifndef CLOSED
-/* An entry of a walk: a node's bitmap, eff and rev (see _subtree), its
-   genus g, and `at`, its depth, or in the histogram's walk its cell. */
+   words of type WORD, whose popcount and lowest set bit are POPCOUNT and
+   LOW_INDEX.  A node adds NODE(e) to the tally; its children's cell is
+   KEPT(e, g1), or CELL(e, kept, low) for the one that removes bit `low`.
+   LAST(e, kept, extended) adds those of genus g_max, each `extended` less
+   a bit of eff, and BARE(cell) one without effective generators, which is
+   tallied instead of pushed.  START(e) is a task's cell. */
+#if !defined CLOSED && !defined HIST
+/* An entry: a node's bitmap, eff and rev (see _subtree), genus g and cell. */
 typedef struct { WORD bitmap, eff, rev; int g, at; } SIZED(entry);
 
-/* Task i of a table to g_max, made into *e as the header derives it; a
-   task's multiplicity is its genus.  The index g_max (g_max - 1) / 2 is
-   the ordinary semigroup of genus g_max, which no walk expands. */
+/* Task i of a table to g_max, made into *e as the header derives it, with
+   its depth in `at`; its multiplicity is its genus.  The index g_max
+   (g_max - 1) / 2 is the ordinary semigroup of genus g_max, at depth 0. */
 static void SIZED(task)(int i, int g_max, SIZED(entry) *e) {
-    int W = 2 * g_max + 3, g = 1;
-    if (2 * i == g_max * (g_max - 1)) {
-        WORD ordinary = ((WORD)2 << (2 * g_max + 1)) - ((WORD)2 << g_max) + 1;
-        *e = (SIZED(entry)){ordinary, ordinary & ~(WORD)1, ((WORD)2 << (W - g_max - 1)) - 1, g_max, 0};
-        return;
-    }
-    while (g * (g + 1) / 2 <= i) g++;
-    int a = i - g * (g - 1) / 2 + g + 2;
-    *e = (SIZED(entry)){(((WORD)2 << (2 * g + 3)) - ((WORD)2 << g) + 1) ^ (WORD)1 << a,
-                        (((WORD)2 << (2 * g + 1)) - ((WORD)2 << a)) | (WORD)(a == g + 2) << (2 * g + 3),
-                        (((WORD)2 << (W - g - 1)) - 1) ^ (WORD)1 << (W - a), g + 1, 1};
+    int W = 2 * g_max + 3, g = 0;
+    while (g < g_max && i >= g) i -= g++;  /* past the g (g - 1) / 2 tasks below genus g + 1 */
+    int a = i + g + 2;
+    if (g == g_max) {
+        WORD ordinary = ((WORD)2 << (2 * g + 1)) - ((WORD)2 << g) + 1;
+        *e = (SIZED(entry)){ordinary, ordinary & ~(WORD)1, ((WORD)2 << (W - g - 1)) - 1, g, 0};
+    } else
+        *e = (SIZED(entry)){(((WORD)2 << (2 * g + 3)) - ((WORD)2 << g) + 1) ^ (WORD)1 << a,
+                            (((WORD)2 << (2 * g + 1)) - ((WORD)2 << a)) | (WORD)(a == g + 2) << (2 * g + 3),
+                            (((WORD)2 << (W - g - 1)) - 1) ^ (WORD)1 << (W - a), g + 1, 1};
 }
 #endif
 
+#define DEPTHS (g_max / 2 + 1)
 #ifdef CLOSED
 /* closed64: a node of genus g_max adds its closed sets to tally[0] */
 #define WALK SIZED(closed)
+#define START(e) 0
 #define NODE(e) (*tally += (e).g == g_max ? closed_one((e).bitmap, g_max) : 0)
-#define LAST(g, r, eff, extended) for (WORD l = eff; l; l &= l - 1) *tally += closed_one(extended ^ (l & -l), g)
-#define BARE(g, r) (void)0
+#define KEPT(e, g1) 0
+#define CELL(e, kept, low) (kept)
+#define LAST(e, kept, extended) for (WORD l = (e).eff; l; l &= l - 1) *tally += closed_one(extended ^ (l & -l), g_max)
+#define BARE(cell) (void)(cell)
+#elif defined HIST
+/* hist: a node adds 1 to tally[((g DEPTHS + r) (g_max + 1) + n) 2 + odd],
+   as _hist_into to hist[g][r][2 n + odd]; a task has n = 2, and odd = 1
+   exactly where its genus is odd.  The children of a node share its
+   members <= g + 1, which fix their depth and odd, and (see _hist_into)
+   keep its n, or open one interval more (+ 2) where a - 1 is a member,
+   bit a of bitmap << 1; odd bits to g1 <= 62 are in the low word. */
+#define WALK SIZED(hist)
+#define START(e) ((((e).g * DEPTHS + 1) * (g_max + 1) + 2) * 2 + ((e).g & 1))
+#define NODE(e) BARE((e).at)
+#define KEPT(e, g1) (((e).at & ~1) + 2 * (g_max + 1) * (DEPTHS + (int)((e).bitmap >> (g1) & 1)) + \
+                     (((uint64_t)(e).bitmap & 0xAAAAAAAAAAAAAAAAull & (((uint64_t)2 << (g1)) - 1)) != 0))
+#define CELL(e, kept, low) ((kept) + 2 * (((e).bitmap << 1 & (low)) != 0))
+#define LAST(e, kept, extended) \
+    (tally[kept] += POPCOUNT((e).eff & ~((e).bitmap << 1)), tally[(kept) + 2] += POPCOUNT((e).eff & (e).bitmap << 1))
+#define BARE(cell) (tally[cell] += 1)
 #else
-/* count: a node of genus g and depth r adds 1 to row g, cell r */
+/* count: a node of genus g and depth r adds 1 to tally[g DEPTHS + r] */
 #define WALK SIZED(count)
-#define NODE(e) BARE((e).g, (e).at)
-#define LAST(g, r, eff, extended) (tally[(g) * (g_max / 2 + 1) + (r)] += POPCOUNT(eff))
-#define BARE(g, r) (tally[(g) * (g_max / 2 + 1) + (r)] += 1)
+#define START(e) ((e).g * DEPTHS + 1)
+#define NODE(e) BARE((e).at)
+#define KEPT(e, g1) ((e).at + DEPTHS + (int)((e).bitmap >> (g1) & 1))
+#define CELL(e, kept, low) (kept)
+#define LAST(e, kept, extended) (tally[kept] += POPCOUNT((e).eff))
+#define BARE(cell) (tally[cell] += 1)
 #endif
 
 /* A node of genus g has at most g + 1 effective generators, and only
@@ -383,91 +401,40 @@ static int WALK(int g_max, int *next, int end, uint64_t *tally) {
     for (int i; (i = __atomic_fetch_add(next, 1, __ATOMIC_RELAXED)) < end;) {
         SIZED(task)(i, g_max, stack);
         int m = stack->g, shift = W - m, top = 1;
+        stack->at = START(*stack);
         while (top) {
             SIZED(entry) e = stack[--top];
             NODE(e);
             if (e.g == g_max || !e.eff) continue;
-            int g1 = e.g + 1, rbase = e.at + (int)((e.bitmap >> g1) & 1), head = 2 * e.g + 2, a_max = head + 1 - m;
+            int g1 = e.g + 1, kept = KEPT(e, g1), head = 2 * e.g + 2, a_max = head + 1 - m;
             WORD extended = e.bitmap | (WORD)3 << head, nonzero = extended & ~(WORD)1, eff = e.eff;
             if (g1 == g_max) {
-                LAST(g1, rbase, eff, extended);
+                LAST(e, kept, extended);
                 continue;
             }
             while (eff) {
                 WORD low = eff & -eff;
                 eff ^= low;
-                int a = LOW_INDEX(low);
-                WORD child_rev = e.rev ^ (WORD)1 << (W - a);
-                if (a <= a_max && !((nonzero ^ low) & (child_rev >> (shift - a))))
-                    stack[top++] = (SIZED(entry)){extended ^ low, eff | low << m, child_rev, g1, rbase};
-                else if (eff)
-                    stack[top++] = (SIZED(entry)){extended ^ low, eff, child_rev, g1, rbase};
-                else
-                    BARE(g1, rbase);
-            }
-        }
-    }
-    free(stack);
-    return 0;
-}
-#undef WALK
-#undef NODE
-#undef LAST
-#undef BARE
-
-#ifndef CLOSED
-/* The count's walk of the same tasks, tallying each node into
-   cells[((g R + r) N + n) 2 + odd] (R = g_max / 2 + 1, N = g_max + 1), n
-   its gap intervals and odd = 1 where it has an odd member <= g; a task
-   has n = 2, and odd = 1 exactly where its genus is odd.  A node of genus
-   g has n <= g.  A child removes an effective generator a > F (F the
-   Frobenius number) and has Frobenius number a: it keeps n when a - 1 = F
-   is a gap and opens one more interval when a - 1 is a member.  Every
-   a >= g + 2 (a node under the spine has F >= g + 1), so the children of
-   one node share their depth and their members <= g + 1, and so their
-   cell but for n. */
-static int SIZED(hist)(int g_max, int *next, int end, uint64_t *cells) {
-    int W = 2 * g_max + 3, N = g_max + 1, R = g_max / 2 + 1;
-    SIZED(entry) *stack = malloc(sizeof(SIZED(entry)) * (g_max * (g_max - 1) / 2 + 1));
-    if (!stack) return __atomic_store_n(next, end, __ATOMIC_RELAXED), -1;  /* the others stop at their next claim */
-    for (int i; (i = __atomic_fetch_add(next, 1, __ATOMIC_RELAXED)) < end;) {
-        SIZED(task)(i, g_max, stack);
-        int m = stack->g, shift = W - m, top = 1;
-        stack->at = ((m * R + stack->at) * N + 2) * 2 + (m & 1);
-        while (top) {
-            SIZED(entry) e = stack[--top];
-            cells[e.at] += 1;
-            if (e.g == g_max || !e.eff) continue;
-            int g1 = e.g + 1;
-            /* the cell of a child that keeps n (kept + 2 has one more): a
-               genus on, and a depth deeper where g + 1 is a member */
-            int kept = (e.at & ~1) + 2 * N * (R + (int)((e.bitmap >> g1) & 1)) + odd_low((uint64_t)e.bitmap, g1);
-            /* bit a is set where a - 1 is a member: removing a opens an interval */
-            WORD opens = e.bitmap << 1;
-            if (g1 == g_max) {
-                int more = POPCOUNT(e.eff & opens);
-                cells[kept] += POPCOUNT(e.eff) - more;
-                cells[kept + 2] += more;
-                continue;
-            }
-            int head = 2 * e.g + 2, a_max = head + 1 - m;
-            WORD extended = e.bitmap | (WORD)3 << head, nonzero = extended & ~(WORD)1, eff = e.eff;
-            while (eff) {
-                WORD low = eff & -eff;
-                eff ^= low;
-                int a = LOW_INDEX(low), cell = kept + 2 * ((opens & low) != 0);
+                int a = LOW_INDEX(low), cell = CELL(e, kept, low);
                 WORD child_rev = e.rev ^ (WORD)1 << (W - a);
                 if (a <= a_max && !((nonzero ^ low) & (child_rev >> (shift - a))))
                     stack[top++] = (SIZED(entry)){extended ^ low, eff | low << m, child_rev, g1, cell};
                 else if (eff)
                     stack[top++] = (SIZED(entry)){extended ^ low, eff, child_rev, g1, cell};
                 else
-                    cells[cell] += 1;
+                    BARE(cell);
             }
         }
     }
     free(stack);
     return 0;
 }
-#endif
+#undef DEPTHS
+#undef WALK
+#undef START
+#undef NODE
+#undef KEPT
+#undef CELL
+#undef LAST
+#undef BARE
 #endif
