@@ -14,7 +14,7 @@
    words, tallying (genus, depth, gap intervals, odd member <= genus) in
    place of (genus, depth).
 
-   semiforge_f_value is semiforge.closedsets._f_worker: the count's walk
+   semiforge_f_value is semiforge.closedsets._f_into: the count's walk
    to genus w, where each node of genus w adds its closed sets of size
    w + 1 that contain 0 (closed_one, the counting branch of
    semiforge.closedsets._closed_masks and _descend) and no other node
@@ -23,8 +23,8 @@
    to w = 31, the count's proven range.
 
    The three make each task of a table to g_max (w for the f-value) from
-   its index i = g (g - 1) / 2 + a - g - 2, in semiforge.tree._spine_tasks'
-   order: the ordinary semigroup of genus g < g_max less its generator a,
+   its index i = g (g - 1) / 2 + a - g - 2, as semiforge.tree._task does:
+   the ordinary semigroup of genus g < g_max less its generator a,
    g + 2 <= a <= 2 g + 1.  Its members in the window [0, 2 g + 3] are 0 and
    [g + 1, 2 g + 3] less a, bits to 2 g_max + 1 as above.  So its genus and
    multiplicity m are g + 1, its one non-zero member <= m is m (depth 1,
@@ -37,11 +37,14 @@
    genus g_max, which f_value counts and no walk expands.
 
    Each walks in one call per worker.  The workers of one computation
-   share the counter *next; each claims an index by an atomic
-   fetch-and-add until it reaches `end`, on a stack allocated once per
-   call, so *next = i and end = i + 1 walk task i alone.  A call that
-   cannot allocate its stack stores `end` into *next, which stops every
-   other at its next claim, and returns -1.
+   share the counter *next and the caller's zeroed tally: each claims an
+   index by an atomic fetch-and-add until it reaches `end` (*next = i and
+   end = i + 1 walk task i alone), tallies into a zeroed buffer after its
+   stack in its one allocation, then adds each non-zero cell to the
+   caller's tally by a relaxed atomic add, read once every call returns.
+   A call that cannot allocate stores `end` into *next, which stops every
+   other at its next claim, adds nothing and returns -1; the others add
+   what they walked, and the caller drops that tally.
 
    The three walks are one source text, at the end of this file, over the
    word type WORD: the file includes itself with WORD a uint64_t for
@@ -163,7 +166,7 @@ static uint64_t closed_one(uint64_t members, int genus) {
 #include "_kernel.c"
 
 /* The tasks from *next to `end` of a table to g_max add to rows, g_max + 1
-   rows of g_max / 2 + 1 tallies, or to cells, laid out as the histogram's
+   rows of g_max / 2 + 1 cells, or to cells, laid out as the histogram's
    walk below says.  Each returns -1 when out of memory. */
 int semiforge_count(int g_max, int *next, int end, uint64_t *rows) {
     return g_max <= 31 ? count64(g_max, next, end, rows) : count128(g_max, next, end, rows);
@@ -332,7 +335,7 @@ int semiforge_tg_sweep(int genus, int expand, int size) {
    KEPT(e, g1), or CELL(e, kept, low) for the one that removes bit `low`.
    LAST(e, kept, extended) adds those of genus g_max, each `extended` less
    a bit of eff, and BARE(cell) one without effective generators, which is
-   tallied instead of pushed.  START(e) is a task's cell. */
+   tallied instead of pushed.  START(e) is a task's cell; CELLS counts them. */
 #if !defined CLOSED && !defined HIST
 /* An entry: a node's bitmap, eff and rev (see _subtree), genus g and cell. */
 typedef struct { WORD bitmap, eff, rev; int g, at; } SIZED(entry);
@@ -358,6 +361,7 @@ static void SIZED(task)(int i, int g_max, SIZED(entry) *e) {
 #ifdef CLOSED
 /* closed64: a node of genus g_max adds its closed sets to tally[0] */
 #define WALK SIZED(closed)
+#define CELLS 1
 #define START(e) 0
 #define NODE(e) (*tally += (e).g == g_max ? closed_one((e).bitmap, g_max) : 0)
 #define KEPT(e, g1) 0
@@ -372,6 +376,7 @@ static void SIZED(task)(int i, int g_max, SIZED(entry) *e) {
    keep its n, or open one interval more (+ 2) where a - 1 is a member,
    bit a of bitmap << 1; odd bits to g1 <= 62 are in the low word. */
 #define WALK SIZED(hist)
+#define CELLS ((g_max + 1) * DEPTHS * (g_max + 1) * 2)
 #define START(e) ((((e).g * DEPTHS + 1) * (g_max + 1) + 2) * 2 + ((e).g & 1))
 #define NODE(e) BARE((e).at)
 #define KEPT(e, g1) (((e).at & ~1) + 2 * (g_max + 1) * (DEPTHS + (int)((e).bitmap >> (g1) & 1)) + \
@@ -383,6 +388,7 @@ static void SIZED(task)(int i, int g_max, SIZED(entry) *e) {
 #else
 /* count: a node of genus g and depth r adds 1 to tally[g DEPTHS + r] */
 #define WALK SIZED(count)
+#define CELLS ((g_max + 1) * DEPTHS)
 #define START(e) ((e).g * DEPTHS + 1)
 #define NODE(e) BARE((e).at)
 #define KEPT(e, g1) ((e).at + DEPTHS + (int)((e).bitmap >> (g1) & 1))
@@ -393,11 +399,13 @@ static void SIZED(task)(int i, int g_max, SIZED(entry) *e) {
 
 /* A node of genus g has at most g + 1 effective generators, and only
    nodes of genus up to g_max - 2 push, so the stack never holds more than
-   1 + 2 + ... + (g_max - 1) entries. */
-static int WALK(int g_max, int *next, int end, uint64_t *tally) {
-    int W = 2 * g_max + 3;
-    SIZED(entry) *stack = malloc(sizeof(SIZED(entry)) * (g_max * (g_max - 1) / 2 + 1));
+   1 + 2 + ... + (g_max - 1) entries, then come the call's own CELLS cells. */
+static int WALK(int g_max, int *next, int end, uint64_t *shared) {
+    int W = 2 * g_max + 3, entries = g_max * (g_max - 1) / 2 + 1, cells = CELLS;
+    SIZED(entry) *stack = malloc(sizeof(SIZED(entry)) * entries + sizeof(uint64_t) * cells);
     if (!stack) return __atomic_store_n(next, end, __ATOMIC_RELAXED), -1;  /* the others stop at their next claim */
+    uint64_t *tally = (uint64_t *)(stack + entries);
+    for (int k = 0; k < cells; k++) tally[k] = 0;
     for (int i; (i = __atomic_fetch_add(next, 1, __ATOMIC_RELAXED)) < end;) {
         SIZED(task)(i, g_max, stack);
         int m = stack->g, shift = W - m, top = 1;
@@ -426,11 +434,13 @@ static int WALK(int g_max, int *next, int end, uint64_t *tally) {
             }
         }
     }
+    for (int k = 0; k < cells; k++) if (tally[k]) __atomic_fetch_add(shared + k, tally[k], __ATOMIC_RELAXED);
     free(stack);
     return 0;
 }
 #undef DEPTHS
 #undef WALK
+#undef CELLS
 #undef START
 #undef NODE
 #undef KEPT

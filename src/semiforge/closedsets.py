@@ -22,7 +22,8 @@ pruned descent over membership bitmaps, but counting never lists: it
 tallies the last choice in place and builds no set.  ``f_value`` walks
 the tasks of ``count_matrix(w)`` and counts each genus-w semigroup where
 the walk makes it: by ``semiforge_f_value`` in ``_kernel.c`` for w <= 31
-where it loads, else by ``_subtree`` and this descent, with one result.
+where it loads, else by ``_subtree`` and this descent (``_f_into``), on
+a one-cell tally that ``tree._run_tasks`` shares as it shares a table's.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .semigroup import Semigroup
-from .tree import (
-    _F_MIN_TASKS, _WORD_GMAX, Claims, Node, _compiled_kernel, _run_tasks, _spine_tasks, _subtree, _walk_compiled,
-)
+from .tree import _F_MIN_TASKS, _WORD_GMAX, _run_tasks, _subtree
 
 
 class PreconditionViolated(ValueError):
@@ -195,15 +194,11 @@ def count_closed_sets(omega: Semigroup, size: int) -> int:
     return _closed_masks(omega, size, None)
 
 
-def _f_worker(payload: tuple[Iterable[Node], int]) -> int:
-    tasks, w = payload
-    nodes = (bitmap for task in tasks for bitmap, g, _r, _eff, _rev in _subtree(task, w, w) if g == w)
-    return sum(count_closed_sets(Semigroup._from_bitmap(bitmap, w), w + 1) for bitmap in nodes)
-
-
-def _f_worker_compiled(payload: tuple[Claims, int]) -> int:
-    """``_f_worker`` on the compiled kernel, whose walk to w <= 31 makes the tasks of ``f_value(w)``."""
-    return _walk_compiled("semiforge_f_value", payload, 1, _WORD_GMAX)[0]
+def _f_into(tally: list[int], i: int, w: int) -> None:
+    """Adds to tally[0] the closed sets of size w + 1 over each semigroup of genus w under task i of
+    ``f_value(w)``.  ``semiforge_f_value`` in ``_kernel.c`` is this in C."""
+    nodes = (bitmap for bitmap, g, _r, _eff, _rev in _subtree(i, w, w) if g == w)
+    tally[0] += sum(count_closed_sets(Semigroup._from_bitmap(bitmap, w), w + 1) for bitmap in nodes)
 
 
 def f_value(omega_genus: int, *, workers: int = 1) -> int:
@@ -213,10 +208,7 @@ def f_value(omega_genus: int, *, workers: int = 1) -> int:
     if omega_genus < 0:
         raise ValueError("genus must be non-negative")
     w = omega_genus
-    compiled = w <= _WORD_GMAX and _compiled_kernel() is not None
-    worker = _f_worker_compiled if compiled else _f_worker
-    tasks = range(w * (w - 1) // 2 + 1) if compiled else [*_spine_tasks(w), (Semigroup.ordinary(w).bitmap, w, 0)]
-    return sum(_run_tasks(worker, tasks, w, workers, compiled, _F_MIN_TASKS))
+    return _run_tasks("f_value", _f_into, w, 1, w * (w - 1) // 2 + 1, workers, _F_MIN_TASKS, _WORD_GMAX)[0]
 
 
 # ----------------------------------------------------------------------

@@ -21,17 +21,17 @@ whole genus; ``verify_tree_relations`` holds genera g and g + 1 as
 sets, or two levels of the walk where the kernel checks them.  Most of
 that tree hangs below the ordinary semigroups, so every walk splits
 along that ordinary spine: the spine and its non-ordinary children are
-built by formula (``_spine_tasks``), and the subtree under each such
-child, one task, by one walk (``_subtree``) in which every child
+built by formula, each child, one task, from its index (``_task``), and
+the subtree under it by one walk (``_subtree``) in which every child
 inherits its effective generators from its parent.  A table tallies the
 spine directly and counts its tasks by a C kernel, built on first use by
 the system C compiler, or by that walk where the kernel cannot load, in
 process, or shared by threads where the kernel runs (it releases the
-GIL) and by forked children where the walk does.  The kernel makes each
-task from its index, and each thread makes one call, which claims
-indices from a counter that all share; each forked child walks every
-k-th task.  The tallies merge by addition, so results do not depend on
-the worker count.  The same
+GIL) and by forked children where the walk does (``_run_tasks``).  Each
+thread makes one kernel call, which claims indices from a counter and
+adds its own tally into a tally, both shared by all; each forked child
+walks every k-th task into a tally of its own, and those are added up.
+Either way one flat tally results, whatever the worker count.  The same
 tasks, walked the same ways, tally the histogram (``_histogram``), on
 which the ``parity`` and ``intervals`` checks are decided, and count
 the closed sets of each genus-w semigroup for ``f_value(w)``.
@@ -195,7 +195,7 @@ class CountMatrix(NamedTuple):
 Node = tuple[int, int, int]  # bitmap, genus, ordinarization number
 Entry = tuple[int, int, int, int, int]  # a Node's fields, then eff and rev (see _subtree)
 TgLevel = tuple[Sequence[int], Sequence[int], Sequence[int]]  # parent indices, children, their eff
-Claims = tuple["ctypes.c_int", int]  # a claim counter and the index past the last task (see _claims)
+Claims = tuple["ctypes.c_int", int, "ctypes.Array"]  # a claim counter, the index past the last task, the shared tally
 
 
 def _effective_generators(bitmap: int, genus: int) -> int:
@@ -209,39 +209,42 @@ def _nodes(g_max: int) -> Iterator[Node]:
     """Every node with genus <= g_max, depth first from the root, each
     ordinary semigroup followed by the subtrees under its non-ordinary
     children, last first; within one genus, this is the enumeration order."""
-    tasks = _spine_tasks(g_max)
+    tasks = g_max * (g_max - 1) // 2
     for g in range(max(g_max, 0) + 1):
         yield Semigroup.ordinary(g).bitmap, g, 0
-        # the g tasks of genus g follow the g(g - 1)/2 of the genera below
-        for task in reversed(tasks[g * (g - 1) // 2 : g * (g + 1) // 2]):
-            for bitmap, genus, r, _eff, _rev in _subtree(task, g_max, g_max):
+        # the g tasks under the ordinary semigroup of genus g follow the g(g - 1)/2 of the genera below
+        for i in reversed(range(g * (g - 1) // 2, min(g * (g + 1) // 2, tasks))):
+            for bitmap, genus, r, _eff, _rev in _subtree(i, g_max, g_max):
                 yield bitmap, genus, r
 
 
-def _task_start(root: Node, g_max: int) -> tuple[Entry, int]:
-    """The first entry of ``_subtree(root, g_max, ...)``, built from scratch, and the
-    multiplicity m of the walk.  Refuses an ordinary root below g_max, which it would expand."""
-    W = 2 * g_max + 3
-    bitmap, g, r = root
-    nonzero = bitmap & -2
-    m = (nonzero & -nonzero).bit_length() - 1
-    if m > g < g_max:
-        raise ValueError(f"the ordinary semigroup of genus {g} is not a count task")
-    members = (bitmap | -(1 << (g + g + 2))) & ((2 << W) - 2)
-    rev = int(format(members >> 1, f"0{W}b")[::-1], 2)
-    return (bitmap, g, r, _effective_generators(bitmap, g), rev), m
+def _task(i: int, g_max: int) -> Entry:
+    """Task i of a table to ``g_max``, as the first entry of its walk (see ``_subtree``), by the closed form
+    that ``_kernel.c``'s header derives: for i = g(g - 1)/2 + a - g - 2, the ordinary semigroup of genus
+    g < g_max less its generator a, of genus and multiplicity g + 1; for i = g_max(g_max - 1)/2, the
+    ordinary semigroup of genus g_max."""
+    W, g = 2 * g_max + 3, 0
+    while g < g_max and i >= g:  # past the g(g - 1)/2 tasks below genus g + 1
+        i -= g
+        g += 1
+    a = i + g + 2
+    if g == g_max:
+        ordinary = (2 << (2 * g + 1)) - (2 << g) + 1
+        return ordinary, g, 0, ordinary & -2, (2 << (W - g - 1)) - 1
+    eff = (2 << (2 * g + 1)) - (2 << a) | (a == g + 2) << (2 * g + 3)
+    return ((2 << (2 * g + 3)) - (2 << g) + 1) ^ 1 << a, g + 1, 1, eff, ((2 << (W - g - 1)) - 1) ^ 1 << (W - a)
 
 
-def _subtree(task: Node, g_max: int, last: int) -> Iterator[Entry]:
-    """``task``, non-ordinary or of genus g_max, and every node below it down
-    to genus ``last`` <= ``g_max``, depth first in ``_nodes``' order, as
-    (bitmap, genus, depth, ``eff``, ``rev``).
+def _subtree(i: int, g_max: int, last: int) -> Iterator[Entry]:
+    """Task i of a table to ``g_max`` (``_task``) and every node below it
+    down to genus ``last`` <= ``g_max``, depth first in ``_nodes``' order,
+    as (bitmap, genus, depth, ``eff``, ``rev``).
 
-    The multiplicity m <= g of ``task`` is below every removed generator
+    The multiplicity m <= g of the task is below every removed generator
     a > F >= g + 1, so m is the whole subtree's and a child's depth is its
     parent's plus bit g + 1.  An entry carries ``rev``, its non-zero
     members x in [1, W] as bits W - x (W = 2*g_max + 3), and a child's
-    ``eff`` follows from its parent's, so no node below ``task`` rebuilds
+    ``eff`` follows from its parent's, so no node rebuilds
     its sum set (Fromentin and Hivert, "Exploring the tree of numerical
     semigroups", Math. Comp. 2016).  ``_kernel.c`` is this walk in C.
 
@@ -256,9 +259,9 @@ def _subtree(task: Node, g_max: int, last: int) -> Iterator[Entry]:
     one AND against ``rev`` shifted by W - (a + m) decides that.
     """
     W = 2 * g_max + 3
-    start, m = _task_start(task, g_max)
+    stack = [_task(i, g_max)]
+    m = stack[0][1]  # a task's multiplicity is its genus; the ordinary one of genus g_max is not expanded
     shift = W - m
-    stack = [start]
     push = stack.append
     pop = stack.pop
     while stack:
@@ -282,49 +285,32 @@ def _subtree(task: Node, g_max: int, last: int) -> Iterator[Entry]:
             push((extended ^ low, g1, rbase, eff | new, child_rev))
 
 
-def _count_into(rows: list[list[int]], root: Node, g_max: int) -> None:
-    """Tally (genus, ordinarization number) for every node under the
-    non-ordinary ``root``: ``_subtree`` to genus g_max - 1, then a popcount
-    of each parent's ``eff``.  ``_kernel.c`` is this in C; this is its oracle."""
-    last = g_max - 1
-    for bitmap, g, r, eff, _rev in _subtree(root, g_max, last):
-        rows[g][r] += 1
+def _count_into(tally: list[int], i: int, g_max: int) -> None:
+    """Adds every node under task i of a table to g_max to tally[g D + r]
+    by its genus g and depth r (D = g_max // 2 + 1): ``_subtree`` to genus
+    g_max - 1, then a popcount of each parent's ``eff``.  ``_kernel.c`` is
+    this in C (``semiforge_count``); this is its oracle."""
+    last, depths = g_max - 1, g_max // 2 + 1
+    for bitmap, g, r, eff, _rev in _subtree(i, g_max, last):
+        tally[g * depths + r] += 1
         if g == last and eff:
-            rows[g_max][r + ((bitmap >> g_max) & 1)] += eff.bit_count()
+            tally[g_max * depths + r + ((bitmap >> g_max) & 1)] += eff.bit_count()
 
 
-def _empty_rows(g_max: int) -> list[list[int]]:
-    return [[0] * (g // 2 + 1) for g in range(g_max + 1)]
+def _walk_compiled(walk: str, claims: Claims, g_max: int) -> None:
+    """One call of the compiled walk ``semiforge_<walk>``, which claims tasks of a table to g_max from
+    ``claims`` (the caller's ``_run_tasks``) and adds what it tallies into their tally."""
+    if getattr(_kernel, f"semiforge_{walk}")(g_max, *claims):
+        raise MemoryError(f"the compiled {walk} kernel could not allocate its stack and tally")
 
 
-def _count_worker(payload: tuple[list[Node], int]) -> list[list[int]]:
-    tasks, g_max = payload
-    rows = _empty_rows(g_max)
-    for task in tasks:
-        _count_into(rows, task, g_max)
-    return rows
-
-
-def _walk_compiled(walk: str, payload: tuple[Claims, int], cells: int, top: int = _KERNEL_GMAX) -> ctypes.Array:
-    """One call of the compiled ``walk``, which makes the tasks of a table to g_max <= ``top``, claims
-    them (``_claims``) and tallies them into the new buffer of ``cells`` uint64 cells returned."""
-    from ctypes import c_uint64
-
-    (next_task, end), g_max = payload
-    if g_max > top:
-        raise ValueError(f"the compiled kernel counts to genus {top}, not {g_max}")
-    tally = (c_uint64 * cells)()
-    if getattr(_kernel, walk)(g_max, next_task, end, tally):
-        raise MemoryError("the compiled count kernel could not allocate its stack")
+def _walk_python(payload: tuple[Sequence[int], tuple[Callable, int, int]]) -> list[int]:
+    """``into(tally, i, g_max)`` for each task i of ``tasks``, into a new flat tally of ``cells`` cells."""
+    tasks, (into, g_max, cells) = payload
+    tally = [0] * cells
+    for i in tasks:
+        into(tally, i, g_max)
     return tally
-
-
-def _count_worker_compiled(payload: tuple[Claims, int]) -> list[list[int]]:
-    """``_count_worker`` on the compiled kernel, tallied into g_max // 2 + 1 cells per row."""
-    g_max = payload[1]
-    stride = g_max // 2 + 1
-    tally = _walk_compiled("semiforge_count", payload, (g_max + 1) * stride)
-    return [tally[g * stride : g * stride + g // 2 + 1] for g in range(g_max + 1)]
 
 
 def _gap_intervals(bitmap: int, g: int) -> int:
@@ -338,55 +324,31 @@ def _odd_low(g: int) -> int:
     return ((1 << ((g + 1) & -2)) - 1) // 3 << 1
 
 
-def _hist_into(hist: list[list[list[int]]], root: Node, g_max: int) -> None:
-    """Tally every node under the non-ordinary ``root`` into
-    hist[g][r][2n + odd], by its genus g, depth r and number n of gap
-    intervals, odd = 1 when it has an odd member <= g: ``_subtree`` to
-    genus g_max - 1, then a split popcount of each parent's ``eff``.
-    ``_kernel.c`` is this in C (``semiforge_hist``); this is its oracle.
+def _hist_into(tally: list[int], i: int, g_max: int) -> None:
+    """Adds every node under task i of a table to g_max to
+    tally[((g D + r)(g_max + 1) + n) 2 + odd] (D = g_max // 2 + 1) by its
+    genus g, depth r and number n of gap intervals, odd = 1 when it has an
+    odd member <= g: ``_subtree`` to genus g_max - 1, then a split popcount
+    of each parent's ``eff``.  ``_kernel.c`` is this in C
+    (``semiforge_hist``); this is its oracle.
 
     A child of a node of genus g removes a generator a > F >= g + 1 (F
     the Frobenius number, as the node is not ordinary), so the children
     of one node keep its members <= g + 1; a child has one interval more
     than its parent when a - 1 is a member, and as many when a - 1 = F."""
-    last = g_max - 1
+    last, depths, stride = g_max - 1, g_max // 2 + 1, 2 * (g_max + 1)
     odd_low = [_odd_low(g) for g in range(g_max + 1)]
-    for bitmap, g, r, eff, _rev in _subtree(root, g_max, last):
+    for bitmap, g, r, eff, _rev in _subtree(i, g_max, last):
         # bit x of opens: x - 1 is a member; where x is a gap, an interval
         # starts at x, and x = 2g + 2, just past the window, counts once
         opens = bitmap << 1
         n = (opens & ~bitmap).bit_count() - 1
-        hist[g][r][2 * n + (bitmap & odd_low[g] != 0)] += 1
+        tally[(g * depths + r) * stride + 2 * n + (bitmap & odd_low[g] != 0)] += 1
         if g == last and eff:
             more = (eff & opens).bit_count()
-            cells = hist[g_max][r + ((bitmap >> g_max) & 1)]
-            odd = bitmap & odd_low[g_max] != 0
-            cells[2 * n + odd] += eff.bit_count() - more
-            cells[2 * n + 2 + odd] += more
-
-
-def _empty_hist(g_max: int) -> list[list[list[int]]]:
-    return [[[0] * (2 * g + 2) for _r in range(g // 2 + 1)] for g in range(g_max + 1)]
-
-
-def _hist_worker(payload: tuple[list[Node], int]) -> list[list[list[int]]]:
-    tasks, g_max = payload
-    hist = _empty_hist(g_max)
-    for task in tasks:
-        _hist_into(hist, task, g_max)
-    return hist
-
-
-def _hist_worker_compiled(payload: tuple[Claims, int]) -> list[list[list[int]]]:
-    """``_hist_worker`` on the compiled kernel, tallied into g_max // 2 + 1
-    depths per genus and g_max + 1 (n, odd) pairs per depth."""
-    g_max = payload[1]
-    stride, depths = 2 * (g_max + 1), g_max // 2 + 1
-    tally = _walk_compiled("semiforge_hist", payload, (g_max + 1) * depths * stride)
-    return [
-        [tally[(g * depths + r) * stride : (g * depths + r) * stride + 2 * g + 2] for r in range(g // 2 + 1)]
-        for g in range(g_max + 1)
-    ]
+            cell = (g_max * depths + r + ((bitmap >> g_max) & 1)) * stride + 2 * n + (bitmap & odd_low[g_max] != 0)
+            tally[cell] += eff.bit_count() - more
+            tally[cell + 2] += more
 
 
 def _compiled_kernel() -> Optional[ctypes.CDLL]:
@@ -399,8 +361,8 @@ def _compiled_kernel() -> Optional[ctypes.CDLL]:
 
 
 def _load_kernel(source: str) -> Optional[ctypes.CDLL]:
-    """The library built from ``source``, with the signatures of its six
-    functions declared, cached in the __pycache__ beside it under a name
+    """The library built from ``source``, with the signatures of the five
+    functions this package calls declared, cached in the __pycache__ beside it under a name
     keyed on the source and the interpreter's platform tag, so that a
     stale or foreign build never loads; None when there is no compiler,
     the build fails or the cache cannot be written."""
@@ -423,8 +385,6 @@ def _load_kernel(source: str) -> Optional[ctypes.CDLL]:
         walk.restype = c_int
     lib.semiforge_tg_level.argtypes = [address, address, c_int, c_int, address, address, address, c_int, c_int]
     lib.semiforge_tg_level.restype = c_int
-    lib.semiforge_tg_check.argtypes = [address, address, address, c_int, address, c_int, c_int, c_int, c_int]
-    lib.semiforge_tg_check.restype = c_int
     lib.semiforge_tg_sweep.argtypes = [c_int, c_int, c_int]
     lib.semiforge_tg_sweep.restype = c_int
     return lib
@@ -610,46 +570,52 @@ def _usable_cpus() -> list[int]:
     return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [*range(os.cpu_count() or 1)]
 
 
-def _run_tasks(fn: Callable, tasks: Sequence, arg: object, workers: int, compiled: bool,
-               floors: tuple[int, int] = (_FORK_MIN_TASKS, _THREAD_MIN_TASKS)) -> list:
-    """fn((tasks, arg)) in this thread when there is one worker or too few tasks to pay for sharing them;
-    else shared by threads from floors[1] (a table's by default) where fn runs the compiled kernel
-    (``compiled``), which releases the GIL, and by forked children from floors[0], where it does not.
-    The kernel makes its tasks from their indices, so there ``tasks`` is a range of them, which fn
-    takes as claims (``_claims``).  ``workers`` = 0 means one per usable CPU."""
+def _run_tasks(walk: str, into: Callable, g_max: int, cells: int, tasks: int, workers: int,
+               floors: tuple[int, int] = (_FORK_MIN_TASKS, _THREAD_MIN_TASKS), top: int = _KERNEL_GMAX,
+               ) -> Sequence[int]:
+    """The flat tally of ``cells`` cells of tasks 0 to ``tasks`` - 1 of a table to g_max, by the compiled walk
+    ``walk`` (``_walk_compiled``) where the kernel loads and g_max <= ``top``, else by ``into(tally, i, g_max)``
+    for each task i (``_walk_python``).  In this thread when there is one worker or too few tasks to pay for
+    sharing them; else shared by threads from floors[1] (a table's by default) where the kernel runs, which
+    releases the GIL, and by forked children from floors[0], where it does not.  Threads claim from one
+    counter and add into one tally; forked children's tallies are added up here.  ``workers`` = 0 means one
+    per usable CPU."""
     if workers < 0:
         raise ValueError("workers must be >= 0")
-    workers = workers or len(_usable_cpus())
-    if workers == 1 or len(tasks) < floors[compiled]:
-        return [fn((_claims(tasks) if compiled else tasks, arg))]
-    return (_thread_map if compiled else _fork_map)(fn, tasks, arg, workers)
+    cpus = len(_usable_cpus())
+    workers = workers or cpus
+    _check_table(g_max, cells, min(workers, cpus))
+    compiled = g_max <= top and _compiled_kernel() is not None
+    shared = workers > 1 and tasks >= floors[compiled]
+    if compiled:
+        from ctypes import c_int, c_uint64
+
+        claims = c_int(0), tasks, (c_uint64 * cells)()
+        if shared:
+            _thread_map(walk, claims, g_max, workers)
+        else:
+            _walk_compiled(walk, claims, g_max)
+        return claims[2]
+    payload = range(tasks), (into, g_max, cells)
+    parts = _fork_map(_walk_python, *payload, workers) if shared else [_walk_python(payload)]
+    return [*map(sum, zip(*parts))]
 
 
-def _claims(tasks: range) -> Claims:
-    """The task indices ``tasks`` as a compiled walk claims them, one call a worker: a counter at
-    the first, which the workers of one computation share, and the index past the last."""
-    from ctypes import c_int
-
-    return c_int(tasks.start), tasks.stop
-
-
-def _thread_map(fn: Callable, tasks: range, arg: object, workers: int) -> list:
-    """fn((claims, arg)) in this thread and up to ``workers`` - 1 more, each
-    pinned to a usable CPU of its own (unpinned, a new thread stays on its
-    creator's for about 100 ms); ``claims`` = ``_claims(tasks)`` is one
-    counter for all, from which each kernel call claims the tasks it walks.
-    A thread's error is raised once all stop; a kernel call that fails
-    stops the others at their next claim."""
+def _thread_map(walk: str, claims: Claims, g_max: int, workers: int) -> None:
+    """``_walk_compiled(walk, claims, g_max)`` in this thread and up to ``workers`` - 1 more, each pinned to
+    a usable CPU of its own (unpinned, a new thread stays on its creator's for about 100 ms); every call
+    claims its tasks from the one counter and adds into the one tally of ``claims``.  A thread's error is
+    raised once all stop; a kernel call that fails stops the others at their next claim."""
     import threading
 
-    cpus, claims, results = _usable_cpus(), _claims(tasks), []
+    cpus, errors = _usable_cpus(), []
 
     def work(cpu: int) -> None:
         try:
             _pin(0, {cpu})
-            results.append(fn((claims, arg)))
+            _walk_compiled(walk, claims, g_max)
         except BaseException as exc:
-            results.insert(0, exc)
+            errors.append(exc)
 
     threads = [threading.Thread(target=work, args=(cpu,)) for cpu in cpus[1:workers]]
     try:
@@ -660,12 +626,11 @@ def _thread_map(fn: Callable, tasks: range, arg: object, workers: int) -> list:
         for thread in filter(threading.Thread.is_alive, threads):  # not one that failed to start
             thread.join()
         _pin(0, cpus)  # this thread's CPUs, as they were
-    if isinstance(results[0], BaseException):
-        raise results[0]
-    return results
+    if errors:
+        raise errors[0]
 
 
-def _fork_map(fn: Callable, tasks: list, arg: object, workers: int) -> list:
+def _fork_map(fn: Callable, tasks: Sequence, arg: object, workers: int) -> list:
     """fn((tasks[i::k], arg)) for i < k = min(workers, usable CPUs, tasks): i = 0 in this process,
     each other i in a child forked for it and pinned to a usable CPU of its own, which pickles its
     result or error back through a pipe.  A child's error, or MemoryError for one that a signal
@@ -753,24 +718,12 @@ def enumerate_genus(g: int, visitor: Optional[Callable[[Semigroup], None]] = Non
     return count
 
 
-def _spine_tasks(g_max: int) -> list[Node]:
-    """The count tasks of a table to ``g_max``: the non-ordinary children
-    of the ordinary semigroups of genus g < g_max.  The ordinary semigroup
-    of genus g has the minimal generators g + 1, ..., 2g + 1, all above
-    its Frobenius number g; removing a >= g + 2 leaves a semigroup of
-    genus g + 1 and depth 1."""
-    tasks = []
-    for g in range(g_max):
-        extended = Semigroup.ordinary(g + 1).bitmap | 1 << (g + 1)  # genus g on the next window
-        tasks += [(extended ^ 1 << a, g + 1, 1) for a in range(g + 2, 2 * g + 2)]
-    return tasks
-
-
-def _check_table(g_max: int, cells: int) -> None:
-    """Refuses g_max < 0, and with MemoryError a table to g_max of ``cells`` tallies past the memory."""
+def _check_table(g_max: int, cells: int, workers: int) -> None:
+    """Refuses g_max < 0, and with MemoryError a computation to g_max whose tally of ``cells`` cells, with
+    one more per worker, would pass the memory at 8 bytes a cell."""
     if g_max < 0:
         raise ValueError("g_max must be non-negative")
-    if 50 * g_max * (g_max - 1) + 8 * cells > _physical_memory():  # 100 bytes or more a task, 8 a tally
+    if 8 * cells * (workers + 1) > _physical_memory():
         raise MemoryError
 
 
@@ -782,18 +735,12 @@ def count_matrix(g_max: int, *, workers: int = 1) -> CountMatrix:
     spine node is one task, g_max*(g_max - 1)/2 in all, counted in this
     thread or shared among workers (see ``_run_tasks``), by the compiled
     kernel where it loads and g_max <= 62 (on 64-bit words to 31), else
-    by ``_count_into``.  Tallies merge by addition;
+    by ``_count_into``, into cell g (g_max // 2 + 1) + r of one tally;
     a table too large for the memory raises MemoryError before any count.
     """
-    _check_table(g_max, (g_max + 1) * (g_max // 2 + 1))
-    compiled = g_max <= _KERNEL_GMAX and _compiled_kernel() is not None
-    worker = _count_worker_compiled if compiled else _count_worker
-    tasks = range(g_max * (g_max - 1) // 2) if compiled else _spine_tasks(g_max)
-    rows, *others = _run_tasks(worker, tasks, g_max, workers, compiled)
-    for part in others:
-        for row, counts in zip(rows, part):
-            for r, c in enumerate(counts):
-                row[r] += c
+    depths = g_max // 2 + 1
+    tally = _run_tasks("count", _count_into, g_max, (g_max + 1) * depths, g_max * (g_max - 1) // 2, workers)
+    rows = [tally[g * depths : g * depths + g // 2 + 1] for g in range(g_max + 1)]
     for row in rows:
         row[0] += 1  # the spine: one ordinary semigroup per genus, at depth 0
     return CountMatrix(tuple(tuple(row) for row in rows))
@@ -804,17 +751,13 @@ def _histogram(g_max: int, *, workers: int = 1) -> list[list[list[int]]]:
     depth r, n gap intervals and (odd = 1) or no (odd = 0) odd member <= g.
     The spine is tallied directly and the count tasks of ``count_matrix``
     by ``semiforge_hist`` or ``_hist_into``, with its workers and floors
-    (``_run_tasks``); tallies merge by addition."""
-    _check_table(g_max, 2 * (g_max + 1) ** 2 * (g_max // 2 + 1))
-    compiled = g_max <= _KERNEL_GMAX and _compiled_kernel() is not None
-    worker = _hist_worker_compiled if compiled else _hist_worker
-    tasks = range(g_max * (g_max - 1) // 2) if compiled else _spine_tasks(g_max)
-    hist, *others = _run_tasks(worker, tasks, g_max, workers, compiled)
-    for part in others:
-        for row, part_row in zip(hist, part):
-            for cells, counts in zip(row, part_row):
-                for i, c in enumerate(counts):
-                    cells[i] += c
+    (``_run_tasks``), into one tally laid out as ``_hist_into`` says."""
+    depths, stride = g_max // 2 + 1, 2 * (g_max + 1)
+    tally = _run_tasks("hist", _hist_into, g_max, (g_max + 1) * depths * stride, g_max * (g_max - 1) // 2, workers)
+    hist = [
+        [tally[(g * depths + r) * stride : (g * depths + r) * stride + 2 * g + 2] for r in range(g // 2 + 1)]
+        for g in range(g_max + 1)
+    ]
     for g, row in enumerate(hist):
         row[0][2 * (g > 0)] += 1  # the ordinary semigroup: gaps 1..g, one interval, no member in 1..g
     return hist

@@ -65,9 +65,9 @@ def thread_calls(monkeypatch) -> list[tuple[int, int]]:
     calls: list[tuple[int, int]] = []
     thread_map = tree._thread_map
 
-    def spy(fn, tasks, arg, workers):
-        calls.append((len(tasks), workers))
-        return thread_map(fn, tasks, arg, workers)
+    def spy(walk, claims, g_max, workers):
+        calls.append((claims[1], workers))
+        return thread_map(walk, claims, g_max, workers)
 
     monkeypatch.setattr(tree, "_thread_map", spy)
     return calls
@@ -162,6 +162,16 @@ def children_in_T(s: Semigroup) -> list[Semigroup]:
     definition: remove each minimal generator above the Frobenius number,
     in increasing order."""
     return [Semigroup.from_gaps(s.gaps() + (a,)) for a in s.minimal_generators() if a > s.frobenius]
+
+
+def scratch_entry(s: Semigroup, g_max: int) -> tuple[int, int, int, int, int]:
+    """``s`` as an entry of a walk of a table to g_max, built from its
+    definition: (bitmap, genus, depth, effective generators, rev), where
+    rev holds each non-zero member x <= W = 2 g_max + 3 as bit W - x."""
+    W = 2 * g_max + 3
+    members = (s.bitmap | -(1 << (2 * s.genus + 2))) & ((2 << W) - 2)
+    rev = int(format(members >> 1, f"0{W}b")[::-1], 2)
+    return s.bitmap, s.genus, s.ordinarization_number(), tree._effective_generators(s.bitmap, s.genus), rev
 
 
 def members_upto(s: Semigroup, limit: int) -> list[int]:

@@ -36,7 +36,7 @@ from semiforge import (
 from semiforge.analytics import VerificationReport
 from semiforge.closedsets import count_closed_sets
 from semiforge.semigroup import _ordinarize_bitmap
-from conftest import gap_runs, scratch_kernel
+from conftest import gap_runs, scratch_entry, scratch_kernel
 from reference_tables import COUNTS_BY_GENUS, F_SEQUENCE
 
 
@@ -47,22 +47,33 @@ def test_kernel_loads_where_a_compiler_is_on_path():
     assert tree._compiled_kernel() is not None
 
 
-def _one(i: int) -> tree.Claims:
-    """The claims of a compiled walk of task i alone."""
-    return tree._claims(range(i, i + 1))
+def _cells(walk: str, g_max: int) -> int:
+    """The cells of the tally of the walk ``walk`` to g_max, as ``_kernel.c`` lays them out."""
+    depths = g_max // 2 + 1
+    return {"count": (g_max + 1) * depths, "hist": (g_max + 1) * depths * 2 * (g_max + 1), "f_value": 1}[walk]
+
+
+def _per_task(walk: str, i: int, g_max: int) -> tuple[list[int], list[int]]:
+    """The flat tallies of task i of a table to g_max alone, by the compiled
+    walk ``walk`` and by the Python walk that is its oracle."""
+    into = {"count": tree._count_into, "hist": tree._hist_into, "f_value": closedsets._f_into}[walk]
+    cells = _cells(walk, g_max)
+    claims = ctypes.c_int(i), i + 1, (ctypes.c_uint64 * cells)()
+    tree._walk_compiled(walk, claims, g_max)
+    return array("Q", bytes(claims[2])).tolist(), tree._walk_python((range(i, i + 1), (into, g_max, cells)))
 
 
 def test_compiled_kernel_matches_python_per_task(compiled_kernel):
     # task by task, so that errors in two tasks cannot cancel in the sum
     for g_max in range(25):
-        for i, task in enumerate(tree._spine_tasks(g_max)):
-            want = tree._count_worker(([task], g_max))
-            assert tree._count_worker_compiled((_one(i), g_max)) == want, (g_max, task)
+        for i in range(g_max * (g_max - 1) // 2):
+            compiled, python = _per_task("count", i, g_max)
+            assert compiled == python, (g_max, i)
 
 
-def _top_word_tasks(g_max: int, genus: int) -> list[tuple[int, tree.Node]]:
-    """(index, task) of the tasks of a table to g_max whose genus is at least ``genus``."""
-    return [(i, task) for i, task in enumerate(tree._spine_tasks(g_max)) if task[1] >= genus]
+def _top_word_tasks(g_max: int, genus: int) -> list[int]:
+    """The indices of the tasks of a table to g_max whose genus is at least ``genus``."""
+    return [i for i in range(g_max * (g_max - 1) // 2) if tree._task(i, g_max)[1] >= genus]
 
 
 def test_compiled_kernel_matches_python_in_the_top_word(compiled_kernel):
@@ -70,8 +81,9 @@ def test_compiled_kernel_matches_python_in_the_top_word(compiled_kernel):
     # the window 2*62 + 3 = 127 without counting the table
     tasks = _top_word_tasks(62, 60)
     assert len(tasks) == 59 + 60 + 61
-    for i, task in tasks:
-        assert tree._count_worker_compiled((_one(i), 62)) == tree._count_worker(([task], 62)), task
+    for i in tasks:
+        compiled, python = _per_task("count", i, 62)
+        assert compiled == python, i
 
 
 @pytest.fixture(scope="module")
@@ -89,38 +101,46 @@ def exposed_kernel(tmp_path_factory) -> ctypes.CDLL:
     return kernel
 
 
-def _made_task(kernel, bits: int, i: int, g_max: int) -> tuple[tree.Entry, int]:
+def _made_task(kernel, bits: int, i: int, g_max: int) -> tree.Entry:
     """Task i of a table to g_max as the kernel's task maker on ``bits``-bit
-    words makes it, as ``_task_start`` gives it: its first entry and its
-    multiplicity, the genus."""
+    words makes it, as the first entry of its walk."""
     buffer = (ctypes.c_uint64 * 10)()  # an entry of three words and two ints, 16-byte aligned
     entry = ctypes.addressof(buffer) + (-ctypes.addressof(buffer) % 16)
     getattr(kernel, f"task{bits}")(i, g_max, ctypes.c_void_p(entry))
     raw, size = ctypes.string_at(entry, 3 * bits // 8 + 8), bits // 8
     bitmap, eff, rev = (int.from_bytes(raw[k * size : (k + 1) * size], "little") for k in range(3))
     g, r = struct.unpack_from("ii", raw, 3 * size)
-    return (bitmap, g, r, eff, rev), g
+    return bitmap, g, r, eff, rev
 
 
 def test_the_kernel_makes_each_task_as_python_builds_it(exposed_kernel):
     # every task of every table to genus 62, on the 128-bit word, and to
     # 31 on the 64-bit one, with the ordinary root of genus g_max one index
-    # past the last task; the histogram walk puts each task at n = 2 gap
-    # intervals, with an odd member <= g exactly where g is odd
+    # past the last task, by the kernel and by _task against the semigroup
+    # built from its gaps: 1 to g, then a, for g < g_max and g + 2 <= a <=
+    # 2g + 1.  The histogram walk puts each task at n = 2 gap intervals,
+    # with an odd member <= its genus exactly where that genus is odd
+    built: dict[tuple[int, int], Semigroup] = {}
     for g_max in range(63):
-        tasks = [*tree._spine_tasks(g_max), (Semigroup.ordinary(g_max).bitmap, g_max, 0)]
-        for bits in (64, 128) if g_max <= 31 else (128,):
-            for i, task in enumerate(tasks):
-                made, genus = _made_task(exposed_kernel, bits, i, g_max)
-                want, m = tree._task_start(task, g_max)
-                assert made == want, (bits, g_max, task)
-                if task[2]:
-                    assert genus == m and tree._gap_intervals(task[0], genus) == 2, (g_max, task)
-                    assert (task[0] & tree._odd_low(genus) != 0) == genus % 2, (g_max, task)
+        roots = [(g, a) for g in range(g_max) for a in range(g + 2, 2 * g + 2)]
+        for root in roots:
+            if root not in built:
+                built[root] = Semigroup.from_gaps([*range(1, root[0] + 1), root[1]])
+        tasks = [built[root] for root in roots] + [Semigroup.ordinary(g_max)]
+        for i, task in enumerate(tasks):
+            want = scratch_entry(task, g_max)
+            assert tree._task(i, g_max) == want, (g_max, i)
+            for bits in (64, 128) if g_max <= 31 else (128,):
+                assert _made_task(exposed_kernel, bits, i, g_max) == want, (bits, g_max, i)
+            if i < len(roots):
+                assert task.multiplicity == task.genus and tree._gap_intervals(task.bitmap, task.genus) == 2, task
+                assert (task.bitmap & tree._odd_low(task.genus) != 0) == task.genus % 2, task
 
 
 class _KernelSpy:
-    """The compiled kernel, recording the name of each walk called."""
+    """The compiled kernel, recording each walk called as (name, the tally
+    it is handed, whether that tally is all zero as the call starts); the
+    record keeps each tally alive, so no later one can take its address."""
 
     def __init__(self, kernel):
         self.kernel, self.calls = kernel, []
@@ -129,10 +149,17 @@ class _KernelSpy:
         walk = getattr(self.kernel, name)
 
         def spy(*args):
-            self.calls.append(name)
+            self.calls.append((name, args[3], not any(args[3])))
             return walk(*args)
 
         return spy
+
+
+_COMPUTATIONS = [
+    ("semiforge_count", lambda g, workers: count_matrix(g, workers=workers)),
+    ("semiforge_hist", lambda g, workers: tree._histogram(g, workers=workers)),
+    ("semiforge_f_value", lambda g, workers: f_value(g // 2, workers=workers)),
+]
 
 
 def test_each_worker_makes_one_kernel_call(compiled_kernel, thread_calls, monkeypatch):
@@ -141,56 +168,69 @@ def test_each_worker_makes_one_kernel_call(compiled_kernel, thread_calls, monkey
     spy = _KernelSpy(compiled_kernel)
     monkeypatch.setattr(tree, "_kernel", spy)
     cpus = len(tree._usable_cpus())
-    computations = [
-        ("semiforge_count", lambda g, workers: count_matrix(g, workers=workers)),
-        ("semiforge_hist", lambda g, workers: tree._histogram(g, workers=workers)),
-        ("semiforge_f_value", lambda g, workers: f_value(g // 2, workers=workers)),
-    ]
-    for name, compute in computations:
+    for name, compute in _COMPUTATIONS:
         for g in (19, 22):
             want = compute(g, 1)
-            assert spy.calls == [name], (name, g)
+            assert [call[0] for call in spy.calls] == [name], (name, g)
             for workers in (2, 3):
                 spy.calls.clear()
                 assert compute(g, workers) == want
                 shared = g == 22 and cpus > 1
-                assert spy.calls == [name] * (min(workers, cpus) if shared else 1), (name, g, workers)
+                assert [call[0] for call in spy.calls] == [name] * (min(workers, cpus) if shared else 1), (name, g)
             spy.calls.clear()
     assert len(thread_calls) == 6  # one CPU runs the caller's share alone
 
 
-def _shares(monkeypatch, module) -> list[tuple[object, object, bool]]:
-    """(worker, tasks, whether the kernel runs it) of every ``_run_tasks``
-    call that ``module`` makes, which now runs no task and returns one
-    empty tally."""
-    shares: list[tuple[object, object, bool]] = []
+def test_the_calls_of_one_computation_share_one_new_tally(compiled_kernel, monkeypatch):
+    # at 2 and 3 workers every kernel call of a table, histogram or f-value
+    # adds into the one tally the computation made, zeroed as the first
+    # call starts, and the next computation makes a new one
+    spy = _KernelSpy(compiled_kernel)
+    monkeypatch.setattr(tree, "_kernel", spy)
+    tallies = []
+    for _name, compute in _COMPUTATIONS:
+        for workers in (2, 3):
+            spy.calls.clear()
+            compute(22, workers)
+            assert spy.calls[0][2] and len({ctypes.addressof(tally) for _name, tally, _zero in spy.calls}) == 1
+            tallies.append(spy.calls[0][1])
+    assert len({ctypes.addressof(tally) for tally in tallies}) == 6
 
-    def record(fn, tasks, arg, workers, compiled, floors=None):
-        shares.append((fn, tasks, compiled))
-        return [0 if module is closedsets else []]
 
-    monkeypatch.setattr(module, "_run_tasks", record)
-    return shares
+def _routes(monkeypatch) -> list[tuple[object, range, int]]:
+    """(the compiled walk's name or the Python walk's function, the tasks,
+    g_max) of every worker's call, which now walks nothing."""
+    routes: list[tuple[object, range, int]] = []
+
+    def compiled(walk, claims, g_max):
+        routes.append((walk, range(claims[0].value, claims[1]), g_max))
+
+    def python(payload):
+        tasks, (into, g_max, cells) = payload
+        routes.append((into, tasks, g_max))
+        return [0] * cells
+
+    monkeypatch.setattr(tree, "_walk_compiled", compiled)
+    monkeypatch.setattr(tree, "_walk_python", python)
+    return routes
 
 
 def test_compiled_kernel_counts_to_genus_62(compiled_kernel, monkeypatch):
     # the kernel's tasks are shared by threads, from _THREAD_MIN_TASKS,
-    # and the Python walk's by forked children, from _FORK_MIN_TASKS; the
-    # kernel makes its tasks, so it is handed their indices alone
-    shares = _shares(monkeypatch, tree)
+    # and the Python walk's by forked children, from _FORK_MIN_TASKS; both
+    # take the indices of the tasks, which each makes
+    routes = _routes(monkeypatch)
     for g_max in (62, 63):
         count_matrix(g_max)
         tree._histogram(g_max)
-    with pytest.raises(ValueError, match="genus 62, not 63"):
-        tree._count_worker_compiled((tree._claims(range(0)), 63))
     monkeypatch.setattr(tree, "_kernel", False)
     count_matrix(62)
     tree._histogram(62)
-    indices, built, above = range(62 * 61 // 2), tree._spine_tasks(62), tree._spine_tasks(63)
-    assert shares == [
-        (tree._count_worker_compiled, indices, True), (tree._hist_worker_compiled, indices, True),
-        (tree._count_worker, above, False), (tree._hist_worker, above, False),
-        (tree._count_worker, built, False), (tree._hist_worker, built, False),
+    indices, above = range(62 * 61 // 2), range(63 * 62 // 2)
+    assert routes == [
+        ("count", indices, 62), ("hist", indices, 62),
+        (tree._count_into, above, 63), (tree._hist_into, above, 63),
+        (tree._count_into, indices, 62), (tree._hist_into, indices, 62),
     ]
 
 
@@ -213,16 +253,15 @@ def test_compiled_tables_match_python_at_1_2_3_workers(compiled_kernel, fork_cal
 
 def test_compiled_histogram_matches_python_per_task(compiled_kernel):
     for g_max in range(25):
-        for i, task in enumerate(tree._spine_tasks(g_max)):
-            want = tree._hist_worker(([task], g_max))
-            assert tree._hist_worker_compiled((_one(i), g_max)) == want, (g_max, task)
+        for i in range(g_max * (g_max - 1) // 2):
+            compiled, python = _per_task("hist", i, g_max)
+            assert compiled == python, (g_max, i)
 
 
 def test_compiled_histogram_matches_python_in_the_top_word(compiled_kernel):
-    for i, task in _top_word_tasks(62, 60):
-        assert tree._hist_worker_compiled((_one(i), 62)) == tree._hist_worker(([task], 62)), task
-    with pytest.raises(ValueError, match="genus 62, not 63"):
-        tree._hist_worker_compiled((tree._claims(range(0)), 63))
+    for i in _top_word_tasks(62, 60):
+        compiled, python = _per_task("hist", i, 62)
+        assert compiled == python, i
 
 
 @pytest.mark.parametrize("g_max", [31, 32])
@@ -232,11 +271,12 @@ def test_compiled_walks_match_python_at_the_word_boundary(compiled_kernel, g_max
     # the window to 2 g_max + 1, and those of multiplicity m = 2 and 3 (root
     # genus 2 and 3) put rev's top bit, W - m, highest (W = 2 g_max + 3);
     # the rest would make the test long
-    tasks = [(i, task) for i, task in enumerate(tree._spine_tasks(g_max)) if task[1] >= g_max - 4 or task[1] <= 3]
+    tasks = [i for i in range(g_max * (g_max - 1) // 2) if not 3 < tree._task(i, g_max)[1] < g_max - 4]
     assert len(tasks) == sum(range(g_max - 5, g_max)) + 1 + 2
-    for i, task in tasks:
-        assert tree._count_worker_compiled((_one(i), g_max)) == tree._count_worker(([task], g_max)), task
-        assert tree._hist_worker_compiled((_one(i), g_max)) == tree._hist_worker(([task], g_max)), task
+    for i in tasks:
+        for walk in ("count", "hist"):
+            compiled, python = _per_task(walk, i, g_max)
+            assert compiled == python, (walk, i)
 
 
 @pytest.mark.parametrize("g_max", [29, 30])
@@ -309,9 +349,9 @@ def test_compiled_f_value_matches_python_per_task(compiled_kernel, monkeypatch):
     # task by task, the ordinary root too, so that errors in two tasks
     # cannot cancel in the sum
     for w in range(13):
-        for i, task in enumerate([*tree._spine_tasks(w), (Semigroup.ordinary(w).bitmap, w, 0)]):
-            want = closedsets._f_worker(([task], w))
-            assert closedsets._f_worker_compiled((_one(i), w)) == want, (w, task)
+        for i in range(w * (w - 1) // 2 + 1):
+            compiled, python = _per_task("f_value", i, w)
+            assert compiled == python, (w, i)
     # each genus-w semigroup is counted where a walk makes it: no listing
     monkeypatch.setattr(tree, "_nodes", lambda g_max: pytest.fail(f"f_value listed genus {g_max}"))
     for kernel in (compiled_kernel, False):
@@ -325,18 +365,15 @@ def test_compiled_f_value_matches_the_published_sequence(compiled_kernel):
 
 def test_compiled_kernel_counts_closed_sets_to_genus_31(compiled_kernel, monkeypatch):
     # f_value(w) shares the w(w - 1)/2 tasks of count_matrix(w) and its
-    # ordinary semigroup, one task more, on the f-value floors; the kernel
-    # makes them and is handed their indices; here no worker counts anything
-    shares = _shares(monkeypatch, closedsets)
+    # ordinary semigroup, one task more, on the f-value floors; both walks
+    # take their indices; here no worker counts anything
+    routes = _routes(monkeypatch)
     assert f_value(31) == f_value(32) == 0
-    with pytest.raises(ValueError, match="genus 31, not 32"):
-        closedsets._f_worker_compiled((tree._claims(range(0)), 32))
     monkeypatch.setattr(tree, "_kernel", False)
     assert f_value(31) == 0
-    python = [[*tree._spine_tasks(w), (Semigroup.ordinary(w).bitmap, w, 0)] for w in (32, 31)]
-    assert shares == [
-        (closedsets._f_worker_compiled, range(31 * 30 // 2 + 1), True),
-        (closedsets._f_worker, python[0], False), (closedsets._f_worker, python[1], False),
+    assert routes == [
+        ("f_value", range(31 * 30 // 2 + 1), 31),
+        (closedsets._f_into, range(32 * 31 // 2 + 1), 32), (closedsets._f_into, range(31 * 30 // 2 + 1), 31),
     ]
 
 
@@ -618,6 +655,9 @@ def _check_level(kernel, parents, children, effs, up, g, depth, expand=True) -> 
     def words(values, ctype=ctypes.c_uint64):
         return (ctype * len(values))(*values)
 
+    c_int, address = ctypes.c_int, ctypes.c_void_p  # the library calls it only from semiforge_tg_sweep
+    kernel.semiforge_tg_check.argtypes = [address, address, address, c_int, address, c_int, c_int, c_int, c_int]
+    kernel.semiforge_tg_check.restype = c_int
     return kernel.semiforge_tg_check(
         words(parents, ctypes.c_int), words(children), words(effs), len(children), words(up), len(up), g, depth, expand
     )

@@ -28,7 +28,7 @@ from semiforge import (
 )
 from semiforge.cli import run
 from semiforge.semigroup import _ordinarize_bitmap, _sum_bitmap
-from conftest import children_in_T, scratch_kernel
+from conftest import children_in_T, scratch_entry, scratch_kernel
 from reference_tables import COUNTS_BY_GENUS, F_SEQUENCE, FIG6_EDGES, FIG6_NODES_BY_DEPTH
 
 
@@ -170,15 +170,15 @@ def test_serial_runs_never_import_multiprocessing():
 
 
 def test_fork_map_more_workers_than_chunks(forks):
-    # the two non-ordinary children of {0, 3, 4, 5, ...}: remove 4 or 5;
-    # one child takes the second, where two CPUs are usable
+    # the two non-ordinary children of {0, 3, 4, 5, ...}, tasks 1 and 2:
+    # remove 4 or 5; one child takes the second, where two CPUs are usable
     _ordinary, *kids = children_in_T(Semigroup.ordinary(2))
-    tasks = [node(kid) for kid in kids]
+    tasks, arg = range(1, 3), (tree._count_into, 12, 13 * 7)
     assert [kid.gaps() for kid in kids] == [(1, 2, 4), (1, 2, 5)]
-    parts = tree._fork_map(tree._count_worker, tasks, 12, workers=5)
+    assert [tree._task(i, 12)[:3] for i in tasks] == [node(kid) for kid in kids]
+    parts = tree._fork_map(tree._walk_python, tasks, arg, workers=5)
     assert len(parts) == min(2, len(tree._usable_cpus())) == len(forks[0]) + 1
-    merged = [[sum(cells) for cells in zip(*rows)] for rows in zip(*parts)]
-    assert merged == tree._count_worker((tasks, 12))
+    assert [sum(cells) for cells in zip(*parts)] == tree._walk_python((tasks, arg))
 
 
 def test_pools_start_no_more_workers_than_usable_cpus(forks, fork_calls, python_kernel):
@@ -242,7 +242,7 @@ def test_a_kernel_failure_in_a_thread_fails_the_call_and_stops_every_thread(kern
     assert threading.active_count() == baseline and os.sched_getaffinity(0) == cpus
     assert run(["table", "--gmax", "27", "--workers", "2"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "the compiled count kernel could not allocate its stack\n"
+    assert out == "" and err == "the compiled count kernel could not allocate its stack and tally\n"
     assert kernel_failing_in_threads == [0, 0]
     assert threading.active_count() == baseline and os.sched_getaffinity(0) == cpus
 
@@ -390,21 +390,13 @@ def test_threads_never_outnumber_the_usable_cpus(compiled_kernel, threads_made):
         sys.setswitchinterval(interval)
 
 
-def test_count_into_refuses_ordinary_roots():
-    # an ordinary root also has the ordinary child, which the walk does not
-    # make; the compiled walks make their tasks, none of them ordinary
-    for root in (node(Semigroup.ordinary(0)), node(Semigroup.ordinary(2))):
-        with pytest.raises(ValueError, match="ordinary"):
-            tree._count_into(tree._empty_rows(5), root, 5)
-
-
 def test_tables_too_large_for_the_memory_are_refused_before_anything_is_built(monkeypatch):
-    # a table's tasks and tallies are sized up front; building them would
-    # take every byte before the MemoryError came
+    # a table's tallies are sized up front; building them would take
+    # every byte before the MemoryError came
     def never(*_args):
         raise AssertionError("built a table past the memory")
 
-    for name in ("_empty_rows", "_empty_hist", "_spine_tasks", "_compiled_kernel"):
+    for name in ("_walk_python", "_walk_compiled", "_compiled_kernel"):
         monkeypatch.setattr(tree, name, never)
     for g_max in (10**7, 10**20):
         with pytest.raises(MemoryError):
@@ -412,12 +404,29 @@ def test_tables_too_large_for_the_memory_are_refused_before_anything_is_built(mo
         with pytest.raises(MemoryError):
             tree._histogram(g_max)
     # the histogram's tallies, about g_max^3, pass the memory long before
-    # the table's tasks do: at 600, 1.7 GB against 19 MB
+    # the table's do: at 600 and one worker, 3.5 GB against 2.9 MB
     monkeypatch.setattr(tree, "_physical_memory", lambda: 10**9)
     with pytest.raises(MemoryError):
         tree._histogram(600)
     with pytest.raises(AssertionError, match="past the memory"):
         count_matrix(600)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_computation_needs_its_tally_and_one_more_per_worker(workers, monkeypatch):
+    # 8 bytes a cell, and nothing a task: a table or histogram to 21, whose
+    # 210 tasks both engines share from two workers, runs with exactly the
+    # memory its tallies take and is refused with a byte less
+    used = min(workers, len(tree._usable_cpus()))
+    want = tuple(tuple(COUNTS_BY_GENUS[g]) for g in range(22))
+    for compute, cells in ((count_matrix, 22 * 11), (tree._histogram, 22 * 11 * 44)):
+        need = 8 * cells * (used + 1)
+        monkeypatch.setattr(tree, "_physical_memory", lambda: need)
+        out = compute(21, workers=workers)
+        assert (out.rows if compute is count_matrix else tuple(tuple(map(sum, row)) for row in out)) == want
+        monkeypatch.setattr(tree, "_physical_memory", lambda: need - 1)
+        with pytest.raises(MemoryError):
+            compute(21, workers=workers)
 
 
 def test_count_matrix_csv_json_round_trip():
@@ -663,9 +672,9 @@ def test_effective_generators_inherited_down_T():
     # [0, 2g + 1]); and the state ``_subtree`` carries to every node of
     # genus <= 16 equals the state built from scratch
     edges = 0
-    for task in tree._spine_tasks(16):
-        for entry in tree._subtree(task, 16, 16):
-            assert entry == tree._task_start(entry[:3], 16)[0]
+    for i in range(16 * 15 // 2):
+        for entry in tree._subtree(i, 16, 16):
+            assert entry == scratch_entry(Semigroup._from_bitmap(*entry[:2]), 16)
             bitmap, g, _r, eff, _rev = entry
             nonzero = bitmap & -2
             m = (nonzero & -nonzero).bit_length() - 1
