@@ -17,10 +17,14 @@
    semiforge_f_value is semiforge.closedsets._f_into: the count's walk
    to genus w, where each node of genus w adds its closed sets of size
    w + 1 that contain 0 (closed_one, the counting branch of
-   semiforge.closedsets._closed_masks and _descend) and no other node
-   adds anything.  Every maximum is at most 2 w and the window
-   [0, 2 w + 1] must fit one word, so it runs on the 64-bit walk alone,
-   to w = 31, the count's proven range.
+   semiforge.closedsets._closed_masks and _descend, by closed_top for
+   each maximum top) and no other node adds anything.  The children
+   E \ {a} of a parent, E its extended window and a in its eff, are
+   counted together (closed_siblings): each top <= a is counted once, on
+   E, as closed_top reads only the members below top and a is not in
+   [0, top).  Every maximum is at most 2 w and the window [0, 2 w + 1]
+   must fit one word, so it runs on the 64-bit walk alone, to w = 31,
+   the count's proven range.
 
    The three make each task of a table to g_max (w for the f-value) from
    its index i = g (g - 1) / 2 + a - g - 2, as semiforge.tree._task does:
@@ -114,27 +118,46 @@ static uint64_t descend(const uint64_t *reqs, const int *gap, int n, int idx, ui
 }
 
 /* members: the membership window [0, 2 genus + 1] of a semigroup of genus
-   `genus`.  Returns its closed sets of size genus + 1 that contain 0,
-   grouped by their maximum top as in _closed_masks: the members below top
-   are forced, and the free gaps below it are decided largest first. */
-static uint64_t closed_one(uint64_t members, int genus) {
-    uint64_t total = 0, reqs[64], nonzero = members & ~(uint64_t)1, rest = members;
-    int gap[64];
-    for (int k = 0; k < genus; k++) rest &= rest - 1;
-    int last = __builtin_ctzll(rest);  /* the genus-th member, at most 2 genus */
-    for (int top = genus; top <= last; top++) {
-        uint64_t top_mask = ((uint64_t)1 << top) - 1, below = members & top_mask;
-        int need = genus - __builtin_popcountll(below), nf = 0;  /* >= 0 as top <= last */
-        if (!need) {
-            total++;
-            continue;
+   `genus`, read only below top.  Returns its closed sets of size genus + 1
+   that contain 0 and have the maximum top, as in _closed_masks: the members
+   below top are forced, and the free gaps below it decided largest first. */
+static uint64_t closed_top(uint64_t members, int top, int genus) {
+    uint64_t reqs[64], nonzero = members & ~(uint64_t)1, top_mask = ((uint64_t)1 << top) - 1, below = members & top_mask;
+    int gap[64], need = genus - __builtin_popcountll(below), nf = 0;  /* >= 0 as top <= 2 genus */
+    if (!need)
+        return 1;
+    for (int x = top - 1; x > 0; x--)
+        if (!(below >> x & 1)) {
+            gap[nf] = x;
+            reqs[nf++] = (nonzero << x) & top_mask & ~below;
         }
-        for (int x = top - 1; x > 0; x--)
-            if (!(below >> x & 1)) {
-                gap[nf] = x;
-                reqs[nf++] = (nonzero << x) & top_mask & ~below;
-            }
-        total += descend(reqs, gap, nf, 0, below | (uint64_t)1 << top, need);
+    return descend(reqs, gap, nf, 0, below | (uint64_t)1 << top, need);
+}
+
+/* All closed sets of size genus + 1 that contain 0, grouped by their
+   maximum, which is at most the genus-th non-zero member: 2 genus, as the
+   genus gaps lie below it. */
+static uint64_t closed_one(uint64_t members, int genus) {
+    uint64_t total = 0;
+    for (int top = genus; top <= 2 * genus; top++)
+        total += closed_top(members, top, genus);
+    return total;
+}
+
+/* closed_one summed over the children `extended` less a, a in eff, of a
+   semigroup of genus `genus` - 1.  Every a is at least genus, and they
+   rise, so the tops up to each a are counted on `extended` once, into
+   `shared`, and only the tops above a per child. */
+static uint64_t closed_siblings(uint64_t extended, uint64_t eff, int genus) {
+    uint64_t total = 0, shared = 0;
+    for (int next = genus; eff; eff &= eff - 1) {
+        uint64_t child = extended ^ (eff & -eff);
+        int a = __builtin_ctzll(eff);
+        for (; next <= a; next++)
+            shared += closed_top(extended, next, genus);
+        total += shared;
+        for (int top = a + 1; top <= 2 * genus; top++)
+            total += closed_top(child, top, genus);
     }
     return total;
 }
@@ -200,6 +223,8 @@ int semiforge_tg_level(const uint64_t *bitmaps, const uint64_t *effs, int n, int
     uint64_t mask = window(genus);
     int count = 0;
     for (int i = 0; i < n; i++) {
+        if (!effs[i])
+            continue;  /* no effective generator to remove, so no child */
         uint64_t bitmap = bitmaps[i], nonzero = bitmap & ~(uint64_t)1;
         int m = __builtin_ctzll(nonzero);
         /* b >= 2: a set holding 1 is closed only as all of N, of genus 0 */
@@ -254,15 +279,16 @@ int semiforge_tg_check(const int *parents, const uint64_t *children, const uint6
            window, none past it, and closed there, where every sum has a
            summand <= genus */
         uint64_t node = children[i], nonzero = node & ~(uint64_t)1, sums = 0;
+        int small_members = 0;
         if (!(node & 1) || node & ~mask || __builtin_popcountll(node) != genus + 2)
             return -1;
-        for (uint64_t small = node & low; small; small &= small - 1)
+        for (uint64_t small = node & low; small; small &= small - 1, small_members++)
             sums |= nonzero << __builtin_ctzll(small);
         if (sums & mask & ~node)
             return -1;
         /* the edge, and the depth: `depth` non-zero members <= genus */
         uint64_t t = transform(node, genus);
-        if (parents[i] < 0 || parents[i] >= n_up || t != up[parents[i]] || __builtin_popcountll(node & low) != depth)
+        if (parents[i] < 0 || parents[i] >= n_up || t != up[parents[i]] || small_members != depth)
             return -1;
         /* no repeat: (parent, multiplicity, Frobenius number) strictly
            increasing, F = 0 at genus 0 */
@@ -276,9 +302,8 @@ int semiforge_tg_check(const int *parents, const uint64_t *children, const uint6
         /* eff: the members above the Frobenius number that are no sums */
         if (effs[i] != (nonzero & ~sums & mask & -((uint64_t)2 << frob)))
             return -1;
-        count += __builtin_popcountll(effs[i]);
         uint64_t extended = node | (uint64_t)3 << (2 * genus + 2), first = 0;
-        for (uint64_t eff = effs[i]; eff; eff &= eff - 1) {
+        for (uint64_t eff = effs[i]; eff; eff &= eff - 1, count++) {
             uint64_t child = extended ^ (eff & -eff), child_t = transform(child, genus + 1);
             /* the ancestor line: adjoining its Frobenius number to the
                child's transform gives the node's (_raw_parent_in_T) */
@@ -366,7 +391,7 @@ static void SIZED(task)(int i, int g_max, SIZED(entry) *e) {
 #define NODE(e) (*tally += (e).g == g_max ? closed_one((e).bitmap, g_max) : 0)
 #define KEPT(e, g1) 0
 #define CELL(e, kept, low) (kept)
-#define LAST(e, kept, extended) for (WORD l = (e).eff; l; l &= l - 1) *tally += closed_one(extended ^ (l & -l), g_max)
+#define LAST(e, kept, extended) (*tally += closed_siblings(extended, (e).eff, g_max))
 #define BARE(cell) (void)(cell)
 #elif defined HIST
 /* hist: a node adds 1 to tally[((g DEPTHS + r) (g_max + 1) + n) 2 + odd],

@@ -20,10 +20,13 @@ genus-g semigroups at depth r therefore depends only on w, giving the
 sequence summed here by ``f_value``.  Listing and counting share one
 pruned descent over membership bitmaps, but counting never lists: it
 tallies the last choice in place and builds no set.  ``f_value`` walks
-the tasks of ``count_matrix(w)`` and counts each genus-w semigroup where
-the walk makes it: by ``semiforge_f_value`` in ``_kernel.c`` for w <= 31
-where it loads, else by ``_subtree`` and this descent (``_f_into``), on
-a one-cell tally that ``tree._run_tasks`` shares as it shares a table's.
+the tasks of ``count_matrix(w)``, on a one-cell tally that
+``tree._run_tasks`` shares as it shares a table's, and counts each
+genus-w semigroup where the walk makes it: by ``_subtree`` and this
+descent (``_f_into``), or by ``semiforge_f_value`` in ``_kernel.c`` for
+w <= 31 where it loads.  The closed sets with a given maximum depend only
+on the members below it, so that kernel counts each maximum once for all
+the children of a genus-(w - 1) parent that keep every member below it.
 """
 
 from __future__ import annotations
@@ -119,11 +122,7 @@ class PairDecomposition(_PairFields):
 
 def _extended_members(omega: Semigroup, upto: int) -> int:
     """Membership bitmap of omega on [0, upto] (window plus implicit tail)."""
-    width = 2 * omega.genus + 2
-    bits = omega.bitmap
-    if upto >= width:
-        bits |= ((1 << (upto - width + 2)) - 1) << width
-    return bits & ((1 << (upto + 1)) - 1)
+    return (omega.bitmap | -(1 << (2 * omega.genus + 2))) & ((1 << (upto + 1)) - 1)
 
 
 def _descend(reqs: list[int], bits: list[int], idx: int, chosen: int, left: int,

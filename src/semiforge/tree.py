@@ -76,8 +76,8 @@ _THREAD_MIN_TASKS = 21 * 20 // 2
 
 # An f-value's tasks, its ordinary semigroup one of them, are shared by forks from 36 and threads from 46 (2 CPUs,
 # Python 3.11; median ms, one worker vs two, pairs of fresh interpreters, two won): Python f_value(8) (29 tasks) 4.23
-# vs 4.01 (9 of 11; two spread to 5.6), (9) (37) 11.3 vs 8.1 (11 of 11); compiled, of 21 calls, f_value(9) (37) 0.15
-# vs 0.28 (2 of 21), (10) (46) 0.49 vs 0.47 (16 of 21).
+# vs 4.01 (9 of 11; two spread to 5.6), (9) (37) 11.3 vs 8.1 (11 of 11); compiled, of 21 calls, f_value(9) (37) 0.095
+# vs 0.143 (1 of 21), (10) (46) 0.260 vs 0.216 (21 of 21).
 _F_MIN_TASKS = (36, 46)
 
 # The compiled kernel (``_kernel.c``) holds a table's window 2*g_max + 3
@@ -443,8 +443,9 @@ def _tg_children_raw(bitmap: int, genus: int, eff: int) -> list[tuple[int, int]]
     cannot exist; so x is a sum in S' without b exactly when x is not in
     E, and x is a sum using b exactly when x - b is in S'.
     """
-    mask = (1 << (2 * genus + 2)) - 1
-    nonzero = bitmap & -2
+    if not eff:
+        return []  # no effective generator to remove, so no child
+    mask, nonzero = (1 << (2 * genus + 2)) - 1, bitmap & -2
     mult = (nonzero & -nonzero).bit_length() - 1
     out = []
     for b in range(2, mult):  # not 1: a set holding 1 is closed only as all of N, of genus 0

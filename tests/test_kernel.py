@@ -88,16 +88,20 @@ def test_compiled_kernel_matches_python_in_the_top_word(compiled_kernel):
 
 @pytest.fixture(scope="module")
 def exposed_kernel(tmp_path_factory) -> ctypes.CDLL:
-    """The kernel with its task maker (task64, task128) and closed_one
-    exported, which the library keeps to itself; built once a module."""
+    """The kernel with its task maker (task64, task128), closed_one and
+    closed_siblings exported, which the library keeps to itself; built once
+    a module."""
     if tree._compiled_kernel() is None:
         pytest.skip("no compiled count kernel")
     kernel = scratch_kernel(
         tmp_path_factory.mktemp("exposed"),
         ("static void SIZED(task)(", "void SIZED(task)("),
         ("static uint64_t closed_one(", "uint64_t closed_one("),
+        ("static uint64_t closed_siblings(", "uint64_t closed_siblings("),
     )
     kernel.closed_one.argtypes, kernel.closed_one.restype = [ctypes.c_uint64, ctypes.c_int], ctypes.c_uint64
+    kernel.closed_siblings.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int]
+    kernel.closed_siblings.restype = ctypes.c_uint64
     return kernel
 
 
@@ -328,8 +332,9 @@ def test_cell_checks_equal_at_1_and_2_workers(compiled_kernel, fork_calls, threa
 
 
 def test_compiled_closed_count_matches_python_per_semigroup(exposed_kernel):
-    # closed_one, which each node of genus w of the f-value walk calls, on
-    # one semigroup a call, so that errors in two semigroups cannot cancel
+    # closed_one, which the f-value walk calls on its tasks of genus w and
+    # the ordinary semigroup, on one semigroup a call, so that errors in
+    # two semigroups cannot cancel
     checked = 0
     for bitmap, g, _r in tree._nodes(12):
         omega = Semigroup._from_bitmap(bitmap, g)
@@ -343,6 +348,57 @@ def test_compiled_closed_count_matches_python_in_the_top_bits(exposed_kernel, w)
     # the deepest semigroup's window [0, 2w + 1] reaches bit 63 at w = 31
     omega = max_ordinarization_attainer(w)
     assert exposed_kernel.closed_one(omega.bitmap, w) == count_closed_sets(omega, w + 1) == w + 1
+
+
+def _siblings(parent: Semigroup) -> tuple[int, int, list[Semigroup]]:
+    """The extended window E of ``parent``, its effective generators and
+    its children E less each of them, in the generator-removal tree."""
+    g = parent.genus
+    extended, eff = parent.bitmap | 3 << (2 * g + 2), tree._effective_generators(parent.bitmap, g)
+    kids = [Semigroup._from_bitmap(extended ^ 1 << a, g + 1) for a in range(2 * g + 2) if eff >> a & 1]
+    return extended, eff, kids
+
+
+def test_compiled_sibling_count_matches_python_per_parent(exposed_kernel):
+    # closed_siblings, which each parent of genus w - 1 of the f-value walk
+    # calls for all its children at once, on one parent a call.  Every
+    # child's last maximum is 2w, its w-th non-zero member, so the cases
+    # hold children that remove a generator a below 2w - 1, whose maxima
+    # from a + 1 to 2w - 1 are counted on the child alone, and children
+    # that remove 2w - 1 itself; and parents of two or more children, which
+    # reuse the counts of the maxima the first one shared.
+    # Every semigroup of genus w >= 1 is one parent's child, so the sums by
+    # genus are the f-values
+    by_genus, below, at, shared = Counter(), 0, 0, 0
+    for bitmap, g, _r in tree._nodes(11):
+        extended, eff, kids = _siblings(Semigroup._from_bitmap(bitmap, g))
+        if not eff:
+            continue
+        want = sum(count_closed_sets(kid, g + 2) for kid in kids)
+        assert exposed_kernel.closed_siblings(extended, eff, g + 1) == want, (bitmap, g)
+        assert {kid.nth_member(g + 1) for kid in kids} == {2 * g + 2}
+        below += (eff & ((1 << (2 * g + 1)) - 1)).bit_count()
+        at += eff >> (2 * g + 1) & 1
+        shared += len(kids) > 1
+        by_genus[g + 1] += want
+    assert [by_genus[w] for w in range(1, 13)] == F_SEQUENCE[1:13]
+    assert below and at and shared
+
+
+@pytest.mark.parametrize("g", [28, 29, 30])
+def test_compiled_sibling_count_matches_python_in_the_top_bits(exposed_kernel, g):
+    # the parent with gaps 2 and the odd numbers below 2g - 2 has the
+    # effective generators 2g - 1 and 2g + 1: the second child reuses the
+    # parent's counts of the maxima to 2g - 1 that the first one made and
+    # adds 2g and 2g + 1, the largest maximum a parent of genus g shares;
+    # at g = 30 the extended window [0, 2g + 3] reaches bit 63, and one
+    # maximum has 31 free gaps below it
+    parent = Semigroup.from_gaps([1, 2, *range(3, 2 * g - 2, 2)])
+    extended, eff, kids = _siblings(parent)
+    assert parent.genus == g and eff == (1 << (2 * g - 1)) | (1 << (2 * g + 1))
+    want = sum(count_closed_sets(kid, g + 2) for kid in kids)
+    assert exposed_kernel.closed_siblings(extended, eff, g + 1) == want
+    assert extended >> 63 == (g == 30)
 
 
 def test_compiled_f_value_matches_python_per_task(compiled_kernel, monkeypatch):
@@ -359,8 +415,14 @@ def test_compiled_f_value_matches_python_per_task(compiled_kernel, monkeypatch):
         assert [f_value(w, workers=workers) for workers in (1, 2) for w in range(12)] == F_SEQUENCE[:12] * 2
 
 
-def test_compiled_f_value_matches_the_published_sequence(compiled_kernel):
-    assert [f_value(w) for w in range(len(F_SEQUENCE))] == F_SEQUENCE
+def test_compiled_f_value_matches_the_published_sequence(compiled_kernel, monkeypatch):
+    # at 1, 2 and 3 workers, threads sharing a sibling-counting walk's
+    # tasks from omega 10; the Python engine, forked from omega 9, to 12
+    for workers in (1, 2, 3):
+        assert [f_value(w, workers=workers) for w in range(len(F_SEQUENCE))] == F_SEQUENCE, workers
+    monkeypatch.setattr(tree, "_kernel", False)
+    for workers in (1, 2, 3):
+        assert [f_value(w, workers=workers) for w in range(13)] == F_SEQUENCE[:13], workers
 
 
 def test_compiled_kernel_counts_closed_sets_to_genus_31(compiled_kernel, monkeypatch):
