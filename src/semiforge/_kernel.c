@@ -15,30 +15,30 @@
    place of (genus, depth).
 
    semiforge_f_value is semiforge.closedsets._f_into: the count's walk
-   to genus w, where each node of genus w adds its closed sets of size
-   w + 1 that contain 0 (closed_one, the counting branch of
-   semiforge.closedsets._closed_masks and _descend, by closed_top for
-   each maximum top) and no other node adds anything.  The children
-   E \ {a} of a parent, E its extended window and a in its eff, are
-   counted together (closed_siblings): each top <= a is counted once, on
-   E, as closed_top reads only the members below top and a is not in
-   [0, top).  Every maximum is at most 2 w and the window [0, 2 w + 1]
-   must fit one word, so it runs on the 64-bit walk alone, to w = 31,
-   the count's proven range.
+   of the tasks of a table to w - 1, on the window of w, where a parent
+   of genus w - 1, E its extended window, adds the closed sets of size
+   w + 1 that contain 0 over its children E \ {a}, a in its eff, and no
+   other node adds anything: each semigroup of genus w >= 1, the child of
+   one of genus w - 1, counts once (closed_siblings, by closed_top, the
+   counting branch of semiforge.closedsets._closed_masks and _descend, for
+   each maximum top).  Each top <= a is counted once, on E, as closed_top
+   reads only the members below top and a is not in [0, top).  Every
+   maximum is at most 2 w and the window [0, 2 w + 1] must fit one word,
+   so it runs on the 64-bit walk alone, for 1 <= w <= 31.
 
-   The three make each task of a table to g_max (w for the f-value) from
-   its index i = g (g - 1) / 2 + a - g - 2, as semiforge.tree._task does:
-   the ordinary semigroup of genus g < g_max less its generator a,
-   g + 2 <= a <= 2 g + 1.  Its members in the window [0, 2 g + 3] are 0 and
-   [g + 1, 2 g + 3] less a, bits to 2 g_max + 1 as above.  So its genus and
-   multiplicity m are g + 1, its one non-zero member <= m is m (depth 1,
-   and an odd member <= m exactly when m is odd), and its gaps [1, g] and
-   a make n = 2 intervals (a - 1 >= m is a member).  Its Frobenius number
-   is a, and sums of two non-zero members start at 2 g + 2, with 2 g + 3 =
-   m + (m + 1) among them unless a = m + 1: so eff is (a, 2 g + 1], and
-   2 g + 3 where a = g + 2.  rev holds the members [m, W] less a.  Index
-   g_max (g_max - 1) / 2, past the last task, is the ordinary semigroup of
-   genus g_max, which f_value counts and no walk expands.
+   The three make each task of a table to g_max (w - 1 for the f-value, on
+   the window W of w) from its index i = g (g - 1) / 2 + a - g - 2, as
+   semiforge.tree._task does: the ordinary semigroup of genus g < g_max less
+   its generator a, g + 2 <= a <= 2 g + 1.  Its members in the window
+   [0, 2 g + 3] are 0 and [g + 1, 2 g + 3] less a, bits to 2 g_max + 1 as
+   above.  So its genus and multiplicity m are g + 1, its one non-zero
+   member <= m is m (depth 1, and an odd member <= m exactly when m is
+   odd), and its gaps [1, g] and a make n = 2 intervals (a - 1 >= m is a
+   member).  Its Frobenius number is a, and sums of two non-zero members
+   start at 2 g + 2, with 2 g + 3 = m + (m + 1) among them unless
+   a = m + 1: so eff is (a, 2 g + 1], and 2 g + 3 where a = g + 2.  rev
+   holds the members [m, W] less a.  Index g_max (g_max - 1) / 2 is the
+   ordinary semigroup of genus g_max, the last task of f_value(g_max + 1).
 
    Each walks in one call per worker.  The workers of one computation
    share the counter *next and the caller's zeroed tally: each claims an
@@ -134,20 +134,11 @@ static uint64_t closed_top(uint64_t members, int top, int genus) {
     return descend(reqs, gap, nf, 0, below | (uint64_t)1 << top, need);
 }
 
-/* All closed sets of size genus + 1 that contain 0, grouped by their
-   maximum, which is at most the genus-th non-zero member: 2 genus, as the
-   genus gaps lie below it. */
-static uint64_t closed_one(uint64_t members, int genus) {
-    uint64_t total = 0;
-    for (int top = genus; top <= 2 * genus; top++)
-        total += closed_top(members, top, genus);
-    return total;
-}
-
-/* closed_one summed over the children `extended` less a, a in eff, of a
-   semigroup of genus `genus` - 1.  Every a is at least genus, and they
-   rise, so the tops up to each a are counted on `extended` once, into
-   `shared`, and only the tops above a per child. */
+/* The closed sets of size genus + 1 containing 0 over the children
+   `extended` less a, a in eff, of a semigroup of genus `genus` - 1, by
+   maximum top <= 2 genus, as a child's genus gaps lie below 2 genus.  The
+   a are at least genus and rise, so the tops up to each a are counted on
+   `extended` once, into `shared`, and only the tops above a per child. */
 static uint64_t closed_siblings(uint64_t extended, uint64_t eff, int genus) {
     uint64_t total = 0, shared = 0;
     for (int next = genus; eff; eff &= eff - 1) {
@@ -199,9 +190,9 @@ int semiforge_hist(int g_max, int *next, int end, uint64_t *cells) {
     return g_max <= 31 ? hist64(g_max, next, end, cells) : hist128(g_max, next, end, cells);
 }
 
-/* Adds to *total the closed sets over each semigroup of genus w <= 31
-   that the tasks from *next to `end` reach, the ordinary one at index
-   w (w - 1) / 2.  Returns -1 when out of memory. */
+/* Adds to *total the closed sets over each semigroup of genus w, 1 <= w <= 31,
+   whose parent the tasks from *next to `end` of a table to w - 1 reach (at
+   w = 0 a task would push past the stack).  Returns -1 when out of memory. */
 int semiforge_f_value(int w, int *next, int end, uint64_t *total) {
     return closed64(w, next, end, total);
 }
@@ -356,20 +347,21 @@ int semiforge_tg_sweep(int genus, int expand, int size) {
 #else
 /* The walks of semiforge_count, semiforge_hist and semiforge_f_value on
    words of type WORD, whose popcount and lowest set bit are POPCOUNT and
-   LOW_INDEX.  A node adds NODE(e) to the tally; its children's cell is
-   KEPT(e, g1), or CELL(e, kept, low) for the one that removes bit `low`.
-   LAST(e, kept, extended) adds those of genus g_max, each `extended` less
-   a bit of eff, and BARE(cell) one without effective generators, which is
-   tallied instead of pushed.  START(e) is a task's cell; CELLS counts them. */
+   LOW_INDEX, of the tasks of a table to TABLE.  BARE(cell) tallies a node
+   popped, or a child without effective generators, tallied instead of
+   pushed; a node's children's cell is KEPT(e, g1), or CELL(e, kept, low)
+   for the one that removes bit `low`, and LAST(e, kept, extended) adds
+   those of genus g_max, each `extended` less a bit of eff.  START(e) is a
+   task's cell; CELLS counts them. */
 #if !defined CLOSED && !defined HIST
 /* An entry: a node's bitmap, eff and rev (see _subtree), genus g and cell. */
 typedef struct { WORD bitmap, eff, rev; int g, at; } SIZED(entry);
 
-/* Task i of a table to g_max, made into *e as the header derives it, with
-   its depth in `at`; its multiplicity is its genus.  The index g_max
-   (g_max - 1) / 2 is the ordinary semigroup of genus g_max, at depth 0. */
-static void SIZED(task)(int i, int g_max, SIZED(entry) *e) {
-    int W = 2 * g_max + 3, g = 0;
+/* Task i of a table to g_max, on the window W, made into *e as the header
+   derives it, with its depth in `at`; its multiplicity is its genus.  Index
+   g_max (g_max - 1) / 2 is the ordinary semigroup of genus g_max, depth 0. */
+static void SIZED(task)(int i, int g_max, int W, SIZED(entry) *e) {
+    int g = 0;
     while (g < g_max && i >= g) i -= g++;  /* past the g (g - 1) / 2 tasks below genus g + 1 */
     int a = i + g + 2;
     if (g == g_max) {
@@ -384,11 +376,11 @@ static void SIZED(task)(int i, int g_max, SIZED(entry) *e) {
 
 #define DEPTHS (g_max / 2 + 1)
 #ifdef CLOSED
-/* closed64: a node of genus g_max adds its closed sets to tally[0] */
+/* closed64: a parent of genus g_max - 1 adds its children's closed sets to tally[0] */
 #define WALK SIZED(closed)
+#define TABLE (g_max - 1)
 #define CELLS 1
 #define START(e) 0
-#define NODE(e) (*tally += (e).g == g_max ? closed_one((e).bitmap, g_max) : 0)
 #define KEPT(e, g1) 0
 #define CELL(e, kept, low) (kept)
 #define LAST(e, kept, extended) (*tally += closed_siblings(extended, (e).eff, g_max))
@@ -401,9 +393,9 @@ static void SIZED(task)(int i, int g_max, SIZED(entry) *e) {
    keep its n, or open one interval more (+ 2) where a - 1 is a member,
    bit a of bitmap << 1; odd bits to g1 <= 62 are in the low word. */
 #define WALK SIZED(hist)
+#define TABLE g_max
 #define CELLS ((g_max + 1) * DEPTHS * (g_max + 1) * 2)
 #define START(e) ((((e).g * DEPTHS + 1) * (g_max + 1) + 2) * 2 + ((e).g & 1))
-#define NODE(e) BARE((e).at)
 #define KEPT(e, g1) (((e).at & ~1) + 2 * (g_max + 1) * (DEPTHS + (int)((e).bitmap >> (g1) & 1)) + \
                      (((uint64_t)(e).bitmap & 0xAAAAAAAAAAAAAAAAull & (((uint64_t)2 << (g1)) - 1)) != 0))
 #define CELL(e, kept, low) ((kept) + 2 * (((e).bitmap << 1 & (low)) != 0))
@@ -413,9 +405,9 @@ static void SIZED(task)(int i, int g_max, SIZED(entry) *e) {
 #else
 /* count: a node of genus g and depth r adds 1 to tally[g DEPTHS + r] */
 #define WALK SIZED(count)
+#define TABLE g_max
 #define CELLS ((g_max + 1) * DEPTHS)
 #define START(e) ((e).g * DEPTHS + 1)
-#define NODE(e) BARE((e).at)
 #define KEPT(e, g1) ((e).at + DEPTHS + (int)((e).bitmap >> (g1) & 1))
 #define CELL(e, kept, low) (kept)
 #define LAST(e, kept, extended) (tally[kept] += POPCOUNT((e).eff))
@@ -432,12 +424,12 @@ static int WALK(int g_max, int *next, int end, uint64_t *shared) {
     uint64_t *tally = (uint64_t *)(stack + entries);
     for (int k = 0; k < cells; k++) tally[k] = 0;
     for (int i; (i = __atomic_fetch_add(next, 1, __ATOMIC_RELAXED)) < end;) {
-        SIZED(task)(i, g_max, stack);
+        SIZED(task)(i, TABLE, W, stack);
         int m = stack->g, shift = W - m, top = 1;
         stack->at = START(*stack);
         while (top) {
             SIZED(entry) e = stack[--top];
-            NODE(e);
+            BARE(e.at);
             if (e.g == g_max || !e.eff) continue;
             int g1 = e.g + 1, kept = KEPT(e, g1), head = 2 * e.g + 2, a_max = head + 1 - m;
             WORD extended = e.bitmap | (WORD)3 << head, nonzero = extended & ~(WORD)1, eff = e.eff;
@@ -467,7 +459,7 @@ static int WALK(int g_max, int *next, int end, uint64_t *shared) {
 #undef WALK
 #undef CELLS
 #undef START
-#undef NODE
+#undef TABLE
 #undef KEPT
 #undef CELL
 #undef LAST

@@ -19,14 +19,14 @@ Both directions are implemented and are exact inverses; the number of
 genus-g semigroups at depth r therefore depends only on w, giving the
 sequence summed here by ``f_value``.  Listing and counting share one
 pruned descent over membership bitmaps, but counting never lists: it
-tallies the last choice in place and builds no set.  ``f_value`` walks
-the tasks of ``count_matrix(w)``, on a one-cell tally that
-``tree._run_tasks`` shares as it shares a table's, and counts each
-genus-w semigroup where the walk makes it: by ``_subtree`` and this
-descent (``_f_into``), or by ``semiforge_f_value`` in ``_kernel.c`` for
-w <= 31 where it loads.  The closed sets with a given maximum depend only
-on the members below it, so that kernel counts each maximum once for all
-the children of a genus-(w - 1) parent that keep every member below it.
+tallies the last choice in place and builds no set.  Every semigroup of
+genus w >= 1 is the child of one of genus w - 1, so ``f_value`` walks
+the tasks of ``count_matrix(w - 1)`` and its ordinary semigroup, on a
+one-cell tally that ``tree._run_tasks`` shares as it shares a table's.
+``_f_into`` counts each genus-w semigroup alone, by ``_subtree`` and
+this descent; ``semiforge_f_value`` in ``_kernel.c`` (w <= 31, where it
+loads) counts a parent's children together, each maximum once for all
+that keep the members below it, which alone decide its closed sets.
 """
 
 from __future__ import annotations
@@ -194,20 +194,23 @@ def count_closed_sets(omega: Semigroup, size: int) -> int:
 
 
 def _f_into(tally: list[int], i: int, w: int) -> None:
-    """Adds to tally[0] the closed sets of size w + 1 over each semigroup of genus w under task i of
-    ``f_value(w)``.  ``semiforge_f_value`` in ``_kernel.c`` is this in C."""
-    nodes = (bitmap for bitmap, g, _r, _eff, _rev in _subtree(i, w, w) if g == w)
+    """Adds to tally[0] the closed sets of size w + 1 over each semigroup of genus w under task i of ``f_value(w)``,
+    each alone, on task i of a table to w, or on the w from i, the last task's children.  C: ``semiforge_f_value``."""
+    tasks = range(i, i + (w if i == (w - 1) * (w - 2) // 2 else 1))  # below the last, a table to w's tasks too
+    nodes = (bitmap for j in tasks for bitmap, g, _r, _eff, _rev in _subtree(j, w, w) if g == w)
     tally[0] += sum(count_closed_sets(Semigroup._from_bitmap(bitmap, w), w + 1) for bitmap in nodes)
 
 
 def f_value(omega_genus: int, *, workers: int = 1) -> int:
-    """Sum of the closed-set counts of size w+1 over every semigroup of genus w: those under the tasks
-    of ``count_matrix(w)``, and the ordinary one, one task more.  Equals the number of genus-g
-    semigroups at depth r whenever 3r >= g + 2 and w = floor(g/2) - r."""
+    """Sum of the closed-set counts of size w+1 over every semigroup of genus w: at w >= 1, the children of the
+    genus-(w - 1) nodes under the tasks of ``count_matrix(w - 1)`` and its ordinary semigroup, one task more.
+    Equals the number of genus-g semigroups at depth r whenever 3r >= g + 2 and w = floor(g/2) - r."""
     if omega_genus < 0:
         raise ValueError("genus must be non-negative")
     w = omega_genus
-    return _run_tasks("f_value", _f_into, w, 1, w * (w - 1) // 2 + 1, workers, _F_MIN_TASKS, _WORD_GMAX)[0]
+    if not w:
+        return 1  # the one semigroup of genus 0 has the one closed set {0}
+    return _run_tasks("f_value", _f_into, w, 1, (w - 1) * (w - 2) // 2 + 1, workers, _F_MIN_TASKS, _WORD_GMAX)[0]
 
 
 # ----------------------------------------------------------------------

@@ -74,11 +74,10 @@ _FORK_MIN_TASKS = 200
 # 0.43 (8), (21) (210) 0.62 vs 0.56 (27).
 _THREAD_MIN_TASKS = 21 * 20 // 2
 
-# An f-value's tasks, its ordinary semigroup one of them, are shared by forks from 36 and threads from 46 (2 CPUs,
-# Python 3.11; median ms, one worker vs two, pairs of fresh interpreters, two won): Python f_value(8) (29 tasks) 4.23
-# vs 4.01 (9 of 11; two spread to 5.6), (9) (37) 11.3 vs 8.1 (11 of 11); compiled, of 21 calls, f_value(9) (37) 0.095
-# vs 0.143 (1 of 21), (10) (46) 0.260 vs 0.216 (21 of 21).
-_F_MIN_TASKS = (36, 46)
+# An f-value's tasks are shared by forks from 29 and threads from 37 (2 CPUs, Python 3.11; median ms, one worker vs two,
+# fresh interpreter pairs, two won): Python, of 7 calls, f_value(8) (22 tasks) 8.24 vs 8.82 (2 of 15), (9) (29) 16.7 vs
+# 14.6 (11 of 15); compiled, of 21 calls, f_value(9) (29) 0.102 vs 0.168 (0 of 21), (10) (37) 0.306 vs 0.273 (19 of 21).
+_F_MIN_TASKS = (29, 37)
 
 # The compiled kernel (``_kernel.c``) holds a table's window 2*g_max + 3
 # in one 64-bit word to g_max = 31, else a 128-bit one (_KERNEL_GMAX), and

@@ -88,29 +88,26 @@ def test_compiled_kernel_matches_python_in_the_top_word(compiled_kernel):
 
 @pytest.fixture(scope="module")
 def exposed_kernel(tmp_path_factory) -> ctypes.CDLL:
-    """The kernel with its task maker (task64, task128), closed_one and
-    closed_siblings exported, which the library keeps to itself; built once
-    a module."""
+    """The kernel with its task maker (task64, task128) and closed_siblings
+    exported, which the library keeps to itself; built once a module."""
     if tree._compiled_kernel() is None:
         pytest.skip("no compiled count kernel")
     kernel = scratch_kernel(
         tmp_path_factory.mktemp("exposed"),
         ("static void SIZED(task)(", "void SIZED(task)("),
-        ("static uint64_t closed_one(", "uint64_t closed_one("),
         ("static uint64_t closed_siblings(", "uint64_t closed_siblings("),
     )
-    kernel.closed_one.argtypes, kernel.closed_one.restype = [ctypes.c_uint64, ctypes.c_int], ctypes.c_uint64
     kernel.closed_siblings.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int]
     kernel.closed_siblings.restype = ctypes.c_uint64
     return kernel
 
 
-def _made_task(kernel, bits: int, i: int, g_max: int) -> tree.Entry:
-    """Task i of a table to g_max as the kernel's task maker on ``bits``-bit
-    words makes it, as the first entry of its walk."""
+def _made_task(kernel, bits: int, i: int, g_max: int, W: int) -> tree.Entry:
+    """Task i of a table to g_max on the window W as the kernel's task maker
+    on ``bits``-bit words makes it, as the first entry of its walk."""
     buffer = (ctypes.c_uint64 * 10)()  # an entry of three words and two ints, 16-byte aligned
     entry = ctypes.addressof(buffer) + (-ctypes.addressof(buffer) % 16)
-    getattr(kernel, f"task{bits}")(i, g_max, ctypes.c_void_p(entry))
+    getattr(kernel, f"task{bits}")(i, g_max, W, ctypes.c_void_p(entry))
     raw, size = ctypes.string_at(entry, 3 * bits // 8 + 8), bits // 8
     bitmap, eff, rev = (int.from_bytes(raw[k * size : (k + 1) * size], "little") for k in range(3))
     g, r = struct.unpack_from("ii", raw, 3 * size)
@@ -123,7 +120,9 @@ def test_the_kernel_makes_each_task_as_python_builds_it(exposed_kernel):
     # past the last task, by the kernel and by _task against the semigroup
     # built from its gaps: 1 to g, then a, for g < g_max and g + 2 <= a <=
     # 2g + 1.  The histogram walk puts each task at n = 2 gap intervals,
-    # with an odd member <= its genus exactly where that genus is odd
+    # with an odd member <= its genus exactly where that genus is odd.  The
+    # f-value walk of w = g_max makes the tasks of a table to g_max - 1, the
+    # ordinary one of genus g_max - 1 last, on the window of g_max
     built: dict[tuple[int, int], Semigroup] = {}
     for g_max in range(63):
         roots = [(g, a) for g in range(g_max) for a in range(g + 2, 2 * g + 2)]
@@ -135,10 +134,15 @@ def test_the_kernel_makes_each_task_as_python_builds_it(exposed_kernel):
             want = scratch_entry(task, g_max)
             assert tree._task(i, g_max) == want, (g_max, i)
             for bits in (64, 128) if g_max <= 31 else (128,):
-                assert _made_task(exposed_kernel, bits, i, g_max) == want, (bits, g_max, i)
+                assert _made_task(exposed_kernel, bits, i, g_max, 2 * g_max + 3) == want, (bits, g_max, i)
             if i < len(roots):
                 assert task.multiplicity == task.genus and tree._gap_intervals(task.bitmap, task.genus) == 2, task
                 assert (task.bitmap & tree._odd_low(task.genus) != 0) == task.genus % 2, task
+        if 1 <= g_max <= 31:
+            below = tasks[: (g_max - 1) * (g_max - 2) // 2] + [Semigroup.ordinary(g_max - 1)]
+            for i, task in enumerate(below):
+                want = scratch_entry(task, g_max)
+                assert _made_task(exposed_kernel, 64, i, g_max - 1, 2 * g_max + 3) == want, (g_max, i)
 
 
 class _KernelSpy:
@@ -331,23 +335,38 @@ def test_cell_checks_equal_at_1_and_2_workers(compiled_kernel, fork_calls, threa
     assert thread_calls == [(sum(range(30)), 2)] * 2 and fork_calls == []
 
 
+def _as_only_child(omega: Semigroup) -> tuple[int, int]:
+    """The extended window E of the parent of ``omega`` in the
+    generator-removal tree, and the one bit of the generator that omega
+    removes from it, its Frobenius number: closed_siblings on (E, that
+    bit) counts omega alone."""
+    g, frob = omega.genus, omega.frobenius
+    extended = analytics._raw_parent_in_T(omega.bitmap, g) | 3 << (2 * g)
+    assert extended ^ 1 << frob == omega.bitmap
+    return extended, 1 << frob
+
+
 def test_compiled_closed_count_matches_python_per_semigroup(exposed_kernel):
-    # closed_one, which the f-value walk calls on its tasks of genus w and
-    # the ordinary semigroup, on one semigroup a call, so that errors in
-    # two semigroups cannot cancel
+    # closed_siblings, the f-value walk's one counter, on each semigroup of
+    # genus 1 to 12 as the only child of its parent, one semigroup a call,
+    # so that errors in two semigroups cannot cancel
     checked = 0
     for bitmap, g, _r in tree._nodes(12):
-        omega = Semigroup._from_bitmap(bitmap, g)
-        assert exposed_kernel.closed_one(bitmap, g) == count_closed_sets(omega, g + 1), omega
-        checked += 1
-    assert checked == sum(sum(COUNTS_BY_GENUS[g]) for g in range(13))
+        if g:
+            omega = Semigroup._from_bitmap(bitmap, g)
+            assert exposed_kernel.closed_siblings(*_as_only_child(omega), g) == count_closed_sets(omega, g + 1), omega
+            checked += 1
+    assert checked == sum(sum(COUNTS_BY_GENUS[g]) for g in range(1, 13))
 
 
 @pytest.mark.parametrize("w", [29, 30, 31])
 def test_compiled_closed_count_matches_python_in_the_top_bits(exposed_kernel, w):
-    # the deepest semigroup's window [0, 2w + 1] reaches bit 63 at w = 31
+    # the deepest semigroup, counted on its parent, whose extended window
+    # [0, 2w + 1] reaches bit 63 at w = 31
     omega = max_ordinarization_attainer(w)
-    assert exposed_kernel.closed_one(omega.bitmap, w) == count_closed_sets(omega, w + 1) == w + 1
+    extended, eff = _as_only_child(omega)
+    assert exposed_kernel.closed_siblings(extended, eff, w) == count_closed_sets(omega, w + 1) == w + 1
+    assert extended >> 63 == (w == 31)
 
 
 def _siblings(parent: Semigroup) -> tuple[int, int, list[Semigroup]]:
@@ -402,10 +421,10 @@ def test_compiled_sibling_count_matches_python_in_the_top_bits(exposed_kernel, g
 
 
 def test_compiled_f_value_matches_python_per_task(compiled_kernel, monkeypatch):
-    # task by task, the ordinary root too, so that errors in two tasks
-    # cannot cancel in the sum
-    for w in range(13):
-        for i in range(w * (w - 1) // 2 + 1):
+    # task by task, the ordinary root of genus w - 1 too, so that errors in
+    # two tasks cannot cancel in the sum
+    for w in range(1, 13):
+        for i in range((w - 1) * (w - 2) // 2 + 1):
             compiled, python = _per_task("f_value", i, w)
             assert compiled == python, (w, i)
     # each genus-w semigroup is counted where a walk makes it: no listing
@@ -426,30 +445,40 @@ def test_compiled_f_value_matches_the_published_sequence(compiled_kernel, monkey
 
 
 def test_compiled_kernel_counts_closed_sets_to_genus_31(compiled_kernel, monkeypatch):
-    # f_value(w) shares the w(w - 1)/2 tasks of count_matrix(w) and its
-    # ordinary semigroup, one task more, on the f-value floors; both walks
-    # take their indices; here no worker counts anything
+    # f_value(w) shares the (w - 1)(w - 2)/2 tasks of count_matrix(w - 1)
+    # and its ordinary semigroup, one task more, on the f-value floors;
+    # both walks take their indices; here no worker counts anything
     routes = _routes(monkeypatch)
     assert f_value(31) == f_value(32) == 0
     monkeypatch.setattr(tree, "_kernel", False)
     assert f_value(31) == 0
     assert routes == [
-        ("f_value", range(31 * 30 // 2 + 1), 31),
-        (closedsets._f_into, range(32 * 31 // 2 + 1), 32), (closedsets._f_into, range(31 * 30 // 2 + 1), 31),
+        ("f_value", range(30 * 29 // 2 + 1), 31),
+        (closedsets._f_into, range(31 * 30 // 2 + 1), 32), (closedsets._f_into, range(30 * 29 // 2 + 1), 31),
     ]
 
 
-def test_compiled_f_value_forks_only_from_genus_15(compiled_kernel, fork_calls, thread_calls):
-    # the compiled f-values never fork: threads share their w(w - 1)/2 + 1
-    # tasks from the f-value floor, omega 10 (46 tasks) and up
-    assert 9 * 8 // 2 + 1 < tree._F_MIN_TASKS[1] <= 10 * 9 // 2 + 1
+def test_f_value_at_genus_0_walks_nothing(monkeypatch):
+    # the one semigroup of genus 0 has the one closed set {0}, and there is
+    # no table to genus -1 to walk, in either engine
+    routes = _routes(monkeypatch)
+    for kernel in filter(None, (tree._compiled_kernel(), False)):
+        monkeypatch.setattr(tree, "_kernel", kernel)
+        assert [f_value(0, workers=workers) for workers in (0, 1, 2)] == [1, 1, 1]
+    assert routes == []
+
+
+def test_compiled_f_value_never_forks_and_threads_from_omega_10(compiled_kernel, fork_calls, thread_calls):
+    # threads share the (w - 1)(w - 2)/2 + 1 tasks of a compiled f-value
+    # from the f-value floor, omega 10 (37 tasks) and up
+    assert 8 * 7 // 2 + 1 < tree._F_MIN_TASKS[1] <= 9 * 8 // 2 + 1
     assert [f_value(w, workers=2) for w in range(10)] == F_SEQUENCE[:10]
     assert thread_calls == []
     for workers in (1, 2, 3):
         assert [f_value(w, workers=workers) for w in (10, 14)] == [F_SEQUENCE[10], F_SEQUENCE[14]], workers
     assert f_value(15, workers=2) == f_value(15, workers=3) == f_value(15, workers=1)
-    assert thread_calls == [(w * (w - 1) // 2 + 1, workers) for workers in (2, 3) for w in (10, 14)] + [
-        (15 * 14 // 2 + 1, workers) for workers in (2, 3)
+    assert thread_calls == [((w - 1) * (w - 2) // 2 + 1, workers) for workers in (2, 3) for w in (10, 14)] + [
+        (14 * 13 // 2 + 1, workers) for workers in (2, 3)
     ]
     assert fork_calls == []
 

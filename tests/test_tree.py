@@ -357,8 +357,8 @@ def test_threads_leave_the_callers_cpus_as_they_were(compiled_kernel):
 def test_one_worker_and_work_below_the_floor_start_no_thread(compiled_kernel, threads_made, capsys):
     assert run(["table", "--gmax", "27", "--workers", "1"]) == 0
     assert run(["fseq", "--omega-max", "13", "--workers", "1"]) == 0
-    # 190 tasks, the histogram's too, and the 37 of f_value(9)
-    assert 9 * 8 // 2 + 1 < tree._F_MIN_TASKS[1]
+    # 190 tasks, the histogram's too, and the 29 of f_value(9)
+    assert 8 * 7 // 2 + 1 < tree._F_MIN_TASKS[1]
     assert count_matrix(20, workers=3).rows == tuple(tuple(COUNTS_BY_GENUS[g]) for g in range(21))
     assert [sum(cells) for cells in tree._histogram(20, workers=3)[20]] == COUNTS_BY_GENUS[20]
     assert f_value(9, workers=3) == F_SEQUENCE[9]
